@@ -14,70 +14,11 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# The serving request path must stay panic-free: no .unwrap()/.expect(
-# outside #[cfg(test)] in the files the fallible API flows through. The
-# durability layer is held to the same bar: a corrupt byte on disk must
-# surface as a typed StoreError, never a panic. So is the observability
-# path: tracing and telemetry ride every request, and a panicking
-# trace mark would take the request down with it. The SIMD kernels and the
-# backend launch layer are on the same path: every search and every GP fit
-# flows through them. The network frontend extends the path to the socket
-# byte: frame decode, the reactor loop, and the HTTP gateway face hostile
-# input and must shed typed errors, never panic. The replication layer
-# joins them: a follower feeds peer-supplied bytes straight into its own
-# store, and a primary must survive any follower's protocol mistake.
-echo "==> panic-free request path (no unwrap/expect in serving files)"
-GATED_FILES=(
-    crates/simd/src/lib.rs
-    crates/gpu/src/backend.rs
-    crates/core/src/system.rs
-    crates/core/src/sensor.rs
-    crates/core/src/predictor.rs
-    crates/core/src/serve.rs
-    crates/core/src/regime.rs
-    crates/core/src/stream.rs
-    crates/gp/src/robust.rs
-    crates/timeseries/src/synthetic/chaos.rs
-    crates/index/src/search.rs
-    crates/index/src/scan.rs
-    crates/index/src/fleet.rs
-    crates/store/src/checkpoint.rs
-    crates/store/src/codec.rs
-    crates/store/src/lib.rs
-    crates/store/src/store.rs
-    crates/store/src/wal.rs
-    crates/obs/src/trace.rs
-    crates/obs/src/window.rs
-    crates/obs/src/stamp.rs
-    crates/net/src/frame.rs
-    crates/net/src/reactor.rs
-    crates/net/src/server.rs
-    crates/net/src/http.rs
-    crates/net/src/qos.rs
-    crates/net/src/client.rs
-    crates/net/src/load.rs
-    crates/net/src/repl.rs
-    crates/cluster/src/lib.rs
-    crates/cluster/src/conn.rs
-    crates/cluster/src/placement.rs
-    crates/cluster/src/primary.rs
-    crates/cluster/src/follower.rs
-)
-GATE_FAIL=0
-for f in "${GATED_FILES[@]}"; do
-    HITS=$(awk '/^#\[cfg\(test\)\]/{exit} {print NR": "$0}' "$f" \
-        | grep -F -e '.unwrap()' -e '.expect(' || true)
-    if [[ -n "$HITS" ]]; then
-        echo "ERROR: panicking call in request path $f:"
-        echo "$HITS"
-        GATE_FAIL=1
-    fi
-done
-if [[ "$GATE_FAIL" == "1" ]]; then
-    echo "==> ci.sh: FAILED (use typed errors or infallible fallbacks in the request path)"
-    exit 1
-fi
-
+# The request path must stay panic-free: the modules the fallible API,
+# the durability layer, tracing, the SIMD/launch kernels, the socket
+# frontend and the replication layer flow through each carry
+# `#![deny(clippy::unwrap_used, clippy::expect_used)]` (tests exempted), so
+# this step is also the gate that hostile input sheds typed errors.
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -92,8 +33,13 @@ if [[ "$QUICK" == "1" ]]; then
     echo "==> cargo test --workspace (lib + bins only)"
     cargo test --workspace --lib --bins
 
+    # The suffix kNN pipeline against a brute-force DTW oracle on
+    # adversarial inputs: solo = fleet bit for bit, no false dismissals.
+    echo "==> cargo test --test knn_oracle (search differential oracle)"
+    cargo test -p smiler-index --test knn_oracle
+
     # Both launch backends over full continuous steps, bitwise-identical
-    # predictions and kNN sets (plus the scalar/lane and cascade oracles).
+    # predictions and kNN sets (plus the scalar/lane oracles).
     echo "==> cargo test --test hotpath_equivalence (backend + kernel equivalence)"
     cargo test -p smiler-core --test hotpath_equivalence
 

@@ -1,5 +1,5 @@
 //! Benchmarks of the allocation-free hot paths: the full continuous step,
-//! the cascaded vs. batch verification, and the shared-prefix GP
+//! the continuous suffix kNN search, and the shared-prefix GP
 //! factorisation vs. independent per-k fits.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -7,7 +7,7 @@ use smiler_core::sensor::{SensorPredictor, SmilerConfig};
 use smiler_core::PredictorKind;
 use smiler_gp::{GpModel, GpScratch, Hyperparams, PrefixGp};
 use smiler_gpu::Device;
-use smiler_index::{IndexParams, SmilerIndex, VerifyMode};
+use smiler_index::{IndexParams, SmilerIndex};
 use smiler_linalg::Matrix;
 use smiler_timeseries::synthetic::{DatasetKind, SyntheticSpec};
 use std::sync::Arc;
@@ -48,27 +48,23 @@ fn bench_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// Continuous search with cascaded vs. batch verification, paper-default
+/// Continuous search (advance + cascaded suffix kNN), paper-default
 /// parameters.
 fn bench_verify_cascade(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify_cascade");
     group.sample_size(20);
     let series = road_series(14);
     let split = series.len() - 400;
-    for (label, mode) in [("cascade", VerifyMode::Cascade), ("batch", VerifyMode::Batch)] {
-        let device = Device::default_gpu();
-        let mut index =
-            SmilerIndex::build(&device, series[..split].to_vec(), IndexParams::default())
-                .with_verify_mode(mode);
-        let mut feed = series[split..].iter().cycle();
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                index.advance(&device, *feed.next().expect("cyclic feed"));
-                let max_end = index.series().len() - 10;
-                index.search(&device, max_end)
-            })
-        });
-    }
+    let device = Device::default_gpu();
+    let mut index = SmilerIndex::build(&device, series[..split].to_vec(), IndexParams::default());
+    let mut feed = series[split..].iter().cycle();
+    group.bench_function("cascade", |b| {
+        b.iter(|| {
+            index.advance(&device, *feed.next().expect("cyclic feed"));
+            let max_end = index.series().len() - 10;
+            index.search(&device, max_end)
+        })
+    });
     group.finish();
 }
 

@@ -21,7 +21,7 @@ use smiler_core::ensemble::EnsembleConfig;
 use smiler_core::eval::{evaluate, EvalConfig};
 use smiler_core::sensor::{SmilerConfig, SmilerForecaster};
 use smiler_gpu::Device;
-use smiler_index::{fleet_search, IndexParams, SmilerIndex, ThresholdStrategy};
+use smiler_index::{try_fleet_search, IndexParams, SmilerIndex, ThresholdStrategy};
 use smiler_timeseries::synthetic::DatasetKind;
 
 /// Run the full ablation suite.
@@ -240,7 +240,9 @@ fn fleet_batching(scale: &ExptScale) -> Vec<Measurement> {
     let mut fleet = build(&dev_fleet);
     dev_fleet.reset_clock();
     let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-    fleet_search(&dev_fleet, &mut refs, &max_ends);
+    for slot in try_fleet_search(&dev_fleet, &mut refs, &max_ends) {
+        slot.expect("synthetic road sensors search cleanly");
+    }
     let (fleet_launches, fleet_time) = (dev_fleet.kernel_launches(), dev_fleet.elapsed_seconds());
 
     let rows = vec![

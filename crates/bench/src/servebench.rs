@@ -145,9 +145,15 @@ pub fn run(scale: ServeBenchScale) -> ServeBenchReport {
     let amortisation = per_request.kernel_launches as f64 / batched.kernel_launches.max(1) as f64;
     ServeBenchReport {
         bench: "serve".to_string(),
-        lineage: "closed-loop in-process harness; since the coordinated-omission fix, qps-paced \
-                  latencies are measured from each request's scheduled issue time (earlier \
-                  snapshots measured from post-sleep send time and understated tails)"
+        lineage: "closed-loop in-process harness; qps-paced latencies are measured from each \
+                  request's scheduled issue time. Both modes run the one cascaded search \
+                  pipeline (a solo search is a fleet search of one), which cut per-request \
+                  launches 168 -> 72 on this trace. ROADMAP anomaly 2(a) is NOT closed: batched \
+                  wall-clock throughput is still below per-request, and the search was never \
+                  its cause here - the trace has no observes, so only each sensor's first \
+                  forecast searches (12 of 192 requests); the batched run's elapsed time is \
+                  its ~24 batches per shard each waiting out the fixed 2 ms batch_window with \
+                  fewer than max_batch requests queued. Follow-up: an adaptive window."
             .to_string(),
         scale,
         batched,

@@ -139,6 +139,7 @@ pub fn rebalance_plan(old: &Placement, new: &Placement, fleet: u64) -> Vec<Move>
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

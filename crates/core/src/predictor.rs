@@ -3,6 +3,8 @@
 //! Gaussian Process predictor with online-trained hyperparameters
 //! (§5.2.2).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use smiler_gp::{train_full, train_online, GpModel, Hyperparams, TrainConfig};
 use smiler_linalg::{stats, Matrix};
 
@@ -318,6 +320,7 @@ pub struct QualitySnapshot {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

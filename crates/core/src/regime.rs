@@ -24,6 +24,8 @@
 //! unchanged — proven by the chaos bench's clean-workload invariance
 //! check.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Configuration of the per-sensor regime detector.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct RegimeConfig {
@@ -242,6 +244,7 @@ impl RegimeDetector {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -6,6 +6,8 @@
 //! cell and horizon — the whole point of the Suffix kNN formulation), then
 //! instantiates the abstract predictors on prefix-k subsets of the results.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::degrade::{DegradationLevel, ErrorState, PredictError, Prediction, RequestPolicy};
 use crate::ensemble::{EnsembleConfig, EnsembleMatrix};
 use crate::predictor::{
@@ -393,7 +395,7 @@ impl SensorPredictor {
     }
 
     /// Install an externally computed search result (from
-    /// [`smiler_index::fleet_search`]) as this step's cached search.
+    /// [`smiler_index::try_fleet_search`]) as this step's cached search.
     pub(crate) fn install_search(&mut self, out: SearchOutput) {
         let len = self.index.series().len();
         self.cache = Some((len, out));
@@ -1376,6 +1378,7 @@ impl smiler_baselines::SeriesPredictor for SmilerForecaster {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

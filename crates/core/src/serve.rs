@@ -46,6 +46,8 @@
 //! Tracing and telemetry never touch the prediction math: forecasts are
 //! bitwise identical with tracing on or off.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::degrade::{DegradationLevel, Prediction, RequestPolicy};
 use crate::durable::StoreStatus;
 use crate::predictor::QualitySnapshot;

@@ -9,6 +9,8 @@
 //! missing ticks by linear interpolation, rejects stale input, and returns
 //! forecasts in the sensor's raw units with calibrated intervals.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::predictor::PredictorKind;
 use crate::sensor::{SensorPredictor, SmilerConfig};
 use smiler_gpu::Device;
@@ -250,6 +252,7 @@ impl SensorStream {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

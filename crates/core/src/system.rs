@@ -7,12 +7,13 @@
 //! arrangement; it also enforces the device-memory budget that bounds the
 //! number of resident sensors (the Fig 12c capacity experiment).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::degrade::{PredictError, Prediction, RequestPolicy};
 use crate::predictor::PredictorKind;
 use crate::sensor::{SensorPredictor, SmilerConfig};
 use crate::snapshot::SensorSnapshot;
 use smiler_gpu::Device;
-use smiler_index::{fleet_search, SmilerIndex};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -246,48 +247,6 @@ impl SmilerSystem {
         self.sensors.iter_mut().map(|s| s.predict(h)).collect()
     }
 
-    /// Predict horizon `h` for every sensor with the **fleet-batched**
-    /// search pipeline: one device grid per search phase spans all sensors
-    /// (paper Fig 3 / §4.4), instead of one small launch sequence per
-    /// sensor. Results are identical to [`SmilerSystem::predict_all`]; the
-    /// device does the same work in ~16× fewer launches.
-    pub fn predict_all_batched(&mut self, h: usize) -> Vec<(f64, f64)> {
-        let max_ends: Vec<usize> = self.sensors.iter().map(|s| s.search_max_end()).collect();
-        {
-            let mut refs: Vec<&mut SmilerIndex> =
-                self.sensors.iter_mut().map(|s| s.index_mut()).collect();
-            let outputs = fleet_search(&self.device, &mut refs, &max_ends);
-            drop(refs);
-            for (sensor, out) in self.sensors.iter_mut().zip(outputs) {
-                sensor.install_search(out);
-            }
-        }
-        // The prediction math reuses each sensor's installed search.
-        self.sensors.iter_mut().map(|s| s.predict(h)).collect()
-    }
-
-    /// Predict horizon `h` for every sensor using host threads — the
-    /// paper's §6.4.1 note that "the running time of SMiLer-GP can be
-    /// further reduced by multithreading on multi-core architecture".
-    /// Sensors are independent (each owns its index and ensemble), so the
-    /// prediction step parallelises trivially; the shared device's
-    /// simulated clock stays correct because cost accounting is atomic
-    /// per launch.
-    ///
-    /// Fault-isolated: a sensor that panics or errors is quarantined and
-    /// reports `(NaN, ∞)`; every healthy sensor's forecast is unaffected.
-    /// Use [`SmilerSystem::predict_all_robust`] to see typed per-sensor
-    /// faults instead of the NaN marker.
-    pub fn predict_all_parallel(&mut self, h: usize) -> Vec<(f64, f64)> {
-        self.predict_all_robust(h, &RequestPolicy::default())
-            .into_iter()
-            .map(|r| match r {
-                Ok(p) => (p.mean, p.variance),
-                Err(_) => (f64::NAN, f64::INFINITY),
-            })
-            .collect()
-    }
-
     /// Predict horizon `h` for every sensor with full fault isolation: the
     /// fleet's serving entry point.
     ///
@@ -297,7 +256,10 @@ impl SmilerSystem {
     /// fenced off from further requests until [`SmilerSystem::recover`]
     /// rebuilds it from its last good snapshot — and reported as a
     /// [`SensorFault`]; the other sensors' forecasts are exactly what a
-    /// fault-free pass would have produced.
+    /// fault-free pass would have produced. Sensors are independent (each
+    /// owns its index and ensemble), so the step parallelises across host
+    /// threads (paper §6.4.1); the shared device's simulated clock stays
+    /// correct because cost accounting is atomic per launch.
     pub fn predict_all_robust(
         &mut self,
         h: usize,
@@ -531,6 +493,7 @@ impl SmilerSystem {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use smiler_gpu::GpuSpec;
@@ -578,42 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_prediction_matches_serial() {
-        let (mut serial, _) = SmilerSystem::new(
-            Arc::new(Device::default_gpu()),
-            histories(4, 300),
-            SmilerConfig::small_for_tests(),
-            PredictorKind::Aggregation,
-        );
-        let (mut batched, _) = SmilerSystem::new(
-            Arc::new(Device::default_gpu()),
-            histories(4, 300),
-            SmilerConfig::small_for_tests(),
-            PredictorKind::Aggregation,
-        );
-        let a = serial.predict_all(2);
-        let b = batched.predict_all_batched(2);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x.0 - y.0).abs() < 1e-9 && (x.1 - y.1).abs() < 1e-9, "{x:?} vs {y:?}");
-        }
-        // And the batched path must use far fewer launches.
-        let solo_launches = serial.device().kernel_launches();
-        let batched_launches = batched.device().kernel_launches();
-        assert!(
-            batched_launches < solo_launches,
-            "batched {batched_launches} vs solo {solo_launches}"
-        );
-        // Continuous operation stays in lockstep.
-        serial.observe_all(&[0.1, 0.2, 0.3, 0.4]);
-        batched.observe_all(&[0.1, 0.2, 0.3, 0.4]);
-        let a = serial.predict_all(1);
-        let b = batched.predict_all_batched(1);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x.0 - y.0).abs() < 1e-9, "{x:?} vs {y:?}");
-        }
-    }
-
-    #[test]
     fn parallel_prediction_matches_serial() {
         let device = Arc::new(Device::default_gpu());
         let (mut serial, _) = SmilerSystem::new(
@@ -629,10 +556,11 @@ mod tests {
             PredictorKind::Aggregation,
         );
         let a = serial.predict_all(2);
-        let b = parallel.predict_all_parallel(2);
+        let b = parallel.predict_all_robust(2, &RequestPolicy::default());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert!((x.0 - y.0).abs() < 1e-12 && (x.1 - y.1).abs() < 1e-12);
+            let y = y.as_ref().expect("healthy sensor");
+            assert!((x.0 - y.mean).abs() < 1e-12 && (x.1 - y.variance).abs() < 1e-12);
         }
     }
 

@@ -15,6 +15,8 @@
 //! exceeds the z-clip, [`noise_scales`] and [`winsorize`] return `None`
 //! and the caller keeps the uniform-noise path bit for bit.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Configuration of the robust likelihood variant.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct RobustSpec {
@@ -169,6 +171,7 @@ pub fn winsorize(y: &[f64], spec: &RobustSpec) -> Option<Vec<f64>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -21,6 +21,8 @@
 //! backends is therefore comparing different clocks and must not expect
 //! equality.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::cost::{BlockCost, CostModel};
 
 /// Names the two launch-timing backends; parsed from the `--backend` CLI
@@ -127,6 +129,7 @@ impl Backend for NativeBackend {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::cost::GpuSpec;

@@ -1,76 +1,69 @@
-//! Fleet-batched suffix kNN search: many sensors, one grid per phase.
+//! The suffix kNN pipeline: filter → verify → select over `(sensor, item)`
+//! tasks, one grid per phase.
 //!
 //! The paper's deployment (Fig. 3, §4.4) runs ~1000 sensors on one GPU:
 //! "the SMiLer Index can easily scale up with multiple sensors, where we
 //! only need to create multiple SMiLer Indexes and invoke more blocks."
-//! Per-sensor searching (as [`crate::SmilerIndex::search`] does) launches a
-//! handful of blocks at a time, leaving most SMs idle; this module batches
-//! the fleet's work so that each phase — group-level bounds, threshold
-//! probes, filtering, verification, selection — is **one launch whose grid
-//! spans every sensor**, keeping the device occupied and slashing launch
-//! overhead.
-//!
-//! The outputs are bit-identical to running each sensor's
-//! [`crate::SmilerIndex::search`] in isolation (tested), because the
-//! batching only regroups independent blocks.
+//! This module is that pipeline, and the only one: each phase — group-level
+//! bounds, threshold probes, filtering, cascaded verification, selection —
+//! is **one launch whose grid spans every task of every sensor**, and
+//! [`SmilerIndex::try_search`] is [`try_fleet_search`] over a fleet of one.
+//! Tasks are independent (each has its own threshold and its own
+//! `SharedBest`), so a sensor's answer is bit-identical whatever fleet it
+//! is searched in; batching only regroups independent blocks.
 
-use crate::group::{self, GroupBounds};
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::group;
 use crate::search::{
-    Neighbor, SearchError, SearchOutput, SearchStats, SmilerIndex, ThresholdStrategy,
+    cascade_block, verify_candidates, CascadeCounts, Neighbor, SearchError, SearchOutput,
+    SearchStats, SharedBest, SmilerIndex, ThresholdStrategy, VerifyJob, CASCADE_CHUNK,
 };
 use smiler_gpu::kselect;
 use smiler_gpu::Device;
+use smiler_timeseries::Envelope;
 use std::sync::Arc;
 
-/// Scratch describing one (sensor, item-query) task in a batched phase.
-/// `sensor` indexes the *healthy* sub-fleet actually being batched.
-#[derive(Debug, Clone)]
-struct ItemTask {
+/// One `(sensor, item query)` unit of work, threaded through every phase.
+struct Task<'a> {
+    /// Position of the owning sensor in the screened sub-fleet.
     sensor: usize,
-    item: usize,
-    d: usize,
-    /// The item query contains a non-finite value (a NaN sitting further
-    /// back in the history than the shorter, clean suffixes). The task
-    /// stays in the grid layout but ranks nothing: no probes, no
-    /// filtering, an empty neighbour list — exactly `try_search`'s
-    /// per-item degradation.
-    poisoned: bool,
+    series: &'a [f64],
+    /// The item query: a suffix of `series`.
+    query: &'a [f64],
+    rho: usize,
+    k: usize,
+    strategy: ThresholdStrategy,
+    /// Start of the previous step's k-th nearest neighbour, when it can
+    /// seed the continuous-reuse threshold (§4.3.3 method 2).
+    reuse: Option<usize>,
+    /// Group-level filter bound per candidate start.
+    lbw: Vec<f64>,
+    /// False for a task that ranks nothing — a poisoned item query or an
+    /// empty candidate set. It keeps its block slot in every grid but
+    /// probes, filters and verifies nothing: an empty neighbour list.
+    live: bool,
+    /// Filter threshold τ.
+    tau: f64,
+    /// Candidates the group-level filter let through, probes included.
+    survived: usize,
+    query_env: Envelope,
+    /// Filter survivors still to verify, ascending by bound.
+    order: Vec<usize>,
+    /// `(start, distance)`: the threshold probes, then the cascade's
+    /// survivors in block order.
+    verified: Vec<(usize, f64)>,
 }
 
-/// Run the suffix kNN search for a whole fleet, batching every phase into a
-/// single launch across sensors. `max_ends[s]` bounds sensor `s`'s
-/// candidate ends (callers pass `len − h` as for the single-sensor search).
+/// Suffix kNN search for a whole fleet: one `Result` slot per sensor, in
+/// input order. `max_ends[s]` bounds sensor `s`'s candidate ends (callers
+/// pass `len − h` so every neighbour has its h-step-ahead label).
 ///
-/// Updates each index's continuous-reuse state exactly as its own `search`
-/// would.
-///
-/// # Panics
-/// Panics if `indexes` and `max_ends` lengths differ, or if any sensor's
-/// slot fails (out-of-range `max_end`, poisoned shortest query). Serving
-/// paths use [`try_fleet_search`], which degrades the failing slot only.
-pub fn fleet_search(
-    device: &Device,
-    indexes: &mut [&mut SmilerIndex],
-    max_ends: &[usize],
-) -> Vec<SearchOutput> {
-    try_fleet_search(device, indexes, max_ends)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(out) => out,
-            Err(e) => panic!("fleet suffix kNN search failed: {e}"),
-        })
-        .collect()
-}
-
-/// Fallible fleet search: one `Result` slot per sensor, in input order.
-///
-/// A sensor whose query would fail [`SmilerIndex::try_search`] — an
-/// out-of-range `max_end`, a non-finite shortest item query — gets a typed
-/// [`SearchError`] in *its* slot and is excluded from the batched grids;
-/// it never aborts or poisons the other sensors' launches. Healthy slots
-/// are bit-identical to [`fleet_search`] over the healthy sub-fleet, and
-/// only they have their continuous-reuse state updated (an erroring sensor
-/// keeps its previous state, as `try_search` would).
+/// A sensor with an out-of-range `max_end` or a non-finite shortest item
+/// query gets a typed [`SearchError`] in *its* slot and is excluded from
+/// the batched grids; it never aborts or poisons the other sensors'
+/// launches. Only `Ok` slots have their continuous-reuse state updated (an
+/// erroring sensor keeps its previous state).
 ///
 /// # Panics
 /// Panics only on caller contract violation: `indexes` and `max_ends`
@@ -81,346 +74,342 @@ pub fn try_fleet_search(
     max_ends: &[usize],
 ) -> Vec<Result<SearchOutput, SearchError>> {
     assert_eq!(indexes.len(), max_ends.len(), "one max_end per sensor");
-    if indexes.is_empty() {
-        return Vec::new();
-    }
-
-    // Pre-screen each slot the way `try_search` screens its own entry:
-    // bad bookkeeping and a poisoned shortest suffix are that sensor's
-    // typed error, not the fleet's.
-    let mut slots: Vec<Option<Result<SearchOutput, SearchError>>> = Vec::new();
-    slots.resize_with(indexes.len(), || None);
-    let mut healthy: Vec<&mut SmilerIndex> = Vec::new();
-    let mut healthy_pos: Vec<usize> = Vec::new();
-    let mut healthy_ends: Vec<usize> = Vec::new();
-    for (s, index) in indexes.iter_mut().enumerate() {
-        let len = index.series().len();
-        if max_ends[s] > len {
-            slots[s] = Some(Err(SearchError::MaxEndBeyondHistory { max_end: max_ends[s], len }));
-            continue;
-        }
-        if let Some(&d0) = index.params().lengths.first() {
-            let shortest = &index.series()[len - d0..];
-            if shortest.iter().any(|v| !v.is_finite()) {
-                slots[s] = Some(Err(SearchError::NonFiniteQuery { length: d0 }));
-                continue;
-            }
-        }
-        healthy_pos.push(s);
-        healthy_ends.push(max_ends[s]);
-        healthy.push(index);
-    }
-
-    if !healthy.is_empty() {
-        let outputs = fleet_search_healthy(device, &mut healthy, &healthy_ends);
-        match outputs {
-            Ok(outs) => {
-                for (pos, out) in healthy_pos.iter().zip(outs) {
-                    slots[*pos] = Some(Ok(out));
-                }
-            }
-            // A batch-level launch failure (shared-memory overflow from an
-            // oversized device configuration) lands on every batched slot;
-            // pre-screened slots keep their own, more specific errors.
-            Err(e) => {
-                for pos in &healthy_pos {
-                    slots[*pos] = Some(Err(e.clone()));
-                }
-            }
-        }
-    }
-    slots
+    let screened: Vec<Option<SearchError>> =
+        indexes.iter().zip(max_ends).map(|(index, &max_end)| screen(index, max_end)).collect();
+    let (mut healthy, healthy_ends): (Vec<&mut SmilerIndex>, Vec<usize>) = indexes
+        .iter_mut()
+        .zip(max_ends)
+        .zip(&screened)
+        .filter(|(_, verdict)| verdict.is_none())
+        .map(|((index, &max_end), _)| (&mut **index, max_end))
+        .unzip();
+    let mut outs = if healthy.is_empty() {
+        Ok(Vec::new().into_iter())
+    } else {
+        search_screened(device, &mut healthy, &healthy_ends).map(Vec::into_iter)
+    };
+    // A batch-level launch failure (shared-memory overflow from an oversized
+    // device configuration) lands on every batched slot; screened-out slots
+    // keep their own, more specific errors.
+    screened
         .into_iter()
-        .map(|slot| slot.unwrap_or(Err(SearchError::Device("sensor slot was never filled"))))
+        .map(|verdict| match (verdict, &mut outs) {
+            (Some(e), _) => Err(e),
+            (None, Ok(outs)) => {
+                outs.next().ok_or(SearchError::Device("sensor slot was never filled"))
+            }
+            (None, Err(e)) => Err(e.clone()),
+        })
         .collect()
 }
 
-/// The batched pipeline over a pre-screened fleet: every `max_end` is in
-/// range and every shortest item query is finite.
-fn fleet_search_healthy(
+/// A sensor's own typed error, if its request cannot enter the batched
+/// grids: bad bookkeeping, or a poisoned shortest suffix — item queries are
+/// nested suffixes (ELV ascending), so then no item query of that sensor
+/// can rank anything.
+fn screen(index: &SmilerIndex, max_end: usize) -> Option<SearchError> {
+    let series = index.series();
+    if max_end > series.len() {
+        return Some(SearchError::MaxEndBeyondHistory { max_end, len: series.len() });
+    }
+    let &d0 = index.params().lengths.first()?;
+    let poisoned = series[series.len() - d0..].iter().any(|v| !v.is_finite());
+    poisoned.then_some(SearchError::NonFiniteQuery { length: d0 })
+}
+
+/// The pipeline over a screened fleet: every `max_end` is in range and
+/// every shortest item query is finite.
+fn search_screened(
     device: &Device,
     indexes: &mut [&mut SmilerIndex],
     max_ends: &[usize],
 ) -> Result<Vec<SearchOutput>, SearchError> {
-    // ---- Phase 1: group-level lower bounds, one grid over all sensors. ----
-    let lb_sat0 = device.saturated_seconds();
-    let lb_sim0 = device.elapsed_seconds();
-    let total_sat0 = lb_sat0;
-    let total_sim0 = lb_sim0;
-    let bounds = fleet_group_bounds(device, indexes, max_ends);
-    let lb_sat = device.saturated_seconds() - lb_sat0;
-    let lb_sim = device.elapsed_seconds() - lb_sim0;
+    let _search_span = smiler_obs::span("search");
+    let clock = || (device.elapsed_seconds(), device.saturated_seconds());
+    let since =
+        |(sim, sat): (f64, f64)| (device.elapsed_seconds() - sim, device.saturated_seconds() - sat);
+    let start = clock();
 
-    // Flatten (sensor, item) tasks. Longer item queries can be poisoned
-    // while the (pre-screened) shorter ones stay clean — the NaN sits
-    // further back — and degrade to an empty neighbour list per item.
-    let mut tasks: Vec<ItemTask> = Vec::new();
-    for (s, index) in indexes.iter().enumerate() {
-        let series = index.series();
-        for (i, &d) in index.params().lengths.iter().enumerate() {
-            let poisoned = series[series.len() - d..].iter().any(|v| !v.is_finite());
-            if poisoned {
-                smiler_obs::count("search.nonfinite_query", "", 1);
-            }
-            tasks.push(ItemTask { sensor: s, item: i, d, poisoned });
-        }
-    }
-
-    // Per-task mode-resolved bound arrays.
-    let lbw: Vec<Vec<f64>> = tasks
-        .iter()
-        .map(|t| bounds[t.sensor].mode_bounds(t.item, indexes[t.sensor].bound_mode()))
-        .collect();
-
-    // ---- Phase 2a: thresholds. Continuous-reuse probes and cold-start
-    //      k-smallest-LB probes are gathered fleet-wide, verified in one
-    //      launch, and turned into per-task τ. ----
-    let k_of = |t: &ItemTask| indexes[t.sensor].params().k_max;
-
-    // Cold-start tasks need their k smallest lower bounds selected first.
-    let cold: Vec<usize> = tasks
-        .iter()
-        .enumerate()
-        .filter(|(ti, t)| {
-            !t.poisoned
-                && indexes[t.sensor].prev_neighbor(t.item).is_none()
-                && lbw[*ti].len() > k_of(t)
-        })
-        .map(|(ti, _)| ti)
-        .collect();
-    let cold_rows: Vec<Vec<f64>> = cold.iter().map(|&ti| lbw[ti].clone()).collect();
-    let cold_ks: Vec<usize> = cold.iter().map(|&ti| k_of(&tasks[ti])).collect();
-    let cold_probe_sets = if cold.is_empty() {
-        Vec::new()
-    } else {
-        kselect::launch_multi_select(device, &cold_rows, &cold_ks).results
-    };
-
-    // Assemble one fleet-wide probe list: (task, candidate start).
-    let mut probes: Vec<(usize, usize)> = Vec::new();
-    for (ti, t) in tasks.iter().enumerate() {
-        if t.poisoned {
-            continue;
-        }
-        if let Some(prev) = indexes[t.sensor].prev_neighbor(t.item) {
-            if prev + t.d <= indexes[t.sensor].series().len() {
-                probes.push((ti, prev));
-                continue;
-            }
-        }
-        if let Some(pos) = cold.iter().position(|&c| c == ti) {
-            match indexes[t.sensor].threshold() {
-                // Exact: verify all k best-LB candidates; τ = max of their
-                // DTWs bounds the k-th NN distance from above.
-                ThresholdStrategy::ExactKBest => {
-                    for &cand in &cold_probe_sets[pos] {
-                        probes.push((ti, cand));
-                    }
-                }
-                // Paper method 1: verify only the candidate with the k-th
-                // smallest lower bound.
-                ThresholdStrategy::PaperKthLb => {
-                    if let Some(&kth) = cold_probe_sets[pos].last() {
-                        probes.push((ti, kth));
-                    }
-                }
-            }
-        }
-        // Tasks with ≤ k candidates get τ = ∞ below (no probes needed).
-    }
-    let probe_dists = fleet_verify(device, indexes, &tasks, &probes)?;
-
-    // τ per task: max over its probes (exact for the ExactKBest strategy;
-    // the single continuous probe matches the paper's reuse threshold).
-    let mut tau = vec![f64::INFINITY; tasks.len()];
-    let mut verified: Vec<Vec<(usize, f64)>> = vec![Vec::new(); tasks.len()];
-    for (&(ti, cand), &dist) in probes.iter().zip(&probe_dists) {
-        verified[ti].push((cand, dist));
-        if tau[ti] == f64::INFINITY {
-            tau[ti] = dist;
-        } else {
-            tau[ti] = tau[ti].max(dist);
-        }
-    }
-    for (ti, t) in tasks.iter().enumerate() {
-        if lbw[ti].len() <= k_of(t) {
-            tau[ti] = f64::INFINITY;
-        }
-    }
-
-    // ---- Phase 2b: filter — one block per task (pure scans). A poisoned
-    //      task keeps its block slot in the grid but scans nothing. ----
-    let filter = device.launch(tasks.len(), |ctx| {
-        let ti = ctx.block_id();
-        if tasks[ti].poisoned {
-            return Vec::new();
-        }
-        ctx.read_global(lbw[ti].len() as u64);
-        ctx.flops(lbw[ti].len() as u64);
-        let skip: Vec<usize> = verified[ti].iter().map(|&(c, _)| c).collect();
-        (0..lbw[ti].len())
-            .filter(|&t| lbw[ti][t] <= tau[ti] && !skip.contains(&t))
-            .collect::<Vec<usize>>()
-    });
-
-    // ---- Phase 2c: verification — one grid over every survivor. ----
-    let mut survivors: Vec<(usize, usize)> = Vec::new();
-    for (ti, kept) in filter.results.iter().enumerate() {
-        for &cand in kept {
-            survivors.push((ti, cand));
-        }
-    }
-    let verify_sat0 = device.saturated_seconds();
-    let verify_sim0 = device.elapsed_seconds();
-    let survivor_dists = fleet_verify(device, indexes, &tasks, &survivors)?;
-    let verify_sat = device.saturated_seconds() - verify_sat0;
-    let verify_sim = device.elapsed_seconds() - verify_sim0;
-    for (&(ti, cand), &dist) in survivors.iter().zip(&survivor_dists) {
-        verified[ti].push((cand, dist));
-    }
-
-    // ---- Phase 3: selection — one grid, one block per task. ----
-    let rows: Vec<Vec<f64>> =
-        verified.iter().map(|v| v.iter().map(|&(_, d)| d).collect()).collect();
-    let ks: Vec<usize> = tasks.iter().map(k_of).collect();
-    let picks = kselect::launch_multi_select(device, &rows, &ks).results;
-
-    // ---- Assemble per-sensor outputs and update continuous state. ----
-    // Phase costs are shared launches; attribute them evenly per sensor so
-    // the stats stay comparable with the per-sensor search path.
-    let n = indexes.len() as f64;
-    let total_sat = device.saturated_seconds() - total_sat0;
-    let total_sim = device.elapsed_seconds() - total_sim0;
-    let mut stats_list: Vec<SearchStats> = indexes
-        .iter()
-        .map(|_| SearchStats {
-            verify_sim_seconds: verify_sim / n,
-            verify_saturated_seconds: verify_sat / n,
-            lb_sim_seconds: lb_sim / n,
-            lb_saturated_seconds: lb_sat / n,
-            total_sim_seconds: total_sim / n,
-            total_saturated_seconds: total_sat / n,
-            ..SearchStats::default()
-        })
-        .collect();
-    let mut sensor_neighbors: Vec<Vec<Vec<Neighbor>>> =
-        indexes.iter().map(|_| Vec::new()).collect();
-    for ((ti, task), pick) in tasks.iter().enumerate().zip(&picks) {
-        let neighbors: Vec<Neighbor> = pick
+    // Phase 1: group-level lower bounds (one pass over posting lists).
+    let bounds = {
+        let _lb_span = smiler_obs::span("lb");
+        let sensors: Vec<_> = indexes
             .iter()
-            .map(|&i| Neighbor { start: verified[ti][i].0, distance: verified[ti][i].1 })
+            .zip(max_ends)
+            .map(|(index, &max_end)| {
+                (index.window_index(), index.params().lengths.as_slice(), max_end)
+            })
             .collect();
-        sensor_neighbors[task.sensor].push(neighbors);
-        stats_list[task.sensor].candidates.push(lbw[ti].len());
-        stats_list[task.sensor].unfiltered.push(verified[ti].len());
+        group::fleet_group_bounds(device, &sensors)
+    };
+    let (lb_sim, lb_sat) = since(start);
+
+    // Phase 2: threshold, filter, verify — each its own launch so filtering
+    // and verification never mix in one kernel (§4.4).
+    let mut tasks = plan_tasks(indexes, bounds);
+    {
+        let _filter_span = smiler_obs::span("filter");
+        probe_thresholds(device, &mut tasks)?;
+        filter(device, &mut tasks);
     }
-    let outputs: Vec<SearchOutput> = sensor_neighbors
-        .into_iter()
-        .zip(stats_list)
-        .map(|(nb, stats)| SearchOutput { neighbors: Arc::new(nb), stats })
+    let verify_start = clock();
+    {
+        let _verify_span = smiler_obs::span("verify");
+        cascade_verify(device, &mut tasks)?;
+    }
+    let (verify_sim, verify_sat) = since(verify_start);
+
+    // Phase 3: k-selection, one block per task (§4.3.3).
+    let picks = {
+        let _select_span = smiler_obs::span("select");
+        device
+            .launch(tasks.len(), |ctx| {
+                let task = &tasks[ctx.block_id()];
+                let dists: Vec<f64> = task.verified.iter().map(|&(_, dist)| dist).collect();
+                kselect::select_k_smallest(ctx, &dists, task.k)
+            })
+            .results
+    };
+    let (total_sim, total_sat) = since(start);
+
+    // Phase costs are shared launches; attribute them evenly per sensor so
+    // the stats read the same whatever fleet a sensor was searched in.
+    let n = indexes.len() as f64;
+    let mut outputs: Vec<(Vec<Vec<Neighbor>>, SearchStats)> = indexes
+        .iter()
+        .map(|_| {
+            let stats = SearchStats {
+                verify_sim_seconds: verify_sim / n,
+                verify_saturated_seconds: verify_sat / n,
+                lb_sim_seconds: lb_sim / n,
+                lb_saturated_seconds: lb_sat / n,
+                total_sim_seconds: total_sim / n,
+                total_saturated_seconds: total_sat / n,
+                ..SearchStats::default()
+            };
+            (Vec::new(), stats)
+        })
         .collect();
+    for (task, pick) in tasks.iter().zip(picks) {
+        let (neighbors, stats) = &mut outputs[task.sensor];
+        neighbors.push(
+            pick.into_iter()
+                .map(|i| Neighbor { start: task.verified[i].0, distance: task.verified[i].1 })
+                .collect(),
+        );
+        stats.candidates.push(task.lbw.len());
+        stats.unfiltered.push(task.survived);
+    }
+    drop(tasks);
     // Sharing the `Arc` (instead of deep-cloning every neighbour list)
     // installs the continuous-reuse state for free.
-    for (index, out) in indexes.iter_mut().zip(&outputs) {
-        index.set_prev_neighbors(Arc::clone(&out.neighbors));
-    }
-    Ok(outputs)
+    Ok(indexes
+        .iter_mut()
+        .zip(outputs)
+        .map(|(index, (neighbors, stats))| {
+            let neighbors = Arc::new(neighbors);
+            index.set_prev_neighbors(Arc::clone(&neighbors));
+            SearchOutput { neighbors, stats }
+        })
+        .collect())
 }
 
-/// Group-level bounds for all sensors in ONE launch: the grid is
-/// `ω` CSG-class blocks per sensor.
-fn fleet_group_bounds(
-    device: &Device,
-    indexes: &[&mut SmilerIndex],
-    max_ends: &[usize],
-) -> Vec<GroupBounds> {
-    // Per-sensor block ranges.
-    let mut blocks_of: Vec<(usize, usize)> = Vec::with_capacity(indexes.len()); // (sensor, b)
-    for (s, index) in indexes.iter().enumerate() {
-        let omega = index.params().omega;
-        let classes = omega.min(index.window_index().sw_count());
-        for b in 0..classes {
-            blocks_of.push((s, b));
+/// Flatten the fleet into `(sensor, item)` tasks, resolving each task's
+/// filter bounds under its sensor's [`crate::BoundMode`].
+fn plan_tasks<'a>(
+    indexes: &'a [&mut SmilerIndex],
+    bounds: Vec<group::GroupBounds>,
+) -> Vec<Task<'a>> {
+    let mut tasks = Vec::new();
+    for (sensor, (index, bounds)) in indexes.iter().zip(bounds).enumerate() {
+        let params = index.params();
+        let series = index.series();
+        let rows = bounds.into_filter_bounds(index.bound_mode());
+        for (item, (lbw, &d)) in rows.into_iter().zip(&params.lengths).enumerate() {
+            let query = &series[series.len() - d..];
+            // A longer query can be poisoned while the (screened) shorter
+            // ones stay clean — the NaN sits further back; it alone
+            // degrades to an empty neighbour list.
+            let clean = query.iter().all(|v| v.is_finite());
+            if !clean {
+                smiler_obs::count("search.nonfinite_query", "", 1);
+            }
+            // The previous k-th NN segment is probably still close, so its
+            // DTW to the *current* query is a tight τ — unless it now
+            // overlaps a poisoned stretch of history (a non-finite DTW),
+            // in which case the task probes from cold instead of wiping
+            // its whole candidate set.
+            let reuse = index.prev_neighbor(item).filter(|&t| {
+                series.get(t..t + d).is_some_and(|seg| seg.iter().all(|v| v.is_finite()))
+            });
+            tasks.push(Task {
+                sensor,
+                series,
+                query,
+                rho: params.rho,
+                k: params.k_max,
+                strategy: index.threshold(),
+                reuse,
+                live: clean && !lbw.is_empty(),
+                lbw,
+                tau: f64::INFINITY,
+                survived: 0,
+                query_env: Envelope::default(),
+                order: Vec::new(),
+                verified: Vec::new(),
+            });
         }
     }
-    let report = device.launch(blocks_of.len(), |ctx| {
-        let (s, b) = blocks_of[ctx.block_id()];
-        let index = &indexes[s];
-        group::class_pass(ctx, index.window_index(), &index.params().lengths, max_ends[s], b)
-    });
+    tasks
+}
 
-    // Scatter per sensor.
-    let mut out: Vec<GroupBounds> = indexes
+/// Phase 2a — the filter threshold τ of every task, from one fleet-wide
+/// probe-verification launch. A task with a reusable previous answer
+/// probes that one segment; a cold task with more than k candidates probes
+/// by lower-bound rank (one k-selection block per cold task); a task with
+/// ≤ k candidates filters nothing and keeps τ = +∞. Verified probes are
+/// cached in `verified` so the cascade never re-verifies them.
+fn probe_thresholds(device: &Device, tasks: &mut [Task]) -> Result<(), SearchError> {
+    let mut probes: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
+    let mut cold: Vec<usize> = Vec::new();
+    for (ti, task) in tasks.iter_mut().enumerate().filter(|(_, task)| task.live) {
+        if let Some(t) = task.reuse {
+            probes[ti].push(t);
+        } else if task.lbw.len() > task.k {
+            cold.push(ti);
+        } else {
+            continue;
+        }
+        // `f64::max` ignores NaN probe distances; a fully poisoned probe
+        // set leaves τ at −∞, which filters every candidate — nothing
+        // finite is rankable against segments that only match poisoned
+        // history.
+        task.tau = f64::NEG_INFINITY;
+    }
+    if !cold.is_empty() {
+        let ranked = device.launch(cold.len(), |ctx| {
+            let task = &tasks[cold[ctx.block_id()]];
+            kselect::select_k_smallest(ctx, &task.lbw, task.k)
+        });
+        for (&ti, smallest) in cold.iter().zip(ranked.results) {
+            probes[ti] = match tasks[ti].strategy {
+                // Exact: verify all k best-LB candidates; τ = max of their
+                // DTWs bounds the k-th NN distance from above.
+                ThresholdStrategy::ExactKBest => smallest,
+                // Paper method 1: verify only the candidate with the k-th
+                // smallest lower bound. `kselect` drops non-finite bounds,
+                // so fewer than k may remain; the largest surviving bound
+                // is still a usable rank probe.
+                ThresholdStrategy::PaperKthLb => smallest.last().copied().into_iter().collect(),
+            };
+        }
+    }
+    let jobs: Vec<VerifyJob> = tasks
         .iter()
-        .zip(max_ends)
-        .map(|(index, &max_end)| {
-            let lengths = &index.params().lengths;
-            let mut eq = Vec::with_capacity(lengths.len());
-            let mut ec = Vec::with_capacity(lengths.len());
-            for &d in lengths {
-                let count = if max_end >= d { max_end - d + 1 } else { 0 };
-                eq.push(vec![0.0; count]);
-                ec.push(vec![0.0; count]);
-            }
-            GroupBounds { lengths: lengths.clone(), eq, ec }
+        .zip(&probes)
+        .map(|(task, starts)| VerifyJob {
+            series: task.series,
+            query: task.query,
+            rho: task.rho,
+            starts,
         })
         .collect();
-    for ((s, _), rows) in blocks_of.iter().zip(report.results) {
-        for (i, t, s_eq, s_ec) in rows {
-            out[*s].eq[i][t] = s_eq;
-            out[*s].ec[i][t] = s_ec;
-        }
+    let dists = verify_candidates(device, &jobs)?;
+    for ((task, starts), dists) in tasks.iter_mut().zip(probes).zip(dists) {
+        task.tau = dists.iter().copied().fold(task.tau, f64::max);
+        task.verified = starts.into_iter().zip(dists).collect();
     }
-    out
+    Ok(())
 }
 
-/// Verify `(task, candidate)` pairs across the fleet in one launch,
-/// chunked 256 per block. Returns distances in input order, or the typed
-/// shared-memory error if a block's compressed matrices exceed the budget
-/// (instead of panicking mid-batch).
-fn fleet_verify(
-    device: &Device,
-    indexes: &[&mut SmilerIndex],
-    tasks: &[ItemTask],
-    pairs: &[(usize, usize)],
-) -> Result<Vec<f64>, SearchError> {
-    const THREADS: usize = 256;
-    if pairs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let blocks = pairs.len().div_ceil(THREADS);
-    let report = device.launch(blocks, |ctx| -> Result<Vec<f64>, smiler_gpu::SharedMemOverflow> {
-        let lo = ctx.block_id() * THREADS;
-        let hi = (lo + THREADS).min(pairs.len());
-        let mut scratch = smiler_dtw::DtwScratch::new();
-        let mut out = Vec::with_capacity(hi - lo);
-        for &(ti, cand) in &pairs[lo..hi] {
-            let t = &tasks[ti];
-            let index = &indexes[t.sensor];
-            let rho = index.params().rho;
-            let series = index.series();
-            let query = &series[series.len() - t.d..];
-            ctx.read_global(2 * t.d as u64);
-            ctx.flops(smiler_dtw::dtw_ops_estimate(t.d, rho));
-            ctx.alloc_shared(2 * (2 * rho + 2) * 4)?;
-            out.push(smiler_dtw::dtw_compressed_with(
-                query,
-                &series[cand..cand + t.d],
-                rho,
-                &mut scratch,
-            ));
+/// Phase 2b — filter by τ: one block per task, a pure scan. Non-finite
+/// bounds fail the `<= τ` comparison, so candidates poisoned by a NaN in
+/// the history are dropped here, mirroring `kselect`'s non-finite
+/// filtering. Survivors are then ordered tight-bounds-first so the
+/// cascade's running k-th best distance drops as fast as possible.
+fn filter(device: &Device, tasks: &mut [Task]) {
+    let kept = device.launch(tasks.len(), |ctx| {
+        let task = &tasks[ctx.block_id()];
+        if !task.live {
+            return Vec::new();
         }
-        ctx.sync();
-        Ok(out)
+        ctx.read_global(task.lbw.len() as u64);
+        ctx.flops(task.lbw.len() as u64);
+        let mut skip: Vec<usize> = task.verified.iter().map(|&(t, _)| t).collect();
+        skip.sort_unstable();
+        (0..task.lbw.len())
+            .filter(|&t| task.lbw[t] <= task.tau && skip.binary_search(&t).is_err())
+            .collect::<Vec<usize>>()
     });
-    let mut all = Vec::with_capacity(pairs.len());
-    for block in report.results {
-        all.extend(block?);
+    for (task, mut order) in tasks.iter_mut().zip(kept.results).filter(|(task, _)| task.live) {
+        // `survived` is the "number" column of Table 3; the cascade's
+        // further pruning is reported separately (`verify.cascade`).
+        task.survived = task.verified.len() + order.len();
+        if smiler_obs::enabled() {
+            let label = format!("d={}", task.query.len());
+            let candidates = task.lbw.len();
+            smiler_obs::count("search.candidates", &label, candidates as u64);
+            smiler_obs::count("search.verified", &label, task.survived as u64);
+            let pruned = candidates.saturating_sub(task.survived) as f64;
+            smiler_obs::observe("search.pruning_ratio", &label, pruned / candidates as f64);
+        }
+        // The filter only passes finite bounds, for which `total_cmp`
+        // agrees with the partial order — and it cannot panic should a NaN
+        // ever slip through.
+        order.sort_unstable_by(|&a, &b| task.lbw[a].total_cmp(&task.lbw[b]));
+        task.order = order;
+        task.query_env = Envelope::compute(task.query, task.rho);
     }
-    Ok(all)
+}
+
+/// Phase 2c — cascaded verification of every task's survivors in a single
+/// launch: block `(task, chunk)` walks one chunk of one task's candidates
+/// against that task's own [`SharedBest`] (see [`cascade_block`]) — the
+/// 2-D grid a real GPU kNN kernel launches, one grid-y per query. The
+/// chunk descriptors are a fixed function of each task's candidate count —
+/// never of worker count — so the candidate→block assignment is identical
+/// on every backend and host. Survivors are appended to each task's
+/// `verified` in block order (blocks are reported in launch order
+/// regardless of execution schedule).
+fn cascade_verify(device: &Device, tasks: &mut [Task]) -> Result<(), SearchError> {
+    let chunks: Vec<(usize, usize)> = tasks
+        .iter()
+        .enumerate()
+        .flat_map(|(ti, task)| (0..task.order.len()).step_by(CASCADE_CHUNK).map(move |lo| (ti, lo)))
+        .collect();
+    if chunks.is_empty() {
+        return Ok(());
+    }
+    let shared: Vec<SharedBest> = tasks
+        .iter()
+        .map(|task| SharedBest::new(task.k, task.verified.iter().map(|&(_, dist)| dist)))
+        .collect();
+    let report = device.launch(chunks.len(), |ctx| {
+        let (ti, lo) = chunks[ctx.block_id()];
+        let task = &tasks[ti];
+        let hi = (lo + CASCADE_CHUNK).min(task.order.len());
+        cascade_block(
+            ctx,
+            task.series,
+            task.query,
+            &task.query_env,
+            task.rho,
+            &task.order[lo..hi],
+            &shared[ti],
+        )
+    });
+    let mut counts = CascadeCounts::default();
+    for (&(ti, _), block) in chunks.iter().zip(report.results) {
+        let (found, block_counts) = block?;
+        tasks[ti].verified.extend(found);
+        counts.merge(&block_counts);
+    }
+    counts.report();
+    Ok(())
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::search::IndexParams;
@@ -449,24 +438,39 @@ mod tests {
         (indexes, max_ends)
     }
 
+    fn search_all(
+        device: &Device,
+        fleet: &mut [SmilerIndex],
+        max_ends: &[usize],
+    ) -> Vec<Result<SearchOutput, SearchError>> {
+        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
+        try_fleet_search(device, &mut refs, max_ends)
+    }
+
+    /// A sensor's answer must not depend on the fleet it was searched in:
+    /// same starts, same distance bits, same filter statistics.
+    fn assert_bitwise_equal(got: &SearchOutput, expect: &SearchOutput, what: &str) {
+        let bits = |out: &SearchOutput| -> Vec<Vec<(usize, u64)>> {
+            out.neighbors
+                .iter()
+                .map(|ns| ns.iter().map(|n| (n.start, n.distance.to_bits())).collect())
+                .collect()
+        };
+        assert_eq!(bits(got), bits(expect), "{what}: neighbours");
+        assert_eq!(got.stats.candidates, expect.stats.candidates, "{what}: candidates");
+        assert_eq!(got.stats.unfiltered, expect.stats.unfiltered, "{what}: unfiltered");
+    }
+
     #[test]
     fn fleet_matches_per_sensor_search() {
         let device = Device::default_gpu();
         let (mut fleet, max_ends) = build_fleet(4, &device);
         let (mut solo, _) = build_fleet(4, &device);
-
-        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-        let fleet_out = fleet_search(&device, &mut refs, &max_ends);
+        let fleet_out = search_all(&device, &mut fleet, &max_ends);
         for (s, index) in solo.iter_mut().enumerate() {
             let expect = index.search(&device, max_ends[s]);
-            let got = &fleet_out[s];
-            assert_eq!(got.neighbors.len(), expect.neighbors.len());
-            for (gn, en) in got.neighbors.iter().zip(expect.neighbors.iter()) {
-                assert_eq!(gn.len(), en.len(), "sensor {s}");
-                for (g, e) in gn.iter().zip(en) {
-                    assert!((g.distance - e.distance).abs() < 1e-9, "sensor {s}: {g:?} vs {e:?}");
-                }
-            }
+            let got = fleet_out[s].as_ref().expect("healthy slot");
+            assert_bitwise_equal(got, &expect, &format!("sensor {s}"));
         }
     }
 
@@ -481,15 +485,11 @@ mod tests {
                 index.advance(&device, v);
             }
             let max_ends: Vec<usize> = fleet.iter().map(|i| i.series().len() - 5).collect();
-            let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-            let fleet_out = fleet_search(&device, &mut refs, &max_ends);
+            let fleet_out = search_all(&device, &mut fleet, &max_ends);
             for (s, index) in solo.iter_mut().enumerate() {
                 let expect = index.search(&device, max_ends[s]);
-                for (gn, en) in fleet_out[s].neighbors.iter().zip(expect.neighbors.iter()) {
-                    for (g, e) in gn.iter().zip(en) {
-                        assert!((g.distance - e.distance).abs() < 1e-9, "step {step} sensor {s}");
-                    }
-                }
+                let got = fleet_out[s].as_ref().expect("healthy slot");
+                assert_bitwise_equal(got, &expect, &format!("step {step} sensor {s}"));
             }
         }
     }
@@ -502,8 +502,7 @@ mod tests {
         let (mut solo, _) = build_fleet(6, &dev_solo);
         dev_fleet.reset_clock();
         dev_solo.reset_clock();
-        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-        fleet_search(&dev_fleet, &mut refs, &max_ends);
+        search_all(&dev_fleet, &mut fleet, &max_ends);
         for (s, index) in solo.iter_mut().enumerate() {
             index.search(&dev_solo, max_ends[s]);
         }
@@ -513,14 +512,17 @@ mod tests {
             dev_fleet.kernel_launches(),
             dev_solo.kernel_launches()
         );
+        // One launch per phase, whatever the fleet size: bounds, cold-start
+        // rank probes, probe verification, filter, cascade, selection.
+        assert_eq!(dev_fleet.kernel_launches(), 6);
+        assert_eq!(dev_solo.kernel_launches(), 6 * 6);
     }
 
     #[test]
     fn empty_fleet_is_fine() {
         let device = Device::default_gpu();
-        let mut refs: Vec<&mut SmilerIndex> = Vec::new();
-        assert!(fleet_search(&device, &mut refs, &[]).is_empty());
-        assert!(try_fleet_search(&device, &mut refs, &[]).is_empty());
+        assert!(search_all(&device, &mut [], &[]).is_empty());
+        assert_eq!(device.kernel_launches(), 0);
     }
 
     #[test]
@@ -530,8 +532,7 @@ mod tests {
         let (mut solo, solo_ends) = build_fleet(4, &device);
         max_ends[1] = fleet[1].series().len() + 7; // out-of-range bookkeeping
 
-        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-        let slots = try_fleet_search(&device, &mut refs, &max_ends);
+        let slots = search_all(&device, &mut fleet, &max_ends);
         assert!(matches!(slots[1], Err(SearchError::MaxEndBeyondHistory { .. })));
         for (s, index) in solo.iter_mut().enumerate() {
             if s == 1 {
@@ -539,11 +540,7 @@ mod tests {
             }
             let expect = index.search(&device, solo_ends[s]);
             let got = slots[s].as_ref().expect("healthy slot");
-            for (gn, en) in got.neighbors.iter().zip(expect.neighbors.iter()) {
-                for (g, e) in gn.iter().zip(en) {
-                    assert!((g.distance - e.distance).abs() < 1e-9, "sensor {s}");
-                }
-            }
+            assert_bitwise_equal(got, &expect, &format!("sensor {s}"));
         }
     }
 
@@ -556,17 +553,17 @@ mod tests {
         fleet[2].advance(&device, f64::NAN);
         solo[2].advance(&device, f64::NAN);
 
-        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-        let slots = try_fleet_search(&device, &mut refs, &max_ends);
+        let slots = search_all(&device, &mut fleet, &max_ends);
         assert!(matches!(slots[2], Err(SearchError::NonFiniteQuery { .. })));
+        assert_eq!(
+            slots[2].as_ref().err(),
+            solo[2].try_search(&device, max_ends[2]).as_ref().err(),
+            "the solo search reports the same typed error"
+        );
         for (s, index) in solo.iter_mut().enumerate().take(2) {
             let expect = index.search(&device, max_ends[s]);
             let got = slots[s].as_ref().expect("healthy slot");
-            for (gn, en) in got.neighbors.iter().zip(expect.neighbors.iter()) {
-                for (g, e) in gn.iter().zip(en) {
-                    assert!((g.distance - e.distance).abs() < 1e-9, "sensor {s}");
-                }
-            }
+            assert_bitwise_equal(got, &expect, &format!("sensor {s}"));
         }
     }
 
@@ -583,11 +580,11 @@ mod tests {
         fleet[0] = SmilerIndex::build(&device, solo_series, params());
         let max_ends: Vec<usize> = fleet.iter().map(|i| i.series().len() - 13).collect();
 
-        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-        let slots = try_fleet_search(&device, &mut refs, &max_ends);
+        let slots = search_all(&device, &mut fleet, &max_ends);
         let out = slots[0].as_ref().expect("poisoned long item degrades, not errors");
         assert!(!out.neighbors[0].is_empty(), "clean shortest item still ranks");
         assert!(out.neighbors[1].is_empty(), "poisoned longer item ranks nothing");
+        assert_eq!(out.stats.unfiltered[1], 0);
         assert!(slots[1].is_ok());
     }
 
@@ -596,15 +593,11 @@ mod tests {
         let device = Device::default_gpu();
         let (mut fleet, max_ends) = build_fleet(3, &device);
         let (mut solo, _) = build_fleet(3, &device);
-        let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
-        let slots = try_fleet_search(&device, &mut refs, &max_ends);
+        let slots = search_all(&device, &mut fleet, &max_ends);
         for (s, index) in solo.iter_mut().enumerate() {
             let expect = index.try_search(&device, max_ends[s]).expect("healthy");
             let got = slots[s].as_ref().expect("healthy slot");
-            assert_eq!(got.neighbors.len(), expect.neighbors.len());
-            for (gn, en) in got.neighbors.iter().zip(expect.neighbors.iter()) {
-                assert_eq!(gn.len(), en.len(), "sensor {s}");
-            }
+            assert_bitwise_equal(got, &expect, &format!("sensor {s}"));
         }
     }
 }

@@ -36,25 +36,22 @@ impl GroupBounds {
         self.eq[i][t].max(self.ec[i][t])
     }
 
-    /// The per-candidate filter bounds of item query `i` under the chosen
+    /// The per-candidate filter bounds of every item query under the chosen
     /// [`BoundMode`] (Table 3 ablation): `Eq`/`Ec` alone or the enhanced
-    /// `max` of both.
-    pub fn mode_bounds(&self, i: usize, mode: BoundMode) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.mode_bounds_into(i, mode, &mut out);
-        out
-    }
-
-    /// [`GroupBounds::mode_bounds`] into a caller-owned buffer, so the
-    /// continuous search loop resolves its filter bounds without
-    /// allocating.
-    pub fn mode_bounds_into(&self, i: usize, mode: BoundMode, out: &mut Vec<f64>) {
-        out.clear();
+    /// `max` of both, folded in place so resolving the mode allocates
+    /// nothing.
+    pub fn into_filter_bounds(self, mode: BoundMode) -> Vec<Vec<f64>> {
         match mode {
-            BoundMode::Eq => out.extend_from_slice(&self.eq[i]),
-            BoundMode::Ec => out.extend_from_slice(&self.ec[i]),
+            BoundMode::Eq => self.eq,
+            BoundMode::Ec => self.ec,
             BoundMode::En => {
-                out.extend(self.eq[i].iter().zip(&self.ec[i]).map(|(&a, &b)| a.max(b)));
+                let mut eq = self.eq;
+                for (row, ec) in eq.iter_mut().zip(&self.ec) {
+                    for (a, &b) in row.iter_mut().zip(ec) {
+                        *a = a.max(b);
+                    }
+                }
+                eq
             }
         }
     }
@@ -67,7 +64,8 @@ impl GroupBounds {
 
 /// Compute group-level bounds for item queries of the given `lengths`
 /// (ascending suffix lengths of the master query) over candidates whose end
-/// `t + d` does not exceed `max_end`.
+/// `t + d` does not exceed `max_end` — the one-sensor call of
+/// `fleet_group_bounds`.
 ///
 /// # Panics
 /// Panics if `lengths` is empty, unsorted, or exceeds the master query.
@@ -81,40 +79,55 @@ pub fn compute_group_bounds(
     assert!(lengths.windows(2).all(|w| w[0] < w[1]), "lengths must be strictly ascending");
     let d_master = windex.d_master();
     assert!(*lengths.last().expect("non-empty") <= d_master, "item query longer than master query");
-    let omega = windex.omega();
-    let sw_count = windex.sw_count();
+    fleet_group_bounds(device, &[(windex, lengths, max_end)]).swap_remove(0)
+}
 
-    // One block per CSG class. Each block emits (item, t, eq, ec) tuples;
-    // the bijection of Theorem 4.2 guarantees blocks write disjoint
-    // candidates, so the host-side scatter below has no collisions.
-    let report = device.launch(omega.min(sw_count), |ctx| {
-        let b = ctx.block_id();
+/// Group-level bounds for every `(window index, lengths, max_end)` sensor
+/// in ONE launch: the grid is one block per (sensor, CSG class). Each block
+/// emits `(item, t, eq, ec)` tuples; the bijection of Theorem 4.2
+/// guarantees a sensor's blocks write disjoint candidates, so the host-side
+/// scatter has no collisions.
+pub(crate) fn fleet_group_bounds(
+    device: &Device,
+    sensors: &[(&WindowIndex, &[usize], usize)],
+) -> Vec<GroupBounds> {
+    let blocks: Vec<(usize, usize)> = sensors
+        .iter()
+        .enumerate()
+        .flat_map(|(s, (windex, _, _))| {
+            (0..windex.omega().min(windex.sw_count())).map(move |b| (s, b))
+        })
+        .collect();
+    let report = device.launch(blocks.len(), |ctx| {
+        let (s, b) = blocks[ctx.block_id()];
+        let (windex, lengths, max_end) = sensors[s];
         class_pass(ctx, windex, lengths, max_end, b)
     });
 
     // Scatter into dense per-item arrays.
-    let mut eq: Vec<Vec<f64>> = Vec::with_capacity(lengths.len());
-    let mut ec: Vec<Vec<f64>> = Vec::with_capacity(lengths.len());
-    for &d in lengths {
-        let count = if max_end >= d { max_end - d + 1 } else { 0 };
-        eq.push(vec![0.0; count]);
-        ec.push(vec![0.0; count]);
-    }
-    for block in report.results {
-        for (i, t, s_eq, s_ec) in block {
-            eq[i][t] = s_eq;
-            ec[i][t] = s_ec;
+    let mut out: Vec<GroupBounds> = sensors
+        .iter()
+        .map(|&(_, lengths, max_end)| {
+            let zeros = || -> Vec<Vec<f64>> {
+                lengths.iter().map(|&d| vec![0.0; (max_end + 1).saturating_sub(d)]).collect()
+            };
+            GroupBounds { lengths: lengths.to_vec(), eq: zeros(), ec: zeros() }
+        })
+        .collect();
+    for (&(s, _), rows) in blocks.iter().zip(report.results) {
+        for (i, t, s_eq, s_ec) in rows {
+            out[s].eq[i][t] = s_eq;
+            out[s].ec[i][t] = s_ec;
         }
     }
-    GroupBounds { lengths: lengths.to_vec(), eq, ec }
+    out
 }
 
 /// The Algorithm-1 pass of ONE CSG class `b`: walk every rightmost disjoint
 /// window, shift-sum the class's posting lists, and emit
 /// `(item, candidate start, ΣLBEQ, ΣLBEC)` whenever a sum completes an item
-/// query's CSG. Shared by the per-sensor launch above and the fleet-batched
-/// launch (`crate::fleet`), which runs one such block per (sensor, class).
-pub(crate) fn class_pass(
+/// query's CSG.
+fn class_pass(
     ctx: &mut smiler_gpu::BlockCtx,
     windex: &WindowIndex,
     lengths: &[usize],

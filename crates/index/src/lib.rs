@@ -16,10 +16,13 @@
 //!   yields the windowed lower bound `LBw` between *every* item query and
 //!   *every* candidate segment in one pass (Algorithm 1, Theorem 4.3) —
 //!   the suffix-sharing reuse of Remark 2.
-//! * **Search** ([`search`]): filtering by threshold, verification with the
-//!   compressed-warping-matrix DTW kernel, and k-selection — the paper's
-//!   three-phase pipeline (§4.3.3), kept in separate kernel launches to
-//!   avoid SIMD divergence (§4.4).
+//! * **Search** ([`search`], [`fleet`]): filtering by threshold, cascaded
+//!   verification with the compressed-warping-matrix DTW kernel, and
+//!   k-selection — the paper's three-phase pipeline (§4.3.3), kept in
+//!   separate kernel launches to avoid SIMD divergence (§4.4). One routine
+//!   ([`try_fleet_search`]) runs every phase as a single launch over the
+//!   `(sensor, item query)` tasks of a whole fleet; a solo
+//!   [`SmilerIndex::try_search`] is a fleet of one.
 //!
 //! [`scan`] implements the Figure 7/8 baselines: FastGPUScan, GPUScan,
 //! FastCPUScan and SMiLer-Dir.
@@ -34,8 +37,8 @@ pub mod scan;
 pub mod search;
 pub mod window;
 
-pub use fleet::{fleet_search, try_fleet_search};
+pub use fleet::try_fleet_search;
 pub use search::{
     BoundMode, IndexParams, Neighbor, SearchError, SearchOutput, SearchStats, SmilerIndex,
-    ThresholdStrategy, VerifyMode,
+    ThresholdStrategy,
 };

@@ -11,7 +11,9 @@
 //!   `LBen` computed *directly* per candidate (no window-level reuse); the
 //!   Fig 8 comparison isolating the two-level index's contribution.
 
-use crate::search::{verify_candidates, Neighbor, SearchError};
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::search::{verify_candidates, Neighbor, SearchError, VerifyJob};
 use smiler_gpu::kselect;
 use smiler_gpu::Device;
 use smiler_timeseries::Envelope;
@@ -189,6 +191,10 @@ pub fn smiler_dir(
         let d = query.len();
         let query_env = Envelope::compute(query, rho);
         let count = candidate_count(d, max_end);
+        let verify = |starts: &[usize]| -> Result<Vec<f64>, SearchError> {
+            let job = VerifyJob { series, query, rho, starts };
+            Ok(verify_candidates(device, &[job])?.swap_remove(0))
+        };
         // Direct LBen for every candidate (the expensive part Fig 8
         // measures).
         let t0 = device.saturated_seconds();
@@ -217,7 +223,7 @@ pub fn smiler_dir(
         // Threshold: verify the k smallest lower bounds; τ = max DTW.
         if lbs.len() <= k {
             let all: Vec<usize> = (0..lbs.len()).collect();
-            let dists = verify_candidates(device, series, query, rho, &all)?;
+            let dists = verify(&all)?;
             out.push(select_from(device, &all, &dists, k));
             continue;
         }
@@ -227,14 +233,14 @@ pub fn smiler_dir(
             .into_iter()
             .next()
             .unwrap_or_default();
-        let probe_dists = verify_candidates(device, series, query, rho, &probes)?;
+        let probe_dists = verify(&probes)?;
         // `f64::max` ignores NaN probe distances (poisoned history); a
         // fully poisoned probe set leaves τ at −∞, filtering everything.
         let tau = probe_dists.iter().copied().fold(f64::NEG_INFINITY, f64::max);
 
         let survivors: Vec<usize> =
             (0..lbs.len()).filter(|&t| lbs[t] <= tau && !probes.contains(&t)).collect();
-        let dists = verify_candidates(device, series, query, rho, &survivors)?;
+        let dists = verify(&survivors)?;
         let mut verified: Vec<(usize, f64)> = probes.into_iter().zip(probe_dists).collect();
         verified.extend(survivors.into_iter().zip(dists));
         let (starts, vals): (Vec<usize>, Vec<f64>) = verified.into_iter().unzip();
@@ -250,6 +256,7 @@ fn select_from(device: &Device, starts: &[usize], dists: &[f64], k: usize) -> Ve
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use smiler_gpu::CpuSpec;

@@ -8,9 +8,9 @@
 //! carrying the previous answer forward as the next filter threshold
 //! (the continuous-reuse threshold of §4.3.3).
 
-use crate::group;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::window::WindowIndex;
-use smiler_gpu::kselect;
 use smiler_gpu::Device;
 use smiler_timeseries::{Envelope, EnvelopeScratch};
 use std::sync::Arc;
@@ -72,12 +72,6 @@ impl From<smiler_gpu::SharedMemOverflow> for SearchError {
     fn from(e: smiler_gpu::SharedMemOverflow) -> Self {
         SearchError::SharedMemOverflow { requested: e.requested, capacity: e.capacity }
     }
-}
-
-/// The single result of a one-block launch, as a typed error instead of a
-/// panicking `expect` in the request path.
-fn single_block<T>(results: Vec<T>) -> Result<T, SearchError> {
-    results.into_iter().next().ok_or(SearchError::Device("one-block launch returned no result"))
 }
 
 /// Parameters of the suffix kNN index (paper Table 2 defaults).
@@ -142,22 +136,6 @@ pub enum ThresholdStrategy {
     ExactKBest,
 }
 
-/// How candidates that survive the group-level filter are DTW-verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyMode {
-    /// Verify every surviving candidate with a full banded DTW (the batched
-    /// compressed-matrix kernel). Simple, and the oracle the cascade is
-    /// tested against.
-    Batch,
-    /// Cascaded filter (default): candidates walk, in ascending order of
-    /// their group-level bound, through an O(1) first/last-point bound, then
-    /// the full `LB_Keogh` envelope bound, then an early-abandoning DTW —
-    /// each stage pruning against the *running* k-th-best verified distance.
-    /// Exact: a true k-nearest neighbour can never be pruned, because its
-    /// lower bounds and its DTW never exceed the running threshold.
-    Cascade,
-}
-
 /// One retrieved neighbour segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
@@ -205,22 +183,21 @@ pub struct SearchOutput {
     pub stats: SearchStats,
 }
 
-/// Reusable workspaces for the per-step search loop: the item query copy,
-/// its envelope (plus deque scratch), and the mode-resolved filter bounds.
-/// Owned by the index so the steady-state continuous search allocates
-/// nothing per step once the buffers have grown.
+/// Reusable workspaces for the per-step index rotation: the master query
+/// copy and its envelope (plus deque scratch). Owned by the index so
+/// [`SmilerIndex::advance`] allocates nothing per step once the buffers
+/// have grown.
 #[derive(Debug, Default)]
 struct SearchScratch {
     query: Vec<f64>,
     query_env: Envelope,
     env: EnvelopeScratch,
-    lbw: Vec<f64>,
 }
 
 /// Per-stage outcome counts of one cascaded verification pass, reported to
 /// the observability layer as `verify.cascade` counters.
 #[derive(Debug, Clone, Copy, Default)]
-struct CascadeCounts {
+pub(crate) struct CascadeCounts {
     kim_pruned: u64,
     keogh_pruned: u64,
     lb_improved_pruned: u64,
@@ -229,12 +206,23 @@ struct CascadeCounts {
 }
 
 impl CascadeCounts {
-    fn merge(&mut self, other: &CascadeCounts) {
+    pub(crate) fn merge(&mut self, other: &CascadeCounts) {
         self.kim_pruned += other.kim_pruned;
         self.keogh_pruned += other.keogh_pruned;
         self.lb_improved_pruned += other.lb_improved_pruned;
         self.dtw_abandoned += other.dtw_abandoned;
         self.dtw_full += other.dtw_full;
+    }
+
+    /// Emit the per-stage `verify.cascade` counters.
+    pub(crate) fn report(&self) {
+        if smiler_obs::enabled() {
+            smiler_obs::count("verify.cascade", "kim_pruned", self.kim_pruned);
+            smiler_obs::count("verify.cascade", "keogh_pruned", self.keogh_pruned);
+            smiler_obs::count("verify.cascade", "lb_improved", self.lb_improved_pruned);
+            smiler_obs::count("verify.cascade", "dtw_abandoned", self.dtw_abandoned);
+            smiler_obs::count("verify.cascade", "dtw_full", self.dtw_full);
+        }
     }
 }
 
@@ -244,7 +232,6 @@ pub struct SmilerIndex {
     params: IndexParams,
     bound_mode: BoundMode,
     threshold: ThresholdStrategy,
-    verify_mode: VerifyMode,
     series: Vec<f64>,
     series_env: Envelope,
     windex: WindowIndex,
@@ -280,7 +267,6 @@ impl SmilerIndex {
             params,
             bound_mode: BoundMode::En,
             threshold: ThresholdStrategy::ExactKBest,
-            verify_mode: VerifyMode::Cascade,
             series,
             series_env,
             windex,
@@ -301,12 +287,6 @@ impl SmilerIndex {
         self
     }
 
-    /// Use a different verification strategy.
-    pub fn with_verify_mode(mut self, mode: VerifyMode) -> Self {
-        self.verify_mode = mode;
-        self
-    }
-
     /// The index parameters.
     pub fn params(&self) -> &IndexParams {
         &self.params
@@ -322,12 +302,7 @@ impl SmilerIndex {
         self.threshold
     }
 
-    /// The active verification strategy.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.verify_mode
-    }
-
-    /// Borrow the window-level index (used by the fleet-batched search).
+    /// Borrow the window-level index (the search pipeline's group bounds).
     pub(crate) fn window_index(&self) -> &WindowIndex {
         &self.windex
     }
@@ -342,8 +317,7 @@ impl SmilerIndex {
             .map(|nb| nb.start)
     }
 
-    /// Install the step's answer as the next continuous-reuse state (used
-    /// by the fleet-batched search, mirroring what `search` does).
+    /// Install the step's answer as the next continuous-reuse state.
     pub(crate) fn set_prev_neighbors(&mut self, neighbors: Arc<Vec<Vec<Neighbor>>>) {
         self.prev_neighbors = Some(neighbors);
     }
@@ -384,11 +358,6 @@ impl SmilerIndex {
         self.scratch = scratch;
     }
 
-    /// The current item query of length `d` (suffix of the history).
-    fn item_query(&self, d: usize) -> &[f64] {
-        &self.series[self.series.len() - d..]
-    }
-
     /// Suffix kNN search over candidates whose end does not exceed
     /// `max_end` (callers pass `len − h` so every neighbour has its
     /// h-step-ahead label).
@@ -416,437 +385,78 @@ impl SmilerIndex {
         device: &Device,
         max_end: usize,
     ) -> Result<SearchOutput, SearchError> {
-        if max_end > self.series.len() {
-            return Err(SearchError::MaxEndBeyondHistory { max_end, len: self.series.len() });
-        }
-        let _search_span = smiler_obs::span("search");
-        let start_clock = device.elapsed_seconds();
-        let start_saturated = device.saturated_seconds();
-
-        // Phase 1: group-level lower bounds (one pass over posting lists).
-        let lb_clock = device.elapsed_seconds();
-        let lb_sat = device.saturated_seconds();
-        let bounds = {
-            let _lb_span = smiler_obs::span("lb");
-            group::compute_group_bounds(device, &self.windex, &self.params.lengths, max_end)
-        };
-        let lb_sim_seconds = device.elapsed_seconds() - lb_clock;
-        let lb_saturated_seconds = device.saturated_seconds() - lb_sat;
-
-        let mut stats = SearchStats { lb_sim_seconds, lb_saturated_seconds, ..Default::default() };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let outcome = self.search_items(device, &bounds, &mut scratch, &mut stats);
-        self.scratch = scratch;
-        let neighbors = outcome?;
-
-        stats.total_sim_seconds = device.elapsed_seconds() - start_clock;
-        stats.total_saturated_seconds = device.saturated_seconds() - start_saturated;
-        let neighbors = Arc::new(neighbors);
-        self.prev_neighbors = Some(Arc::clone(&neighbors));
-        Ok(SearchOutput { neighbors, stats })
-    }
-
-    /// The filter → verify → select pipeline of one search.
-    ///
-    /// The per-item *threshold and filter* phases run serially (each is a
-    /// cheap scan), but all item queries' cascade verification — the bulk
-    /// of the search's work — is batched into **one** multi-block launch:
-    /// block `(item, chunk)` walks one chunk of one item's candidates
-    /// against that item's own [`SharedBest`]. Item queries are
-    /// independent, so fusing their launches changes no distances; it
-    /// exists because a launch's worker threads are not free (hundreds of
-    /// µs on a busy host) and one launch amortises that cost across every
-    /// item query instead of paying it three times.
-    ///
-    /// The scratch workspaces are borrowed out of `self` so
-    /// [`SmilerIndex::try_search`] restores them exactly once whether the
-    /// pipeline succeeds or fails.
-    fn search_items(
-        &self,
-        device: &Device,
-        bounds: &group::GroupBounds,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Vec<Neighbor>>, SearchError> {
-        let rho = self.params.rho;
-        let k = self.params.k_max;
-        let n_items = self.params.lengths.len();
-
-        let dead_plan = || ItemPlan {
-            query: Vec::new(),
-            query_env: Envelope::default(),
-            order: Vec::new(),
-            verified: Vec::new(),
-            live: false,
-        };
-
-        // Phase 2a/2b per item: threshold τ, then filter by τ.
-        let mut plans: Vec<ItemPlan> = Vec::with_capacity(n_items);
-        for (i, &d) in self.params.lengths.iter().enumerate() {
-            let query: Vec<f64> = self.item_query(d).to_vec();
-            bounds.mode_bounds_into(i, self.bound_mode, &mut scratch.lbw);
-            let lbw = &scratch.lbw;
-
-            // A non-finite value inside the query suffix poisons every
-            // lower bound and every DTW distance at once. Item queries are
-            // nested suffixes (ELV ascending), so a poisoned *shortest*
-            // query means no item query can rank anything — a typed error.
-            // A longer query can be poisoned while shorter ones stay clean
-            // (the NaN sits further back); it alone degrades to an empty
-            // neighbour list.
-            if query.iter().any(|v| !v.is_finite()) {
-                if i == 0 {
-                    return Err(SearchError::NonFiniteQuery { length: d });
-                }
-                smiler_obs::count("search.nonfinite_query", "", 1);
-                stats.candidates.push(lbw.len());
-                stats.unfiltered.push(0);
-                plans.push(dead_plan());
-                continue;
-            }
-            stats.candidates.push(lbw.len());
-            if lbw.is_empty() {
-                stats.unfiltered.push(0);
-                plans.push(dead_plan());
-                continue;
-            }
-
-            // Threshold. Already-verified candidates are cached so they are
-            // not re-verified by the cascade.
-            let mut verified: Vec<(usize, f64)> = Vec::new();
-            let to_verify = {
-                let _filter_span = smiler_obs::span("filter");
-                let tau = self.pick_threshold(device, i, d, &query, lbw, k, &mut verified)?;
-
-                // Filter by τ. A pure scan — kept as its own launch so
-                // filtering and verification never mix in one kernel
-                // (§4.4). Non-finite bounds fail the `<= τ` comparison, so
-                // candidates poisoned by a NaN in the history are dropped
-                // here, mirroring `kselect`'s non-finite filtering.
-                let filter = device.launch(1, |ctx| {
-                    ctx.read_global(lbw.len() as u64);
-                    ctx.flops(lbw.len() as u64);
-                    let mut skip: Vec<usize> = verified.iter().map(|&(t, _)| t).collect();
-                    skip.sort_unstable();
-                    (0..lbw.len())
-                        .filter(|&t| lbw[t] <= tau && skip.binary_search(&t).is_err())
-                        .collect::<Vec<usize>>()
-                });
-                single_block(filter.results)?
-            };
-
-            // `survived` counts the candidates the group-level filter let
-            // through (probes included) — the "number" column of Table 3 —
-            // in both verify modes; the cascade's further pruning is
-            // reported separately.
-            let survived = verified.len() + to_verify.len();
-            stats.unfiltered.push(survived);
-            if smiler_obs::enabled() {
-                let label = format!("d={d}");
-                let cand = lbw.len();
-                smiler_obs::count("search.candidates", &label, cand as u64);
-                smiler_obs::count("search.verified", &label, survived as u64);
-                if cand > 0 {
-                    let pruned = cand.saturating_sub(survived) as f64;
-                    smiler_obs::observe("search.pruning_ratio", &label, pruned / cand as f64);
-                }
-            }
-
-            // Tight bounds first: the cascade visits candidates in
-            // ascending lower-bound order so the running k-th best distance
-            // drops as fast as possible. The filter only passes finite
-            // bounds, for which `total_cmp` agrees with the partial order —
-            // and it cannot panic should a NaN ever slip through.
-            let mut order = to_verify;
-            let query_env = match self.verify_mode {
-                VerifyMode::Batch => Envelope::default(),
-                VerifyMode::Cascade => {
-                    order.sort_unstable_by(|&a, &b| lbw[a].total_cmp(&lbw[b]));
-                    Envelope::compute(&query, rho)
-                }
-            };
-            plans.push(ItemPlan { query, query_env, order, verified, live: true });
-        }
-
-        // Phase 2c: verification — one launch for every item query.
-        let verify_clock = device.elapsed_seconds();
-        let verify_sat = device.saturated_seconds();
-        {
-            let _verify_span = smiler_obs::span("verify");
-            match self.verify_mode {
-                VerifyMode::Batch => {
-                    for plan in plans.iter_mut().filter(|plan| plan.live) {
-                        let distances =
-                            verify_candidates(device, &self.series, &plan.query, rho, &plan.order)?;
-                        plan.verified.extend(plan.order.iter().copied().zip(distances));
-                    }
-                }
-                VerifyMode::Cascade => {
-                    let counts = cascade_verify_items(device, &self.series, rho, k, &mut plans)?;
-                    if smiler_obs::enabled() {
-                        smiler_obs::count("verify.cascade", "kim_pruned", counts.kim_pruned);
-                        smiler_obs::count("verify.cascade", "keogh_pruned", counts.keogh_pruned);
-                        smiler_obs::count(
-                            "verify.cascade",
-                            "lb_improved",
-                            counts.lb_improved_pruned,
-                        );
-                        smiler_obs::count("verify.cascade", "dtw_abandoned", counts.dtw_abandoned);
-                        smiler_obs::count("verify.cascade", "dtw_full", counts.dtw_full);
-                    }
-                }
-            }
-        }
-        stats.verify_sim_seconds += device.elapsed_seconds() - verify_clock;
-        stats.verify_saturated_seconds += device.saturated_seconds() - verify_sat;
-
-        // Phase 3: k-selection (one block per query, §4.3.3).
-        let mut neighbors: Vec<Vec<Neighbor>> = Vec::with_capacity(n_items);
-        for plan in &plans {
-            if !plan.live {
-                neighbors.push(Vec::new());
-                continue;
-            }
-            let verified = &plan.verified;
-            let dists: Vec<f64> = verified.iter().map(|&(_, dist)| dist).collect();
-            let picked = {
-                let _select_span = smiler_obs::span("select");
-                let sel = device.launch(1, |ctx| kselect::select_k_smallest(ctx, &dists, k));
-                single_block(sel.results)?
-            };
-            neighbors.push(
-                picked
-                    .into_iter()
-                    .map(|idx| Neighbor { start: verified[idx].0, distance: verified[idx].1 })
-                    .collect(),
-            );
-        }
-
-        Ok(neighbors)
-    }
-
-    /// Threshold τ for item query `i`. Verified probes are appended to
-    /// `verified`.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's phase inputs
-    fn pick_threshold(
-        &self,
-        device: &Device,
-        i: usize,
-        d: usize,
-        query: &[f64],
-        lbw: &[f64],
-        k: usize,
-        verified: &mut Vec<(usize, f64)>,
-    ) -> Result<f64, SearchError> {
-        let rho = self.params.rho;
-
-        // Continuous reuse (§4.3.3 method 2): the previous step's k-th NN
-        // segment is probably still close; its DTW to the *current* query is
-        // a tight τ. A non-finite reuse distance — the segment now overlaps
-        // a poisoned stretch of history — falls through to cold-start
-        // probing instead of wiping the whole candidate set.
-        if let Some(prev) = &self.prev_neighbors {
-            if let Some(nb) = prev.get(i).and_then(|v| v.last()) {
-                let t = nb.start;
-                if t + d <= self.series.len() {
-                    let dist = verify_candidates(device, &self.series, query, rho, &[t])?;
-                    if dist[0].is_finite() {
-                        verified.push((t, dist[0]));
-                        return Ok(dist[0]);
-                    }
-                }
-            }
-        }
-
-        // Initial step: probe by lower-bound rank.
-        if lbw.len() <= k {
-            return Ok(f64::INFINITY);
-        }
-        let probes = device.launch(1, |ctx| match self.threshold {
-            ThresholdStrategy::PaperKthLb => {
-                // `kselect` drops non-finite bounds, so fewer than k may
-                // remain; the largest surviving bound is still a usable rank
-                // probe, and no probes at all means nothing is rankable.
-                let sel = kselect::select_k_smallest(ctx, lbw, k);
-                sel.last().map(|&t| vec![t]).unwrap_or_default()
-            }
-            ThresholdStrategy::ExactKBest => kselect::select_k_smallest(ctx, lbw, k),
-        });
-        let probes = single_block(probes.results)?;
-        let dists = verify_candidates(device, &self.series, query, rho, &probes)?;
-        // `f64::max` ignores NaN probe distances; a fully poisoned probe set
-        // leaves τ at −∞, which filters every candidate — nothing finite is
-        // rankable against segments that only match poisoned history.
-        let tau = dists.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        verified.extend(probes.into_iter().zip(dists));
-        Ok(tau)
+        // A solo search is a fleet search of one: the same planned tasks,
+        // the same one-launch-per-phase pipeline.
+        crate::fleet::try_fleet_search(device, &mut [self], &[max_end])
+            .pop()
+            .unwrap_or(Err(SearchError::Device("one-sensor fleet returned no slot")))
     }
 }
 
-/// DTW verification kernel: one block verifies up to 256 candidates with the
-/// compressed warping matrix (Appendix E). Shared-memory accounting mirrors
-/// the CUDA kernel: the query plus one `2×(2ρ+2)` single-precision matrix
-/// per thread.
+/// One query's share of a [`verify_candidates`] launch: the candidates
+/// starting at `starts` in `series` against `query` under band `rho`.
+#[derive(Clone, Copy)]
+pub(crate) struct VerifyJob<'a> {
+    pub(crate) series: &'a [f64],
+    pub(crate) query: &'a [f64],
+    pub(crate) rho: usize,
+    pub(crate) starts: &'a [usize],
+}
+
+/// Full-DTW verification kernel — the threshold-probe kernel of the search
+/// pipeline and the exhaustive reference of the scan baselines. One launch
+/// spans every job; each block verifies up to 256 candidates of one job
+/// with the compressed warping matrix (Appendix E). Shared-memory
+/// accounting mirrors the CUDA kernel: the query plus one `2×(2ρ+2)`
+/// single-precision matrix per thread. Returns one distance list per job,
+/// in `starts` order.
 pub(crate) fn verify_candidates(
     device: &Device,
-    series: &[f64],
-    query: &[f64],
-    rho: usize,
-    starts: &[usize],
-) -> Result<Vec<f64>, SearchError> {
+    jobs: &[VerifyJob],
+) -> Result<Vec<Vec<f64>>, SearchError> {
     const THREADS: usize = 256;
-    if starts.is_empty() {
-        return Ok(Vec::new());
+    let chunks: Vec<(usize, usize)> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(j, job)| (0..job.starts.len()).step_by(THREADS).map(move |lo| (j, lo)))
+        .collect();
+    let mut all: Vec<Vec<f64>> =
+        jobs.iter().map(|job| Vec::with_capacity(job.starts.len())).collect();
+    if chunks.is_empty() {
+        return Ok(all);
     }
-    let d = query.len();
-    let blocks = starts.len().div_ceil(THREADS);
-    let report = device.launch(blocks, |ctx| -> Result<Vec<f64>, smiler_gpu::SharedMemOverflow> {
-        let lo = ctx.block_id() * THREADS;
-        let hi = (lo + THREADS).min(starts.len());
-        let lanes = hi - lo;
-        // Query in shared (single precision on the real device) plus one
-        // compressed matrix per thread.
-        let matrix_bytes = 2 * (2 * rho + 2) * 4;
-        ctx.alloc_shared(d * 4 + lanes * matrix_bytes)?;
-        ctx.read_global(d as u64); // stage the query once per block
-        let ops = smiler_dtw::dtw_ops_estimate(d, rho);
-        let mut scratch = smiler_dtw::DtwScratch::with_rho(rho);
-        let mut out = Vec::with_capacity(lanes);
-        for &t in &starts[lo..hi] {
-            ctx.read_global(d as u64);
-            ctx.flops(ops);
-            ctx.access_shared(ops / 2);
-            out.push(smiler_dtw::dtw_compressed_with(query, &series[t..t + d], rho, &mut scratch));
-        }
-        ctx.sync();
-        Ok(out)
-    });
-    let mut all = Vec::with_capacity(starts.len());
-    for block in report.results {
-        all.extend(block?);
+    let report =
+        device.launch(chunks.len(), |ctx| -> Result<Vec<f64>, smiler_gpu::SharedMemOverflow> {
+            let (j, lo) = chunks[ctx.block_id()];
+            let VerifyJob { series, query, rho, starts } = jobs[j];
+            let starts = &starts[lo..(lo + THREADS).min(starts.len())];
+            let d = query.len();
+            // Query in shared (single precision on the real device) plus one
+            // compressed matrix per thread.
+            let matrix_bytes = 2 * (2 * rho + 2) * 4;
+            ctx.alloc_shared(d * 4 + starts.len() * matrix_bytes)?;
+            ctx.read_global(d as u64); // stage the query once per block
+            let ops = smiler_dtw::dtw_ops_estimate(d, rho);
+            let mut scratch = smiler_dtw::DtwScratch::with_rho(rho);
+            let mut out = Vec::with_capacity(starts.len());
+            for &t in starts {
+                ctx.read_global(d as u64);
+                ctx.flops(ops);
+                ctx.access_shared(ops / 2);
+                out.push(smiler_dtw::dtw_compressed_with(
+                    query,
+                    &series[t..t + d],
+                    rho,
+                    &mut scratch,
+                ));
+            }
+            ctx.sync();
+            Ok(out)
+        });
+    for (&(j, _), block) in chunks.iter().zip(report.results) {
+        all[j].extend(block?);
     }
     Ok(all)
-}
-
-/// Per-item state threaded through the fused cascade launch: the owned
-/// query window, its envelope, the filter-ordered candidate starts, the
-/// already-verified `(start, distance)` probes (threshold seeds, extended
-/// in place with the cascade's survivors), and whether the item is live
-/// (items with poisoned queries or zero candidates are dead and skipped).
-struct ItemPlan {
-    query: Vec<f64>,
-    query_env: Envelope,
-    order: Vec<usize>,
-    verified: Vec<(usize, f64)>,
-    live: bool,
-}
-
-/// Cascaded verification for every live item of one step, fused into a
-/// single multi-block launch: each candidate, visited in ascending
-/// group-bound order, passes through an O(1) first/last-point bound, the
-/// full `LB_Keogh` envelope bound, and finally an early-abandoning DTW —
-/// every stage pruning against the *running* k-th-best verified distance τ
-/// of its own item.
-///
-/// Exactness: τ is the k-th smallest among distances verified so far for
-/// that item, which is always ≥ the k-th smallest over the whole candidate
-/// set; a true k-nearest neighbour therefore satisfies `lb ≤ dtw ≤ τ` at
-/// whatever point it is visited, survives every stage (the early-abandon
-/// keeps `dtw == τ` inclusively), and receives its exact distance.
-///
-/// Parallel shape: each block is an `(item, chunk)` pair — the 2-D grid a
-/// real GPU kNN kernel launches, one grid-y per query — and every block
-/// reads and tightens its item's τ through that item's [`SharedBest`]
-/// top-k, the device-global k-cell best-list a real kernel maintains with
-/// `atomicMin` on sorted distance slots. Because all of an item's blocks
-/// share the *global* running k-th best, pruning is exactly as tight as a
-/// single-threaded cascade's at every point in the visit order, while the
-/// DTW work of all items spreads across the device in one launch (on the
-/// native backend: one thread team per step instead of one per item). The
-/// chunk descriptors are a fixed function of each item's candidate count —
-/// never of worker count — so the candidate→block assignment is identical
-/// on every backend and host; the *survivor* set beyond the kNN can vary
-/// with block interleaving, but every candidate at or below the global
-/// k-th-best distance survives in every schedule (`dist ≤ τ` is kept
-/// inclusively and τ never drops below the true k-th best), so the k
-/// smallest distances — and the downstream k-selection, which picks by
-/// value — are identical on every backend, thread count and schedule.
-///
-/// Only the `EQ` direction of `LB_EN` (the candidate walked against the
-/// *query's* envelope, which is staged in shared memory) is used here. The
-/// `EC` direction would fetch the candidate's 2d envelope words from global
-/// memory — on a throughput-bound device that traffic rivals the DTW it
-/// tries to avoid, and the filter already spent the EC information through
-/// `ΣLBEC` in the group-level bound. The candidate itself is the same read
-/// the DTW needs, staged into shared memory by stage 2, so a candidate that
-/// reaches stage 3 costs no further global reads.
-///
-/// Survivors are appended to each plan's `verified` in block order (blocks
-/// are reported in launch order regardless of execution schedule), and the
-/// merged per-stage counts are returned.
-fn cascade_verify_items(
-    device: &Device,
-    series: &[f64],
-    rho: usize,
-    k: usize,
-    plans: &mut [ItemPlan],
-) -> Result<CascadeCounts, SearchError> {
-    let mut chunks: Vec<(usize, usize)> = Vec::new();
-    for (i, plan) in plans.iter().enumerate() {
-        if !plan.live {
-            continue;
-        }
-        let mut lo = 0;
-        while lo < plan.order.len() {
-            chunks.push((i, lo));
-            lo += CASCADE_CHUNK;
-        }
-    }
-    if chunks.is_empty() {
-        return Ok(CascadeCounts::default());
-    }
-    // Non-finite seed distances (threshold probes that hit poisoned
-    // history) cannot bound anything — drop them so τ stays a real
-    // k-th-best and the shared list's sorted invariant holds.
-    let shared: Vec<SharedBest> = plans
-        .iter()
-        .map(|plan| {
-            let seeds: Vec<f64> = plan
-                .verified
-                .iter()
-                .map(|&(_, dist)| dist)
-                .filter(|dist| dist.is_finite())
-                .collect();
-            SharedBest::new(k, &seeds)
-        })
-        .collect();
-    type CascadeBlock =
-        Result<(usize, (Vec<(usize, f64)>, CascadeCounts)), smiler_gpu::SharedMemOverflow>;
-    let report = {
-        let plans_ref: &[ItemPlan] = plans;
-        device.launch(chunks.len(), |ctx| -> CascadeBlock {
-            let (i, lo) = chunks[ctx.block_id()];
-            let plan = &plans_ref[i];
-            let hi = (lo + CASCADE_CHUNK).min(plan.order.len());
-            cascade_block(
-                ctx,
-                series,
-                &plan.query,
-                &plan.query_env,
-                rho,
-                &plan.order[lo..hi],
-                &shared[i],
-            )
-            .map(|found| (i, found))
-        })
-    };
-    let mut counts = CascadeCounts::default();
-    for block in report.results {
-        let (i, (found, block_counts)) = block?;
-        plans[i].verified.extend(found);
-        counts.merge(&block_counts);
-    }
-    Ok(counts)
 }
 
 /// The running k smallest verified distances, shared by every block of one
@@ -861,15 +471,19 @@ fn cascade_verify_items(
 /// always survive, in every schedule. Sharing the *global* top-k (rather
 /// than per-block copies) makes parallel pruning exactly as tight as the
 /// serial cascade's at each point of the visit order.
-struct SharedBest {
+pub(crate) struct SharedBest {
     k: usize,
     /// Sorted ascending, at most `k` entries, all finite.
     dists: std::sync::Mutex<Vec<f64>>,
 }
 
 impl SharedBest {
-    fn new(k: usize, seed_dists: &[f64]) -> Self {
-        let mut dists = seed_dists.to_vec();
+    /// Seed the list with the threshold probes' distances. Non-finite
+    /// seeds (probes that hit poisoned history) cannot bound anything and
+    /// are dropped, so τ stays a real k-th-best and the sorted invariant
+    /// holds.
+    pub(crate) fn new(k: usize, seed_dists: impl Iterator<Item = f64>) -> Self {
+        let mut dists: Vec<f64> = seed_dists.filter(|dist| dist.is_finite()).collect();
         dists.sort_unstable_by(f64::total_cmp);
         dists.truncate(k);
         SharedBest { k, dists: std::sync::Mutex::new(dists) }
@@ -908,13 +522,41 @@ impl SharedBest {
 /// worker count — so the candidate→block assignment (and therefore every
 /// verified distance and the final kNN) is identical on every backend and
 /// host.
-const CASCADE_CHUNK: usize = 64;
+pub(crate) const CASCADE_CHUNK: usize = 64;
 
-/// One block of the verification cascade: the serial stage-1/2/2½/3 walk
-/// over a chunk of candidates, pruning against (and tightening) the shared
-/// top-k. See [`cascade_verify`] for the exactness argument.
+/// Relative head-room the cascade's lower-bound rungs leave above τ: far
+/// above the ~`d`·2⁻⁵³ rounding of a `d`-term sum of squares, far below any
+/// pruning power worth having.
+const LB_ROUNDING_SLACK: f64 = 1e-9;
+
+/// One `(task, chunk)` block of the verification cascade: each candidate,
+/// visited in ascending group-bound order, passes through an O(1)
+/// first/last-point bound, the full `LB_Keogh` envelope bound, Lemire's
+/// `LB_Improved` second pass and finally an early-abandoning DTW — every
+/// stage pruning against (and every verdict tightening) the *running*
+/// k-th-best verified distance τ of its own task's [`SharedBest`].
+///
+/// Exactness: τ is the k-th smallest among distances verified so far for
+/// that task, which is always ≥ the k-th smallest over the whole candidate
+/// set; a true k-nearest neighbour therefore satisfies `lb ≤ dtw ≤ τ` at
+/// whatever point it is visited, survives every stage (the early-abandon
+/// keeps `dtw == τ` inclusively), and receives its exact distance. The
+/// *survivor* set beyond the kNN can vary with block interleaving, but
+/// every candidate at or below the global k-th-best distance survives in
+/// every schedule, so the k smallest distances — and the downstream
+/// k-selection, which picks by value — are identical on every backend,
+/// thread count and schedule.
+///
+/// Only the `EQ` direction of `LB_EN` (the candidate walked against the
+/// *query's* envelope, which is staged in shared memory) is used here. The
+/// `EC` direction would fetch the candidate's 2d envelope words from global
+/// memory — on a throughput-bound device that traffic rivals the DTW it
+/// tries to avoid, and the filter already spent the EC information through
+/// `ΣLBEC` in the group-level bound. The candidate itself is the same read
+/// the DTW needs, staged into shared memory by stage 2, so a candidate that
+/// reaches stage 3 costs no further global reads.
 #[allow(clippy::too_many_arguments)] // mirrors the cascade's stage inputs
-fn cascade_block(
+pub(crate) fn cascade_block(
     ctx: &mut smiler_gpu::BlockCtx,
     series: &[f64],
     query: &[f64],
@@ -936,11 +578,19 @@ fn cascade_block(
     let mut out: Vec<(usize, f64)> = Vec::new();
     for &t in starts {
         let tau = shared.tau();
+        // The bounds are sums in a different order than the DTW they
+        // bound, so where bound and distance coincide mathematically (flat
+        // queries) the computed bound can land an ulp *above* the computed
+        // DTW. The rungs therefore prune against a hair more than τ and
+        // leave exact ties to stage 3, whose arithmetic is the distance's
+        // own — otherwise which of two tied neighbours survives would
+        // depend on how far a sibling block had tightened τ.
+        let lb_tau = tau * (1.0 + LB_ROUNDING_SLACK);
         let cand = &series[t..t + d];
         // Stage 1: O(1) first/last-point bound.
         ctx.read_global(2);
         ctx.flops(4);
-        if smiler_dtw::lb_kim_fl(query, cand) > tau {
+        if smiler_dtw::lb_kim_fl(query, cand) > lb_tau {
             counts.kim_pruned += 1;
             continue;
         }
@@ -950,7 +600,7 @@ fn cascade_block(
         ctx.read_global(d as u64);
         ctx.flops(3 * d as u64);
         let lb = smiler_dtw::lb_keogh(cand, &query_env.upper, &query_env.lower);
-        if lb > tau {
+        if lb > lb_tau {
             counts.keogh_pruned += 1;
             continue;
         }
@@ -965,7 +615,7 @@ fn cascade_block(
         ctx.access_shared(2 * d as u64);
         let improved =
             lb + smiler_dtw::lb_improved_second_pass(query, cand, query_env, &mut lb_scratch);
-        if improved > tau {
+        if improved > lb_tau {
             counts.lb_improved_pruned += 1;
             continue;
         }
@@ -991,6 +641,7 @@ fn cascade_block(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -1144,64 +795,24 @@ mod tests {
     }
 
     #[test]
-    fn cascade_matches_batch_verification() {
-        let device = Device::default_gpu();
-        for strategy in [ThresholdStrategy::ExactKBest, ThresholdStrategy::PaperKthLb] {
-            let mut series = make_series(320, 9);
-            let params = small_params();
-            let mut batch = SmilerIndex::build(&device, series.clone(), params.clone())
-                .with_threshold(strategy)
-                .with_verify_mode(VerifyMode::Batch);
-            let mut cascade = SmilerIndex::build(&device, series.clone(), params.clone())
-                .with_threshold(strategy);
-            assert_eq!(cascade.verify_mode(), VerifyMode::Cascade);
-
-            let compare = |b: &SearchOutput, c: &SearchOutput, step: usize| {
-                assert_eq!(b.stats.candidates, c.stats.candidates, "step {step}");
-                assert_eq!(b.stats.unfiltered, c.stats.unfiltered, "step {step}");
-                for (i, (bn, cn)) in b.neighbors.iter().zip(c.neighbors.iter()).enumerate() {
-                    assert_eq!(bn.len(), cn.len(), "step {step} item {i}");
-                    for (x, y) in bn.iter().zip(cn) {
-                        assert_eq!(x.start, y.start, "step {step} item {i}");
-                        assert!(
-                            (x.distance - y.distance).abs() < 1e-9,
-                            "step {step} item {i}: {x:?} vs {y:?}"
-                        );
-                    }
-                }
-            };
-            let max_end = series.len() - 4;
-            compare(&batch.search(&device, max_end), &cascade.search(&device, max_end), 0);
-            // Continuous steps keep the two modes' reuse states in lockstep.
-            for (step, &v) in make_series(8, 21).iter().enumerate() {
-                series.push(v);
-                batch.advance(&device, v);
-                cascade.advance(&device, v);
-                let max_end = series.len() - 4;
-                compare(
-                    &batch.search(&device, max_end),
-                    &cascade.search(&device, max_end),
-                    step + 1,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cascade_verifies_cheaper_than_batch() {
+    fn cascade_verifies_cheaper_than_full_dtw() {
         let device = Device::default_gpu();
         let series = make_series(600, 4);
         let params = IndexParams { rho: 3, omega: 4, lengths: vec![16], k_max: 5 };
-        let mut batch = SmilerIndex::build(&device, series.clone(), params.clone())
-            .with_verify_mode(VerifyMode::Batch);
-        let mut cascade = SmilerIndex::build(&device, series, params);
-        let batch_out = batch.search(&device, 590);
-        let cascade_out = cascade.search(&device, 590);
+        let mut index = SmilerIndex::build(&device, series.clone(), params.clone());
+        let out = index.search(&device, 590);
+        // A full banded DTW costs the same for every candidate, so any
+        // `unfiltered` starts price what verifying every filter survivor
+        // without the cascade would cost.
+        let full = Device::default_gpu();
+        let starts: Vec<usize> = (0..out.stats.unfiltered[0]).collect();
+        let job = VerifyJob { series: &series, query: &series[584..], rho: 3, starts: &starts };
+        verify_candidates(&full, &[job]).expect("fits shared memory");
         assert!(
-            cascade_out.stats.verify_sim_seconds < batch_out.stats.verify_sim_seconds,
-            "cascade {} s not cheaper than batch {} s",
-            cascade_out.stats.verify_sim_seconds,
-            batch_out.stats.verify_sim_seconds
+            out.stats.verify_sim_seconds < full.elapsed_seconds(),
+            "cascade {} s not cheaper than full DTW {} s",
+            out.stats.verify_sim_seconds,
+            full.elapsed_seconds()
         );
     }
 

@@ -1,0 +1,275 @@
+//! Differential oracle for the suffix kNN pipeline: a brute-force banded-DTW
+//! kNN (`smiler_dtw::dtw_banded` over every candidate) against
+//! `SmilerIndex::try_search` and `try_fleet_search`, on inputs chosen to
+//! break a filter-and-refine search — exact distance ties at the k-th
+//! place, NaN gaps, flat segments, degenerate bands, fewer candidates than
+//! neighbours — cold and over continuous steps, for both threshold
+//! strategies.
+//!
+//! What is asserted, per case × strategy × step × sensor:
+//!
+//! * **one pipeline**: `try_search(i)`, `try_fleet_search([i])[0]` and the
+//!   sensor's slot in a fleet of four agree bit for bit (`start`,
+//!   `distance.to_bits()`, `stats.candidates`, `stats.unfiltered`);
+//! * **genuine**: every returned neighbour's distance is bitwise the
+//!   brute-force DTW of its start, finite, within `max_end`, listed once,
+//!   in ascending order;
+//! * **no false dismissals**: wherever the filter threshold τ is an upper
+//!   bound the test can name, every true neighbour at or below it is
+//!   returned at its rank. Cold `ExactKBest` (τ bounds the k-th NN
+//!   distance) must therefore return the exact kNN distances; a continuous
+//!   step (τ = DTW of the previous k-th NN to the new query, §4.3.3
+//!   method 2) must return every true neighbour within that τ. Cold
+//!   `PaperKthLb` names no such bound — only the first two properties hold.
+
+use smiler_gpu::Device;
+use smiler_index::{
+    try_fleet_search, IndexParams, Neighbor, SearchOutput, SmilerIndex, ThresholdStrategy,
+};
+
+const FLEET: usize = 4;
+const H: usize = 3;
+
+fn noise(n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    (0..n)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (i as f64 * 0.13).sin() * 2.0 + (state % 1000) as f64 / 500.0
+        })
+        .collect()
+}
+
+fn small(rho: usize) -> IndexParams {
+    IndexParams { rho, omega: 4, lengths: vec![8, 12, 16], k_max: 5 }
+}
+
+struct Case {
+    name: &'static str,
+    params: IndexParams,
+    /// History of sensor `s` and the values its continuous steps absorb.
+    feed: fn(usize) -> (Vec<f64>, Vec<f64>),
+}
+
+/// A 20-periodic pattern repeated verbatim: segments one period apart are
+/// bitwise equal, so every distance — the k-th included — comes in ties.
+fn periodic(s: usize) -> (Vec<f64>, Vec<f64>) {
+    let pattern = noise(20, 40 + s as u64);
+    let all: Vec<f64> = (0..246).map(|i| pattern[i % 20]).collect();
+    (all[..240].to_vec(), all[240..].to_vec())
+}
+
+/// NaN gaps across the history, the last one inside the longest item query
+/// only: that query ranks nothing until the gap slides out of it.
+fn nan_gaps(s: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut all = noise(266, 50 + s as u64);
+    for at in [30 + s, 31 + s, 97, 150 + 2 * s, 151 + 2 * s, 152 + 2 * s, 215, 246] {
+        all[at] = f64::NAN;
+    }
+    (all[..260].to_vec(), all[260..].to_vec())
+}
+
+/// Noise interrupted by constant runs, ending inside one: flat queries
+/// against flat candidates collapse envelopes and bounds to zero.
+fn flat_runs(s: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut all = noise(246, 60 + s as u64);
+    for (i, v) in all.iter_mut().enumerate() {
+        if i % 60 >= 35 {
+            *v = 1.5;
+        }
+    }
+    (all[..240].to_vec(), all[240..].to_vec())
+}
+
+fn random(s: usize) -> (Vec<f64>, Vec<f64>) {
+    let all = noise(308 + 10 * s, 70 + s as u64);
+    let split = all.len() - 8;
+    (all[..split].to_vec(), all[split..].to_vec())
+}
+
+/// Candidate sets that start at or below k for every item query and
+/// outgrow it as steps arrive.
+fn short_history(s: usize) -> (Vec<f64>, Vec<f64>) {
+    let all = noise(28 + s, 80 + s as u64);
+    (all[..22 + s].to_vec(), all[22 + s..].to_vec())
+}
+
+fn paper_scale(s: usize) -> (Vec<f64>, Vec<f64>) {
+    let all = noise(505, 90 + s as u64);
+    (all[..500].to_vec(), all[500..].to_vec())
+}
+
+fn cases() -> Vec<Case> {
+    vec![
+        Case { name: "ties at the k-th place", params: small(3), feed: periodic },
+        Case { name: "NaN gaps in history", params: small(3), feed: nan_gaps },
+        Case { name: "flat segments", params: small(3), feed: flat_runs },
+        Case { name: "rho = 0", params: small(0), feed: random },
+        Case { name: "rho = d", params: small(16), feed: random },
+        Case {
+            name: "at most k candidates",
+            params: IndexParams { k_max: 16, ..small(3) },
+            feed: short_history,
+        },
+        Case { name: "random, small scale", params: small(3), feed: random },
+        Case { name: "random, paper scale", params: IndexParams::default(), feed: paper_scale },
+    ]
+}
+
+/// Every candidate with a finite banded DTW to the current item query of
+/// length `d`, nearest first.
+fn brute_force(series: &[f64], d: usize, rho: usize, max_end: usize) -> Vec<Neighbor> {
+    let query = &series[series.len() - d..];
+    let mut all: Vec<Neighbor> = (0..(max_end + 1).saturating_sub(d))
+        .map(|t| Neighbor {
+            start: t,
+            distance: smiler_dtw::dtw_banded(query, &series[t..t + d], rho),
+        })
+        .filter(|nb| nb.distance.is_finite())
+        .collect();
+    all.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.start.cmp(&b.start)));
+    all
+}
+
+fn assert_same_answer(got: &SearchOutput, expect: &SearchOutput, what: &str) {
+    let bits = |out: &SearchOutput| -> Vec<Vec<(usize, u64)>> {
+        out.neighbors
+            .iter()
+            .map(|ns| ns.iter().map(|n| (n.start, n.distance.to_bits())).collect())
+            .collect()
+    };
+    assert_eq!(bits(got), bits(expect), "{what}: neighbours");
+    assert_eq!(got.stats.candidates, expect.stats.candidates, "{what}: candidates");
+    assert_eq!(got.stats.unfiltered, expect.stats.unfiltered, "{what}: unfiltered");
+}
+
+/// Check one sensor's answer against the brute-force oracle. `prev` is the
+/// sensor's previous answer (the continuous-reuse state), `cold_exact`
+/// whether a cold threshold bounds the k-th NN distance.
+fn check_against_oracle(
+    series: &[f64],
+    params: &IndexParams,
+    out: &SearchOutput,
+    prev: Option<&SearchOutput>,
+    cold_exact: bool,
+    what: &str,
+) {
+    let max_end = series.len() - H;
+    let k = params.k_max;
+    for (i, &d) in params.lengths.iter().enumerate() {
+        let what = format!("{what} d={d}");
+        let got = &out.neighbors[i];
+        let query = &series[series.len() - d..];
+        assert_eq!(out.stats.candidates[i], (max_end + 1).saturating_sub(d), "{what}");
+        assert!(out.stats.unfiltered[i] <= out.stats.candidates[i], "{what}");
+        assert!(got.len() <= out.stats.unfiltered[i], "{what}: more neighbours than survivors");
+        if query.iter().any(|v| !v.is_finite()) {
+            assert!(got.is_empty(), "{what}: a poisoned query ranks nothing");
+            continue;
+        }
+
+        // Genuine.
+        for (j, nb) in got.iter().enumerate() {
+            assert!(nb.start + d <= max_end, "{what}: neighbour {j} past max_end");
+            let truth = smiler_dtw::dtw_banded(query, &series[nb.start..nb.start + d], params.rho);
+            assert!(truth.is_finite(), "{what}: neighbour {j} has a non-finite distance");
+            assert_eq!(nb.distance.to_bits(), truth.to_bits(), "{what}: neighbour {j} distance");
+            assert!(j == 0 || got[j - 1].distance <= nb.distance, "{what}: not ascending at {j}");
+            assert!(got[..j].iter().all(|o| o.start != nb.start), "{what}: duplicate start");
+        }
+
+        // No false dismissals within the threshold the test can name.
+        let truth = brute_force(series, d, params.rho, max_end);
+        let reuse_tau = prev.and_then(|p| p.neighbors[i].last()).and_then(|kth| {
+            let seg = series.get(kth.start..kth.start + d)?;
+            Some(smiler_dtw::dtw_banded(query, seg, params.rho)).filter(|tau| tau.is_finite())
+        });
+        let tau = match reuse_tau {
+            Some(tau) => tau,
+            None if cold_exact || truth.len() <= k => f64::INFINITY,
+            None => continue,
+        };
+        let due: Vec<u64> = truth
+            .iter()
+            .take(k)
+            .take_while(|nb| nb.distance <= tau)
+            .map(|nb| nb.distance.to_bits())
+            .collect();
+        let returned: Vec<u64> =
+            got.iter().take(due.len()).map(|nb| nb.distance.to_bits()).collect();
+        assert_eq!(returned, due, "{what}: false dismissal within tau={tau}");
+        if tau == f64::INFINITY {
+            assert_eq!(got.len(), truth.len().min(k), "{what}: exact kNN size");
+        }
+    }
+}
+
+#[test]
+fn unified_pipeline_matches_brute_force_on_adversarial_inputs() {
+    let device = Device::default_gpu();
+    for case in cases() {
+        for strategy in [ThresholdStrategy::ExactKBest, ThresholdStrategy::PaperKthLb] {
+            let feeds: Vec<(Vec<f64>, Vec<f64>)> = (0..FLEET).map(case.feed).collect();
+            let build = || -> Vec<SmilerIndex> {
+                feeds
+                    .iter()
+                    .map(|(history, _)| {
+                        SmilerIndex::build(&device, history.clone(), case.params.clone())
+                            .with_threshold(strategy)
+                    })
+                    .collect()
+            };
+            // The same sensors searched three ways.
+            let (mut solo, mut fleet_of_one, mut fleet) = (build(), build(), build());
+            let steps = feeds[0].1.len();
+            assert!(steps >= 4, "{}: at least four continuous steps", case.name);
+            let mut prev: Vec<Option<SearchOutput>> = vec![None; FLEET];
+
+            for step in 0..=steps {
+                if step > 0 {
+                    for (s, (_, future)) in feeds.iter().enumerate() {
+                        for index in [&mut solo[s], &mut fleet_of_one[s], &mut fleet[s]] {
+                            index.advance(&device, future[step - 1]);
+                        }
+                    }
+                }
+                let max_ends: Vec<usize> = solo.iter().map(|i| i.series().len() - H).collect();
+                let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
+                let fleet_out = try_fleet_search(&device, &mut refs, &max_ends);
+
+                for s in 0..FLEET {
+                    let what = format!("{} / {strategy:?} / step {step} / sensor {s}", case.name);
+                    let alone = solo[s].try_search(&device, max_ends[s]);
+                    let one =
+                        try_fleet_search(&device, &mut [&mut fleet_of_one[s]], &max_ends[s..=s])
+                            .pop()
+                            .expect("one slot");
+                    let (alone, one, batched) = match (alone, one, &fleet_out[s]) {
+                        (Ok(a), Ok(b), Ok(c)) => (a, b, c),
+                        (a, b, c) => {
+                            // A typed error must be the same error everywhere
+                            // and leave the continuous-reuse state untouched.
+                            assert_eq!(a.as_ref().err(), b.as_ref().err(), "{what}");
+                            assert_eq!(a.as_ref().err(), c.as_ref().err(), "{what}");
+                            assert!(a.is_err(), "{what}: Ok and Err slots disagree");
+                            continue;
+                        }
+                    };
+                    assert_same_answer(&one, &alone, &format!("{what}: fleet of one vs solo"));
+                    assert_same_answer(batched, &alone, &format!("{what}: fleet of four vs solo"));
+                    check_against_oracle(
+                        solo[s].series(),
+                        &case.params,
+                        &alone,
+                        prev[s].as_ref(),
+                        strategy == ThresholdStrategy::ExactKBest,
+                        &what,
+                    );
+                    prev[s] = Some(alone);
+                }
+            }
+        }
+    }
+}

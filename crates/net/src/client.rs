@@ -6,6 +6,8 @@
 //! [`NetClient::into_split`] to drive sends and receives from separate
 //! threads over the same socket.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::frame::{self, ErrorCode, FrameError, Request, Response, WireForecast};
 use smiler_core::degrade::{DegradationLevel, Prediction};
 use std::io::{self, ErrorKind, Read, Write};

@@ -17,6 +17,8 @@
 //! a caller-chosen `request_id` so responses may be matched out of order —
 //! the server answers in completion order, not issue order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use smiler_store::codec::{self, ByteReader, CodecError};
 
 /// Frame magic; first bytes on the wire of every binary-protocol frame.
@@ -493,6 +495,7 @@ pub fn try_frame(buf: &[u8]) -> Result<Option<(usize, &[u8])>, FrameError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

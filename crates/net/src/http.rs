@@ -17,6 +17,8 @@
 //! numbers). Request heads are capped at 8 KiB — a head that grows past
 //! the cap is answered `431` and closed.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::frame::ErrorCode;
 
 /// Largest request head (request line + headers) the gateway accepts.
@@ -180,6 +182,7 @@ pub fn status_for(code: ErrorCode) -> u16 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -20,6 +20,8 @@
 //! of hundreds of millions of requests costs the same memory as a smoke
 //! run (the receive side retains only sent-but-unanswered arrivals).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::client::{ClientError, NetClient};
 use crate::frame::{ErrorCode, Response};
 use std::net::SocketAddr;
@@ -331,6 +333,7 @@ fn run_connection(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

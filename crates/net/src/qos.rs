@@ -8,6 +8,8 @@
 //! queue capacity — so one hot client cannot starve the fleet's admission
 //! budget for everyone else.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -70,6 +72,7 @@ impl TenantBuckets {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -12,6 +12,8 @@
 //! which is fine at bench-scale connection counts (hundreds); the honest
 //! trade-offs are written up in DESIGN.md §13.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind};
 use std::net::TcpStream;
@@ -126,6 +128,7 @@ impl Default for Poller {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::io::Write;

@@ -25,6 +25,8 @@
 //! a multi-megabyte segment image travels as ordered chunks carrying
 //! `(offset, total_len)` so the receiver can detect holes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::frame::FrameError;
 use smiler_store::codec::{self, ByteReader};
 use smiler_store::WalRecord;
@@ -325,6 +327,7 @@ impl ChunkAssembler {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

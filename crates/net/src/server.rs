@@ -20,6 +20,8 @@
 //! - **Tenant bucket empty** → typed `Throttled` before any queue is
 //!   touched, so a hot tenant consumes admission budget only for itself.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::frame::{self, ErrorCode, FrameError, Request, Response, WireForecast};
 use crate::http::{self, HttpParse, HttpRequest};
 use crate::qos::{QosConfig, TenantBuckets};

@@ -9,6 +9,8 @@
 //! deliberately survive [`crate::reset`] so records written around a reset
 //! still order globally.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -36,6 +38,7 @@ pub fn mono_seconds() -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -37,6 +37,8 @@
 //! kept; only fast, healthy, full-ensemble responses are thinned to
 //! 1-in-N ([`TraceConfig::sample_every`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::export::ContentDoc;
 use crate::stamp;
 use parking_lot::Mutex;
@@ -481,6 +483,7 @@ pub fn validate_trace_line(line: &str) -> Result<(), String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::tests::lock_global;

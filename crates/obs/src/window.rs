@@ -10,6 +10,8 @@
 //! longer than the retained span just clears the ring instead of spinning
 //! through every missed rotation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::registry::{bucket_of, bucket_value, NUM_BUCKETS};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -248,6 +250,7 @@ impl SloTracker {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

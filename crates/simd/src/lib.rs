@@ -35,6 +35,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// Number of f64 lanes in the portable vector type.
 pub const LANES: usize = 4;
@@ -477,6 +478,7 @@ pub fn clamp_to_envelope(walk: &[f64], upper: &[f64], lower: &[f64], out: &mut V
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

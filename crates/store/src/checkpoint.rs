@@ -156,6 +156,7 @@ pub fn prune(dir: &Path, keep: usize) -> std::io::Result<Option<u64>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

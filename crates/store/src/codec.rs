@@ -180,6 +180,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

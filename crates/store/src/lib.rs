@@ -27,6 +27,7 @@
 //! guarantee on top.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod checkpoint;
 pub mod codec;

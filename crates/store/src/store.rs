@@ -373,6 +373,7 @@ pub fn shared(store: Store) -> SharedStore {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::fs;

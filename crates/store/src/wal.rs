@@ -692,6 +692,7 @@ impl Wal {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::store::StoreConfig;

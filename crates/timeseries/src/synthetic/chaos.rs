@@ -14,6 +14,8 @@
 //! seed produce bitwise-identical feeds, which is what lets the chaos
 //! bench prove its clean-workload invariance claim.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use rand::Rng;
 use smiler_linalg::rng as srng;
 
@@ -232,6 +234,7 @@ fn kind_tag(kind: ChaosKind) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -319,6 +319,19 @@ fn lagging_follower_pins_segments_against_checkpoint_pruning() {
     };
     wait_cursor(Some(5));
 
+    // Highest `Record` seq the laggard has received. Every drain below goes
+    // through this, so a record the primary streams while the batches are
+    // still being appended is counted, not thrown away.
+    let mut received = 5u64;
+    fn drain_one(laggard: &mut ReplConn, wait: Duration, received: &mut u64) -> bool {
+        match laggard.recv_timeout(wait).expect("drain") {
+            Some(ReplMsg::Record { record }) => *received = (*received).max(record.seq()),
+            Some(_) => {}
+            None => return false,
+        }
+        true
+    }
+
     // Drive the log through several checkpoints. keep_checkpoints: 1
     // would normally prune everything a checkpoint covers; the pinned
     // cursor must keep every record past seq 5 on disk.
@@ -331,7 +344,7 @@ fn lagging_follower_pins_segments_against_checkpoint_pruning() {
             store.checkpoint(b"cluster-pinning-test").expect("checkpoint");
         }
         // Keep draining the stream so the primary never blocks on send.
-        while laggard.recv_timeout(Duration::from_millis(1)).expect("drain").is_some() {}
+        while drain_one(&mut laggard, Duration::from_millis(1), &mut received) {}
     }
     let head = shared_store.lock().last_seq();
     assert_eq!(head, 240);
@@ -342,12 +355,10 @@ fn lagging_follower_pins_segments_against_checkpoint_pruning() {
     // Drain until the laggard has *received* the whole log, then ack the
     // head: the pin lifts and the next checkpoint finally prunes.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut received = 5u64;
-    while received < head {
-        if let Some(ReplMsg::Record { record }) =
-            laggard.recv_timeout(Duration::from_millis(20)).expect("drain to head")
-        {
-            received = record.seq();
+    loop {
+        drain_one(&mut laggard, Duration::from_millis(20), &mut received);
+        if received >= head {
+            break;
         }
         assert!(Instant::now() < deadline, "laggard stalled at seq {received}");
     }

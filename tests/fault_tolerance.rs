@@ -44,6 +44,19 @@ fn fleet(count: usize, kind: PredictorKind) -> SmilerSystem {
     system
 }
 
+/// A fault-free fleet's forecasts as `(mean, variance)` pairs — the
+/// reference the faulty fleets' healthy sensors are compared against.
+fn healthy_forecasts(system: &mut SmilerSystem, h: usize) -> Vec<(f64, f64)> {
+    system
+        .predict_all_robust(h, &RequestPolicy::default())
+        .into_iter()
+        .map(|r| {
+            let p = r.expect("fault-free fleet must predict");
+            (p.mean, p.variance)
+        })
+        .collect()
+}
+
 /// An injected worker panic quarantines exactly the faulty sensor; every
 /// healthy sensor's forecast is bitwise identical to a fault-free run.
 #[test]
@@ -53,7 +66,7 @@ fn worker_panic_quarantines_one_sensor_not_the_fleet() {
     let mut faulty = fleet(5, PredictorKind::Aggregation);
     faulty.sensor_mut(2).inject_fault(FaultKind::PanicOnPredict);
 
-    let expected = healthy.predict_all_parallel(1);
+    let expected = healthy_forecasts(&mut healthy, 1);
     let got = faulty.predict_all_robust(1, &RequestPolicy::default());
     assert_eq!(got.len(), 5);
     for (i, r) in got.iter().enumerate() {
@@ -71,7 +84,7 @@ fn worker_panic_quarantines_one_sensor_not_the_fleet() {
 
     // A second pass skips the quarantined sensor without re-running it,
     // and the healthy sensors stay bitwise in lockstep.
-    let expected = healthy.predict_all_parallel(2);
+    let expected = healthy_forecasts(&mut healthy, 2);
     let got = faulty.predict_all_robust(2, &RequestPolicy::default());
     for (i, r) in got.iter().enumerate() {
         if i == 2 {
@@ -89,22 +102,6 @@ fn worker_panic_quarantines_one_sensor_not_the_fleet() {
     assert!(panics >= 1, "sensor panic counter must be nonzero");
     let gauge = snap.gauges.iter().find(|g| g.name == "health.quarantined");
     assert_eq!(gauge.map(|g| g.value), Some(1.0));
-}
-
-/// The NaN marker of the infallible parallel API: healthy sensors keep
-/// their forecasts, the faulty slot reports `(NaN, ∞)`.
-#[test]
-fn predict_all_parallel_survives_a_panicking_sensor() {
-    let mut healthy = fleet(4, PredictorKind::Aggregation);
-    let mut faulty = fleet(4, PredictorKind::Aggregation);
-    faulty.sensor_mut(0).inject_fault(FaultKind::PanicOnPredict);
-    let expected = healthy.predict_all_parallel(1);
-    let got = faulty.predict_all_parallel(1);
-    assert!(got[0].0.is_nan() && got[0].1.is_infinite());
-    for i in 1..4 {
-        assert_eq!(got[i].0.to_bits(), expected[i].0.to_bits(), "sensor {i}");
-        assert_eq!(got[i].1.to_bits(), expected[i].1.to_bits(), "sensor {i}");
-    }
 }
 
 /// A quarantined sensor's snapshot keeps absorbing the fleet's
@@ -141,7 +138,7 @@ fn bad_gram_degrades_and_trips_cooldown() {
     let mut faulty = fleet(3, PredictorKind::GaussianProcess);
     faulty.sensor_mut(1).inject_fault(FaultKind::BadGram);
 
-    let expected = healthy.predict_all_parallel(1);
+    let expected = healthy_forecasts(&mut healthy, 1);
     let got = faulty.predict_all_robust(1, &RequestPolicy::default());
     for (i, r) in got.iter().enumerate() {
         let p = r.as_ref().expect("bad Gram must degrade, not fail");
@@ -267,7 +264,7 @@ fn stuck_at_history_degrades_typed_without_poisoning_the_fleet() {
     );
     assert!(rejected.is_none(), "a constant history is degraded, not rejected");
 
-    let expected = healthy.predict_all_parallel(1);
+    let expected = healthy_forecasts(&mut healthy, 1);
     let got = stuck_fleet.predict_all_robust(1, &RequestPolicy::default());
     assert_eq!(got.len(), 4);
     for (i, r) in got.iter().enumerate() {

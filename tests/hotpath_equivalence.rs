@@ -1,10 +1,8 @@
 //! Numeric equivalence of the optimised hot paths against their allocating
-//! / batch oracles, at the paper's default scale (`d = 96`, `ρ = 8`):
+//! oracles, at the paper's default scale (`d = 96`, `ρ = 8`):
 //!
 //! * workspace DTW variants vs. the allocating entry points,
 //! * the shared-prefix GP factorisation vs. independent per-k fits,
-//! * cascaded verification vs. batch verification — identical kNN sets
-//!   across continuous steps,
 //! * the sim and native backends — bitwise-identical predictions and kNN
 //!   sets over full continuous steps (backends may only change launch
 //!   timing, never results).
@@ -14,7 +12,7 @@ use smiler_core::PredictorKind;
 use smiler_dtw::DtwScratch;
 use smiler_gp::{GpScratch, Hyperparams, PrefixGp};
 use smiler_gpu::{BackendKind, Device};
-use smiler_index::{IndexParams, SmilerIndex, ThresholdStrategy, VerifyMode};
+use smiler_index::{IndexParams, SmilerIndex};
 use smiler_linalg::Matrix;
 use std::sync::Arc;
 
@@ -64,43 +62,6 @@ fn prefix_gp_matches_independent_fits() {
         let (o_mean, o_var) = pg.oracle_fit(k, &centred).expect("oracle fit").predict(&x0);
         assert!((mean - o_mean).abs() < 1e-9, "k={k}: mean {mean} vs {o_mean}");
         assert!((var - o_var).abs() < 1e-9, "k={k}: var {var} vs {o_var}");
-    }
-}
-
-#[test]
-fn cascade_and_batch_return_identical_knn_sets_at_paper_scale() {
-    let device = Device::default_gpu();
-    let params = IndexParams::default(); // d = 96, ρ = 8, k = 32
-    for strategy in [ThresholdStrategy::ExactKBest, ThresholdStrategy::PaperKthLb] {
-        let mut series = pseudo_series(700, 11);
-        let mut batch = SmilerIndex::build(&device, series.clone(), params.clone())
-            .with_threshold(strategy)
-            .with_verify_mode(VerifyMode::Batch);
-        let mut cascade =
-            SmilerIndex::build(&device, series.clone(), params.clone()).with_threshold(strategy);
-        for step in 0..6 {
-            if step > 0 {
-                let v = (step as f64 * 0.37).sin() + 0.1 * step as f64;
-                series.push(v);
-                batch.advance(&device, v);
-                cascade.advance(&device, v);
-            }
-            let max_end = series.len() - 5;
-            let b = batch.search(&device, max_end);
-            let c = cascade.search(&device, max_end);
-            assert_eq!(b.stats.candidates, c.stats.candidates, "step {step}");
-            assert_eq!(b.stats.unfiltered, c.stats.unfiltered, "step {step}");
-            for (i, (bn, cn)) in b.neighbors.iter().zip(c.neighbors.iter()).enumerate() {
-                assert_eq!(bn.len(), cn.len(), "step {step} item {i}");
-                for (x, y) in bn.iter().zip(cn) {
-                    assert_eq!(x.start, y.start, "step {step} item {i}");
-                    assert!(
-                        (x.distance - y.distance).abs() < 1e-9,
-                        "step {step} item {i}: {x:?} vs {y:?}"
-                    );
-                }
-            }
-        }
     }
 }
 

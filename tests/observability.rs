@@ -7,7 +7,7 @@
 
 use smiler_core::{PredictorKind, SmilerSystem};
 use smiler_gpu::Device;
-use smiler_index::{IndexParams, SmilerIndex};
+use smiler_index::{try_fleet_search, IndexParams, SmilerIndex};
 use smiler_timeseries::synthetic::{DatasetKind, SyntheticSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -67,6 +67,57 @@ fn search_metrics_agree_with_search_stats() {
         assert!(h.count > 0);
         assert!((0.0..=1.0).contains(&h.min), "{}: min {}", h.label, h.min);
         assert!((0.0..=1.0).contains(&h.max), "{}: max {}", h.label, h.max);
+    }
+}
+
+/// The pipeline reports the same telemetry whatever the fleet size: after
+/// one `try_fleet_search` of three sensors the per-length counters are the
+/// sums of the slots' own `SearchStats`, every filter survivor that was not
+/// a threshold probe is accounted for by exactly one cascade rung, and each
+/// phase ran once under the one `search` span.
+#[test]
+fn fleet_search_metrics_agree_with_slot_stats() {
+    let _g = lock_obs();
+    let device = Device::default_gpu();
+    let params = IndexParams::default();
+    let mut fleet: Vec<SmilerIndex> = (0..3)
+        .map(|s| SmilerIndex::build(&device, road_sensor(10, 7 + s), params.clone()))
+        .collect();
+    let max_ends: Vec<usize> = fleet.iter().map(|i| i.series().len() - 30).collect();
+    let mut refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
+    let outs: Vec<_> = try_fleet_search(&device, &mut refs, &max_ends)
+        .into_iter()
+        .map(|slot| slot.expect("clean road sensors search"))
+        .collect();
+
+    let snap = smiler_obs::metrics_snapshot();
+    for (i, &d) in params.lengths.iter().enumerate() {
+        let label = format!("d={d}");
+        let candidates: usize = outs.iter().map(|o| o.stats.candidates[i]).sum();
+        let survived: usize = outs.iter().map(|o| o.stats.unfiltered[i]).sum();
+        assert_eq!(counter(&snap, "search.candidates", &label), Some(candidates as u64));
+        assert_eq!(counter(&snap, "search.verified", &label), Some(survived as u64));
+        let ratios = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "search.pruning_ratio" && h.label == label)
+            .expect("pruning ratio recorded per length");
+        assert_eq!(ratios.count, outs.len() as u64, "{label}: one ratio per sensor");
+    }
+    // A cold ExactKBest task probes its k best lower bounds; the cascade
+    // walks every other survivor, and each leaves through exactly one rung.
+    let survived: usize = outs.iter().flat_map(|o| &o.stats.unfiltered).sum();
+    let probes = outs.len() * params.lengths.len() * params.k_max;
+    let rungs: u64 = ["kim_pruned", "keogh_pruned", "lb_improved", "dtw_abandoned", "dtw_full"]
+        .iter()
+        .map(|rung| counter(&snap, "verify.cascade", rung).expect("every rung is reported"))
+        .sum();
+    assert_eq!(rungs, (survived - probes) as u64);
+
+    let spans = smiler_obs::span_snapshot();
+    for path in ["search", "search/lb", "search/filter", "search/verify", "search/select"] {
+        let row = spans.iter().find(|s| s.path == path);
+        assert_eq!(row.map(|s| s.count), Some(1), "span {path}; have {spans:?}");
     }
 }
 
