@@ -29,6 +29,11 @@ echo "==> cargo test (kernel crates, scalar dispatch: --no-default-features)"
 cargo test -p smiler-simd -p smiler-dtw -p smiler-timeseries -p smiler-linalg -p smiler-gp \
     --no-default-features --lib
 
+# The gate's own harness is a separate package (own workspace table and
+# lock file): an API edit under crates/ must not break it unnoticed.
+echo "==> cargo build --manifest-path benchmark/Cargo.toml (benchmark harness)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 if [[ "$QUICK" == "1" ]]; then
     echo "==> cargo test --workspace (lib + bins only)"
     cargo test --workspace --lib --bins
@@ -133,6 +138,11 @@ else
 
     echo "==> cargo bench --workspace --no-run"
     cargo bench --workspace --no-run
+
+    # Every benchmark workload at 1/50 scale with its output checks
+    # (bitwise in-process replay of the wire run, kill -> restore).
+    echo "==> benchmark run --seed 1 --smoke (all four workloads + output checks)"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seed 1 --smoke
 fi
 
 echo "==> ci.sh: all checks passed"

@@ -151,8 +151,8 @@ fn main() {
         println!("bench-kernels: wrote {}", path.display());
         return;
     }
-    // bench-serve snapshots the sharded serving frontend: micro-batched vs
-    // per-request mode on the same trace, with simulated launch counts.
+    // bench-serve snapshots the sharded serving frontend: throughput, tail
+    // latency, achieved batch size and simulated launch counts.
     if ids.iter().any(|i| i == "bench-serve") {
         let scale = if smoke {
             smiler_bench::servebench::ServeBenchScale::smoke()
@@ -170,14 +170,11 @@ fn main() {
             std::process::exit(1);
         });
         println!(
-            "bench-serve: batched {:.1} req/s ({} launches, mean batch {:.2}) vs per-request \
-             {:.1} req/s ({} launches) -> {:.2}x launch amortisation -> {}",
-            report.batched.load.throughput_rps,
-            report.batched.kernel_launches,
-            report.batched.mean_batch_size,
-            report.per_request.load.throughput_rps,
-            report.per_request.kernel_launches,
-            report.launch_amortisation,
+            "bench-serve: {:.1} req/s, p50 {:.3} ms ({} launches, mean batch {:.2}) -> {}",
+            report.load.throughput_rps,
+            report.load.latency_p50_ms,
+            report.kernel_launches,
+            report.mean_batch_size,
             path.display()
         );
         return;

@@ -22,6 +22,7 @@ use smiler_cluster::{Follower, FollowerConfig, PrimaryConfig, ReplicationPrimary
 use smiler_core::serve::{ServeConfig, SmilerServer};
 use smiler_core::{DurableSystem, PredictorKind, SmilerConfig};
 use smiler_gpu::Device;
+use smiler_linalg::stats::nearest_rank;
 use smiler_store::{FlushPolicy, Store, StoreConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -143,14 +144,6 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Run the full bench-cluster suite at `scale`.
 pub fn run(scale: ClusterBenchScale) -> ClusterBenchReport {
     let (bootstrap, streaming, lag) = replication_phases(&scale);
@@ -231,9 +224,9 @@ fn replication_phases(scale: &ClusterBenchScale) -> (ReplPhaseReport, ReplPhaseR
     lag_samples.sort_unstable();
     let lag = LagReport {
         samples: lag_samples.len(),
-        p50_records: quantile(&lag_samples, 0.50),
-        p95_records: quantile(&lag_samples, 0.95),
-        p99_records: quantile(&lag_samples, 0.99),
+        p50_records: nearest_rank(&lag_samples, 0.50),
+        p95_records: nearest_rank(&lag_samples, 0.95),
+        p99_records: nearest_rank(&lag_samples, 0.99),
         max_records: lag_samples.last().copied().unwrap_or(0),
     };
     drop(follower);

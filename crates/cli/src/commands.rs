@@ -76,7 +76,7 @@ USAGE:
   smiler generate --dataset road|mall|net [--days 14] [--seed 7]
   smiler serve --shards <N> [--qps <rate>] [--sensors 8] [--clients 4]
                [--requests 64] [--horizon 1] [--deadline-ms <ms>]
-               [--max-batch 16] [--queue 64] [--predictor gp|ar]
+               [--queue 64] [--predictor gp|ar]
                [--dataset road|mall|net] [--days 2] [--seed 7]
                [--data-dir <dir>] [--flush always|every-<n>|interval-<ms>]
                [--trace-requests-out <path>] [--trace-sample <n>]
@@ -101,10 +101,10 @@ column). Forecasts are printed in the input's units.
 LOAD SERVING (serve):
   Partitions a synthetic sensor fleet across --shards worker threads and
   drives it with closed-loop clients (optionally paced to an aggregate
-  --qps). Concurrently queued forecasts on a shard are micro-batched into
-  one fleet search — one simulated GPU launch per phase serves many
-  sensors. A full shard queue sheds requests with a typed Overloaded
-  error; --max-batch 1 disables batching for comparison.
+  --qps). Forecasts already queued on a shard are micro-batched into one
+  fleet search — one simulated GPU launch per phase serves many sensors;
+  a worker never waits for more. A full shard queue sheds requests with
+  a typed Overloaded error.
 
 NETWORK SERVING (serve --listen):
   --listen <addr>        put the smiler-net TCP frontend on <addr> (e.g.
@@ -480,7 +480,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
     let clients: usize = args.get_or("clients", 4)?;
     let requests: usize = args.get_or("requests", 64)?;
     let horizon: usize = args.get_or("horizon", 1)?;
-    let max_batch: usize = args.get_or("max-batch", 16)?;
     let queue: usize = args.get_or("queue", 64)?;
     let days: usize = args.get_or("days", 2)?;
     let seed: u64 = args.get_or("seed", 7)?;
@@ -606,7 +605,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
     let serve_config = ServeConfig {
         shards,
         queue_capacity: queue,
-        max_batch,
         slo_target: std::time::Duration::from_millis(slo_ms),
         ..ServeConfig::default()
     };
@@ -693,11 +691,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
 
     let mut out = String::new();
     out.push_str(&durability_note);
-    let _ = writeln!(
-        out,
-        "served {} sensors across {shards} shards (queue {queue}, max batch {max_batch})",
-        sensors
-    );
+    let _ = writeln!(out, "served {} sensors across {shards} shards (queue {queue})", sensors);
     match &outcome {
         ServeOutcome::Local(report) => {
             let _ = writeln!(

@@ -329,6 +329,45 @@ pub fn decode_fleet(payload: &[u8]) -> Result<Vec<SensorSnapshot>, DurableError>
     Ok(snapshots)
 }
 
+/// The durable recovery point of a fleet: the newest checkpoint's
+/// per-sensor snapshots plus the WAL records past it. A quarantined
+/// sensor is rebuilt from this — by [`DurableSystem::recover_all`]'s store
+/// rung and by the serving frontend's shutdown checkpoint — so a torn
+/// predictor is never trusted.
+pub(crate) struct RecoveryPoint {
+    snapshots: Vec<SensorSnapshot>,
+    tail: Vec<WalRecord>,
+}
+
+impl RecoveryPoint {
+    /// Decode the newest durable checkpoint and read the WAL tail past
+    /// it; `None` when the store holds no checkpoint.
+    pub(crate) fn load(store: &Store) -> Result<Option<Self>, DurableError> {
+        let Some((seq, payload)) = store.latest_checkpoint()? else {
+            return Ok(None);
+        };
+        Ok(Some(RecoveryPoint { snapshots: decode_fleet(&payload)?, tail: store.read_tail(seq)? }))
+    }
+
+    /// The checkpointed snapshot of `sensor_id` with its share of the WAL
+    /// tail absorbed into the history (fleet rounds carry one value per
+    /// fleet `position`, single observes name the sensor), so an index
+    /// rebuilt from it is current.
+    pub(crate) fn snapshot_of(&self, sensor_id: usize, position: usize) -> Option<SensorSnapshot> {
+        let mut snap = self.snapshots.iter().find(|s| s.sensor_id == sensor_id)?.clone();
+        for record in &self.tail {
+            match record {
+                WalRecord::Round { values, .. } => snap.history.extend(values.get(position)),
+                WalRecord::Observe { sensor, value, .. } if *sensor as usize == sensor_id => {
+                    snap.history.push(*value)
+                }
+                WalRecord::Observe { .. } => {}
+            }
+        }
+        Some(snap)
+    }
+}
+
 // ------------------------------------------------------ the durable fleet
 
 /// What [`DurableSystem::open`] rebuilt, for logs and experiment JSON.
@@ -413,11 +452,9 @@ impl DurableSystem {
         let rebuild_started = Instant::now();
         let snapshots = decode_fleet(payload)?;
         let sensor_count = snapshots.len();
-        let sensors: Vec<SensorPredictor> = snapshots
-            .into_iter()
-            .map(|snap| SensorPredictor::restore(Arc::clone(&device), snap))
-            .collect();
-        let (mut system, oom) = SmilerSystem::from_restored(device, sensors);
+        let restored =
+            snapshots.into_iter().map(|snap| SensorPredictor::restore(Arc::clone(&device), snap));
+        let (mut system, oom) = SmilerSystem::admit(&device, restored);
         if let Some(oom) = oom {
             return Err(DurableError::OutOfMemory(oom));
         }
@@ -547,44 +584,16 @@ impl DurableSystem {
         if still_out.is_empty() {
             return Ok(recovered);
         }
-        // Store rung: decode the newest durable checkpoint once, then
-        // rebuild each failed sensor from its saved snapshot plus the
-        // observations the WAL holds past the checkpoint.
-        let (seq, payload) = match self.store.latest_checkpoint()? {
-            Some(c) => c,
-            None => return Ok(recovered),
+        // Store rung: rebuild each failed sensor from its durable recovery
+        // point; adaptive state stays at the checkpoint cut (the snapshot
+        // rung's exact semantics).
+        let Some(point) = RecoveryPoint::load(&self.store)? else {
+            return Ok(recovered);
         };
-        let snapshots = decode_fleet(&payload)?;
-        let tail = self.store.read_tail(seq)?;
         for idx in still_out {
             let sensor_id = self.system.sensor(idx).sensor_id();
-            let Some(mut snap) = snapshots.iter().find(|s| s.sensor_id == sensor_id).cloned()
-            else {
-                continue;
-            };
-            // Absorb this sensor's share of the tail into the history so
-            // the rebuilt index is current; adaptive state stays at the
-            // checkpoint cut (the snapshot rung's exact semantics).
-            for record in &tail {
-                match record {
-                    WalRecord::Round { values, .. } => {
-                        if let Some(&v) = values.get(idx) {
-                            snap.history.push(v);
-                        }
-                    }
-                    WalRecord::Observe { sensor, value, .. } => {
-                        if *sensor as usize == sensor_id {
-                            snap.history.push(*value);
-                        }
-                    }
-                }
-            }
-            let device = Arc::clone(self.system.device_arc());
-            let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                SensorPredictor::restore(device, snap)
-            }));
-            if let Ok(predictor) = rebuilt {
-                self.system.install_recovered(idx, predictor);
+            let rebuilt = point.snapshot_of(sensor_id, idx);
+            if rebuilt.is_some_and(|snap| self.system.restore_into(idx, snap, "store")) {
                 smiler_obs::count("store.sensor_rebuilt", "", 1);
                 recovered.push(idx);
             }

@@ -145,6 +145,8 @@ struct PredictScratch {
 pub enum FaultKind {
     /// Panic at the top of every prediction (worker-isolation tests).
     PanicOnPredict,
+    /// Panic at the top of every observation.
+    PanicOnObserve,
     /// Force non-finite hyperparameters into every GP column so the Gram
     /// matrix cannot be factorised (the non-PD Cholesky failure path).
     BadGram,
@@ -945,6 +947,9 @@ impl SensorPredictor {
     /// target just realised (the λ update of Eqn 8–9), then advance the
     /// index (Remark 1 reuse).
     pub fn observe(&mut self, value: f64) {
+        if self.injected == Some(FaultKind::PanicOnObserve) {
+            panic!("injected fault: sensor {} observe panicked", self.sensor_id);
+        }
         let arriving = self.index.series().len();
         // What actually enters the history: outlier-flagged observations
         // are *cleaned* (clipped to the forecast's z_outlier band) so a

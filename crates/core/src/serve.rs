@@ -16,16 +16,17 @@
 //!   than blocking) and queue pressure below the shed point maps onto the
 //!   degradation ladder via [`DegradationLevel::for_queue_pressure`];
 //! * a worker **micro-batches** forecasts queued concurrently on its
-//!   shard: it collects up to `max_batch` requests inside a short batch
-//!   window and runs ONE fleet search for all their sensors — one
-//!   simulated GPU launch per phase serves many sensors' suffix queries;
+//!   shard: it takes the forecasts that are *already queued* (it never
+//!   waits for more) and runs ONE fleet search for all their sensors — one
+//!   simulated GPU launch per phase serves many sensors' suffix queries —
+//!   so a batch of one is simply what an idle shard observes;
 //! * per-request **deadlines propagate** into the worker's
 //!   [`RequestPolicy`]: the budget remaining after queueing is what the
 //!   ladder checkpoints see, so a request that waited too long degrades
 //!   instead of overshooting;
-//! * a sensor that panics is **quarantined shard-locally** (the PR 3
-//!   boundary) and its shard keeps draining — one poisoned sensor never
-//!   stalls a queue;
+//! * a sensor that panics — predicting or observing — is **quarantined
+//!   shard-locally** (the fleet's one boundary, [`crate::system`]) and its
+//!   shard keeps draining — one poisoned sensor never stalls a queue;
 //! * shutdown **drains**: queued requests complete, then workers exit;
 //!   late requests get a typed [`ServeError::ShuttingDown`].
 //!
@@ -49,19 +50,17 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::degrade::{DegradationLevel, Prediction, RequestPolicy};
-use crate::durable::StoreStatus;
+use crate::durable::{RecoveryPoint, StoreStatus};
 use crate::predictor::QualitySnapshot;
 use crate::regime::RegimeSnapshot;
 use crate::sensor::SensorPredictor;
-use crate::system::{panic_message, SensorFault, SensorHealth};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crate::system::{isolated, predict_isolated, search_stale, SensorFault, SensorHealth};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use smiler_gpu::Device;
-use smiler_index::{try_fleet_search, SearchOutput, SmilerIndex};
 use smiler_obs::trace::RequestTrace;
 use smiler_obs::{SloReport, SloTracker, TailQuantiles, WindowedHistogram};
 use smiler_store::SharedStore;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,6 +70,8 @@ use std::time::{Duration, Instant};
 const TELEMETRY_WINDOW: Duration = Duration::from_secs(1);
 /// Closed telemetry windows retained per histogram / SLO ring.
 const TELEMETRY_KEEP: usize = 60;
+/// Most forecasts one micro-batch serves with a single fleet search.
+const MAX_BATCH: usize = 16;
 
 /// Configuration of the serving frontend.
 #[derive(Debug, Clone, Copy)]
@@ -80,12 +81,6 @@ pub struct ServeConfig {
     /// Bounded queue capacity per shard; a full queue sheds load with
     /// [`ServeError::Overloaded`] instead of blocking.
     pub queue_capacity: usize,
-    /// Most forecasts one micro-batch may serve with a single fleet
-    /// search. `1` disables batching (per-request serving).
-    pub max_batch: usize,
-    /// How long a worker waits for more concurrent requests before closing
-    /// a micro-batch smaller than `max_batch`. Zero closes immediately.
-    pub batch_window: Duration,
     /// Base policy for every request; per-request deadlines override
     /// `policy.deadline` with the budget remaining after queueing, and
     /// queue pressure can only push `policy.entry_level` further down the
@@ -104,8 +99,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             queue_capacity: 64,
-            max_batch: 16,
-            batch_window: Duration::from_micros(500),
             policy: RequestPolicy::default(),
             slo_target: Duration::from_millis(50),
             slo_budget: 0.01,
@@ -991,7 +984,7 @@ impl SmilerServer {
         }
         for worker in self.workers {
             if let Err(payload) = worker.join() {
-                panic::resume_unwind(payload);
+                std::panic::resume_unwind(payload);
             }
         }
         if let Some(store) = &self.store {
@@ -1008,38 +1001,20 @@ impl SmilerServer {
     /// Checkpoint a drained fleet, never persisting a torn predictor.
     fn checkpoint_drained(store: &SharedStore, fleet: Vec<(SensorPredictor, SensorHealth)>) {
         let mut store = store.lock();
-        // Prior durable state backs the entries of quarantined sensors.
-        let prior = store.latest_checkpoint().ok().flatten().and_then(|(seq, payload)| {
-            let snaps = crate::durable::decode_fleet(&payload).ok()?;
-            let tail = store.read_tail(seq).ok()?;
-            Some((snaps, tail))
-        });
+        // Prior durable state backs the entries of quarantined sensors
+        // (sensor ids are fleet positions here).
+        let prior = RecoveryPoint::load(&store).ok().flatten();
         let mut snapshots = Vec::with_capacity(fleet.len());
         for (sensor, health) in &fleet {
+            let id = sensor.sensor_id();
             match health {
                 SensorHealth::Healthy => snapshots.push(sensor.snapshot()),
                 SensorHealth::Quarantined { .. } => {
-                    let rebuilt = prior.as_ref().and_then(|(snaps, tail)| {
-                        let mut snap =
-                            snaps.iter().find(|s| s.sensor_id == sensor.sensor_id())?.clone();
-                        for record in tail {
-                            if let smiler_store::WalRecord::Observe { sensor: id, value, .. } =
-                                record
-                            {
-                                if *id as usize == snap.sensor_id {
-                                    snap.history.push(*value);
-                                }
-                            }
-                        }
-                        Some(snap)
-                    });
-                    match rebuilt {
+                    match prior.as_ref().and_then(|p| p.snapshot_of(id, id)) {
                         Some(snap) => snapshots.push(snap),
-                        None => {
-                            // No durable fallback: drop the sensor from the
-                            // checkpoint rather than persist torn state.
-                            smiler_obs::count("store.checkpoint.sensor_dropped", "", 1);
-                        }
+                        // No durable fallback: drop the sensor from the
+                        // checkpoint rather than persist torn state.
+                        None => smiler_obs::count("store.checkpoint.sensor_dropped", "", 1),
                     }
                 }
             }
@@ -1067,94 +1042,47 @@ struct ShardWorker {
     drained: Sender<(Vec<SensorPredictor>, Vec<SensorHealth>)>,
 }
 
-/// What [`ShardWorker::collect_batch`] found after the forecast run ended.
-enum BatchTail {
-    /// Queue empty (or window closed) — keep serving.
-    Continue,
-    /// A non-forecast message interrupted the run; handle it next.
-    /// Boxed: a stashed message is rare, the happy-path variants stay
-    /// small.
-    Stashed(Box<ShardMsg>),
-    /// Shutdown was queued behind the batch; drain and exit.
-    Drain,
-}
-
 impl ShardWorker {
+    /// The shard's one loop. Park until a message arrives; a forecast
+    /// takes with it the forecasts already queued behind it — up to
+    /// [`MAX_BATCH`], never waiting for more — and the batch is served. A
+    /// non-forecast message ends the run and is stashed for the next turn,
+    /// so order across request kinds is preserved per shard. The shutdown
+    /// marker switches the same loop from parking to polling: everything
+    /// still queued completes, then the worker exits (as it does when all
+    /// handles are dropped — nothing can ever arrive again).
     fn run(mut self) {
+        let mut stashed = None;
+        let mut draining = false;
         loop {
-            // Park until work arrives; all handles dropped also ends the
-            // shard (nothing can ever arrive again).
-            let msg = match self.rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
+            let next = match stashed.take() {
+                Some(msg) => Some(msg),
+                None if draining => self.rx.try_recv().ok(),
+                None => self.rx.recv().ok(),
             };
-            match msg {
-                ShardMsg::Shutdown => {
-                    self.drain();
-                    break;
-                }
-                ShardMsg::Observe(job) => self.serve_observe(job),
-                ShardMsg::Forecast(first) => {
-                    let (batch, tail) = self.collect_batch(first);
-                    self.serve_batch(batch);
-                    match tail {
-                        BatchTail::Continue => {}
-                        BatchTail::Stashed(msg) => match *msg {
-                            ShardMsg::Observe(job) => self.serve_observe(job),
-                            _ => {
-                                self.drain();
+            match next {
+                None => break,
+                Some(ShardMsg::Shutdown) => draining = true,
+                Some(ShardMsg::Observe(job)) => self.serve_observe(job),
+                Some(ShardMsg::Forecast(first)) => {
+                    let mut batch = vec![first];
+                    while batch.len() < MAX_BATCH {
+                        match self.rx.try_recv() {
+                            Ok(ShardMsg::Forecast(job)) => batch.push(job),
+                            Ok(other) => {
+                                stashed = Some(other);
                                 break;
                             }
-                        },
-                        BatchTail::Drain => {
-                            self.drain();
-                            break;
+                            Err(_) => break,
                         }
                     }
+                    self.serve_batch(batch);
                 }
             }
         }
         // Hand the shard's sensors back so the server can checkpoint the
         // drained fleet (no-op when nobody is listening).
         let _ = self.drained.try_send((self.sensors, self.health));
-    }
-
-    /// Gather a micro-batch: consecutive forecasts already queued, topped
-    /// up by waiting out the batch window for stragglers. An observation
-    /// or shutdown marker ends the run (order across request kinds is
-    /// preserved per shard).
-    fn collect_batch(&self, first: ForecastJob) -> (Vec<ForecastJob>, BatchTail) {
-        let mut batch = vec![first];
-        if self.config.max_batch <= 1 {
-            return (batch, BatchTail::Continue);
-        }
-        let window_closes = Instant::now() + self.config.batch_window;
-        while batch.len() < self.config.max_batch {
-            match self.rx.try_recv() {
-                Ok(ShardMsg::Forecast(job)) => batch.push(job),
-                Ok(ShardMsg::Shutdown) => return (batch, BatchTail::Drain),
-                Ok(msg) => return (batch, BatchTail::Stashed(Box::new(msg))),
-                Err(TryRecvError::Disconnected) => return (batch, BatchTail::Continue),
-                Err(TryRecvError::Empty) => {
-                    // Saturating: the window may already have closed by the
-                    // time we re-check (zero or shrunken `batch_window`,
-                    // scheduler preemption) — a plain `window_closes - now`
-                    // subtraction would panic on that underflow.
-                    let remaining = window_closes.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return (batch, BatchTail::Continue);
-                    }
-                    match self.rx.recv_timeout(remaining) {
-                        Ok(ShardMsg::Forecast(job)) => batch.push(job),
-                        Ok(ShardMsg::Shutdown) => return (batch, BatchTail::Drain),
-                        Ok(msg) => return (batch, BatchTail::Stashed(Box::new(msg))),
-                        Err(RecvTimeoutError::Timeout) => return (batch, BatchTail::Continue),
-                        Err(RecvTimeoutError::Disconnected) => return (batch, BatchTail::Continue),
-                    }
-                }
-            }
-        }
-        (batch, BatchTail::Continue)
     }
 
     /// Serve one micro-batch: a single fleet search covers every distinct
@@ -1194,7 +1122,8 @@ impl ShardWorker {
                     trace.mark("batch_search.start");
                 }
             }
-            self.batch_search(&batch);
+            let wanted: Vec<usize> = batch.iter().filter_map(|j| self.local_of(j.sensor)).collect();
+            search_stale(&self.device, &mut self.sensors, &self.health, |l| wanted.contains(&l));
             for job in &mut batch {
                 if let Some(trace) = &mut job.trace {
                     trace.mark("batch_search.done");
@@ -1203,51 +1132,6 @@ impl ShardWorker {
         }
         for job in batch {
             self.serve_forecast(job, pressure);
-        }
-    }
-
-    /// The amortised search: one [`try_fleet_search`] call for the batch's
-    /// distinct, healthy, search-stale sensors. An error slot is simply
-    /// not installed — that sensor's request re-searches (and degrades)
-    /// through its own `try_predict_with` path. A panic inside the fleet
-    /// launch falls back the same way; the per-request boundary below is
-    /// where quarantine happens.
-    fn batch_search(&mut self, batch: &[ForecastJob]) {
-        let mut locals: Vec<usize> = batch.iter().filter_map(|j| self.local_of(j.sensor)).collect();
-        locals.sort_unstable();
-        locals.dedup();
-        locals.retain(|&l| {
-            self.health[l] == SensorHealth::Healthy && !self.sensors[l].has_current_search()
-        });
-        if locals.len() < 2 {
-            return;
-        }
-        let max_ends: Vec<usize> =
-            locals.iter().map(|&l| self.sensors[l].search_max_end()).collect();
-        let slots = {
-            let mut refs: Vec<&mut SmilerIndex> = Vec::with_capacity(locals.len());
-            let mut remaining = &mut self.sensors[..];
-            let mut offset = 0usize;
-            for &l in &locals {
-                let (_, rest) = remaining.split_at_mut(l - offset);
-                let (target, rest) = rest.split_at_mut(1);
-                if let Some(sensor) = target.first_mut() {
-                    refs.push(sensor.index_mut());
-                }
-                remaining = rest;
-                offset = l + 1;
-            }
-            let device = &self.device;
-            panic::catch_unwind(AssertUnwindSafe(|| try_fleet_search(device, &mut refs, &max_ends)))
-        };
-        let slots: Vec<Result<SearchOutput, smiler_index::SearchError>> = match slots {
-            Ok(slots) => slots,
-            Err(_) => return,
-        };
-        for (&l, slot) in locals.iter().zip(slots) {
-            if let Ok(out) = slot {
-                self.sensors[l].install_search(out);
-            }
         }
     }
 
@@ -1290,28 +1174,15 @@ impl ShardWorker {
             }
             return;
         };
-        if let SensorHealth::Quarantined { message } = &self.health[local] {
-            self.stats.faults.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.record_fault(sensor_id, true);
-            let fault = SensorFault::Quarantined { message: message.clone() };
-            let _ = reply.try_send(Err(ServeError::Fault(fault)));
-            if let Some(mut trace) = trace {
-                trace.set_reason("quarantined");
-                trace.finish_fault("quarantined");
-                smiler_obs::trace::submit(trace);
-            }
-            return;
-        }
-
-        let sensor = &mut self.sensors[local];
         // Hand the trace to the thread-local so the degradation ladder
         // deep inside `try_predict_with` can annotate it; the thread-local
         // survives the unwind of a panicking prediction.
         smiler_obs::trace::set_current(trace.take());
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| sensor.try_predict_with(h, &policy)));
+        let outcome =
+            predict_isolated(&mut self.sensors[local], &mut self.health[local], h, &policy);
         let mut trace = smiler_obs::trace::take_current();
         let reply_value = match outcome {
-            Ok(Ok(mut prediction)) => {
+            Ok(mut prediction) => {
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     prediction.deadline_missed = true;
                 }
@@ -1326,33 +1197,36 @@ impl ShardWorker {
                 }
                 Ok(prediction)
             }
-            Ok(Err(e)) => {
-                self.stats.faults.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.record_fault(sensor_id, false);
+            Err(fault) => {
+                let kind = self.record_fault(sensor_id, &fault);
                 if let Some(trace) = &mut trace {
-                    trace.finish_fault("predict_error");
+                    if matches!(fault, SensorFault::Panicked { .. }) {
+                        trace.set_aborted();
+                    }
+                    trace.finish_fault(kind);
                 }
-                Err(ServeError::Fault(SensorFault::Predict(e)))
-            }
-            Err(payload) => {
-                // Torn mid-update: fence the sensor off; the shard keeps
-                // draining for everyone else.
-                let message = panic_message(payload);
-                self.health[local] = SensorHealth::Quarantined { message: message.clone() };
-                self.stats.faults.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.record_fault(sensor_id, true);
-                smiler_obs::count("health.sensor_panic", "", 1);
-                if let Some(trace) = &mut trace {
-                    trace.set_aborted();
-                    trace.finish_fault("panic");
-                }
-                Err(ServeError::Fault(SensorFault::Panicked { message }))
+                Err(ServeError::Fault(fault))
             }
         };
         let _ = reply.try_send(reply_value);
         if let Some(trace) = trace {
             smiler_obs::trace::submit(trace);
         }
+    }
+
+    /// Account one request answered with a typed fault — the lifetime
+    /// counter and the sensor's status row, whichever path (forecast or
+    /// observe) hit it — and name the fault for the trace. The shard keeps
+    /// draining for everyone else.
+    fn record_fault(&self, sensor_id: usize, fault: &SensorFault) -> &'static str {
+        let (kind, quarantined) = match fault {
+            SensorFault::Panicked { .. } => ("panic", true),
+            SensorFault::Quarantined { .. } => ("quarantined", true),
+            SensorFault::Predict(_) => ("predict_error", false),
+        };
+        self.stats.faults.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.record_fault(sensor_id, quarantined);
+        kind
     }
 
     /// Absorb one observation behind the same panic boundary.
@@ -1366,6 +1240,7 @@ impl ShardWorker {
         };
         if let SensorHealth::Quarantined { message } = &self.health[local] {
             let fault = SensorFault::Quarantined { message: message.clone() };
+            self.record_fault(job.sensor, &fault);
             let _ = job.reply.try_send(Err(ServeError::Fault(fault)));
             return;
         }
@@ -1386,8 +1261,7 @@ impl ShardWorker {
             }
         }
         let sensor = &mut self.sensors[local];
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| sensor.observe(job.value)));
-        let reply = match outcome {
+        let reply = match isolated(sensor, &mut self.health[local], |s| s.observe(job.value)) {
             Ok(()) => {
                 self.stats.observed.fetch_add(1, Ordering::Relaxed);
                 // The arriving value may have scored a pending one-step
@@ -1399,26 +1273,12 @@ impl ShardWorker {
                 );
                 Ok(())
             }
-            Err(payload) => {
-                let message = panic_message(payload);
-                self.health[local] = SensorHealth::Quarantined { message: message.clone() };
-                smiler_obs::count("health.sensor_panic", "", 1);
-                Err(ServeError::Fault(SensorFault::Panicked { message }))
+            Err(fault) => {
+                self.record_fault(job.sensor, &fault);
+                Err(ServeError::Fault(fault))
             }
         };
         let _ = job.reply.try_send(reply);
-    }
-
-    /// Complete everything already queued, then stop accepting.
-    fn drain(&mut self) {
-        loop {
-            match self.rx.try_recv() {
-                Ok(ShardMsg::Forecast(job)) => self.serve_batch(vec![job]),
-                Ok(ShardMsg::Observe(job)) => self.serve_observe(job),
-                Ok(ShardMsg::Shutdown) => {}
-                Err(_) => break,
-            }
-        }
     }
 
     /// Global sensor id → this shard's local index (`None` if the sensor
@@ -1459,6 +1319,9 @@ impl Default for LoadGen {
         LoadGen { clients: 4, requests_per_client: 64, horizon: 1, qps: None, deadline: None }
     }
 }
+
+/// The percentile convention of every load report (in-process and wire).
+pub use smiler_linalg::stats::nearest_rank;
 
 /// What a load-generation run measured.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -1550,13 +1413,7 @@ pub fn run_load(handle: &ServeHandle, gen: &LoadGen) -> LoadReport {
         errors += e;
     }
     latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx.min(latencies.len() - 1)] * 1e3
-    };
+    let pct = |p: f64| nearest_rank(&latencies, p) * 1e3;
     LoadReport {
         requests: (clients * gen.requests_per_client) as u64,
         ok,

@@ -14,6 +14,7 @@ use crate::predictor::PredictorKind;
 use crate::sensor::{SensorPredictor, SmilerConfig};
 use crate::snapshot::SensorSnapshot;
 use smiler_gpu::Device;
+use smiler_index::{try_fleet_search, SmilerIndex};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -97,7 +98,7 @@ impl std::error::Error for SensorFault {
 }
 
 /// Stringify a panic payload for quarantine bookkeeping.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -105,6 +106,76 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The fleet's one search routine: a single [`try_fleet_search`] over the
+/// healthy sensors among `wanted` whose cached search is stale — one
+/// launch per phase serves all their suffix queries (§4.4) — installing
+/// each `Ok` slot as that sensor's cached search. An error slot is simply
+/// not installed: that sensor re-searches (and degrades, or reports its
+/// typed error) through its own `try_predict_with` path, and so does a
+/// lone stale sensor, whose solo search is already a fleet search of one.
+/// A panic inside the launch falls back the same way; quarantine happens
+/// at the per-sensor boundary ([`isolated`]), never here.
+pub(crate) fn search_stale(
+    device: &Device,
+    sensors: &mut [SensorPredictor],
+    health: &[SensorHealth],
+    wanted: impl Fn(usize) -> bool,
+) {
+    let mut locals = Vec::new();
+    let mut max_ends = Vec::new();
+    let mut indexes: Vec<&mut SmilerIndex> = Vec::new();
+    for (local, sensor) in sensors.iter_mut().enumerate() {
+        if wanted(local) && health[local] == SensorHealth::Healthy && !sensor.has_current_search() {
+            locals.push(local);
+            max_ends.push(sensor.search_max_end());
+            indexes.push(sensor.index_mut());
+        }
+    }
+    if locals.len() < 2 {
+        return;
+    }
+    let searched =
+        panic::catch_unwind(AssertUnwindSafe(|| try_fleet_search(device, &mut indexes, &max_ends)));
+    for (local, slot) in locals.into_iter().zip(searched.unwrap_or_default()) {
+        if let Ok(out) = slot {
+            sensors[local].install_search(out);
+        }
+    }
+}
+
+/// The fleet's one isolation boundary: run `work` on a healthy sensor
+/// behind `catch_unwind`. A quarantined sensor is never touched; a panic
+/// may have torn the predictor mid-update, so it **quarantines** the
+/// sensor — fenced off until it is rebuilt from a snapshot — and both
+/// read as a typed [`SensorFault`].
+pub(crate) fn isolated<T>(
+    sensor: &mut SensorPredictor,
+    state: &mut SensorHealth,
+    work: impl FnOnce(&mut SensorPredictor) -> T,
+) -> Result<T, SensorFault> {
+    if let SensorHealth::Quarantined { message } = state {
+        return Err(SensorFault::Quarantined { message: message.clone() });
+    }
+    panic::catch_unwind(AssertUnwindSafe(|| work(sensor))).map_err(|payload| {
+        let message = panic_message(payload);
+        *state = SensorHealth::Quarantined { message: message.clone() };
+        smiler_obs::count("health.sensor_panic", "", 1);
+        SensorFault::Panicked { message }
+    })
+}
+
+/// One sensor's isolated prediction: the fallible, degradation-aware path
+/// ([`SensorPredictor::try_predict_with`]) behind the [`isolated`]
+/// boundary.
+pub(crate) fn predict_isolated(
+    sensor: &mut SensorPredictor,
+    state: &mut SensorHealth,
+    h: usize,
+    policy: &RequestPolicy,
+) -> Result<Prediction, SensorFault> {
+    isolated(sensor, state, |s| s.try_predict_with(h, policy))?.map_err(SensorFault::Predict)
 }
 
 /// A fleet of per-sensor SMiLer predictors sharing one device.
@@ -131,22 +202,34 @@ impl SmilerSystem {
         config: SmilerConfig,
         kind: PredictorKind,
     ) -> (Self, Option<OutOfDeviceMemory>) {
+        let built = histories.into_iter().enumerate().map(|(id, history)| {
+            SensorPredictor::new(Arc::clone(&device), id, history, config.clone(), kind)
+        });
+        Self::admit(&device, built)
+    }
+
+    /// The admission loop: reserve device memory for each predictor in
+    /// turn — built fresh ([`SmilerSystem::new`]) or restored from durable
+    /// state (checkpoint decode) — until one does not fit. `predictors` is
+    /// consumed lazily, so nothing past the first rejection is ever built.
+    pub(crate) fn admit(
+        device: &Arc<Device>,
+        predictors: impl Iterator<Item = SensorPredictor>,
+    ) -> (Self, Option<OutOfDeviceMemory>) {
         let mut sensors = Vec::new();
         let mut rejection = None;
-        for (id, history) in histories.into_iter().enumerate() {
-            let predictor =
-                SensorPredictor::new(Arc::clone(&device), id, history, config.clone(), kind);
+        for predictor in predictors {
             let needed = predictor.device_bytes();
             if device.try_reserve_memory(needed) {
                 sensors.push(predictor);
             } else {
                 let oom = OutOfDeviceMemory {
-                    sensor_id: id,
+                    sensor_id: predictor.sensor_id(),
                     needed,
                     available: device.memory_capacity() - device.memory_used(),
                 };
                 if smiler_obs::enabled() {
-                    smiler_obs::event("admission.oom", &format!("sensor={id}"), &oom);
+                    smiler_obs::event("admission.oom", &format!("sensor={}", oom.sensor_id), &oom);
                 }
                 rejection = Some(oom);
                 break;
@@ -157,33 +240,7 @@ impl SmilerSystem {
         }
         let health = vec![SensorHealth::Healthy; sensors.len()];
         let snapshots = sensors.iter().map(|s| s.snapshot()).collect();
-        (SmilerSystem { device, sensors, health, snapshots, rounds_since_refresh: 0 }, rejection)
-    }
-
-    /// Assemble a fleet from predictors already restored from durable
-    /// state (checkpoint decode). Device memory is reserved exactly as in
-    /// [`SmilerSystem::new`]; sensors past the first rejection are dropped.
-    pub(crate) fn from_restored(
-        device: Arc<Device>,
-        restored: Vec<SensorPredictor>,
-    ) -> (Self, Option<OutOfDeviceMemory>) {
-        let mut sensors = Vec::new();
-        let mut rejection = None;
-        for predictor in restored {
-            let needed = predictor.device_bytes();
-            if device.try_reserve_memory(needed) {
-                sensors.push(predictor);
-            } else {
-                rejection = Some(OutOfDeviceMemory {
-                    sensor_id: predictor.sensor_id(),
-                    needed,
-                    available: device.memory_capacity() - device.memory_used(),
-                });
-                break;
-            }
-        }
-        let health = vec![SensorHealth::Healthy; sensors.len()];
-        let snapshots = sensors.iter().map(|s| s.snapshot()).collect();
+        let device = Arc::clone(device);
         (SmilerSystem { device, sensors, health, snapshots, rounds_since_refresh: 0 }, rejection)
     }
 
@@ -199,11 +256,6 @@ impl SmilerSystem {
 
     /// The shared device.
     pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// The shared device handle (for rebuilding sensors on it).
-    pub(crate) fn device_arc(&self) -> &Arc<Device> {
         &self.device
     }
 
@@ -233,97 +285,47 @@ impl SmilerSystem {
             .collect()
     }
 
-    /// Install an externally rebuilt predictor (the durable store's
-    /// recovery rung) and mark the sensor healthy.
-    pub(crate) fn install_recovered(&mut self, idx: usize, predictor: SensorPredictor) {
-        self.snapshots[idx] = predictor.snapshot();
-        self.sensors[idx] = predictor;
-        self.health[idx] = SensorHealth::Healthy;
-        smiler_obs::count("health.sensor_recovered", "store", 1);
+    /// One fleet search ([`search_stale`]) for every healthy sensor whose
+    /// cached search is stale; each driver below then predicts off the
+    /// installed results.
+    fn search_all_stale(&mut self) {
+        search_stale(&self.device, &mut self.sensors, &self.health, |_| true);
     }
 
     /// Predict horizon `h` for every resident sensor.
     pub fn predict_all(&mut self, h: usize) -> Vec<(f64, f64)> {
+        self.search_all_stale();
         self.sensors.iter_mut().map(|s| s.predict(h)).collect()
     }
 
     /// Predict horizon `h` for every sensor with full fault isolation: the
     /// fleet's serving entry point.
     ///
-    /// Each sensor runs the fallible, degradation-aware path
-    /// ([`SensorPredictor::try_predict_with`]) on a host worker thread
-    /// behind a panic boundary. A panicking sensor is **quarantined** —
-    /// fenced off from further requests until [`SmilerSystem::recover`]
-    /// rebuilds it from its last good snapshot — and reported as a
-    /// [`SensorFault`]; the other sensors' forecasts are exactly what a
-    /// fault-free pass would have produced. Sensors are independent (each
-    /// owns its index and ensemble), so the step parallelises across host
-    /// threads (paper §6.4.1); the shared device's simulated clock stays
-    /// correct because cost accounting is atomic per launch.
+    /// After the shared search, each sensor runs the fallible,
+    /// degradation-aware path ([`SensorPredictor::try_predict_with`])
+    /// behind the panic boundary ([`isolated`]). A panicking sensor is
+    /// **quarantined** — fenced off from further requests until
+    /// [`SmilerSystem::recover`] rebuilds it from its last good snapshot —
+    /// and reported as a [`SensorFault`]; the other sensors' forecasts are
+    /// exactly what a fault-free pass would have produced (each sensor owns
+    /// its index and ensemble, and a search slot is independent of the
+    /// fleet it was searched in).
     pub fn predict_all_robust(
         &mut self,
         h: usize,
         policy: &RequestPolicy,
     ) -> Vec<Result<Prediction, SensorFault>> {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        let chunk = self.sensors.len().div_ceil(threads.max(1)).max(1);
-        let mut results: Vec<Vec<Result<Prediction, SensorFault>>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .sensors
-                .chunks_mut(chunk)
-                .zip(self.health.chunks_mut(chunk))
-                .map(|(sensors, health)| {
-                    scope.spawn(move |_| {
-                        sensors
-                            .iter_mut()
-                            .zip(health.iter_mut())
-                            .map(|(s, state)| Self::predict_one_isolated(s, state, h, policy))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            results = handles
-                .into_iter()
-                .map(|j| match j.join() {
-                    Ok(r) => r,
-                    // Only the harness itself can reach here — sensor
-                    // panics were already caught at the panic boundary.
-                    Err(payload) => panic::resume_unwind(payload),
-                })
-                .collect();
-        })
-        .unwrap_or_else(|payload| panic::resume_unwind(payload));
+        self.search_all_stale();
+        let results = self
+            .sensors
+            .iter_mut()
+            .zip(&mut self.health)
+            .map(|(sensor, state)| predict_isolated(sensor, state, h, policy))
+            .collect();
         if smiler_obs::enabled() {
             smiler_obs::gauge_set("health.quarantined", "", self.quarantined().len() as f64);
         }
-        results.into_iter().flatten().collect()
-    }
-
-    /// One sensor's isolated prediction: skip it if quarantined, otherwise
-    /// run the fallible path behind a panic boundary and quarantine on
-    /// unwind.
-    fn predict_one_isolated(
-        sensor: &mut SensorPredictor,
-        state: &mut SensorHealth,
-        h: usize,
-        policy: &RequestPolicy,
-    ) -> Result<Prediction, SensorFault> {
-        if let SensorHealth::Quarantined { message } = state {
-            return Err(SensorFault::Quarantined { message: message.clone() });
-        }
-        match panic::catch_unwind(AssertUnwindSafe(|| sensor.try_predict_with(h, policy))) {
-            Ok(Ok(p)) => Ok(p),
-            Ok(Err(e)) => Err(SensorFault::Predict(e)),
-            Err(payload) => {
-                // The predictor's in-memory state may be torn mid-update:
-                // fence the sensor off until it is rebuilt from snapshot.
-                let message = panic_message(payload);
-                *state = SensorHealth::Quarantined { message: message.clone() };
-                smiler_obs::count("health.sensor_panic", "", 1);
-                Err(SensorFault::Panicked { message })
-            }
-        }
+        results
     }
 
     /// Health of one resident sensor.
@@ -355,16 +357,27 @@ impl SmilerSystem {
     /// quarantined, or if the rebuild itself panicked (it then stays
     /// quarantined).
     pub fn recover(&mut self, idx: usize) -> bool {
-        if !matches!(self.health[idx], SensorHealth::Quarantined { .. }) {
-            return false;
-        }
-        let snapshot = self.snapshots[idx].clone();
+        matches!(self.health[idx], SensorHealth::Quarantined { .. })
+            && self.restore_into(idx, self.snapshots[idx].clone(), "")
+    }
+
+    /// Rebuild sensor `idx` from `snapshot` — its own recovery point, or
+    /// one the durable store's recovery rung assembled (`rung` labels the
+    /// counter) — behind a panic boundary, and mark it healthy with that
+    /// state as its new recovery point. `false` if the rebuild panicked.
+    pub(crate) fn restore_into(
+        &mut self,
+        idx: usize,
+        snapshot: SensorSnapshot,
+        rung: &str,
+    ) -> bool {
         let device = Arc::clone(&self.device);
         match panic::catch_unwind(AssertUnwindSafe(|| SensorPredictor::restore(device, snapshot))) {
             Ok(predictor) => {
+                self.snapshots[idx] = predictor.snapshot();
                 self.sensors[idx] = predictor;
                 self.health[idx] = SensorHealth::Healthy;
-                smiler_obs::count("health.sensor_recovered", "", 1);
+                smiler_obs::count("health.sensor_recovered", rung, 1);
                 true
             }
             Err(_) => false,
@@ -402,6 +415,7 @@ impl SmilerSystem {
         let _span = smiler_obs::span("step");
         let obs_on = smiler_obs::enabled();
         let mut predictions = Vec::with_capacity(self.sensors.len());
+        self.search_all_stale();
         // Sensors are independent, so interleaving predict/observe per
         // sensor is equivalent to predict_all followed by observe_all.
         for (idx, &v) in observations.iter().enumerate() {

@@ -22,7 +22,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ard;
 pub mod kernel;
 pub mod loo;
 pub mod model;
@@ -30,7 +29,6 @@ pub mod prefix;
 pub mod robust;
 pub mod train;
 
-pub use ard::{ArdGpModel, ArdHyperparams};
 pub use kernel::Hyperparams;
 pub use model::{GpError, GpModel};
 pub use prefix::{GpScratch, PrefixGp};

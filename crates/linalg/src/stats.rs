@@ -95,6 +95,15 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
+/// Nearest-rank percentile of a *sorted* slice, `q ∈ [0, 1]`: the element
+/// at index `round(q · (n − 1))`, never an interpolated value — what every
+/// load and lag report in the repo quotes as p50/p95/p99. The default
+/// value (zero) for an empty slice.
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    let idx = (sorted.len().saturating_sub(1) as f64 * q).round() as usize;
+    sorted.get(idx).or(sorted.last()).copied().unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,5 +163,15 @@ mod tests {
         assert_eq!(quantile_sorted(&xs, 1.0), 5.0);
         assert_eq!(quantile_sorted(&xs, 0.5), 3.0);
         assert_eq!(quantile_sorted(&xs, 0.25), 2.0);
+    }
+
+    #[test]
+    fn nearest_rank_picks_an_element() {
+        let xs = [10u64, 20, 30, 40];
+        assert_eq!(nearest_rank(&xs, 0.0), 10);
+        assert_eq!(nearest_rank(&xs, 0.5), 30); // round(1.5) = 2
+        assert_eq!(nearest_rank(&xs, 0.99), 40);
+        assert_eq!(nearest_rank(&xs, 1.0), 40);
+        assert_eq!(nearest_rank::<f64>(&[], 0.5), 0.0);
     }
 }

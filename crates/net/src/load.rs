@@ -24,6 +24,7 @@
 
 use crate::client::{ClientError, NetClient};
 use crate::frame::{ErrorCode, Response};
+use smiler_core::serve::nearest_rank;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -104,15 +105,6 @@ pub struct NetLoadReport {
     pub max_ms: f64,
 }
 
-/// Sorted-percentile helper (same convention as `serve.rs::run_load`).
-fn pct(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 struct ConnOutcome {
     latencies_ms: Vec<f64>,
     ok: u64,
@@ -184,10 +176,10 @@ pub fn run_net_load(
         errors,
         deadline_missed,
         elapsed_seconds: elapsed,
-        p50_ms: pct(&latencies, 0.50),
-        p95_ms: pct(&latencies, 0.95),
-        p99_ms: pct(&latencies, 0.99),
-        p999_ms: pct(&latencies, 0.999),
+        p50_ms: nearest_rank(&latencies, 0.50),
+        p95_ms: nearest_rank(&latencies, 0.95),
+        p99_ms: nearest_rank(&latencies, 0.99),
+        p999_ms: nearest_rank(&latencies, 0.999),
         max_ms: latencies.last().copied().unwrap_or(0.0),
     })
 }

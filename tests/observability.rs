@@ -5,8 +5,8 @@
 //! Observability state is process-global, so every test takes the shared
 //! lock, resets, and enables recording before driving the pipeline.
 
-use smiler_core::{PredictorKind, SmilerSystem};
-use smiler_gpu::Device;
+use smiler_core::{DurableError, DurableSystem, PredictorKind, SmilerSystem};
+use smiler_gpu::{Device, GpuSpec};
 use smiler_index::{try_fleet_search, IndexParams, SmilerIndex};
 use smiler_timeseries::synthetic::{DatasetKind, SyntheticSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -189,4 +189,56 @@ fn disabled_pipeline_records_nothing() {
     assert!(snap.counters.is_empty() && snap.histograms.is_empty());
     assert!(smiler_obs::span_snapshot().is_empty());
     assert!(smiler_obs::events_snapshot().is_empty());
+}
+
+/// A fleet restored from durable state is admitted through the same loop
+/// as a fresh one, so it reports the same telemetry: the resident-sensor
+/// gauge, and an `admission.oom` event when the device is too small.
+#[test]
+fn restored_fleet_reports_admission_telemetry() {
+    let _g = lock_obs();
+    let dir = std::env::temp_dir().join(format!("smiler_obs_restore_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let histories: Vec<_> = (0..3).map(|s| road_sensor(4, 20 + s)).collect();
+    let config = smiler_core::sensor::SmilerConfig { h_max: 3, ..Default::default() };
+    let store_config = smiler_store::StoreConfig::default;
+    let device = Arc::new(Device::default_gpu());
+    let (fleet, rejected) = DurableSystem::create(
+        Arc::clone(&device),
+        histories,
+        config,
+        PredictorKind::Aggregation,
+        &dir,
+        store_config(),
+        0,
+    )
+    .expect("create");
+    assert!(rejected.is_none());
+    drop(fleet);
+
+    let resident = || {
+        let snap = smiler_obs::metrics_snapshot();
+        snap.gauges.iter().find(|g| g.name == "sensors.resident").map(|g| g.value)
+    };
+    smiler_obs::reset();
+    smiler_obs::set_enabled(true);
+    DurableSystem::open(Arc::new(Device::default_gpu()), &dir, store_config(), 0).expect("restore");
+    assert_eq!(resident(), Some(3.0), "a restored fleet must report its resident set");
+    assert!(smiler_obs::events_snapshot().iter().all(|e| e.kind != "admission.oom"));
+
+    // Room for two of the three sensors: the restore fails typed, and the
+    // rejection is on the event log exactly as for a fresh fleet.
+    let per_sensor = device.memory_used() / 3;
+    let small = GpuSpec { memory_bytes: per_sensor * 2 + per_sensor / 2, ..Default::default() };
+    match DurableSystem::open(Arc::new(Device::gpu(small)), &dir, store_config(), 0) {
+        Err(DurableError::OutOfMemory(oom)) => assert_eq!(oom.sensor_id, 2),
+        Err(e) => panic!("expected OutOfMemory, got {e}"),
+        Ok(_) => panic!("expected OutOfMemory, got a restored fleet"),
+    }
+    assert_eq!(resident(), Some(2.0));
+    let events = smiler_obs::events_snapshot();
+    let oom: Vec<_> = events.iter().filter(|e| e.kind == "admission.oom").collect();
+    assert_eq!(oom.len(), 1);
+    assert_eq!(oom[0].label, "sensor=2");
+    let _ = std::fs::remove_dir_all(&dir);
 }

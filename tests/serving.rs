@@ -5,12 +5,14 @@
 //! admitted completes; a quarantined sensor must never stall its shard;
 //! and shutdown must drain cleanly.
 
-use smiler_core::serve::{LoadGen, ServeConfig, ServeError, SmilerServer};
+use smiler_core::serve::{LoadGen, ServeConfig, ServeError, ServeHandle, SmilerServer};
 use smiler_core::{
     DegradationLevel, FaultKind, PredictorKind, RequestPolicy, SensorFault, SensorPredictor,
-    SmilerConfig,
+    SmilerConfig, SmilerSystem,
 };
 use smiler_gpu::Device;
+use smiler_store::{SharedStore, Store, StoreConfig};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,45 +45,83 @@ fn fleet(device: &Arc<Device>, count: usize) -> Vec<SensorPredictor> {
         .collect()
 }
 
+/// A store-backed server over `sensors`, plus the store handle the tests
+/// park its workers on ([`submit_parked`]) and the store's directory (the
+/// caller removes it).
+fn store_backed(
+    device: &Arc<Device>,
+    sensors: Vec<SensorPredictor>,
+    config: ServeConfig,
+    name: &str,
+) -> (SmilerServer, SharedStore, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("smiler_serving_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open(&dir, StoreConfig::default()).expect("fresh store");
+    let store = smiler_store::shared(store);
+    let server = SmilerServer::start_with_store(Arc::clone(device), sensors, config, store.clone());
+    (server, store, dir)
+}
+
+/// Value of the observation that parks a shard's worker.
+const PARKING_VALUE: f64 = 0.25;
+
+/// Run `submit` while every shard worker is parked: with the store mutex
+/// held, one observation per shard (sensor `s` lives on shard `s`) stops
+/// its worker at the WAL append, so everything `submit` enqueues is in the
+/// queue before any worker can dequeue it — batch sizes are exact, not
+/// likely. Returns `submit`'s result once the workers are released and
+/// the parking observations absorbed.
+fn submit_parked<T>(
+    handle: &ServeHandle,
+    store: &SharedStore,
+    shards: usize,
+    submit: impl FnOnce() -> T,
+) -> T {
+    let guard = store.lock();
+    let parked: Vec<_> =
+        (0..shards).map(|s| handle.submit_observe(s, PARKING_VALUE).expect("admitted")).collect();
+    let out = submit();
+    drop(guard);
+    for p in parked {
+        p.wait().expect("parking observation absorbed");
+    }
+    out
+}
+
 /// Micro-batched serving answers bitwise what solo prediction answers, and
 /// at ≥ 2 shards the batched run spends strictly fewer simulated GPU
 /// launches than serving the same trace per request.
 #[test]
 fn batched_serving_matches_sequential_with_fewer_launches() {
     const SENSORS: usize = 6;
+    const SHARDS: usize = 2;
 
-    // Batched run: all requests queued before the batch window closes.
+    // Batched run: every forecast is queued before a worker can dequeue.
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, SENSORS);
-    device.reset_clock();
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 64,
-        max_batch: 8,
-        batch_window: Duration::from_millis(500),
-        ..ServeConfig::default()
-    };
-    let server = SmilerServer::start(Arc::clone(&device), sensors, config);
+    let config = ServeConfig { shards: SHARDS, queue_capacity: 64, ..ServeConfig::default() };
+    let (server, store, dir) = store_backed(&device, sensors, config, "batched");
     let handle = server.handle();
-    let pending: Vec<_> =
-        (0..SENSORS).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect();
+    device.reset_clock();
+    let pending: Vec<_> = submit_parked(&handle, &store, SHARDS, || {
+        (0..SENSORS).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect()
+    });
     let served: Vec<_> = pending.into_iter().map(|p| p.wait().expect("served")).collect();
-    let stats = server.shutdown();
     let batched_launches = device.kernel_launches();
+    let stats = server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(stats.served, SENSORS as u64);
     assert_eq!(stats.batched_forecasts, SENSORS as u64);
-    assert!(
-        stats.batches < stats.batched_forecasts,
-        "requests queued concurrently must coalesce: {} batches for {} forecasts",
-        stats.batches,
-        stats.batched_forecasts
-    );
+    assert_eq!(stats.batches, SHARDS as u64, "each shard serves its queue as one batch");
 
     // Sequential reference: the same fleet served one sensor at a time.
     let solo_device = Arc::new(Device::default_gpu());
     let mut solo = fleet(&solo_device, SENSORS);
     solo_device.reset_clock();
+    for sensor in &mut solo[..SHARDS] {
+        sensor.observe(PARKING_VALUE);
+    }
     let policy = RequestPolicy::default();
     for (s, sensor) in solo.iter_mut().enumerate() {
         let expect = sensor.try_predict_with(1, &policy).expect("solo predict");
@@ -105,13 +145,7 @@ fn batched_serving_matches_sequential_with_fewer_launches() {
 fn overload_sheds_typed_errors_while_admitted_requests_complete() {
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, 4);
-    let config = ServeConfig {
-        shards: 1,
-        queue_capacity: 2,
-        max_batch: 2,
-        batch_window: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 1, queue_capacity: 2, ..ServeConfig::default() };
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
 
@@ -192,12 +226,7 @@ fn shutdown_drains_queued_requests_cleanly() {
     const SENSORS: usize = 6;
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, SENSORS);
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 64,
-        batch_window: Duration::from_millis(50),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 2, queue_capacity: 64, ..ServeConfig::default() };
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
     let pending: Vec<_> =
@@ -265,31 +294,6 @@ fn load_generator_accounts_for_every_request() {
     assert!(report.ok > 0);
     assert!(report.latency_p95_ms >= report.latency_p50_ms);
     assert!(report.latency_max_ms >= report.latency_p99_ms);
-}
-
-/// Regression: a batch window that has already closed by the time the
-/// worker re-checks the clock must not panic (`window_closes - now`
-/// underflow) — a zero-width window is the degenerate worst case, and
-/// requests must still batch and serve through it.
-#[test]
-fn shrunken_batch_window_serves_without_panic() {
-    let device = Arc::new(Device::default_gpu());
-    let sensors = fleet(&device, 4);
-    let config = ServeConfig {
-        shards: 2,
-        max_batch: 8,
-        batch_window: Duration::ZERO,
-        ..ServeConfig::default()
-    };
-    let server = SmilerServer::start(device, sensors, config);
-    let handle = server.handle();
-    let pending: Vec<_> =
-        (0..4).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect();
-    for p in pending {
-        p.wait().expect("zero-width batch window must still serve");
-    }
-    let stats = server.shutdown();
-    assert_eq!(stats.served, 4);
 }
 
 /// Chaos feeds served end-to-end with the adaptation layer armed: every
@@ -367,13 +371,7 @@ fn load_spike_on_a_dirty_feed_sheds_typed_and_recovers() {
         config,
         PredictorKind::Aggregation,
     );
-    let serve_config = ServeConfig {
-        shards: 1,
-        queue_capacity: 2,
-        max_batch: 2,
-        batch_window: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let serve_config = ServeConfig { shards: 1, queue_capacity: 2, ..ServeConfig::default() };
     let server = SmilerServer::start(device, vec![sensor], serve_config);
     let handle = server.handle();
 
@@ -421,4 +419,168 @@ fn load_spike_on_a_dirty_feed_sheds_typed_and_recovers() {
     let stats = server.shutdown();
     assert!(stats.shed >= 3);
     assert_eq!(stats.faults, 0);
+}
+
+/// A panic on the **observe** path goes through the same boundary as one
+/// on the predict path: the sensor is quarantined, the fault is counted,
+/// the status row says so at once — not only after a forecast happens to
+/// hit the sensor — and the shard keeps serving its other sensors.
+#[test]
+fn observe_panic_quarantines_and_shows_in_status() {
+    let device = Arc::new(Device::default_gpu());
+    let mut sensors = fleet(&device, 4);
+    sensors[0].inject_fault(FaultKind::PanicOnObserve);
+    let config = ServeConfig { shards: 2, queue_capacity: 16, ..ServeConfig::default() };
+    let server = SmilerServer::start(device, sensors, config);
+    let handle = server.handle();
+
+    match handle.observe(0, 0.5) {
+        Err(ServeError::Fault(SensorFault::Panicked { .. })) => {}
+        other => panic!("expected a panic fault, got {other:?}"),
+    }
+    let report = handle.status_report();
+    assert_eq!(report.stats.faults, 1);
+    assert_eq!(report.stats.observed, 0);
+    assert!(report.sensors[0].quarantined, "the status row must show the quarantine");
+    assert_eq!(report.sensors[0].faults, 1);
+    assert!(report.sensors[1..].iter().all(|row| !row.quarantined && row.faults == 0));
+    assert!(report.render_line().contains("quarantined 1"));
+
+    // Its shard-mate (sensor 2 also lives on shard 0) keeps being served.
+    handle.observe(2, 0.5).expect("healthy shard-mate absorbs");
+    assert!(handle.forecast(2, 1).expect("healthy shard-mate served").mean.is_finite());
+    assert!(matches!(
+        handle.forecast(0, 1),
+        Err(ServeError::Fault(SensorFault::Quarantined { .. }))
+    ));
+    let stats = server.shutdown();
+    assert_eq!((stats.faults, stats.observed, stats.served), (2, 1, 1));
+}
+
+/// Shutdown with a mixed queue — observe, forecasts, observe, forecast,
+/// then the drain marker — answers every request, in per-shard order: each
+/// forecast sees exactly the observations queued ahead of it.
+#[test]
+fn shutdown_answers_a_mixed_queue_in_order() {
+    let device = Arc::new(Device::default_gpu());
+    let config = ServeConfig { shards: 2, queue_capacity: 16, ..ServeConfig::default() };
+    let (server, store, dir) = store_backed(&device, fleet(&device, 4), config, "mixed");
+    let handle = server.handle();
+
+    // Park shard 0 (sensors 0 and 2) and queue the mixed run behind it.
+    let guard = store.lock();
+    let parked = handle.submit_observe(0, PARKING_VALUE).expect("admitted");
+    let first = handle.submit_observe(0, 0.4).expect("admitted");
+    let after_first = handle.submit_forecast(0, 1, None).expect("admitted");
+    let mate = handle.submit_forecast(2, 1, None).expect("admitted");
+    let second = handle.submit_observe(0, -0.3).expect("admitted");
+    let after_second = handle.submit_forecast(0, 1, None).expect("admitted");
+
+    // Shutdown sends the drain markers in shard order, so once shard 1
+    // (idle, not parked) has seen its marker and gone, shard 0's marker is
+    // queued behind the run above.
+    let stopper = std::thread::spawn(move || server.shutdown());
+    let mut probes = 0u64;
+    loop {
+        match handle.submit_forecast(1, 1, None).map(|p| p.wait()) {
+            Err(ServeError::ShuttingDown) | Ok(Err(ServeError::ShuttingDown)) => break,
+            Ok(Ok(_)) => probes += 1,
+            other => panic!("unexpected probe answer: {other:?}"),
+        }
+        std::thread::yield_now();
+    }
+    drop(guard);
+    let stats = stopper.join().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    parked.wait().expect("parking observation absorbed");
+    first.wait().expect("first observation absorbed");
+    second.wait().expect("second observation absorbed");
+    assert_eq!(stats.observed, 3);
+    assert_eq!(stats.served, 3 + probes);
+
+    let reference_device = Arc::new(Device::default_gpu());
+    let mut reference = fleet(&reference_device, 4);
+    let policy = RequestPolicy::default();
+    let bits = |p: &smiler_core::Prediction| (p.mean.to_bits(), p.variance.to_bits());
+    let mut expect = |sensor: usize, values: &[f64]| {
+        for &v in values {
+            reference[sensor].observe(v);
+        }
+        bits(&reference[sensor].try_predict_with(1, &policy).expect("reference"))
+    };
+    let got = |p: smiler_core::serve::PendingForecast| bits(&p.wait().expect("answered"));
+    assert_eq!(got(after_first), expect(0, &[PARKING_VALUE, 0.4]), "after the first observe");
+    assert_eq!(got(mate), expect(2, &[]), "shard-mate, batched with it");
+    assert_eq!(got(after_second), expect(0, &[-0.3]), "after the second observe");
+}
+
+/// The in-process fleet drivers share one search: `step` and
+/// `predict_all_robust` answer bit for bit what per-sensor
+/// `try_predict_with` answers, with strictly fewer kernel launches; and a
+/// quarantined or search-erroring sensor never blocks the others' slots.
+#[test]
+fn fleet_drivers_match_per_sensor_prediction_with_fewer_launches() {
+    const SENSORS: usize = 4;
+    let policy = RequestPolicy::default();
+    let build = || {
+        let device = Arc::new(Device::default_gpu());
+        let (system, rejected) = SmilerSystem::new(
+            Arc::clone(&device),
+            histories(SENSORS, 300),
+            SmilerConfig::small_for_tests(),
+            PredictorKind::Aggregation,
+        );
+        assert!(rejected.is_none());
+        device.reset_clock();
+        (device, system)
+    };
+
+    // Reference: every sensor searches and predicts on its own, twice
+    // (two steps, one observation in between).
+    let values = [0.1, -0.2, 0.3, 0.05];
+    let (solo_device, mut solo) = build();
+    let mut want = Vec::new();
+    for step in 0..2 {
+        for (s, &v) in values.iter().enumerate() {
+            let p = solo.sensor_mut(s).try_predict_with(1, &policy).expect("solo predict");
+            want.push((p.mean.to_bits(), p.variance.to_bits()));
+            if step == 0 {
+                solo.sensor_mut(s).observe(v);
+            }
+        }
+    }
+    let solo_launches = solo_device.kernel_launches();
+
+    let (step_device, mut stepped) = build();
+    let mut got: Vec<_> =
+        stepped.step(1, &values).iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect();
+    for p in stepped.predict_all_robust(1, &policy) {
+        let p = p.expect("healthy sensor");
+        got.push((p.mean.to_bits(), p.variance.to_bits()));
+    }
+    assert_eq!(got, want, "shared search must not move a forecast by a bit");
+    assert!(
+        step_device.kernel_launches() < solo_launches,
+        "one fleet search per pass must amortise launches: {} vs {solo_launches}",
+        step_device.kernel_launches()
+    );
+
+    // Sensor 1 is quarantined, sensor 2's query suffix is poisoned (its
+    // search slot is a typed error): the other two still get their slots
+    // from the shared search and answer exactly as before.
+    let (_, mut faulty) = build();
+    faulty.sensor_mut(1).inject_fault(FaultKind::PanicOnPredict);
+    assert!(faulty.predict_all_robust(1, &policy)[1].is_err());
+    faulty.observe_all(&[values[0], 0.0, f64::NAN, values[3]]);
+    let results = faulty.predict_all_robust(1, &policy);
+    assert!(matches!(results[1], Err(SensorFault::Quarantined { .. })));
+    let held = results[2].as_ref().expect("a poisoned query degrades, never faults");
+    assert_eq!(held.level, DegradationLevel::LastValue);
+    for s in [0, 3] {
+        let p = results[s].as_ref().expect("healthy sensor");
+        assert_eq!((p.mean.to_bits(), p.variance.to_bits()), want[SENSORS + s], "sensor {s}");
+    }
+    let stepped = faulty.step(1, &[0.0; SENSORS]);
+    assert!(stepped[1].0.is_nan() && stepped[0].0.is_finite() && stepped[3].0.is_finite());
 }

@@ -11,6 +11,7 @@ use smiler_core::serve::{ServeConfig, ServeError, SmilerServer};
 use smiler_core::{DegradationLevel, FaultKind, PredictorKind, SensorPredictor, SmilerConfig};
 use smiler_gpu::Device;
 use smiler_obs::trace::{self, validate_trace_line, TraceConfig};
+use smiler_store::{Store, StoreConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,13 +78,7 @@ fn every_request_yields_exactly_one_terminal_trace() {
     let device = Arc::new(Device::default_gpu());
     let mut sensors = fleet(&device, 4);
     sensors[1].inject_fault(FaultKind::PanicOnPredict);
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 4,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 2, queue_capacity: 4, ..ServeConfig::default() };
     trace::install_memory_sink(TraceConfig::default());
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
@@ -149,13 +144,8 @@ fn tracing_does_not_change_predictions() {
         }
         let device = Arc::new(Device::default_gpu());
         let sensors = fleet(&device, 3);
-        let config = ServeConfig {
-            shards: 1,
-            queue_capacity: 16,
-            max_batch: 1, // sequential, deterministic serving order
-            batch_window: Duration::ZERO,
-            ..ServeConfig::default()
-        };
+        // One blocking caller: sequential, deterministic serving order.
+        let config = ServeConfig { shards: 1, queue_capacity: 16, ..ServeConfig::default() };
         let server = SmilerServer::start(device, sensors, config);
         let handle = server.handle();
         let mut bits = Vec::new();
@@ -187,22 +177,28 @@ fn batched_members_share_a_batch_id() {
     let _g = lock_tracing();
     let device = Arc::new(Device::default_gpu());
     let sensors = fleet(&device, 4);
-    let config = ServeConfig {
-        shards: 1,
-        queue_capacity: 16,
-        max_batch: 8,
-        batch_window: Duration::from_millis(500),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { shards: 1, queue_capacity: 16, ..ServeConfig::default() };
+    let dir = std::env::temp_dir().join(format!("smiler_tracing_batch_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open(&dir, StoreConfig::default()).expect("fresh store");
+    let store = smiler_store::shared(store);
     trace::install_memory_sink(TraceConfig::default());
-    let server = SmilerServer::start(device, sensors, config);
+    let server = SmilerServer::start_with_store(device, sensors, config, store.clone());
     let handle = server.handle();
+    // Park the worker at a WAL append (the store mutex is held), so all
+    // four forecasts are queued before it can dequeue one: a batch of
+    // exactly four, not probably four.
+    let guard = store.lock();
+    let parked = handle.submit_observe(0, 0.25).expect("admitted");
     let pending: Vec<_> =
         (0..4).map(|s| handle.submit_forecast(s, 1, None).expect("queue has room")).collect();
+    drop(guard);
+    parked.wait().expect("parking observation absorbed");
     for p in pending {
         p.wait().expect("served");
     }
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
     let lines = trace::take_memory_lines();
     trace::clear_sink();
 
@@ -234,8 +230,6 @@ fn status_report_exposes_windowed_tails_and_quality() {
     let config = ServeConfig {
         shards: 2,
         queue_capacity: 16,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
         // A zero-latency target: every served request burns error budget,
         // so the burn rate must read positive.
         slo_target: Duration::ZERO,
