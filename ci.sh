@@ -89,8 +89,8 @@ if [[ "$QUICK" == "1" ]]; then
     echo "==> cargo test --test cluster (kill/promote bitwise smoke)"
     cargo test -p smiler-cluster --test cluster
 
-    # The load-generating bench entry points must at least compile.
-    echo "==> cargo build -p smiler-bench (bench-serve compile check)"
+    # The experiment harness must at least compile.
+    echo "==> cargo build -p smiler-bench (expt compile check)"
     cargo build -p smiler-bench --bin expt
 else
     echo "==> cargo build --workspace --release"
@@ -107,20 +107,6 @@ else
     echo "==> expt bench-obs --smoke --enforce-budget (observability budget)"
     cargo run -p smiler-bench --release --bin expt -- \
         bench-obs --smoke --enforce-budget --out "$(mktemp -d)/BENCH_obs_smoke.json"
-
-    # Kernel roofline smoke: the per-kernel throughput report must produce
-    # sane numbers on both roofs (accounting errors show up as >>1 roof
-    # fractions, caught by the module's own tests above).
-    echo "==> expt bench-kernels --smoke (per-kernel roofline)"
-    cargo run -p smiler-bench --release --bin expt -- \
-        bench-kernels --smoke --out "$(mktemp -d)/BENCH_kernels_smoke.json"
-
-    # Wire-serving smoke: open-loop Poisson load over loopback TCP through
-    # the smiler-net frontend, including a 2x-saturation point that must
-    # shed typed errors without hanging.
-    echo "==> expt bench-net --smoke (open-loop wire serving)"
-    cargo run -p smiler-bench --release --bin expt -- \
-        bench-net --smoke --out "$(mktemp -d)/BENCH_net_smoke.json"
 
     # Accuracy-under-chaos smoke: adaptive must beat the fixed schedule
     # on regime shifts while the clean scenario stays bitwise identical

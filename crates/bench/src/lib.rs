@@ -21,13 +21,8 @@ use smiler_timeseries::SensorDataset;
 pub mod chaosbench;
 pub mod clusterbench;
 pub mod experiments;
-pub mod ingestbench;
-pub mod kernelbench;
-pub mod netbench;
 pub mod obsbench;
 pub mod report;
-pub mod servebench;
-pub mod stepbench;
 
 /// How large to make each experiment's dataset.
 #[derive(Debug, Clone, Copy)]

@@ -11,7 +11,7 @@ use smiler_cluster::{
 };
 use smiler_core::eval::{evaluate, EvalConfig};
 use smiler_core::sensor::{SmilerConfig, SmilerForecaster};
-use smiler_core::serve::{run_load, LoadGen, ServeConfig, SmilerServer};
+use smiler_core::serve::{ServeConfig, SmilerServer};
 use smiler_core::{DurableError, DurableSystem, PredictorKind, RequestPolicy, SensorPredictor};
 use smiler_gpu::Device;
 use smiler_store::{FlushPolicy, StoreConfig};
@@ -99,23 +99,18 @@ Series files are one-value-per-line or CSV (use --column for a named CSV
 column). Forecasts are printed in the input's units.
 
 LOAD SERVING (serve):
-  Partitions a synthetic sensor fleet across --shards worker threads and
-  drives it with closed-loop clients (optionally paced to an aggregate
-  --qps). Forecasts already queued on a shard are micro-batched into one
-  fleet search — one simulated GPU launch per phase serves many sensors;
-  a worker never waits for more. A full shard queue sheds requests with
-  a typed Overloaded error.
-
-NETWORK SERVING (serve --listen):
-  --listen <addr>        put the smiler-net TCP frontend on <addr> (e.g.
-                         127.0.0.1:7878; port 0 picks a free port) and
-                         drive it with the *open-loop* wire harness
-                         instead of in-process closed-loop clients:
-                         Poisson arrivals at the aggregate --qps over
-                         --clients connections, latency measured from
-                         each request's scheduled issue time. The same
-                         listener speaks the SMLRNET binary protocol and
-                         an HTTP/JSON gateway (GET /forecast, POST
+  Partitions a synthetic sensor fleet across --shards worker threads, puts
+  the smiler-net TCP frontend in front of it, and drives it with the
+  open-loop wire harness: Poisson arrivals at the aggregate --qps
+  (default 250 per client) over --clients connections, latency measured
+  from each request's scheduled issue time. Forecasts already queued on a
+  shard are micro-batched into one fleet search — one simulated GPU
+  launch per phase serves many sensors; a worker never waits for more. A
+  full shard queue sheds requests with a typed Overloaded error.
+  --listen <addr>        where the frontend listens (default 127.0.0.1:0;
+                         port 0 picks a free port). The same listener
+                         speaks the SMLRNET binary protocol and an
+                         HTTP/JSON gateway (GET /forecast, POST
                          /observe, GET /status, GET /healthz) — try
                          curl 'http://<addr>/forecast?sensor=0&h=3'.
   --qos-rate <r>         per-tenant token-bucket admission: sustained
@@ -458,21 +453,6 @@ fn generate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// How one `smiler serve` run drove the fleet.
-enum ServeOutcome {
-    /// In-process closed-loop clients.
-    Local(smiler_core::serve::LoadReport),
-    /// Open-loop wire load through the `smiler-net` frontend.
-    Wire {
-        /// The address the listener actually bound.
-        bound: std::net::SocketAddr,
-        /// The open-loop parameters used.
-        gen: smiler_net::NetLoadGen,
-        /// What the harness measured.
-        report: smiler_net::NetLoadReport,
-    },
-}
-
 /// `smiler serve`: sharded load-serving over a synthetic fleet.
 fn serve(args: &Args) -> Result<String, CliError> {
     let shards: usize = args.get_or("shards", 2)?;
@@ -494,7 +474,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
         None => None,
     };
     let slo_ms: u64 = args.get_or("slo-ms", 50)?;
-    let listen = args.get("listen").map(str::to_string);
+    let listen = args.get("listen").unwrap_or("127.0.0.1:0");
     let qos = match args.get("qos-rate") {
         Some(s) => {
             let rate: f64 =
@@ -647,33 +627,25 @@ fn serve(args: &Args) -> Result<String, CliError> {
             }
         })
     });
-    // --listen serves over a real socket with the open-loop wire harness;
-    // otherwise the in-process closed-loop generator drives the fleet.
-    let outcome = match &listen {
-        Some(addr) => {
-            let net_config = smiler_net::NetConfig { qos, ..smiler_net::NetConfig::default() };
-            let net = smiler_net::NetServer::bind(addr.as_str(), handle.clone(), net_config)
-                .map_err(|e| CliError::Other(format!("cannot listen on {addr}: {e}")))?;
-            let bound = net.local_addr();
-            let gen = smiler_net::NetLoadGen {
-                connections: clients.max(1),
-                requests: clients.max(1) * requests,
-                rps: qps.unwrap_or((clients.max(1) * 250) as f64),
-                horizon: horizon.max(1) as u32,
-                deadline,
-                tenant: 0,
-                seed,
-            };
-            let report = smiler_net::run_net_load(bound, sensors, &gen)
-                .map_err(|e| CliError::Other(format!("wire load failed: {e}")))?;
-            net.shutdown();
-            ServeOutcome::Wire { bound, gen, report }
-        }
-        None => {
-            let gen = LoadGen { clients, requests_per_client: requests, horizon, qps, deadline };
-            ServeOutcome::Local(run_load(&handle, &gen))
-        }
+    // The fleet is always served over a real socket (port 0 = any free
+    // port) and driven by the open-loop wire harness.
+    let net_config = smiler_net::NetConfig { qos, ..smiler_net::NetConfig::default() };
+    let net = smiler_net::NetServer::bind(listen, handle.clone(), net_config)
+        .map_err(|e| CliError::Other(format!("cannot listen on {listen}: {e}")))?;
+    let bound = net.local_addr();
+    let connections = clients.max(1);
+    let gen = smiler_net::NetLoadGen {
+        connections,
+        requests: connections * requests,
+        rps: qps.unwrap_or((connections * 250) as f64),
+        horizon: horizon.max(1) as u32,
+        deadline,
+        tenant: 0,
+        seed,
     };
+    let report = smiler_net::run_net_load(bound, sensors, &gen)
+        .map_err(|e| CliError::Other(format!("wire load failed: {e}")))?;
+    net.shutdown();
     let status = handle.status_report();
     ticker_stop.store(true, std::sync::atomic::Ordering::Relaxed);
     if let Some(ticker) = ticker {
@@ -692,53 +664,28 @@ fn serve(args: &Args) -> Result<String, CliError> {
     let mut out = String::new();
     out.push_str(&durability_note);
     let _ = writeln!(out, "served {} sensors across {shards} shards (queue {queue})", sensors);
-    match &outcome {
-        ServeOutcome::Local(report) => {
-            let _ = writeln!(
-                out,
-                "requests: {} issued, {} ok, {} shed, {} errors",
-                report.requests, report.ok, report.shed, report.errors
-            );
-            let _ = writeln!(
-                out,
-                "throughput: {:.1} req/s over {:.2} s",
-                report.throughput_rps, report.elapsed_seconds
-            );
-            let _ = writeln!(
-                out,
-                "latency ms: p50 {:.2}  p95 {:.2}  p99 {:.2}  max {:.2}",
-                report.latency_p50_ms,
-                report.latency_p95_ms,
-                report.latency_p99_ms,
-                report.latency_max_ms
-            );
-        }
-        ServeOutcome::Wire { bound, gen, report } => {
-            let _ =
-                writeln!(out, "listened on {bound} (SMLRNET binary protocol + HTTP/JSON gateway)");
-            let _ = writeln!(
-                out,
-                "open-loop wire load: {} connections, {} requests offered at {:.1} req/s",
-                gen.connections, report.requests, report.offered_rps
-            );
-            let _ = writeln!(
-                out,
-                "requests: {} ok, {} shed, {} throttled, {} errors, {} deadline-missed",
-                report.ok, report.shed, report.throttled, report.errors, report.deadline_missed
-            );
-            let _ = writeln!(
-                out,
-                "achieved: {:.1} req/s over {:.2} s",
-                report.achieved_rps, report.elapsed_seconds
-            );
-            let _ = writeln!(
-                out,
-                "latency ms (from scheduled issue): p50 {:.2}  p95 {:.2}  p99 {:.2}  \
-                 p999 {:.2}  max {:.2}",
-                report.p50_ms, report.p95_ms, report.p99_ms, report.p999_ms, report.max_ms
-            );
-        }
-    }
+    let _ = writeln!(out, "listened on {bound} (SMLRNET binary protocol + HTTP/JSON gateway)");
+    let _ = writeln!(
+        out,
+        "open-loop wire load: {} connections, {} requests offered at {:.1} req/s",
+        gen.connections, report.requests, report.offered_rps
+    );
+    let _ = writeln!(
+        out,
+        "requests: {} ok, {} shed, {} throttled, {} errors, {} deadline-missed",
+        report.ok, report.shed, report.throttled, report.errors, report.deadline_missed
+    );
+    let _ = writeln!(
+        out,
+        "achieved: {:.1} req/s over {:.2} s",
+        report.achieved_rps, report.elapsed_seconds
+    );
+    let _ = writeln!(
+        out,
+        "latency ms (from scheduled issue): p50 {:.2}  p95 {:.2}  p99 {:.2}  p999 {:.2}  \
+         max {:.2}",
+        report.p50_ms, report.p95_ms, report.p99_ms, report.p999_ms, report.max_ms
+    );
     let _ = writeln!(
         out,
         "micro-batching: {} batches, mean size {:.2}, {} timeouts",
@@ -1480,8 +1427,9 @@ mod tests {
         ]))
         .unwrap();
         assert!(s.contains("2 shards"), "{s}");
-        assert!(s.contains("12 issued"), "{s}");
-        assert!(s.contains("throughput"), "{s}");
+        assert!(s.contains("listened on 127.0.0.1:"), "{s}");
+        assert!(s.contains("open-loop wire load: 2 connections, 12 requests"), "{s}");
+        assert!(s.contains("achieved"), "{s}");
         assert!(s.contains("micro-batching"), "{s}");
         assert!(s.contains("kernel launches"), "{s}");
     }
@@ -1507,7 +1455,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(s.contains("listened on 127.0.0.1:"), "{s}");
-        assert!(s.contains("open-loop wire load: 2 connections"), "{s}");
+        assert!(s.contains("offered at 400.0 req/s"), "{s}");
         assert!(s.contains("from scheduled issue"), "{s}");
         assert!(s.contains("12 ok") || s.contains("shed"), "{s}");
     }

@@ -63,9 +63,8 @@ pub use predictor::{
 pub use regime::{RegimeConfig, RegimeDetector, RegimeEvent, RegimeSnapshot};
 pub use sensor::{FaultKind, SensorPredictor, SmilerConfig};
 pub use serve::{
-    run_load, ClusterRole, ClusterStatus, FollowerLag, LoadGen, LoadReport, PendingForecast,
-    RungStatus, SensorStatusRow, ServeConfig, ServeError, ServeHandle, ServeStatsSnapshot,
-    SmilerServer, StatusReport,
+    ClusterRole, ClusterStatus, FollowerLag, PendingForecast, RungStatus, SensorStatusRow,
+    ServeConfig, ServeError, ServeHandle, ServeStatsSnapshot, SmilerServer, StatusReport,
 };
 pub use smiler_gp::RobustSpec;
 pub use snapshot::{HorizonSnapshot, SensorSnapshot};

@@ -65,6 +65,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The percentile convention of every load report; `smiler-net` imports it
+/// from here.
+pub use smiler_linalg::stats::nearest_rank;
+
 /// Width of one telemetry window; [`TELEMETRY_KEEP`] of them are
 /// retained, so status reports cover roughly the last minute.
 const TELEMETRY_WINDOW: Duration = Duration::from_secs(1);
@@ -1289,141 +1293,5 @@ impl ShardWorker {
         }
         let local = sensor / self.shards;
         (local < self.sensors.len()).then_some(local)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Closed-loop load generator (shared by the CLI `serve` subcommand and the
-// serving bench).
-// ---------------------------------------------------------------------------
-
-/// Closed-loop load-generation parameters: `clients` threads each issue
-/// `requests_per_client` forecasts round-robin over the fleet, waiting for
-/// each answer (optionally paced to an aggregate `qps`).
-#[derive(Debug, Clone, Copy)]
-pub struct LoadGen {
-    /// Concurrent closed-loop client threads.
-    pub clients: usize,
-    /// Forecasts each client issues.
-    pub requests_per_client: usize,
-    /// Forecast horizon.
-    pub horizon: usize,
-    /// Aggregate request-rate target; `None` runs unpaced (max pressure).
-    pub qps: Option<f64>,
-    /// Per-request latency budget handed to the server.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for LoadGen {
-    fn default() -> Self {
-        LoadGen { clients: 4, requests_per_client: 64, horizon: 1, qps: None, deadline: None }
-    }
-}
-
-/// The percentile convention of every load report (in-process and wire).
-pub use smiler_linalg::stats::nearest_rank;
-
-/// What a load-generation run measured.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct LoadReport {
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests answered with a prediction.
-    pub ok: u64,
-    /// Requests shed at admission ([`ServeError::Overloaded`]).
-    pub shed: u64,
-    /// Requests answered with any other typed error.
-    pub errors: u64,
-    /// Wall-clock seconds of the whole run.
-    pub elapsed_seconds: f64,
-    /// Served predictions per wall-clock second.
-    pub throughput_rps: f64,
-    /// Median end-to-end latency of served requests, milliseconds.
-    pub latency_p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub latency_p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub latency_p99_ms: f64,
-    /// Worst served latency, milliseconds.
-    pub latency_max_ms: f64,
-}
-
-/// Drive the server with closed-loop clients and measure it.
-pub fn run_load(handle: &ServeHandle, gen: &LoadGen) -> LoadReport {
-    let fleet = handle.fleet_size().max(1);
-    let clients = gen.clients.max(1);
-    let (tx, results) = channel::bounded::<(Vec<f64>, u64, u64, u64)>(clients);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let handle = handle.clone();
-            let tx = tx.clone();
-            let gen = *gen;
-            scope.spawn(move || {
-                let mut latencies = Vec::with_capacity(gen.requests_per_client);
-                let (mut ok, mut shed, mut errors) = (0u64, 0u64, 0u64);
-                let pace = gen.qps.map(|q| Duration::from_secs_f64(clients as f64 / q.max(1e-9)));
-                let mut next_issue = Instant::now();
-                for r in 0..gen.requests_per_client {
-                    // Coordinated-omission guard: when pacing is active,
-                    // latency is measured from the *scheduled* issue time,
-                    // not from whenever the client got around to issuing.
-                    // A slow response delays every request queued behind it
-                    // on this client; measuring from post-sleep `now` would
-                    // silently drop that queueing delay from the reported
-                    // distribution.
-                    let t0 = if let Some(pace) = pace {
-                        let scheduled = next_issue;
-                        let wait = scheduled.saturating_duration_since(Instant::now());
-                        if !wait.is_zero() {
-                            std::thread::sleep(wait);
-                        }
-                        next_issue += pace;
-                        scheduled
-                    } else {
-                        Instant::now()
-                    };
-                    let sensor = (c + r * clients) % fleet;
-                    let outcome = match gen.deadline {
-                        Some(budget) => handle.forecast_with_deadline(sensor, gen.horizon, budget),
-                        None => handle.forecast(sensor, gen.horizon),
-                    };
-                    match outcome {
-                        Ok(_) => {
-                            ok += 1;
-                            latencies.push(t0.elapsed().as_secs_f64());
-                        }
-                        Err(ServeError::Overloaded { .. }) => shed += 1,
-                        Err(_) => errors += 1,
-                    }
-                }
-                let _ = tx.send((latencies, ok, shed, errors));
-            });
-        }
-        drop(tx);
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-
-    let mut latencies = Vec::new();
-    let (mut ok, mut shed, mut errors) = (0u64, 0u64, 0u64);
-    while let Ok((lat, o, s, e)) = results.recv() {
-        latencies.extend(lat);
-        ok += o;
-        shed += s;
-        errors += e;
-    }
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| nearest_rank(&latencies, p) * 1e3;
-    LoadReport {
-        requests: (clients * gen.requests_per_client) as u64,
-        ok,
-        shed,
-        errors,
-        elapsed_seconds: elapsed,
-        throughput_rps: if elapsed > 0.0 { ok as f64 / elapsed } else { 0.0 },
-        latency_p50_ms: pct(0.50),
-        latency_p95_ms: pct(0.95),
-        latency_p99_ms: pct(0.99),
-        latency_max_ms: latencies.last().copied().map_or(0.0, |v| v * 1e3),
     }
 }

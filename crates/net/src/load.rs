@@ -1,8 +1,8 @@
-//! Open-loop load generation over real sockets.
+//! Open-loop load generation over real sockets — the one load generator
+//! under `crates/` (`smiler serve` and `tests/net.rs` drive it).
 //!
-//! The in-process harness in `smiler_core::serve::run_load` is
-//! *closed-loop*: each worker waits for its response before issuing the
-//! next request, so a slow server slows the arrival rate and the measured
+//! A closed-loop client waits for each response before issuing the next
+//! request, so a slow server slows the arrival rate and the measured
 //! distribution silently excludes the queueing delay a real client
 //! population would see (coordinated omission). This harness is
 //! *open-loop*: arrivals are a Poisson process whose schedule is fixed up

@@ -29,9 +29,23 @@ pub(crate) fn bucket_of(value: f64) -> usize {
     Histogram::bucket_of(value)
 }
 
-/// Geometric midpoint of bucket `idx` on the shared log scale.
-pub(crate) fn bucket_value(idx: usize) -> f64 {
-    Histogram::bucket_value(idx)
+/// Approximate `p`-quantile of `total` samples spread over the shared log
+/// buckets `counts`: the midpoint of the bucket holding rank `⌈p·total⌉`.
+/// 0.0 (never NaN) on an empty histogram so downstream JSON and arithmetic
+/// stay finite.
+pub(crate) fn bucket_quantile(counts: &[u64], total: u64, p: f64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = (p * total as f64).ceil().max(1.0) as u64;
+    let mut seen = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return Histogram::bucket_value(i);
+        }
+    }
+    Histogram::bucket_value(NUM_BUCKETS - 1)
 }
 
 #[derive(Default)]
@@ -84,23 +98,6 @@ impl Histogram {
         update_f64(&self.sum_bits, |s| s + value);
         update_f64(&self.min_bits, |m| m.min(value));
         update_f64(&self.max_bits, |m| m.max(value));
-    }
-
-    /// Approximate percentile from bucket counts; 0.0 (not NaN) on an
-    /// empty histogram so downstream JSON and arithmetic stay finite.
-    fn percentile(&self, counts: &[u64], total: u64, p: f64) -> f64 {
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (p * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_value(i);
-            }
-        }
-        Self::bucket_value(NUM_BUCKETS - 1)
     }
 }
 
@@ -251,9 +248,9 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
                 sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
                 min: f64::from_bits(h.min_bits.load(Ordering::Relaxed)),
                 max: f64::from_bits(h.max_bits.load(Ordering::Relaxed)),
-                p50: h.percentile(&counts, total, 0.50),
-                p95: h.percentile(&counts, total, 0.95),
-                p99: h.percentile(&counts, total, 0.99),
+                p50: bucket_quantile(&counts, total, 0.50),
+                p95: bucket_quantile(&counts, total, 0.95),
+                p99: bucket_quantile(&counts, total, 0.99),
             });
         }
     }

@@ -12,7 +12,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::registry::{bucket_of, bucket_value, NUM_BUCKETS};
+use crate::registry::{bucket_of, bucket_quantile, NUM_BUCKETS};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -91,20 +91,7 @@ impl WindowedHistogram {
             }
             total += w.total;
         }
-        if total == 0 {
-            return TailQuantiles::default();
-        }
-        let q = |p: f64| {
-            let rank = (p * total as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, &c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return bucket_value(i);
-                }
-            }
-            bucket_value(NUM_BUCKETS - 1)
-        };
+        let q = |p: f64| bucket_quantile(&counts, total, p);
         TailQuantiles { count: total, p50: q(0.50), p95: q(0.95), p99: q(0.99), p999: q(0.999) }
     }
 

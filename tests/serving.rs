@@ -5,7 +5,7 @@
 //! admitted completes; a quarantined sensor must never stall its shard;
 //! and shutdown must drain cleanly.
 
-use smiler_core::serve::{LoadGen, ServeConfig, ServeError, ServeHandle, SmilerServer};
+use smiler_core::serve::{ServeConfig, ServeError, ServeHandle, SmilerServer};
 use smiler_core::{
     DegradationLevel, FaultKind, PredictorKind, RequestPolicy, SensorFault, SensorPredictor,
     SmilerConfig, SmilerSystem,
@@ -271,29 +271,6 @@ fn unknown_sensor_is_rejected_at_admission() {
         Err(ServeError::UnknownSensor { sensor: 7, fleet: 2 })
     ));
     server.shutdown();
-}
-
-/// The closed-loop load generator accounts for every request it issues.
-#[test]
-fn load_generator_accounts_for_every_request() {
-    let device = Arc::new(Device::default_gpu());
-    let sensors = fleet(&device, 4);
-    let server = SmilerServer::start(device, sensors, ServeConfig::default());
-    let handle = server.handle();
-    let gen = LoadGen {
-        clients: 3,
-        requests_per_client: 5,
-        horizon: 1,
-        qps: Some(500.0),
-        deadline: Some(Duration::from_secs(5)),
-    };
-    let report = smiler_core::serve::run_load(&handle, &gen);
-    server.shutdown();
-    assert_eq!(report.requests, 15);
-    assert_eq!(report.ok + report.shed + report.errors, 15);
-    assert!(report.ok > 0);
-    assert!(report.latency_p95_ms >= report.latency_p50_ms);
-    assert!(report.latency_max_ms >= report.latency_p99_ms);
 }
 
 /// Chaos feeds served end-to-end with the adaptation layer armed: every
