@@ -31,8 +31,10 @@ cargo test -p smiler-simd -p smiler-dtw -p smiler-timeseries -p smiler-linalg -p
 
 # The gate's own harness is a separate package (own workspace table and
 # lock file): an API edit under crates/ must not break it unnoticed.
-echo "==> cargo build --manifest-path benchmark/Cargo.toml (benchmark harness)"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# `--locked`: a dependency edit under crates/ that would rewrite the frozen
+# benchmark/Cargo.lock fails here instead of silently dirtying benchmark/.
+echo "==> cargo build --locked --manifest-path benchmark/Cargo.toml (benchmark harness)"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 if [[ "$QUICK" == "1" ]]; then
     echo "==> cargo test --workspace (lib + bins only)"
@@ -121,9 +123,6 @@ else
     echo "==> expt bench-cluster --smoke (replication + failover)"
     cargo run -p smiler-bench --release --bin expt -- \
         bench-cluster --smoke --out "$(mktemp -d)/BENCH_cluster_smoke.json"
-
-    echo "==> cargo bench --workspace --no-run"
-    cargo bench --workspace --no-run
 
     # Every benchmark workload at 1/50 scale with its output checks
     # (bitwise in-process replay of the wire run, kill -> restore).

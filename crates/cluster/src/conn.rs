@@ -2,9 +2,9 @@
 //!
 //! Replication runs over a handful of long-lived connections (one per
 //! follower), so a thread-per-connection blocking transport is the right
-//! trade: no reactor bookkeeping, and kernel TCP buffering is the flow
-//! control. The serving frontend keeps its readiness reactor; replication
-//! does not need one.
+//! trade: no readiness bookkeeping, and kernel TCP buffering is the flow
+//! control. The serving frontend (`smiler_net::server`) uses the same
+//! model.
 
 use crate::ClusterError;
 use smiler_net::repl::{try_repl_frame, ReplMsg};

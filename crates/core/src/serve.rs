@@ -55,7 +55,7 @@ use crate::predictor::QualitySnapshot;
 use crate::regime::RegimeSnapshot;
 use crate::sensor::SensorPredictor;
 use crate::system::{isolated, predict_isolated, search_stale, SensorFault, SensorHealth};
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use smiler_gpu::Device;
 use smiler_obs::trace::RequestTrace;
@@ -586,18 +586,6 @@ impl PendingForecast {
     pub fn wait(self) -> Result<Prediction, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
-
-    /// Non-blocking completion probe for event-loop callers (the network
-    /// reactor polls its in-flight window with this): `None` while the
-    /// worker has not answered yet. A worker that exited before answering
-    /// reads as [`ServeError::ShuttingDown`].
-    pub fn try_wait(&self) -> Option<Result<Prediction, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(reply) => Some(reply),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
-    }
 }
 
 /// An observation submitted but not yet absorbed. Dropping it abandons the
@@ -610,15 +598,6 @@ impl PendingObserve {
     /// Block until the shard worker acknowledges the observation.
     pub fn wait(self) -> Result<(), ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
-    }
-
-    /// Non-blocking completion probe; `None` while unacknowledged.
-    pub fn try_wait(&self) -> Option<Result<(), ServeError>> {
-        match self.rx.try_recv() {
-            Ok(reply) => Some(reply),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
     }
 }
 

@@ -14,8 +14,9 @@
 //! Decoding is *strict* and *total*: every malformed input yields a typed
 //! [`FrameError`], never a panic or an out-of-bounds slice, and a payload
 //! must be consumed exactly (trailing bytes are an error). Requests carry
-//! a caller-chosen `request_id` so responses may be matched out of order —
-//! the server answers in completion order, not issue order.
+//! a caller-chosen `request_id` echoed in the response, so a client matches
+//! answers by id; this server happens to answer each connection in request
+//! order, which the protocol permits but does not promise.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -146,7 +147,8 @@ pub enum Request {
         /// The observed value, bit-exact (travels as raw IEEE-754 bits).
         value: f64,
     },
-    /// Liveness probe; answered inline by the reactor, never queued.
+    /// Liveness probe; answered by the connection's reader, never queued
+    /// at a shard.
     Ping {
         /// Caller-chosen id echoed in the response.
         request_id: u64,

@@ -1,7 +1,7 @@
 //! Minimal HTTP/1.1 JSON gateway riding the same listener as the binary
 //! protocol.
 //!
-//! The reactor sniffs the protocol from the first bytes of a connection:
+//! A connection's reader sniffs the protocol from its first bytes:
 //! anything that contradicts the `SMLRNET` magic (e.g. `GET ` from curl)
 //! is parsed here instead. The gateway is deliberately small — enough for
 //! curl-ability and health probes, not a web server:

@@ -11,17 +11,13 @@
 //! - [`frame`] — the `SMLRNET` length-prefixed binary protocol: magic +
 //!   version + CRC framing with the same codec discipline as the WAL
 //!   ([`smiler_store::codec`]). Strict, typed, panic-free decoding.
-//! - [`reactor`] — a small mio-style readiness poller over non-blocking
-//!   sockets. Readiness is *emulated* (level-triggered `peek` probes with
-//!   adaptive idle backoff) because every crate in this workspace forbids
-//!   `unsafe`, which rules out raw `epoll` FFI; see DESIGN.md §13 for the
-//!   honest trade-off discussion.
-//! - [`server`] — the single-threaded reactor loop: accepts connections,
-//!   decodes frames (or sniffs HTTP for the curl gateway), admits requests
-//!   into [`smiler_core::serve::ServeHandle`] shard queues, polls in-flight
-//!   completions, and flushes responses. Per-connection bounded in-flight
-//!   windows and read-stalls feed kernel-level TCP backpressure; full
-//!   shard queues surface as typed `Overloaded` sheds on the wire.
+//! - [`server`] — one acceptor plus a blocking reader and writer thread
+//!   per connection: the reader carves frames (or sniffs HTTP for the curl
+//!   gateway) and admits requests into [`smiler_core::serve::ServeHandle`]
+//!   shard queues; the writer waits for each answer in request order and
+//!   writes it. A bounded per-connection answer channel read-stalls a
+//!   connection into kernel-level TCP backpressure; full shard queues
+//!   surface as typed `Overloaded` sheds on the wire.
 //! - [`http`] — a minimal HTTP/1.1 JSON gateway sharing the same listener
 //!   (`GET /forecast`, `POST /observe`, `GET /status`, `GET /healthz`).
 //! - [`qos`] — per-tenant token-bucket admission keyed on the tenant id in
@@ -45,7 +41,6 @@ pub mod frame;
 pub mod http;
 pub mod load;
 pub mod qos;
-pub mod reactor;
 pub mod repl;
 pub mod server;
 

@@ -1,47 +1,67 @@
-//! The reactor loop: socket byte → shard queue → response byte.
+//! Connection threads: socket byte → shard queue → response byte.
 //!
-//! One thread owns the listener, every connection, the [`Poller`], and the
-//! per-tenant QoS buckets. Requests are *admitted* here (QoS debit, then
-//! [`ServeHandle::submit_forecast_traced`] / `submit_observe`, which run
-//! shard admission control) but *served* by the existing shard workers;
-//! the reactor polls its bounded in-flight window with `try_wait` and
-//! never blocks on a forecast.
+//! One acceptor thread blocks in `accept`. Every admitted connection gets
+//! two threads and nothing else — the same model `smiler-cluster` uses for
+//! its followers: a **reader** blocked in `read`, which carves frames (or
+//! one HTTP request), debits the tenant's QoS bucket and submits to the
+//! shard queues ([`ServeHandle::submit_forecast_traced`] /
+//! `submit_observe`, which run shard admission control); and a **writer**,
+//! which takes each answer-to-be off a bounded channel, blocks until the
+//! shard worker has answered it, renders it and `write_all`s it. Nothing
+//! sleeps and nothing polls: an arriving byte, a finished forecast and a
+//! freed window slot each wake the one thread waiting for them.
+//! `max_connections` bounds the threads at twice its value (plus the
+//! acceptor).
+//!
+//! Answers leave a connection **in request order** — one of the orders
+//! request ids always allowed, now the only one. The price is head-of-line
+//! blocking *within* a connection: a ping or a cached forecast pipelined
+//! behind a slow GP forecast waits for it. Connections never wait for each
+//! other; a client that wants independent latencies opens a second one.
 //!
 //! Backpressure, layer by layer:
 //!
 //! - **Shard queue full** → the submit returns `ServeError::Overloaded`,
 //!   which travels to the client as a typed error frame (or HTTP 503).
 //!   The client's degradation ladder takes over from there.
-//! - **Connection in-flight window full** → the reactor *stops reading*
-//!   that connection (a read-stall). Unread bytes accumulate in the
-//!   kernel receive buffer until TCP flow control closes the window and
-//!   the sender blocks — backpressure all the way to the client without
+//! - **Connection in-flight window full** → the answer channel holds
+//!   `inflight_window` entries, so the reader blocks in `send` and *stops
+//!   reading* (a read-stall). Unread bytes accumulate in the kernel
+//!   receive buffer until TCP flow control closes the window and the
+//!   sender blocks — backpressure all the way to the client without
 //!   buffering unbounded requests in userspace.
 //! - **Tenant bucket empty** → typed `Throttled` before any queue is
 //!   touched, so a hot tenant consumes admission budget only for itself.
+//! - **Peer stopped reading** → the writer blocks in `write` for at most
+//!   [`WRITE_TIMEOUT`], then the connection is closed. Only that
+//!   connection's two threads ever waited.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::frame::{self, ErrorCode, FrameError, Request, Response, WireForecast};
 use crate::http::{self, HttpParse, HttpRequest};
 use crate::qos::{QosConfig, TenantBuckets};
-use crate::reactor::{Event, Poller, Token};
-use smiler_core::serve::{ServeError, ServeHandle};
+use smiler_core::degrade::Prediction;
+use smiler_core::serve::{PendingForecast, PendingObserve, ServeError, ServeHandle};
 use smiler_obs::trace::RequestTrace;
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Frontend tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Connections beyond this are accepted and immediately closed (the
-    /// accept queue must still be drained to avoid a SYN backlog).
+    /// accept queue must still be drained to avoid a SYN backlog). Each
+    /// live connection owns two threads, so this is also the thread bound.
     pub max_connections: usize,
-    /// Per-connection bound on requests admitted but not yet answered.
+    /// Per-connection bound on requests read but not yet answered.
     /// A full window read-stalls the connection (see module docs).
     pub inflight_window: usize,
     /// Per-tenant token-bucket admission; `None` disables QoS.
@@ -54,32 +74,43 @@ impl Default for NetConfig {
     }
 }
 
-/// A running network frontend. Dropping the struct *without* calling
-/// [`NetServer::shutdown`] detaches the reactor thread (it keeps serving
-/// until the process exits); shutdown stops it and joins.
+/// How long a writer waits on a peer that does not read before the
+/// connection is closed. Kernel socket buffers absorb hundreds of
+/// kilobytes of answers first, so only a stuck peer ever meets it.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// First and longest pause after a failed `accept`. Descriptor or buffer
+/// exhaustion persists until something closes; retrying at once would spin.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+/// Read chunk size.
+const READ_CHUNK: usize = 4096;
+
+/// A running network frontend. [`NetServer::shutdown`] (or dropping the
+/// struct) stops accepting, closes every connection and joins every thread.
 pub struct NetServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the reactor thread in
-    /// front of `handle`'s shard queues.
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting connections
+    /// in front of `handle`'s shard queues.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         handle: ServeHandle,
         config: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let reactor_stop = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("smiler-net-reactor".to_string())
-            .spawn(move || run_reactor(listener, handle, config, reactor_stop))?;
-        Ok(NetServer { addr: local, stop, thread: Some(thread) })
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared::new(handle, config));
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            Builder::new().name("smiler-net-accept".to_string()).spawn(move || {
+                accept_loop(&shared, || listener.accept().map(|(stream, _peer)| stream))
+            })?
+        };
+        Ok(NetServer { addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The address the listener actually bound (resolves port `0`).
@@ -87,121 +118,206 @@ impl NetServer {
         self.addr
     }
 
-    /// Stop accepting, drop every connection, and join the reactor.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+    /// Stop accepting, close every connection, and join the acceptor and
+    /// every connection thread. Requests already queued at a shard are
+    /// waited for (their answers go nowhere); nothing else is.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        // Signal the reactor even on an un-joined drop so a forgotten
-        // server does not spin forever.
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // The acceptor is blocked in `accept`; a throw-away connection to
+        // our own port is what wakes it. A wildcard bind is reached through
+        // loopback. Should even that fail, the acceptor is left to exit on
+        // the next real connection rather than joined forever.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            if let Some(acceptor) = self.acceptor.take() {
+                let _ = acceptor.join();
+            }
+        }
+        // `stop` was set before this lock was taken and admission checks it
+        // under the same lock, so the registry can only shrink from here.
+        let conns = std::mem::take(&mut *lock(&self.shared.conns));
+        for live in conns.live.values() {
+            let _ = live.stream.shutdown(Shutdown::Both);
+        }
+        for thread in conns.live.into_values().map(|live| live.thread).chain(conns.ended) {
+            let _ = thread.join();
+        }
     }
 }
 
-/// Longest poll before the loop re-checks the stop flag and accept queue.
-const POLL_IDLE: Duration = Duration::from_millis(1);
-/// Poll timeout while responses are in flight: effectively a yield, so
-/// completions are pumped promptly.
-const POLL_BUSY: Duration = Duration::from_micros(50);
-/// Read chunk size and per-event read budget.
-const READ_CHUNK: usize = 4096;
-const READ_BUDGET: usize = 64 * 1024;
-
-fn run_reactor(
-    listener: TcpListener,
+/// What the acceptor, the connection threads and the owner share.
+struct Shared {
     handle: ServeHandle,
     config: NetConfig,
-    stop: Arc<AtomicBool>,
-) {
-    let mut poller = Poller::new();
-    let mut conns: BTreeMap<usize, Conn> = BTreeMap::new();
-    let mut qos = config.qos.map(TenantBuckets::new);
-    let mut events = Vec::new();
-    let mut next_token = 0usize;
-    let obs = smiler_obs::enabled();
+    qos: Option<Mutex<TenantBuckets>>,
+    stop: AtomicBool,
+    conns: Mutex<Conns>,
+}
 
-    while !stop.load(Ordering::Acquire) {
-        // Drain the accept queue.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if conns.len() >= config.max_connections {
-                        if obs {
-                            smiler_obs::count("net.conn_rejected", "", 1);
-                        }
-                        drop(stream);
-                        continue;
-                    }
-                    let token = Token(next_token);
-                    next_token = next_token.wrapping_add(1);
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err()
-                        || poller.register(&stream, token).is_err()
-                    {
-                        continue;
-                    }
-                    conns.insert(token.0, Conn::new(stream, token));
-                    if obs {
-                        smiler_obs::count("net.accept", "", 1);
-                    }
+/// The live-connection registry: what `max_connections` counts and what
+/// shutdown closes and joins.
+#[derive(Default)]
+struct Conns {
+    next_id: u64,
+    live: BTreeMap<u64, Live>,
+    /// Threads of connections that have ended, joined by the acceptor on
+    /// its next admission (at most `max_connections` can pile up).
+    ended: Vec<JoinHandle<()>>,
+}
+
+struct Live {
+    /// A `try_clone` of the connection's socket, kept to shut it down.
+    stream: TcpStream,
+    thread: JoinHandle<()>,
+}
+
+/// Lock a mutex whose data stays valid at every step of every update (a
+/// token count, a map insert or remove), so a poisoned guard is usable.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    fn new(handle: ServeHandle, config: NetConfig) -> Shared {
+        Shared {
+            handle,
+            config,
+            qos: config.qos.map(|qos| Mutex::new(TenantBuckets::new(qos))),
+            stop: AtomicBool::new(false),
+            conns: Mutex::new(Conns::default()),
+        }
+    }
+
+    /// Debit the tenant's bucket; no QoS configured means admit everything.
+    fn within_rate(&self, tenant: u32) -> bool {
+        let Some(qos) = &self.qos else { return true };
+        let admitted = lock(qos).admit(tenant, Instant::now());
+        if !admitted && smiler_obs::enabled() {
+            smiler_obs::count("net.qos.throttled", &format!("tenant={tenant}"), 1);
+        }
+        admitted
+    }
+}
+
+/// Admit connections until told to stop. `accept` is the listener's
+/// blocking accept (a parameter so a test can make it fail).
+fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<TcpStream>) {
+    let mut backoff = ACCEPT_BACKOFF_MIN;
+    loop {
+        let accepted = accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted.and_then(|stream| admit_connection(shared, stream)) {
+            Ok(()) => backoff = ACCEPT_BACKOFF_MIN,
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(_) => {
+                if smiler_obs::enabled() {
+                    smiler_obs::count("net.accept_error", "", 1);
                 }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-
-        // Pump in-flight completions, re-parse anything a freed window
-        // slot unblocked, and flush output on every connection.
-        let mut progressed = false;
-        let mut busy = false;
-        for conn in conns.values_mut() {
-            progressed |= conn.make_progress(&handle, qos.as_mut(), &config);
-            busy |= !conn.inflight.is_empty();
-        }
-
-        // Reap finished connections.
-        let before = conns.len();
-        conns.retain(|_, conn| {
-            if conn.finished() {
-                poller.deregister(conn.token);
-                false
-            } else {
-                true
-            }
-        });
-        if obs && conns.len() != before {
-            smiler_obs::count("net.close", "", (before - conns.len()) as u64);
-            smiler_obs::gauge_set("net.connections", "", conns.len() as f64);
-        }
-
-        // Wait for socket readiness, then read and admit.
-        let timeout = if progressed {
-            Duration::ZERO
-        } else if busy {
-            POLL_BUSY
-        } else {
-            POLL_IDLE
-        };
-        poller.poll(&mut events, timeout);
-        for event in &events {
-            if let Some(conn) = conns.get_mut(&event.token.0) {
-                conn.on_ready(*event, &handle, qos.as_mut(), &config);
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
             }
         }
     }
-    // Dropping `conns` closes every socket; in-flight replies are
-    // abandoned (the shard workers discard sends to dropped receivers).
+}
+
+/// Register `stream` and start its connection thread, or close it when the
+/// server is full. An error means the process is out of descriptors or
+/// threads — the same condition a failed `accept` reports.
+fn admit_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
+    let obs = smiler_obs::enabled();
+    let mut conns = lock(&shared.conns);
+    for thread in std::mem::take(&mut conns.ended) {
+        let _ = thread.join();
+    }
+    if shared.stop.load(Ordering::SeqCst) {
+        return Ok(());
+    }
+    if conns.live.len() >= shared.config.max_connections {
+        if obs {
+            smiler_obs::count("net.conn_rejected", "", 1);
+        }
+        return Ok(());
+    }
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let registered = stream.try_clone()?;
+    let id = conns.next_id;
+    conns.next_id += 1;
+    // The registry lock is held across the spawn, so a connection that
+    // ends at once still finds its entry to remove.
+    let thread = {
+        let shared = Arc::clone(shared);
+        Builder::new()
+            .name("smiler-net-conn".to_string())
+            .spawn(move || serve_connection(&shared, id, &stream))?
+    };
+    conns.live.insert(id, Live { stream: registered, thread });
+    if obs {
+        smiler_obs::count("net.accept", "", 1);
+        smiler_obs::gauge_set("net.connections", "", conns.live.len() as f64);
+    }
+    Ok(())
+}
+
+/// One connection, start to finish: the reader on a scoped thread, the
+/// writer on this one, then the socket is closed and the registry told.
+fn serve_connection(shared: &Shared, id: u64, stream: &TcpStream) {
+    let (answers, queued) = sync_channel(shared.config.inflight_window);
+    std::thread::scope(|scope| {
+        let reader =
+            Builder::new().name("smiler-net-read".to_string()).spawn_scoped(scope, move || {
+                Reader { shared, answers, proto: Proto::Unknown, greeted: false }.run(stream)
+            });
+        if reader.is_ok() {
+            write_answers(stream, queued);
+        }
+        // Every answer is out (or the peer stopped taking them): FIN to the
+        // peer, and end-of-file to a reader still blocked in `read`.
+        let _ = stream.shutdown(Shutdown::Both);
+    });
+    let mut conns = lock(&shared.conns);
+    if let Some(live) = conns.live.remove(&id) {
+        conns.ended.push(live.thread);
+    }
+    if smiler_obs::enabled() {
+        smiler_obs::count("net.close", "", 1);
+        smiler_obs::gauge_set("net.connections", "", conns.live.len() as f64);
+    }
+}
+
+/// The writer: answers leave in the order their requests arrived. Returns
+/// when the reader has hung up and the queue is drained, or when a write
+/// fails ([`WRITE_TIMEOUT`] included); dropping the queue is what tells a
+/// reader blocked on a full window.
+fn write_answers(mut stream: impl Write, queued: Receiver<Answer>) {
+    for answer in queued {
+        let bytes = answer.wait();
+        if stream.write_all(&bytes).is_err() {
+            return;
+        }
+        if smiler_obs::enabled() {
+            smiler_obs::count("net.bytes_out", "", bytes.len() as u64);
+        }
+    }
 }
 
 /// Protocol spoken on a connection, decided by its first bytes.
 enum Proto {
-    /// No bytes seen yet.
+    /// No complete frame seen yet.
     Unknown,
     /// `SMLRNET` binary frames.
     Binary,
@@ -209,586 +325,330 @@ enum Proto {
     Http,
 }
 
-/// What one admitted request is waiting on.
-enum Op {
-    Forecast(smiler_core::serve::PendingForecast),
-    Observe(smiler_core::serve::PendingObserve),
+/// How a request arrived, which is how its answer must be rendered.
+#[derive(Clone, Copy)]
+enum Format {
+    /// A binary frame; carries the request id to echo.
+    Binary(u64),
+    /// The HTTP gateway; carries the sensor id for the JSON body.
+    Http(u64),
 }
 
-/// An admitted request whose shard reply is pending.
-struct Inflight {
-    request_id: u64,
-    /// `Some` when the request arrived via the HTTP gateway; carries the
-    /// sensor id for the JSON body.
-    http_sensor: Option<u64>,
-    op: Op,
+/// What a request asks of the fleet, whichever way it arrived.
+enum Call {
+    Forecast { sensor: u64, h: u32, budget: Option<Duration> },
+    Observe { sensor: u64, value: f64 },
 }
 
-struct Conn {
-    stream: TcpStream,
-    token: Token,
+/// One queued answer: rendered already, or waiting on a shard worker.
+enum Answer {
+    Ready(Vec<u8>),
+    Forecast(Format, PendingForecast),
+    Observe(Format, PendingObserve),
+}
+
+impl Answer {
+    /// Block until the shard worker has answered, then render.
+    fn wait(self) -> Vec<u8> {
+        match self {
+            Answer::Ready(bytes) => bytes,
+            Answer::Forecast(format, pending) => format.forecast(pending.wait()),
+            Answer::Observe(format, pending) => format.observed(pending.wait()),
+        }
+    }
+}
+
+/// The reader's state for one connection.
+struct Reader<'a> {
+    shared: &'a Shared,
+    answers: SyncSender<Answer>,
     proto: Proto,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    inflight: Vec<Inflight>,
-    /// Close once the write buffer drains (protocol error or HTTP).
-    close_after_flush: bool,
-    /// The peer closed its sending half.
-    peer_closed: bool,
-    /// The connection is dead; reap it.
-    dead: bool,
-    /// Reads are paused because the in-flight window is full.
-    stalled: bool,
     /// Whether the first request has been seen (trace `net.accept` mark).
     greeted: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, token: Token) -> Conn {
-        Conn {
-            stream,
-            token,
-            proto: Proto::Unknown,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            inflight: Vec::new(),
-            close_after_flush: false,
-            peer_closed: false,
-            dead: false,
-            stalled: false,
-            greeted: false,
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.dead
-    }
-
-    /// Per-iteration housekeeping: pump completions, re-parse buffered
-    /// bytes if a window slot freed, flush, and decide end-of-life.
-    fn make_progress(
-        &mut self,
-        handle: &ServeHandle,
-        qos: Option<&mut TenantBuckets>,
-        config: &NetConfig,
-    ) -> bool {
-        let mut progressed = self.pump_completions();
-        if self.stalled && self.inflight.len() < config.inflight_window {
-            self.stalled = false;
-        }
-        if !self.stalled && !self.close_after_flush && !self.read_buf.is_empty() {
-            progressed |= self.parse_requests(handle, qos, config);
-        }
-        progressed |= self.flush();
-        // A peer that closed its half gets its remaining answers, then the
-        // connection is torn down. Buffered bytes at this point are an
-        // incomplete tail (parse ran above) and can never complete.
-        if self.peer_closed
-            && self.inflight.is_empty()
-            && self.write_pos == self.write_buf.len()
-            && !self.stalled
-        {
-            self.dead = true;
-        }
-        progressed
-    }
-
-    /// Readiness event: read what is available (unless stalled) and admit
-    /// complete requests.
-    fn on_ready(
-        &mut self,
-        event: Event,
-        handle: &ServeHandle,
-        qos: Option<&mut TenantBuckets>,
-        config: &NetConfig,
-    ) {
-        if event.closed {
-            self.peer_closed = true;
-            return;
-        }
-        if !event.readable || self.stalled || self.close_after_flush || self.dead {
-            return;
-        }
+impl Reader<'_> {
+    /// Read until the peer closes its sending half, the protocol ends the
+    /// conversation, or the writer is gone. Returning drops the answer
+    /// sender: the writer finishes what is queued, then closes.
+    fn run(mut self, mut stream: impl Read) {
+        let mut buf = Vec::new();
         let mut chunk = [0u8; READ_CHUNK];
-        let mut taken = 0usize;
         loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    taken += n;
-                    if taken >= READ_BUDGET {
-                        break;
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => n,
+                Err(err) if err.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            };
+            buf.extend_from_slice(&chunk[..n]);
+            if smiler_obs::enabled() {
+                smiler_obs::count("net.bytes_in", "", n as u64);
             }
-        }
-        if smiler_obs::enabled() && taken > 0 {
-            smiler_obs::count("net.bytes_in", "", taken as u64);
-        }
-        self.parse_requests(handle, qos, config);
-    }
-
-    /// Carve and admit as many buffered requests as the in-flight window
-    /// allows. Returns whether anything was admitted or answered.
-    fn parse_requests(
-        &mut self,
-        handle: &ServeHandle,
-        mut qos: Option<&mut TenantBuckets>,
-        config: &NetConfig,
-    ) -> bool {
-        let mut consumed = 0usize;
-        let mut progressed = false;
-        loop {
-            if self.inflight.len() >= config.inflight_window {
-                if !self.stalled {
-                    self.stalled = true;
-                    if smiler_obs::enabled() {
-                        smiler_obs::count("net.read_stall", "", 1);
-                    }
-                }
-                break;
-            }
-            if consumed >= self.read_buf.len() || self.close_after_flush {
-                break;
-            }
-            match self.proto {
-                Proto::Http => {
-                    let parse = http::parse(&self.read_buf[consumed..]);
-                    match parse {
-                        HttpParse::NeedMore => break,
-                        HttpParse::Request(req) => {
-                            consumed += req.consumed;
-                            self.dispatch_http(req, handle, qos.as_deref_mut());
-                            progressed = true;
-                        }
-                        HttpParse::Bad(reason) => {
-                            self.respond_http(ErrorCode::BadRequest, &reason);
-                            progressed = true;
-                        }
-                        HttpParse::HeadTooLarge => {
-                            self.write_buf.extend_from_slice(&http::render_response(
-                                431,
-                                &http::error_body(ErrorCode::BadRequest, "request head too large"),
-                            ));
-                            self.close_after_flush = true;
-                            progressed = true;
-                        }
-                    }
-                }
-                Proto::Unknown | Proto::Binary => {
-                    match frame::try_frame(&self.read_buf[consumed..]) {
-                        Ok(None) => break,
-                        Ok(Some((n, _))) => {
-                            self.proto = Proto::Binary;
-                            let payload = self.read_buf
-                                [consumed + frame::HEADER_BYTES..consumed + n]
-                                .to_vec();
-                            consumed += n;
-                            self.dispatch_frame(&payload, handle, qos.as_deref_mut());
-                            progressed = true;
-                        }
-                        Err(FrameError::BadMagic { .. })
-                            if matches!(self.proto, Proto::Unknown) && consumed == 0 =>
-                        {
-                            // First bytes are not ours: hand the
-                            // connection to the HTTP gateway.
-                            self.proto = Proto::Http;
-                            if smiler_obs::enabled() {
-                                smiler_obs::count("net.http_conns", "", 1);
-                            }
-                        }
-                        Err(err) => {
-                            if smiler_obs::enabled() {
-                                smiler_obs::count("net.decode_error", "", 1);
-                            }
-                            Response::Error {
-                                request_id: 0,
-                                code: ErrorCode::BadRequest,
-                                detail: err.to_string(),
-                            }
-                            .encode(&mut self.write_buf);
-                            self.close_after_flush = true;
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if consumed > 0 {
-            self.read_buf.drain(..consumed);
-        }
-        progressed
-    }
-
-    /// Decode and admit one binary frame payload.
-    fn dispatch_frame(
-        &mut self,
-        payload: &[u8],
-        handle: &ServeHandle,
-        qos: Option<&mut TenantBuckets>,
-    ) {
-        let obs = smiler_obs::enabled();
-        let req = match Request::decode(payload) {
-            Ok(req) => req,
-            Err(err) => {
-                if obs {
-                    smiler_obs::count("net.decode_error", "", 1);
-                }
-                Response::Error {
-                    request_id: 0,
-                    code: ErrorCode::BadRequest,
-                    detail: err.to_string(),
-                }
-                .encode(&mut self.write_buf);
-                self.close_after_flush = true;
+            if self.carve(&mut buf).is_break() {
                 return;
             }
+        }
+    }
+
+    /// Carve and admit every complete request in `buf`. `Break` means stop
+    /// reading: the one HTTP request was taken, the bytes are no protocol
+    /// of ours, or the writer is gone.
+    fn carve(&mut self, buf: &mut Vec<u8>) -> ControlFlow<()> {
+        let mut consumed = 0usize;
+        let flow = loop {
+            let rest = &buf[consumed..];
+            let (answer, last) = match self.proto {
+                Proto::Http => match http::parse(rest) {
+                    HttpParse::NeedMore => break ControlFlow::Continue(()),
+                    HttpParse::Request(req) => (self.http_request(&req), true),
+                    HttpParse::Bad(reason) => (http_error(400, &reason), true),
+                    HttpParse::HeadTooLarge => (http_error(431, "request head too large"), true),
+                },
+                Proto::Unknown | Proto::Binary => match frame::try_frame(rest) {
+                    Ok(None) => break ControlFlow::Continue(()),
+                    Ok(Some((n, payload))) => {
+                        self.proto = Proto::Binary;
+                        consumed += n;
+                        match Request::decode(payload) {
+                            Ok(req) => (self.binary_request(req), false),
+                            Err(err) => (bad_frame(&err), true),
+                        }
+                    }
+                    Err(FrameError::BadMagic { .. }) if matches!(self.proto, Proto::Unknown) => {
+                        // First bytes are not ours: hand the connection to
+                        // the HTTP gateway.
+                        self.proto = Proto::Http;
+                        if smiler_obs::enabled() {
+                            smiler_obs::count("net.http_conns", "", 1);
+                        }
+                        continue;
+                    }
+                    Err(err) => (bad_frame(&err), true),
+                },
+            };
+            if self.queue(answer).is_break() || last {
+                break ControlFlow::Break(());
+            }
         };
-        if obs {
+        buf.drain(..consumed);
+        flow
+    }
+
+    /// Hand one answer-to-be to the writer. A full window blocks here —
+    /// that *is* the read-stall: nothing more is read until a slot frees.
+    fn queue(&self, answer: Answer) -> ControlFlow<()> {
+        let answer = match self.answers.try_send(answer) {
+            Ok(()) => return ControlFlow::Continue(()),
+            Err(TrySendError::Disconnected(_)) => return ControlFlow::Break(()),
+            Err(TrySendError::Full(answer)) => answer,
+        };
+        if smiler_obs::enabled() {
+            smiler_obs::count("net.read_stall", "", 1);
+        }
+        match self.answers.send(answer) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(_) => ControlFlow::Break(()),
+        }
+    }
+
+    /// Route one decoded binary request; pings answer inline.
+    fn binary_request(&mut self, req: Request) -> Answer {
+        if smiler_obs::enabled() {
             smiler_obs::count("net.frames_in", "", 1);
         }
         match req {
             Request::Ping { request_id, .. } => {
-                self.push_response(&Response::Pong { request_id });
+                Answer::Ready(encode(&Response::Pong { request_id }))
             }
             Request::Forecast { request_id, tenant, sensor, h, deadline_us } => {
-                if !admit(qos, tenant) {
-                    self.push_response(&Response::Error {
-                        request_id,
-                        code: ErrorCode::Throttled,
-                        detail: format!("tenant {tenant} over rate"),
-                    });
-                    self.greeted = true;
-                    return;
-                }
-                let trace = self.begin_trace(handle, sensor, h);
                 let budget = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-                match handle.submit_forecast_traced(sensor as usize, h as usize, budget, trace) {
-                    Ok(pending) => self.inflight.push(Inflight {
-                        request_id,
-                        http_sensor: None,
-                        op: Op::Forecast(pending),
-                    }),
-                    Err(err) => {
-                        if obs {
-                            if let ServeError::Overloaded { shard, .. } = err {
-                                smiler_obs::count("net.shed", &format!("shard={shard}"), 1);
-                            }
-                        }
-                        self.push_response(&Response::Error {
-                            request_id,
-                            code: wire_error(&err),
-                            detail: err.to_string(),
-                        });
-                    }
-                }
-                self.greeted = true;
+                self.admit(Format::Binary(request_id), tenant, Call::Forecast { sensor, h, budget })
             }
             Request::Observe { request_id, tenant, sensor, value } => {
-                if !admit(qos, tenant) {
-                    self.push_response(&Response::Error {
-                        request_id,
-                        code: ErrorCode::Throttled,
-                        detail: format!("tenant {tenant} over rate"),
-                    });
-                    self.greeted = true;
-                    return;
-                }
-                match handle.submit_observe(sensor as usize, value) {
-                    Ok(pending) => self.inflight.push(Inflight {
-                        request_id,
-                        http_sensor: None,
-                        op: Op::Observe(pending),
-                    }),
-                    Err(err) => self.push_response(&Response::Error {
-                        request_id,
-                        code: wire_error(&err),
-                        detail: err.to_string(),
-                    }),
-                }
-                self.greeted = true;
+                self.admit(Format::Binary(request_id), tenant, Call::Observe { sensor, value })
             }
         }
-    }
-
-    /// Begin a request trace at decode time so the connection milestones
-    /// (`net.accept` on a connection's first request, `net.read`,
-    /// `net.decode`) share a timeline with the queue/serve milestones the
-    /// shard worker adds downstream.
-    fn begin_trace(&mut self, handle: &ServeHandle, sensor: u64, h: u32) -> Option<RequestTrace> {
-        if !smiler_obs::trace::active() {
-            return None;
-        }
-        let shard = (sensor as usize) % handle.shard_count().max(1);
-        let mut trace = RequestTrace::begin(sensor as usize, h as usize, shard);
-        if !self.greeted {
-            trace.mark("net.accept");
-        }
-        trace.mark("net.read");
-        trace.mark("net.decode");
-        Some(trace)
     }
 
     /// Route one HTTP request. `/healthz` and `/status` answer inline;
-    /// `/forecast` and `/observe` go through the same admission path as
-    /// binary frames and complete asynchronously.
-    fn dispatch_http(
-        &mut self,
-        req: HttpRequest,
-        handle: &ServeHandle,
-        qos: Option<&mut TenantBuckets>,
-    ) {
+    /// `/forecast` and `/observe` go through the same admission as binary
+    /// frames.
+    fn http_request(&mut self, req: &HttpRequest) -> Answer {
         if smiler_obs::enabled() {
             smiler_obs::count("net.http_requests", "", 1);
         }
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => {
-                self.write_buf.extend_from_slice(&http::render_response(200, "{\"ok\":true}"));
-                self.close_after_flush = true;
-            }
+        let call = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => return http_reply(200, "{\"ok\":true}"),
             ("GET", "/status") => {
-                let body = serde_json::to_string(&handle.status_report())
+                let body = serde_json::to_string(&self.shared.handle.status_report())
                     .unwrap_or_else(|_| "{\"error\":\"status serialization failed\"}".to_string());
-                self.write_buf.extend_from_slice(&http::render_response(200, &body));
-                self.close_after_flush = true;
+                return http_reply(200, &body);
             }
-            ("GET", "/forecast") => {
-                let tenant = req.param("tenant").and_then(|t| t.parse().ok()).unwrap_or(0u32);
-                if !admit(qos, tenant) {
-                    self.respond_http(ErrorCode::Throttled, &format!("tenant {tenant} over rate"));
-                    return;
-                }
-                let sensor = match req.numeric_param::<u64>("sensor") {
-                    Ok(v) => v,
-                    Err(reason) => return self.respond_http(ErrorCode::BadRequest, &reason),
-                };
-                let h = match req.numeric_param::<u32>("h") {
-                    Ok(v) => v,
-                    Err(reason) => return self.respond_http(ErrorCode::BadRequest, &reason),
-                };
-                let budget = match req.param("deadline_ms") {
-                    None => None,
-                    Some(raw) => match raw.parse::<u64>() {
-                        Ok(ms) => Some(Duration::from_millis(ms)),
-                        Err(_) => {
-                            return self.respond_http(
-                                ErrorCode::BadRequest,
-                                "query parameter 'deadline_ms' is not a valid number",
-                            )
-                        }
-                    },
-                };
-                let trace = self.begin_trace(handle, sensor, h);
-                match handle.submit_forecast_traced(sensor as usize, h as usize, budget, trace) {
-                    Ok(pending) => {
-                        self.inflight.push(Inflight {
-                            request_id: 0,
-                            http_sensor: Some(sensor),
-                            op: Op::Forecast(pending),
-                        });
-                        self.greeted = true;
-                    }
-                    Err(err) => self.respond_http(wire_error(&err), &err.to_string()),
-                }
-            }
-            ("POST", "/observe") => {
-                let tenant = req.param("tenant").and_then(|t| t.parse().ok()).unwrap_or(0u32);
-                if !admit(qos, tenant) {
-                    self.respond_http(ErrorCode::Throttled, &format!("tenant {tenant} over rate"));
-                    return;
-                }
-                let sensor = match req.numeric_param::<u64>("sensor") {
-                    Ok(v) => v,
-                    Err(reason) => return self.respond_http(ErrorCode::BadRequest, &reason),
-                };
-                let value = match req.numeric_param::<f64>("value") {
-                    Ok(v) => v,
-                    Err(reason) => return self.respond_http(ErrorCode::BadRequest, &reason),
-                };
-                match handle.submit_observe(sensor as usize, value) {
-                    Ok(pending) => {
-                        self.inflight.push(Inflight {
-                            request_id: 0,
-                            http_sensor: Some(sensor),
-                            op: Op::Observe(pending),
-                        });
-                        self.greeted = true;
-                    }
-                    Err(err) => self.respond_http(wire_error(&err), &err.to_string()),
-                }
-            }
+            ("GET", "/forecast") => http_forecast(req),
+            ("POST", "/observe") => http_observe(req),
             (_, "/forecast" | "/observe" | "/status" | "/healthz") => {
-                self.write_buf.extend_from_slice(&http::render_response(
-                    405,
-                    &http::error_body(ErrorCode::BadRequest, "method not allowed"),
-                ));
-                self.close_after_flush = true;
+                return http_error(405, "method not allowed")
             }
-            _ => {
-                self.write_buf.extend_from_slice(&http::render_response(
-                    404,
-                    &http::error_body(ErrorCode::BadRequest, "no such endpoint"),
-                ));
-                self.close_after_flush = true;
+            _ => return http_error(404, "no such endpoint"),
+        };
+        match call {
+            Ok((sensor, call)) => {
+                let tenant = req.param("tenant").and_then(|t| t.parse().ok()).unwrap_or(0u32);
+                self.admit(Format::Http(sensor), tenant, call)
             }
+            Err(reason) => http_error(400, &reason),
         }
     }
 
-    /// Queue an HTTP error response and close after it flushes.
-    fn respond_http(&mut self, code: ErrorCode, detail: &str) {
-        let status = http::status_for(code);
-        self.write_buf
-            .extend_from_slice(&http::render_response(status, &http::error_body(code, detail)));
-        self.close_after_flush = true;
-    }
-
-    /// Encode one binary response frame.
-    fn push_response(&mut self, resp: &Response) {
-        resp.encode(&mut self.write_buf);
-        if smiler_obs::enabled() {
-            smiler_obs::count("net.frames_out", "", 1);
+    /// The one admission path: QoS debit, then the shard queue's own
+    /// admission control. Every refusal is a typed answer in `format`.
+    fn admit(&mut self, format: Format, tenant: u32, call: Call) -> Answer {
+        let first = !std::mem::replace(&mut self.greeted, true);
+        if !self.shared.within_rate(tenant) {
+            return Answer::Ready(
+                format.error(ErrorCode::Throttled, format!("tenant {tenant} over rate")),
+            );
         }
-    }
-
-    /// Move completed in-flight requests into the write buffer. Responses
-    /// go out in *completion* order; request ids let clients re-match.
-    fn pump_completions(&mut self) -> bool {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < self.inflight.len() {
-            let reply = match &self.inflight[i].op {
-                Op::Forecast(pending) => pending.try_wait().map(CompletedOp::Forecast),
-                Op::Observe(pending) => pending.try_wait().map(CompletedOp::Observe),
-            };
-            match reply {
-                None => i += 1,
-                Some(done) => {
-                    let inflight = self.inflight.swap_remove(i);
-                    self.render_completion(&inflight, done);
-                    progressed = true;
-                }
+        let handle = &self.shared.handle;
+        let submitted = match call {
+            Call::Forecast { sensor, h, budget } => {
+                let trace = begin_trace(handle, sensor, h, first);
+                handle
+                    .submit_forecast_traced(sensor as usize, h as usize, budget, trace)
+                    .map(|pending| Answer::Forecast(format, pending))
             }
-        }
-        progressed
-    }
-
-    fn render_completion(&mut self, inflight: &Inflight, done: CompletedOp) {
-        match done {
-            CompletedOp::Forecast(Ok(p)) => {
-                let wire = WireForecast {
-                    mean: p.mean,
-                    variance: p.variance,
-                    rung: p.level.index() as u8,
-                    deadline_missed: p.deadline_missed,
-                    elapsed_us: p.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-                };
-                match inflight.http_sensor {
-                    None => self.push_response(&Response::Forecast {
-                        request_id: inflight.request_id,
-                        forecast: wire,
-                    }),
-                    Some(sensor) => {
-                        let body = format!(
-                            "{{\"sensor\":{},\"mean\":{},\"variance\":{},\"level\":\"{}\",\"deadline_missed\":{},\"elapsed_us\":{}}}",
-                            sensor,
-                            json_f64(p.mean),
-                            json_f64(p.variance),
-                            p.level.as_str(),
-                            p.deadline_missed,
-                            wire.elapsed_us
-                        );
-                        self.write_buf.extend_from_slice(&http::render_response(200, &body));
-                        self.close_after_flush = true;
-                    }
-                }
+            Call::Observe { sensor, value } => handle
+                .submit_observe(sensor as usize, value)
+                .map(|pending| Answer::Observe(format, pending)),
+        };
+        submitted.unwrap_or_else(|err| {
+            if let (true, ServeError::Overloaded { shard, .. }) = (smiler_obs::enabled(), &err) {
+                smiler_obs::count("net.shed", &format!("shard={shard}"), 1);
             }
-            CompletedOp::Observe(Ok(())) => match inflight.http_sensor {
-                None => {
-                    self.push_response(&Response::ObserveOk { request_id: inflight.request_id })
-                }
-                Some(sensor) => {
-                    let body = format!("{{\"ok\":true,\"sensor\":{sensor}}}");
-                    self.write_buf.extend_from_slice(&http::render_response(200, &body));
-                    self.close_after_flush = true;
-                }
-            },
-            CompletedOp::Forecast(Err(err)) | CompletedOp::Observe(Err(err)) => {
-                match inflight.http_sensor {
-                    None => self.push_response(&Response::Error {
-                        request_id: inflight.request_id,
-                        code: wire_error(&err),
-                        detail: err.to_string(),
-                    }),
-                    Some(_) => self.respond_http(wire_error(&err), &err.to_string()),
-                }
-            }
-        }
-    }
-
-    /// Write as much buffered output as the socket accepts.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        while self.write_pos < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return progressed;
-                }
-                Ok(n) => {
-                    self.write_pos += n;
-                    progressed = true;
-                    if smiler_obs::enabled() {
-                        smiler_obs::count("net.bytes_out", "", n as u64);
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return progressed;
-                }
-            }
-        }
-        if self.write_pos == self.write_buf.len() {
-            self.write_buf.clear();
-            self.write_pos = 0;
-            if self.close_after_flush && self.inflight.is_empty() {
-                self.dead = true;
-            }
-        }
-        progressed
+            Answer::Ready(format.serve_error(&err))
+        })
     }
 }
 
-enum CompletedOp {
-    Forecast(Result<smiler_core::degrade::Prediction, ServeError>),
-    Observe(Result<(), ServeError>),
+/// Begin a request trace at decode time so the connection milestones
+/// (`net.accept` on a connection's first request, `net.read`,
+/// `net.decode`) share a timeline with the queue/serve milestones the
+/// shard worker adds downstream.
+fn begin_trace(handle: &ServeHandle, sensor: u64, h: u32, first: bool) -> Option<RequestTrace> {
+    if !smiler_obs::trace::active() {
+        return None;
+    }
+    let shard = (sensor as usize) % handle.shard_count().max(1);
+    let mut trace = RequestTrace::begin(sensor as usize, h as usize, shard);
+    if first {
+        trace.mark("net.accept");
+    }
+    trace.mark("net.read");
+    trace.mark("net.decode");
+    Some(trace)
 }
 
-/// Debit the tenant's bucket; no QoS configured means admit everything.
-fn admit(qos: Option<&mut TenantBuckets>, tenant: u32) -> bool {
-    match qos {
-        None => true,
-        Some(buckets) => {
-            let admitted = buckets.admit(tenant, Instant::now());
-            if !admitted && smiler_obs::enabled() {
-                smiler_obs::count("net.qos.throttled", &format!("tenant={tenant}"), 1);
+/// `GET /forecast?sensor=&h=[&deadline_ms=]` as a sensor id and a call.
+fn http_forecast(req: &HttpRequest) -> Result<(u64, Call), String> {
+    let sensor = req.numeric_param::<u64>("sensor")?;
+    let h = req.numeric_param::<u32>("h")?;
+    let budget = match req.param("deadline_ms") {
+        None => None,
+        Some(_) => Some(Duration::from_millis(req.numeric_param::<u64>("deadline_ms")?)),
+    };
+    Ok((sensor, Call::Forecast { sensor, h, budget }))
+}
+
+/// `POST /observe?sensor=&value=` as a sensor id and a call.
+fn http_observe(req: &HttpRequest) -> Result<(u64, Call), String> {
+    let sensor = req.numeric_param::<u64>("sensor")?;
+    let value = req.numeric_param::<f64>("value")?;
+    Ok((sensor, Call::Observe { sensor, value }))
+}
+
+impl Format {
+    fn error(self, code: ErrorCode, detail: String) -> Vec<u8> {
+        match self {
+            Format::Binary(request_id) => encode(&Response::Error { request_id, code, detail }),
+            Format::Http(_) => {
+                http::render_response(http::status_for(code), &http::error_body(code, &detail))
             }
-            admitted
         }
     }
+
+    fn serve_error(self, err: &ServeError) -> Vec<u8> {
+        self.error(wire_error(err), err.to_string())
+    }
+
+    fn forecast(self, reply: Result<Prediction, ServeError>) -> Vec<u8> {
+        let p = match reply {
+            Ok(p) => p,
+            Err(err) => return self.serve_error(&err),
+        };
+        let forecast = WireForecast {
+            mean: p.mean,
+            variance: p.variance,
+            rung: p.level.index() as u8,
+            deadline_missed: p.deadline_missed,
+            elapsed_us: p.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+        };
+        match self {
+            Format::Binary(request_id) => encode(&Response::Forecast { request_id, forecast }),
+            Format::Http(sensor) => http::render_response(
+                200,
+                &format!(
+                    "{{\"sensor\":{},\"mean\":{},\"variance\":{},\"level\":\"{}\",\"deadline_missed\":{},\"elapsed_us\":{}}}",
+                    sensor,
+                    json_f64(p.mean),
+                    json_f64(p.variance),
+                    p.level.as_str(),
+                    p.deadline_missed,
+                    forecast.elapsed_us
+                ),
+            ),
+        }
+    }
+
+    fn observed(self, reply: Result<(), ServeError>) -> Vec<u8> {
+        match (reply, self) {
+            (Err(err), _) => self.serve_error(&err),
+            (Ok(()), Format::Binary(request_id)) => encode(&Response::ObserveOk { request_id }),
+            (Ok(()), Format::Http(sensor)) => {
+                http::render_response(200, &format!("{{\"ok\":true,\"sensor\":{sensor}}}"))
+            }
+        }
+    }
+}
+
+/// Encode one binary response frame.
+fn encode(resp: &Response) -> Vec<u8> {
+    let mut wire = Vec::with_capacity(64);
+    resp.encode(&mut wire);
+    if smiler_obs::enabled() {
+        smiler_obs::count("net.frames_out", "", 1);
+    }
+    wire
+}
+
+/// The typed error frame that answers bytes no request decodes from; the
+/// connection closes behind it.
+fn bad_frame(err: &FrameError) -> Answer {
+    if smiler_obs::enabled() {
+        smiler_obs::count("net.decode_error", "", 1);
+    }
+    Answer::Ready(Format::Binary(0).error(ErrorCode::BadRequest, err.to_string()))
+}
+
+/// An HTTP answer that needs no shard.
+fn http_reply(status: u16, body: &str) -> Answer {
+    Answer::Ready(http::render_response(status, body))
+}
+
+/// An HTTP refusal decided by the gateway itself (bad request line, no
+/// such endpoint, …).
+fn http_error(status: u16, detail: &str) -> Answer {
+    http_reply(status, &http::error_body(ErrorCode::BadRequest, detail))
 }
 
 /// Wire code for a serving error.
@@ -810,5 +670,60 @@ fn json_f64(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_string()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use smiler_core::serve::{ServeConfig, SmilerServer};
+    use smiler_core::{PredictorKind, SensorPredictor, SmilerConfig};
+    use smiler_gpu::Device;
+
+    /// A failing `accept` (descriptor exhaustion, say) cannot be provoked
+    /// from outside without starving every other test in the process of
+    /// descriptors, hence the injected `accept`. Six failures must cost the
+    /// six doubling pauses, not a spin, and each must be counted.
+    #[test]
+    fn accept_errors_are_counted_and_back_off() {
+        const FAILURES: u32 = 6;
+        let device = Arc::new(Device::default_gpu());
+        let history = (0..300).map(|i| (f64::from(i) * 0.26).sin()).collect();
+        let sensor = SensorPredictor::new(
+            Arc::clone(&device),
+            0,
+            history,
+            SmilerConfig::small_for_tests(),
+            PredictorKind::Aggregation,
+        );
+        let server = SmilerServer::start(device, vec![sensor], ServeConfig::default());
+        let shared = Arc::new(Shared::new(server.handle(), NetConfig::default()));
+        smiler_obs::set_enabled(true);
+
+        let mut calls = 0;
+        let started = Instant::now();
+        accept_loop(&shared, || {
+            calls += 1;
+            if calls > FAILURES {
+                shared.stop.store(true, Ordering::SeqCst);
+            }
+            Err(io::Error::other("too many open files"))
+        });
+        let paused = started.elapsed();
+
+        assert_eq!(calls, FAILURES + 1, "the loop must retry until told to stop");
+        assert!(
+            paused >= ACCEPT_BACKOFF_MIN * ((1 << FAILURES) - 1),
+            "{FAILURES} failed accepts were retried after only {paused:?}"
+        );
+        let counted: u64 = smiler_obs::metrics_snapshot()
+            .counters
+            .iter()
+            .filter(|row| row.name == "net.accept_error")
+            .map(|row| row.value)
+            .sum();
+        assert!(counted >= u64::from(FAILURES), "net.accept_error counted {counted}");
+        server.shutdown();
     }
 }

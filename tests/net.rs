@@ -495,3 +495,386 @@ fn chaos_feed_over_the_wire_answers_typed_and_survives_a_load_spike() {
     net.shutdown();
     server.shutdown();
 }
+
+// -------------------------------------------------- connection lifecycle
+
+use std::io::ErrorKind;
+use std::net::{Shutdown, SocketAddr};
+use std::time::Instant;
+
+/// `n` pipelined forecast frames with request ids `0..n`.
+fn forecast_frames(n: u64, sensor_of: impl Fn(u64) -> u64) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for id in 0..n {
+        Request::Forecast {
+            request_id: id,
+            tenant: 0,
+            sensor: sensor_of(id),
+            h: 2,
+            deadline_us: 0,
+        }
+        .encode(&mut wire);
+    }
+    wire
+}
+
+/// Pipeline forecasts on a non-blocking socket and never read an answer,
+/// until the kernel has taken nothing more for a quarter of a second: by
+/// then the socket buffers of both directions are full, the server's
+/// reader is stalled on its window and its writer is blocked in `write`.
+/// (The forecasts name a sensor outside the fleet, so each draws a full
+/// typed answer without costing a search.)
+fn flood_without_reading(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nonblocking(true).expect("non-blocking client");
+    let wire = forecast_frames(256, |_| 99);
+    let mut offset = 0;
+    let mut last_progress = Instant::now();
+    while last_progress.elapsed() < Duration::from_millis(250) {
+        match stream.write(&wire[offset..]) {
+            Ok(n) => {
+                offset = (offset + n) % wire.len();
+                last_progress = Instant::now();
+            }
+            Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(err) => panic!("flooding failed before the server stalled: {err}"),
+        }
+    }
+    stream
+}
+
+/// Whether the server has closed `stream`: reading it to the end finishes
+/// in end-of-file or a reset, not in a timeout.
+fn is_closed(stream: &mut TcpStream) -> bool {
+    stream.set_nonblocking(false).expect("blocking client");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut sink = Vec::new();
+    match stream.read_to_end(&mut sink) {
+        Ok(_) => true,
+        Err(err) => !matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+    }
+}
+
+/// `shutdown()` with an idle connection, one that never spoke, one in the
+/// middle of a pipeline and one whose writer is blocked on a peer that
+/// does not read: it returns promptly — it joins the acceptor and every
+/// connection thread, so returning at all means none of them is stuck —
+/// and every socket is closed behind it.
+#[test]
+fn shutdown_closes_idle_pipelining_and_blocked_connections() {
+    let server = start_server(2, ServeConfig::default());
+    let net = NetServer::bind("127.0.0.1:0", server.handle(), NetConfig::default()).expect("bind");
+    let addr = net.local_addr();
+
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    let mut idle = NetClient::connect(addr).expect("connect");
+    idle.ping().expect("ping");
+    let mut pipelining = TcpStream::connect(addr).expect("connect");
+    pipelining.write_all(&forecast_frames(24, |id| id % 2)).expect("send");
+    let mut stuck = flood_without_reading(addr);
+
+    let started = Instant::now();
+    net.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown waited {took:?} on somebody");
+
+    assert!(is_closed(&mut silent), "a connection that never spoke outlived shutdown");
+    assert!(idle.ping().is_err(), "an idle connection outlived shutdown");
+    assert!(is_closed(&mut pipelining), "a pipelining connection outlived shutdown");
+    assert!(is_closed(&mut stuck), "a connection with a blocked writer outlived shutdown");
+
+    server.shutdown();
+}
+
+/// Dropping the server is shutting it down: the acceptor is woken and
+/// joined (or this test hangs), and live connections are closed.
+#[test]
+fn dropping_the_server_stops_it() {
+    let server = start_server(1, ServeConfig::default());
+    let net = NetServer::bind("127.0.0.1:0", server.handle(), NetConfig::default()).expect("bind");
+    let mut client = NetClient::connect(net.local_addr()).expect("connect");
+    client.ping().expect("ping");
+
+    drop(net);
+    assert!(client.ping().is_err(), "a connection outlived its server");
+
+    server.shutdown();
+}
+
+/// A client that pipelines forecasts and never reads an answer costs the
+/// server one blocked writer, not its service: a second connection is
+/// answered at once while the first is stuck, and the stuck one is closed
+/// when the write timeout expires.
+#[test]
+fn a_peer_that_never_reads_delays_nobody_and_is_closed() {
+    let server = start_server(2, ServeConfig::default());
+    let net = NetServer::bind("127.0.0.1:0", server.handle(), NetConfig::default()).expect("bind");
+    let addr = net.local_addr();
+
+    let stuck = flood_without_reading(addr);
+
+    let mut other = NetClient::connect(addr).expect("a second connection is admitted");
+    let started = Instant::now();
+    other.ping().expect("ping beside a stuck connection");
+    other.forecast(0, 2, None).expect("forecast beside a stuck connection");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "the stuck connection delayed another by {took:?}");
+
+    // The server resets the connection (it closes with the flood unread);
+    // the pending socket error shows that without reading a byte, which
+    // would un-stick the writer instead.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while matches!(stuck.take_error(), Ok(None)) {
+        assert!(Instant::now() < deadline, "a peer that never reads was never closed");
+        other.ping().expect("the second connection keeps being served meanwhile");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    net.shutdown();
+    server.shutdown();
+}
+
+/// A peer that sends N requests and closes its sending half still gets
+/// its N answers — in request order — and then end-of-file.
+#[test]
+fn half_closed_peer_gets_every_answer_in_request_order_then_eof() {
+    const N: u64 = 12;
+    let server = start_server(2, ServeConfig::default());
+    let net = NetServer::bind("127.0.0.1:0", server.handle(), NetConfig::default()).expect("bind");
+
+    let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream.write_all(&forecast_frames(N, |id| id % 2)).expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("answers, then end-of-file");
+    let mut offset = 0;
+    for id in 0..N {
+        let (n, payload) =
+            frame::try_frame(&raw[offset..]).expect("response frames").expect("complete");
+        match smiler_net::Response::decode(payload).expect("decodes") {
+            smiler_net::Response::Forecast { request_id, .. } => assert_eq!(request_id, id),
+            other => panic!("expected the forecast for request {id}, got {other:?}"),
+        }
+        offset += n;
+    }
+    assert_eq!(offset, raw.len(), "nothing may follow the last answer");
+
+    net.shutdown();
+    server.shutdown();
+}
+
+/// `max_connections: 1` closes a second connection without serving it,
+/// leaves the first alone, and admits a new one once the first has ended
+/// (the registry of live connections is reaped).
+#[test]
+fn max_connections_closes_the_extra_peer_and_frees_the_slot_afterwards() {
+    let server = start_server(1, ServeConfig::default());
+    let net = NetServer::bind(
+        "127.0.0.1:0",
+        server.handle(),
+        NetConfig { max_connections: 1, ..NetConfig::default() },
+    )
+    .expect("bind");
+    let addr = net.local_addr();
+
+    let mut first = NetClient::connect(addr).expect("connect");
+    first.ping().expect("the first connection is admitted");
+
+    let mut extra = NetClient::connect(addr).expect("the accept queue still takes it");
+    assert!(extra.ping().is_err(), "a connection beyond max_connections was served");
+    first.ping().expect("the admitted connection is untouched");
+
+    // The slot frees when the server has seen the first connection end;
+    // nothing tells a client when that is, so retry until admitted.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !NetClient::connect(addr).is_ok_and(|mut next| next.ping().is_ok()) {
+        assert!(Instant::now() < deadline, "the slot of a finished connection was never freed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    net.shutdown();
+    server.shutdown();
+}
+
+// ------------------------------------- replication frames, hostile peers
+
+use smiler_net::repl::{
+    encode_repl_frame, try_repl_frame, ChunkAssembler, ReplMsg, MAX_REPL_PAYLOAD_BYTES, REPL_MAGIC,
+    REPL_VERSION,
+};
+use smiler_store::WalRecord;
+
+/// One message of every `SMLRREPL` kind, with every field shape the
+/// family has (strings, nested WAL records, chunk bodies).
+fn repl_samples() -> Vec<ReplMsg> {
+    vec![
+        ReplMsg::Hello { follower_id: "follower-b".into(), acked_seq: 42 },
+        ReplMsg::Ack { acked_seq: 99 },
+        ReplMsg::CheckpointChunk { seq: 7, offset: 3, total_len: 9, bytes: vec![1, 2, 3] },
+        ReplMsg::SegmentChunk { index: 4, offset: 0, total_len: 100, bytes: vec![0xAB; 100] },
+        ReplMsg::BootstrapDone { last_seq: 1000 },
+        ReplMsg::Record { record: WalRecord::Observe { seq: 5, sensor: 2, value: f64::NAN } },
+        ReplMsg::Record {
+            record: WalRecord::Round { seq: 6, horizon: 3, values: vec![-0.0, 1.5] },
+        },
+        ReplMsg::Heartbeat { last_seq: 123 },
+        ReplMsg::Error { detail: "follower too stale".into() },
+    ]
+}
+
+/// A message as `(wire frame, payload inside it)`.
+fn repl_wire(msg: &ReplMsg) -> (Vec<u8>, Vec<u8>) {
+    let mut wire = Vec::new();
+    msg.encode(&mut wire);
+    let (_, payload) = try_repl_frame(&wire).expect("valid").expect("complete");
+    let payload = payload.to_vec();
+    (wire, payload)
+}
+
+/// Every strict prefix of every replication frame is incomplete or a
+/// typed error, and every strict prefix of every payload is a typed
+/// decode error: a torn stream can stall a follower, never fool it.
+#[test]
+fn repl_truncation_at_every_prefix_byte_is_typed() {
+    for msg in repl_samples() {
+        let (wire, payload) = repl_wire(&msg);
+        for cut in 0..wire.len() {
+            match try_repl_frame(&wire[..cut]) {
+                Ok(None) | Err(_) => {}
+                Ok(Some(_)) => panic!("{msg:?}: a {cut}-byte prefix of {} framed", wire.len()),
+            }
+        }
+        for cut in 0..payload.len() {
+            assert!(
+                ReplMsg::decode(&payload[..cut]).is_err(),
+                "{msg:?}: a {cut}-byte prefix of a {}-byte payload decoded",
+                payload.len()
+            );
+        }
+        ReplMsg::decode(&payload).expect("the whole payload still decodes");
+    }
+}
+
+/// A flipped byte anywhere in a frame is caught by the envelope (magic,
+/// version, length, CRC) or decodes typed; a flipped byte in a payload
+/// re-wrapped under a *valid* CRC — what a buggy or hostile peer sends —
+/// reaches `ReplMsg::decode` and must come back as a message or a typed
+/// error, never a panic or an allocation sized by the corruption.
+#[test]
+fn repl_single_byte_corruption_never_panics() {
+    for msg in repl_samples() {
+        let (wire, payload) = repl_wire(&msg);
+        for flip in [0x01u8, 0x80u8, 0xFFu8] {
+            for pos in 0..wire.len() {
+                let mut bad = wire.clone();
+                bad[pos] ^= flip;
+                if let Ok(Some((consumed, carved))) = try_repl_frame(&bad) {
+                    assert!(consumed <= bad.len());
+                    let _ = ReplMsg::decode(carved);
+                }
+            }
+            for pos in 0..payload.len() {
+                let mut bad = payload.clone();
+                bad[pos] ^= flip;
+                let mut rewrapped = Vec::new();
+                encode_repl_frame(&mut rewrapped, &bad);
+                let (_, carved) =
+                    try_repl_frame(&rewrapped).expect("valid envelope").expect("complete");
+                let _ = ReplMsg::decode(carved);
+            }
+        }
+    }
+}
+
+/// Length bombs, outer and inner. The envelope's declared length is
+/// bounded before anything is buffered; a length field *inside* a payload
+/// (string, chunk body, nested record) that claims more than the payload
+/// holds is a typed error before anything is allocated.
+#[test]
+fn repl_declared_lengths_are_bounded() {
+    for len in [0, 1, 19, MAX_REPL_PAYLOAD_BYTES, MAX_REPL_PAYLOAD_BYTES + 1, 1 << 31, u32::MAX] {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&REPL_MAGIC);
+        wire.extend_from_slice(&REPL_VERSION.to_le_bytes());
+        wire.extend_from_slice(&len.to_le_bytes());
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        match try_repl_frame(&wire) {
+            Err(FrameError::Oversized { .. }) => assert!(len > MAX_REPL_PAYLOAD_BYTES),
+            Ok(None) => assert!(len > 0 && len <= MAX_REPL_PAYLOAD_BYTES),
+            // crc32 of nothing is 0: an empty payload frames, then fails typed.
+            Ok(Some((_, payload))) => {
+                assert_eq!(len, 0);
+                assert!(ReplMsg::decode(payload).is_err());
+            }
+            Err(other) => panic!("declared length {len}: unexpected {other:?}"),
+        }
+    }
+
+    for msg in repl_samples() {
+        let (_, payload) = repl_wire(&msg);
+        // Overwrite every aligned-or-not 8-byte window with a huge length:
+        // whichever of them is a length field now lies.
+        for pos in 1..payload.len().saturating_sub(7) {
+            for bomb in [u64::MAX, 1 << 62, u64::from(u32::MAX), payload.len() as u64] {
+                let mut bad = payload.clone();
+                bad[pos..pos + 8].copy_from_slice(&bomb.to_le_bytes());
+                let _ = ReplMsg::decode(&bad);
+            }
+        }
+    }
+}
+
+/// `ChunkAssembler::push` against a peer that lies about offsets and
+/// totals: every inconsistency is an error, nothing is buffered beyond
+/// what was declared, and an honest transfer still completes.
+#[test]
+fn chunk_assembler_rejects_bad_offsets_totals_and_overflow() {
+    /// `(offset, total_len, body length)` of one push.
+    type Chunk = (u64, u64, usize);
+    // (chunks pushed in order, index of the push that must fail — `None`
+    // when the transfer is honest).
+    let cases: &[(&[Chunk], Option<usize>)] = &[
+        (&[(0, 6, 3), (3, 6, 3)], None),
+        (&[(0, 0, 0)], None),
+        (&[(0, 6, 0), (0, 6, 6)], None),
+        (&[(3, 6, 3)], Some(0)),
+        (&[(0, 6, 3), (4, 6, 2)], Some(1)),
+        (&[(0, 6, 3), (0, 6, 3)], Some(1)),
+        (&[(0, 6, 3), (2, 6, 3)], Some(1)),
+        (&[(0, 6, 3), (3, 7, 3)], Some(1)),
+        (&[(0, 6, 3), (3, 6, 4)], Some(1)),
+        (&[(0, 2, 3)], Some(0)),
+        (&[(0, 0, 1)], Some(0)),
+        (&[(0, (1 << 32) + 1, 3)], Some(0)),
+        (&[(0, u64::MAX, 3)], Some(0)),
+        (&[(u64::MAX, 6, 3)], Some(0)),
+        (&[(0, 6, 3), (u64::MAX, 6, 3)], Some(1)),
+        (&[(0, 6, 3), (u64::MAX - 1, u64::MAX, 3)], Some(1)),
+    ];
+    for (chunks, fails_at) in cases {
+        let mut assembler = ChunkAssembler::new();
+        let mut sent = Vec::new();
+        for (i, &(offset, total_len, len)) in chunks.iter().enumerate() {
+            let body: Vec<u8> = (0..len).map(|b| (i * 16 + b) as u8).collect();
+            let pushed = assembler.push(offset, total_len, &body);
+            if *fails_at == Some(i) {
+                assert!(pushed.is_err(), "{chunks:?}: push {i} must be refused, got {pushed:?}");
+                break;
+            }
+            sent.extend_from_slice(&body);
+            let done = pushed.unwrap_or_else(|err| panic!("{chunks:?}: push {i} refused: {err}"));
+            match done {
+                Some(bytes) => {
+                    assert_eq!(i + 1, chunks.len(), "{chunks:?}: completed early");
+                    assert_eq!(bytes, sent, "{chunks:?}: reassembled bytes differ");
+                }
+                None => assert!(i + 1 < chunks.len(), "{chunks:?}: never completed"),
+            }
+        }
+    }
+}
