@@ -15,7 +15,6 @@
 //! estimate the paper attaches to SVR outputs.
 
 use crate::{training_pairs, SeriesPredictor};
-use smiler_linalg::stats;
 
 /// Loss functions the SGD models support.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,12 +249,6 @@ pub fn online_svr(config: LinearConfig) -> LinearSgd {
 /// OnlineRR: one-pass linear robust regression (online group).
 pub fn online_rr(config: LinearConfig) -> LinearSgd {
     LinearSgd::new("OnlineRR", true, Loss::Huber, config)
-}
-
-/// Convenience: residual variance of a prediction set (used in tests).
-pub fn residual_variance(pred: &[f64], truth: &[f64]) -> f64 {
-    let r: Vec<f64> = pred.iter().zip(truth).map(|(p, t)| p - t).collect();
-    stats::variance(&r)
 }
 
 #[cfg(test)]

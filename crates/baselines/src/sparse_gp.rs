@@ -214,13 +214,6 @@ fn negative_objective(
     nll
 }
 
-impl SparseGp {
-    /// The trained hyperparameters, if fitted (diagnostics).
-    pub fn debug_hyper(&self) -> Option<Hyperparams> {
-        self.fitted.as_ref().map(|f| f.hyper)
-    }
-}
-
 impl SeriesPredictor for SparseGp {
     fn name(&self) -> &'static str {
         self.name

@@ -69,8 +69,7 @@ smiler — semi-lazy time series prediction for sensors (SIGMOD'15 reproduction)
 USAGE:
   smiler forecast --input <file> [--column <name>] [--horizons 1,6]
                   [--predictor gp|ar] [--warmup 16] [--interval]
-                  [--deadline-ms <ms>] [--backend sim|native]
-                  [--regime] [--robust]
+                  [--deadline-ms <ms>] [--regime] [--robust]
   smiler evaluate --input <file> [--column <name>] [--steps 50]
                   [--horizons 1,5,10] [--models smiler-gp,smiler-ar,lazyknn,...]
   smiler generate --dataset road|mall|net [--days 14] [--seed 7]
@@ -146,14 +145,6 @@ ADAPTATION (forecast, serve):
   --robust               fit GP cells with an outlier-downweighted
                          (median/MAD winsorized) likelihood, robust to
                          dirty neighbourhoods. Off by default.
-
-BACKENDS (any command that runs the index):
-  --backend sim|native   how kernel launches are clocked. `sim` (default)
-                         feeds per-block costs through the GTX TITAN cost
-                         model — the paper-faithful timing. `native` reports
-                         measured wall-clock of the real parallel + SIMD
-                         execution. Forecasts are bitwise-identical under
-                         both; only the reported timings differ.
 
 OBSERVABILITY (any command):
   --metrics-out <path>   write end-of-run metrics as JSON lines (includes
@@ -248,19 +239,6 @@ fn load_series(args: &Args) -> Result<Vec<f64>, CliError> {
     Ok(io::read_series_file(path, args.get("column"))?)
 }
 
-/// Build the execution device from `--backend sim|native` (default sim).
-///
-/// Backends change only how launches are *clocked* — the cost-model
-/// simulator versus host wall time — never what they compute, so every
-/// command produces identical forecasts under either.
-fn device_from_args(args: &Args) -> Result<Arc<Device>, CliError> {
-    let kind = match args.get("backend") {
-        None => smiler_gpu::BackendKind::Sim,
-        Some(s) => s.parse().map_err(CliError::Other)?,
-    };
-    Ok(Arc::new(Device::for_backend(kind)))
-}
-
 /// The adaptation switches shared by `forecast` and `serve`: `--regime`
 /// arms the changepoint/outlier detector (λ reset, forced retrain, bias
 /// correction, outlier cleaning on fire), `--robust` the
@@ -300,7 +278,7 @@ fn forecast(args: &Args) -> Result<String, CliError> {
     // Normalise in, de-normalise out: users think in sensor units.
     let znorm = ZNorm::fit(&raw);
     let normalised = znorm.apply_all(&raw);
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
 
     // Warm-up replay: hold back the last `warmup` observations, then feed
     // them through predict/observe so the ensemble weights (and, for GP,
@@ -419,7 +397,7 @@ fn evaluate_cmd(args: &Args) -> Result<String, CliError> {
     let (normalised, _) = smiler_timeseries::normalize::z_normalize(&raw);
 
     let config = EvalConfig { horizons: horizons.clone(), steps };
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let mut out = String::new();
     let _ = writeln!(out, "{:<12} {:>10} {:>10}   per-horizon MAE", "model", "MAE", "MNLPD");
     for name in &model_list {
@@ -513,7 +491,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
 
     let config =
         with_adaptation(args, SmilerConfig { h_max: horizon.max(1), ..Default::default() });
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let mut durability_note = String::new();
     let (fleet, store) = match args.get("data-dir").map(std::path::PathBuf::from) {
         Some(dir) => {
@@ -749,7 +727,7 @@ fn restore_report_lines(out: &mut String, report: &smiler_core::RestoreReport) {
 /// next restart replays (almost) nothing, then prune covered WAL segments.
 fn checkpoint_cmd(args: &Args) -> Result<String, CliError> {
     let dir = std::path::PathBuf::from(args.require("data-dir")?);
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let (mut durable, report) =
         DurableSystem::open(device, &dir, store_config_from_args(args)?, 0)?;
     let mut out = String::new();
@@ -763,7 +741,7 @@ fn checkpoint_cmd(args: &Args) -> Result<String, CliError> {
 /// a dry-run restart that doubles as an integrity check.
 fn restore_cmd(args: &Args) -> Result<String, CliError> {
     let dir = std::path::PathBuf::from(args.require("data-dir")?);
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let (durable, report) = DurableSystem::open(device, &dir, store_config_from_args(args)?, 0)?;
     let mut out = String::new();
     restore_report_lines(&mut out, &report);
@@ -819,7 +797,7 @@ fn cluster_primary(args: &Args) -> Result<String, CliError> {
     let wait_followers: usize = args.get_or("wait-followers", 0)?;
     let epoch: u64 = args.get_or("epoch", 0)?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:7979").to_string();
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let store_config = store_config_from_args(args)?;
     let config = with_adaptation(args, SmilerConfig::default());
 
@@ -936,7 +914,7 @@ fn cluster_follower(args: &Args) -> Result<String, CliError> {
         return Err(CliError::Other(format!("unknown --on-loss {on_loss:?} (exit|promote)")));
     }
     let epoch: u64 = args.get_or("epoch", 1)?;
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let serve_config = ServeConfig::default();
     let mut follower_config = FollowerConfig::new(&node_id, &primary, &dir);
     follower_config.store_config = store_config_from_args(args)?;
@@ -997,7 +975,7 @@ fn cluster_demo(args: &Args) -> Result<String, CliError> {
     let dir_primary = base.join("primary");
     let dir_follower = base.join("follower");
     let dir_control = base.join("control");
-    let device = device_from_args(args)?;
+    let device = Arc::new(Device::default_gpu());
     let store_config = StoreConfig { flush: FlushPolicy::Always, ..StoreConfig::default() };
     let config = with_adaptation(args, SmilerConfig::default());
     let serve_config = ServeConfig::default();
@@ -1368,27 +1346,6 @@ mod tests {
             .parse()
             .unwrap();
         assert!(value.is_finite());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn backend_flag_selects_native_and_rejects_nonsense() {
-        let path = write_temp_series("smiler_cli_backend.csv", 400);
-        let base = ["forecast", "--input", path.to_str().unwrap(), "--predictor", "ar"];
-        let sim = run(&args(&base)).unwrap();
-        let native = {
-            let mut a: Vec<&str> = base.to_vec();
-            a.extend(["--backend", "native"]);
-            run(&args(&a)).unwrap()
-        };
-        // Backends only change clocks, never results: identical report text.
-        assert_eq!(sim, native);
-        let err = {
-            let mut a: Vec<&str> = base.to_vec();
-            a.extend(["--backend", "cuda"]);
-            run(&args(&a)).unwrap_err()
-        };
-        assert!(err.to_string().contains("unknown backend"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 

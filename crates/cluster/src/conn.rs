@@ -26,11 +26,6 @@ impl ReplConn {
         Ok(ReplConn { stream, inbox: Vec::with_capacity(4096) })
     }
 
-    /// The peer's address, for logs and leader hints.
-    pub fn peer_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.stream.peer_addr()
-    }
-
     /// Send one message, blocking until the kernel accepts every byte.
     pub fn send(&mut self, msg: &ReplMsg) -> std::io::Result<()> {
         let mut wire = Vec::with_capacity(64);

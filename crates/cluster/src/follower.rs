@@ -441,8 +441,10 @@ fn stream_tail(
 fn apply_live(handle: &Option<ServeHandle>, record: &WalRecord) {
     let Some(handle) = handle else { return };
     if let WalRecord::Observe { sensor, value, .. } = record {
-        // Shed live applies (queue pressure) only widen staleness; the
-        // durable log already has the record.
+        // Never shed: a full shard queue blocks here, which holds back the
+        // stream's acks. What can still fail is a sensor the live fleet does
+        // not have or a server shutting down; the durable log has the
+        // record either way.
         let _ = handle.apply_replicated_observe(*sensor as usize, *value).map(|p| p.wait());
     }
 }

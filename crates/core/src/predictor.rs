@@ -5,7 +5,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use smiler_gp::{train_full, train_online, GpModel, Hyperparams, TrainConfig};
+use smiler_gp::{train_full, train_online, Hyperparams, TrainConfig};
 use smiler_linalg::{stats, Matrix};
 
 /// The kNN data one abstract predictor consumes: neighbour segments
@@ -105,50 +105,6 @@ impl GpCellPredictor {
     pub fn set_hyper(&mut self, hyper: Option<Hyperparams>) {
         self.hyper = hyper;
         self.steps_since_train = 0;
-    }
-
-    /// Predict `N(u₀, σ₀²)` by conditioning a GP on the kNN data
-    /// (Eqns 14–17). The first call trains hyperparameters from a cold
-    /// start; subsequent calls warm-start with a fixed CG budget.
-    pub fn predict(&mut self, data: &KnnData) -> Option<(f64, f64)> {
-        let _span = smiler_obs::span("gp.predict");
-        if data.is_empty() {
-            return None;
-        }
-        // Degenerate neighbourhoods (k < 3) cannot support hyperparameter
-        // training; fall back to aggregation.
-        if data.len() < 3 {
-            return ArPredictor.predict(data);
-        }
-        // The paper's GP has a zero mean function (Appendix B.3), which is
-        // appropriate for the z-normalised *series* but not for the local
-        // label neighbourhood: centre the targets on their mean so the GP
-        // models the residual structure and reverts to the kNN average —
-        // not to zero — when the kernel carries little information.
-        let y_mean = stats::mean(&data.y);
-        let centred: Vec<f64> = data.y.iter().map(|y| y - y_mean).collect();
-        let hyper = self.ensure_hyper(&data.x, &centred);
-        match GpModel::fit(data.x.clone(), &centred, hyper) {
-            Ok(gp) => {
-                let (mean, var) = gp.predict(&data.x0);
-                Some((mean + y_mean, var))
-            }
-            // A pathological Gram matrix: fall back to aggregation rather
-            // than dropping the prediction.
-            Err(_) => ArPredictor.predict(data),
-        }
-    }
-
-    /// Train (cold start), warm-start-retrain, or reuse the cell's
-    /// hyperparameters for this step's training data, following the
-    /// `retrain_every` schedule. Exposed so an ensemble column can train
-    /// once on its largest-k cell and share the result (see
-    /// `smiler_gp::PrefixGp`).
-    pub fn ensure_hyper(&mut self, x: &Matrix, centred_y: &[f64]) -> Hyperparams {
-        let plan = self.plan_hyper();
-        let h = Self::compute_hyper(plan, x, centred_y, &self.train_config);
-        self.install_hyper(h);
-        h
     }
 
     /// Decide what this step's training looks like and advance the
@@ -350,19 +306,27 @@ mod tests {
         assert!(var > 0.0);
     }
 
+    /// Drive one step of a cell the way an ensemble column does.
+    fn train_step(cell: &mut GpCellPredictor, x: &Matrix, y: &[f64]) -> HyperPlan {
+        let plan = cell.plan_hyper();
+        let config = cell.train_config().clone();
+        cell.install_hyper(GpCellPredictor::compute_hyper(plan, x, y, &config));
+        plan
+    }
+
     #[test]
     fn gp_first_call_trains_then_warm_starts() {
         let mut cell = GpCellPredictor::new(TrainConfig::default(), 1);
         assert!(cell.hyper().is_none());
-        // Smooth structured neighbourhood.
+        // Smooth structured neighbourhood, centred labels.
         let k = 10;
         let x = Matrix::from_fn(k, 3, |i, j| (i as f64 + j as f64) * 0.3);
         let y: Vec<f64> = (0..k).map(|i| (i as f64 * 0.3).sin()).collect();
-        let data = KnnData { x, y, x0: vec![0.3, 0.6, 0.9] };
-        let (mean, var) = cell.predict(&data).unwrap();
-        assert!(mean.is_finite() && var > 0.0);
+        let mean = stats::mean(&y);
+        let y: Vec<f64> = y.iter().map(|v| v - mean).collect();
+        assert!(matches!(train_step(&mut cell, &x, &y), HyperPlan::Cold));
         let h1 = cell.hyper().unwrap();
-        cell.predict(&data).unwrap();
+        assert!(matches!(train_step(&mut cell, &x, &y), HyperPlan::Online(_)));
         let h2 = cell.hyper().unwrap();
         // Online step keeps hyperparameters near the previous optimum.
         assert!((h1.theta0.ln() - h2.theta0.ln()).abs() < 2.0);
@@ -370,27 +334,20 @@ mod tests {
 
     #[test]
     fn gp_interpolates_structured_neighborhood() {
-        // Neighbours on a sine curve: the GP must predict the test point
-        // far better than the plain mean.
+        // Neighbours on a sine curve: a GP under the cell's trained
+        // hyperparameters must predict the test point far better than the
+        // plain mean.
         let mut cell = GpCellPredictor::new(TrainConfig::default(), 1);
         let k = 12;
         let x = Matrix::from_fn(k, 1, |i, _| i as f64 * 0.4);
         let y: Vec<f64> = (0..k).map(|i| (i as f64 * 0.4).sin()).collect();
-        let x0 = vec![1.9];
         let truth = 1.9f64.sin();
-        let data = KnnData { x, y: y.clone(), x0 };
-        let (gp_mean, _) = cell.predict(&data).unwrap();
         let ar_mean = stats::mean(&y);
+        let centred: Vec<f64> = y.iter().map(|v| v - ar_mean).collect();
+        train_step(&mut cell, &x, &centred);
+        let gp = smiler_gp::GpModel::fit(x, &centred, cell.hyper().unwrap()).unwrap();
+        let gp_mean = gp.predict(&[1.9]).0 + ar_mean;
         assert!((gp_mean - truth).abs() < (ar_mean - truth).abs() / 2.0);
-    }
-
-    #[test]
-    fn gp_tiny_neighborhood_falls_back_to_ar() {
-        let mut cell = GpCellPredictor::new(TrainConfig::default(), 1);
-        let data = knn_data(&[1.0, 3.0]);
-        let (mean, _) = cell.predict(&data).unwrap();
-        assert_eq!(mean, 2.0);
-        assert!(cell.hyper().is_none(), "fallback must not fabricate hyperparameters");
     }
 
     #[test]
@@ -398,16 +355,16 @@ mod tests {
         let mut cell = GpCellPredictor::new(TrainConfig::default(), 3);
         let k = 8;
         let x = Matrix::from_fn(k, 2, |i, j| (i + j) as f64 * 0.5);
-        let y: Vec<f64> = (0..k).map(|i| i as f64 * 0.1).collect();
-        let data = KnnData { x, y, x0: vec![0.5, 1.0] };
-        cell.predict(&data).unwrap();
+        let y: Vec<f64> = (0..k).map(|i| i as f64 * 0.1 - 0.35).collect();
+        assert!(matches!(train_step(&mut cell, &x, &y), HyperPlan::Cold));
         let h1 = cell.hyper().unwrap();
-        cell.predict(&data).unwrap(); // step 1, no retrain
+        assert!(matches!(train_step(&mut cell, &x, &y), HyperPlan::Reuse(_))); // step 1
         assert_eq!(cell.hyper().unwrap(), h1);
-        cell.predict(&data).unwrap(); // step 2, no retrain
+        assert!(matches!(train_step(&mut cell, &x, &y), HyperPlan::Reuse(_))); // step 2
         assert_eq!(cell.hyper().unwrap(), h1);
-        cell.predict(&data).unwrap(); // step 3 → retrain fires
-                                      // (value may or may not move; the counter must have reset)
+        // Step 3: the retrain fires (the value may or may not move; the
+        // counter must have reset).
+        assert!(matches!(train_step(&mut cell, &x, &y), HyperPlan::Online(_)));
         assert_eq!(cell.steps_since_train, 0);
     }
 

@@ -257,12 +257,6 @@ impl SensorPredictor {
         self.regime.snapshot()
     }
 
-    /// The post-changepoint residual bias currently applied to served
-    /// forecasts. Exactly `0.0` unless a changepoint armed the corrector.
-    pub fn regime_bias(&self) -> f64 {
-        self.bias
-    }
-
     /// Stand the regime detector down for at least `steps` scored
     /// residuals, voiding its accumulated statistics. The ingestion layer
     /// calls this when it fabricates values (gap fills, dropout
@@ -282,12 +276,6 @@ impl SensorPredictor {
     #[doc(hidden)]
     pub fn inject_fault(&mut self, fault: FaultKind) {
         self.injected = Some(fault);
-    }
-
-    /// Clear an injected fault.
-    #[doc(hidden)]
-    pub fn clear_fault(&mut self) {
-        self.injected = None;
     }
 
     /// Sensor identifier.
@@ -1558,7 +1546,7 @@ mod tests {
         config.regime.enabled = true;
         let history = periodic_history(400);
         let mut p = SensorPredictor::new(device, 3, history, config, PredictorKind::Aggregation);
-        assert_eq!(p.regime_bias(), 0.0, "no bias before any changepoint");
+        assert_eq!(p.bias, 0.0, "no bias before any changepoint");
         // Sustained +5σ shift until the detector declares a changepoint.
         // Every shifted step is outlier-flagged, so the (still-disarmed)
         // corrector must not move yet.
@@ -1570,21 +1558,21 @@ mod tests {
             }
         }
         assert!(p.regime_snapshot().changepoints > 0, "setup: changepoint must fire");
-        assert_eq!(p.regime_bias(), 0.0, "outlier steps must not steer the bias");
+        assert_eq!(p.bias, 0.0, "outlier steps must not steer the bias");
         // Moderate (sub-outlier) positive residuals now steer the armed
         // corrector toward the new level.
         for _ in 0..8 {
             let pred = p.try_predict(1).unwrap();
             p.observe(pred.mean + 2.0 * pred.variance.max(0.0).sqrt());
         }
-        assert!(p.regime_bias() > 0.0, "armed corrector must absorb the shift");
+        assert!(p.bias > 0.0, "armed corrector must absorb the shift");
         // Once forecasts land on target again the correction bleeds off to
         // exactly zero — no permanent drift from a transient regime shift.
         for _ in 0..250 {
             let pred = p.try_predict(1).unwrap();
             p.observe(pred.mean);
         }
-        assert_eq!(p.regime_bias(), 0.0, "bias must decay to exactly zero");
+        assert_eq!(p.bias, 0.0, "bias must decay to exactly zero");
     }
 
     #[test]
@@ -1644,7 +1632,7 @@ mod tests {
         let pred = p.try_predict(1).unwrap();
         assert_eq!(pred.level, DegradationLevel::LastValue);
         assert_eq!(pred.mean, 50.0, "flat rung must hold the exact stuck value");
-        assert_eq!(p.regime_bias(), 0.0, "flat rung disarms the bias corrector");
+        assert_eq!(p.bias, 0.0, "flat rung disarms the bias corrector");
     }
 
     #[test]

@@ -730,34 +730,9 @@ impl ServeHandle {
                 return Err(ServeError::NotPrimary { leader_hint: cluster.leader_hint.clone() });
             }
         }
-        self.enqueue_observe(sensor, value)
-    }
-
-    /// Apply one observation that arrived over the **replication stream**,
-    /// bypassing role-aware admission. This is the follower's internal
-    /// ingest path: the record is already durable in the follower's own
-    /// WAL (appended by `smiler-cluster` with the primary's sequence
-    /// number), so this only advances the live stale-read predictors.
-    /// Clients never reach this — their writes go through
-    /// [`ServeHandle::submit_observe`] and are shed with
-    /// [`ServeError::NotPrimary`].
-    pub fn apply_replicated_observe(
-        &self,
-        sensor: usize,
-        value: f64,
-    ) -> Result<PendingObserve, ServeError> {
-        self.enqueue_observe(sensor, value)
-    }
-
-    fn enqueue_observe(&self, sensor: usize, value: f64) -> Result<PendingObserve, ServeError> {
-        if sensor >= self.fleet {
-            return Err(ServeError::UnknownSensor { sensor, fleet: self.fleet });
-        }
-        let shard = sensor % self.senders.len();
-        let (reply, rx) = channel::bounded(1);
-        let job = ObserveJob { sensor, value, reply };
-        match self.senders[shard].try_send(ShardMsg::Observe(job)) {
-            Ok(()) => Ok(PendingObserve { rx }),
+        let (shard, msg, pending) = self.observe_job(sensor, value)?;
+        match self.senders[shard].try_send(msg) {
+            Ok(()) => Ok(pending),
             Err(TrySendError::Full(_)) => {
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
                 if smiler_obs::enabled() {
@@ -773,9 +748,41 @@ impl ServeHandle {
         }
     }
 
-    /// Number of sensors the server owns.
-    pub fn fleet_size(&self) -> usize {
-        self.fleet
+    /// Apply one observation that arrived over the **replication stream**,
+    /// bypassing role-aware admission *and* load shedding. This is the
+    /// follower's internal ingest path: the record is already durable in
+    /// the follower's own WAL (appended by `smiler-cluster` with the
+    /// primary's sequence number), so this only advances the live
+    /// stale-read predictors — and it must advance them by every record: a
+    /// shed point would leave the live history one observation short until
+    /// promotion. A full shard queue therefore blocks the caller (back
+    /// pressure onto the stream, whose acks pace the primary) instead of
+    /// shedding. Clients never reach this — their writes go through
+    /// [`ServeHandle::submit_observe`] and are shed with
+    /// [`ServeError::NotPrimary`].
+    pub fn apply_replicated_observe(
+        &self,
+        sensor: usize,
+        value: f64,
+    ) -> Result<PendingObserve, ServeError> {
+        let (shard, msg, pending) = self.observe_job(sensor, value)?;
+        self.senders[shard].send(msg).map_err(|_| ServeError::ShuttingDown)?;
+        Ok(pending)
+    }
+
+    /// The queue message and reply handle of one observation, with the
+    /// shard that owns `sensor`.
+    fn observe_job(
+        &self,
+        sensor: usize,
+        value: f64,
+    ) -> Result<(usize, ShardMsg, PendingObserve), ServeError> {
+        if sensor >= self.fleet {
+            return Err(ServeError::UnknownSensor { sensor, fleet: self.fleet });
+        }
+        let (reply, rx) = channel::bounded(1);
+        let msg = ShardMsg::Observe(ObserveJob { sensor, value, reply });
+        Ok((sensor % self.senders.len(), msg, PendingObserve { rx }))
     }
 
     /// Number of shard workers behind this handle. Sensor `s` is owned by
@@ -846,12 +853,6 @@ impl ServeHandle {
     /// joins as a follower, refreshes its lag figures, or is promoted.
     pub fn set_cluster_status(&self, status: Option<ClusterStatus>) {
         *self.cluster.write() = status;
-    }
-
-    /// The most recently published cluster status, if this node runs in a
-    /// cluster at all.
-    pub fn cluster_status(&self) -> Option<ClusterStatus> {
-        self.cluster.read().clone()
     }
 }
 

@@ -77,18 +77,6 @@ pub struct SensorSnapshot {
     pub errors: Option<ErrorState>,
 }
 
-impl SensorSnapshot {
-    /// Serialise to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("snapshot always serialises")
-    }
-
-    /// Deserialise from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
-
 impl SensorPredictor {
     /// Capture a restorable snapshot of this predictor.
     pub fn snapshot(&self) -> SensorSnapshot {
@@ -161,25 +149,6 @@ mod tests {
             p.predict(3);
             p.observe((i as f64 * 0.37).sin());
         }
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let device = Arc::new(Device::default_gpu());
-        let mut p = SensorPredictor::new(
-            Arc::clone(&device),
-            3,
-            history(),
-            SmilerConfig::small_for_tests(),
-            PredictorKind::GaussianProcess,
-        );
-        run_steps(&mut p, 6);
-        let snap = p.snapshot();
-        let json = snap.to_json();
-        let back = SensorSnapshot::from_json(&json).unwrap();
-        assert_eq!(back.sensor_id, 3);
-        assert_eq!(back.history.len(), p.history().len());
-        assert_eq!(back.horizons.len(), 2);
     }
 
     #[test]

@@ -128,12 +128,6 @@ impl SensorStream {
         }
     }
 
-    /// Change the interpolation limit (ticks).
-    pub fn with_max_gap(mut self, max_gap: usize) -> Self {
-        self.max_gap = max_gap;
-        self
-    }
-
     /// Attach a durable store: every sample [`SensorStream::ingest`]
     /// absorbs (including interpolated fills) is WAL-logged under this
     /// sensor's id *before* the in-memory index advances.
@@ -145,11 +139,6 @@ impl SensorStream {
     /// The normalisation parameters in use.
     pub fn znorm(&self) -> ZNorm {
         self.znorm
-    }
-
-    /// Timestamp of the newest ingested observation.
-    pub fn newest_timestamp(&self) -> u64 {
-        self.newest
     }
 
     /// Ingest one raw observation. Off-grid timestamps snap to the
@@ -274,6 +263,11 @@ mod tests {
         )
     }
 
+    /// A stream that interpolates at most two missing ticks.
+    fn short_gap_stream() -> SensorStream {
+        SensorStream { max_gap: 2, ..stream() }
+    }
+
     #[test]
     fn forecasts_come_back_in_raw_units() {
         let mut s = stream();
@@ -287,10 +281,10 @@ mod tests {
     fn ingest_advances_clock_and_counts_ticks() {
         let mut s = stream();
         assert_eq!(s.ingest(4010, 420.0), Ok(1));
-        assert_eq!(s.newest_timestamp(), 4010);
+        assert_eq!(s.newest, 4010);
         // A 3-tick jump fills 2 missing samples.
         assert_eq!(s.ingest(4040, 450.0), Ok(3));
-        assert_eq!(s.newest_timestamp(), 4040);
+        assert_eq!(s.newest, 4040);
     }
 
     #[test]
@@ -321,18 +315,18 @@ mod tests {
         );
         assert_eq!(s.ingest(4020, f64::NAN), Err(StreamError::NotFinite));
         // Errors must not corrupt the clock.
-        assert_eq!(s.newest_timestamp(), 4010);
+        assert_eq!(s.newest, 4010);
     }
 
     #[test]
     fn oversized_gap_becomes_missing_marks_not_fabricated_history() {
-        let mut s = stream().with_max_gap(2);
+        let mut s = short_gap_stream();
         let len_before = s.predictor.history().len();
         // 9 missing ticks > max_gap 2: absorb as marks + the real reading.
         let absorbed = s.ingest(4000 + 10 * 10, 430.0).unwrap();
         assert_eq!(absorbed, 10);
         // The clock resyncs to the new reading — the stream stays live.
-        assert_eq!(s.newest_timestamp(), 4100);
+        assert_eq!(s.newest, 4100);
         let hist = s.predictor.history();
         assert_eq!(hist.len(), len_before + 10);
         let added = &hist[len_before..];
@@ -345,18 +339,18 @@ mod tests {
 
     #[test]
     fn month_long_outage_is_capped_at_the_window_span() {
-        let mut s = stream().with_max_gap(2);
+        let mut s = short_gap_stream();
         let len_before = s.predictor.history().len();
         // 10_000 missing ticks; the cap is d_master + h_max = 16 + 8 = 24.
         let absorbed = s.ingest(4000 + 10 * 10_001, 430.0).unwrap();
         assert_eq!(absorbed, 24 + 1);
-        assert_eq!(s.newest_timestamp(), 4000 + 10 * 10_001);
+        assert_eq!(s.newest, 4000 + 10 * 10_001);
         assert_eq!(s.predictor.history().len(), len_before + 25);
     }
 
     #[test]
     fn forecasts_survive_a_dropout_burst() {
-        let mut s = stream().with_max_gap(2);
+        let mut s = short_gap_stream();
         s.ingest(4100, 430.0).unwrap(); // 9-tick burst → missing marks
                                         // The suffix now straddles the seam: the predictor must degrade
                                         // (typed, finite) rather than panic or forecast from NaN.
@@ -382,10 +376,10 @@ mod tests {
             Err(StreamError::DuplicateTick { got: 4012, head: 4010 })
         );
         // The rejection leaves the clock and history untouched...
-        assert_eq!(s.newest_timestamp(), 4010);
+        assert_eq!(s.newest, 4010);
         // ...and the next on-grid arrival lands exactly one tick.
         assert_eq!(s.ingest(4020, 422.0), Ok(1));
-        assert_eq!(s.newest_timestamp(), 4020);
+        assert_eq!(s.newest, 4020);
     }
 
     #[test]
@@ -416,7 +410,7 @@ mod tests {
                     Err(e) => panic!("tick {i}: unexpected error {e}"),
                 }
             }
-            assert_eq!(s.newest_timestamp(), base, "clock drifted at tick {i}");
+            assert_eq!(s.newest, base, "clock drifted at tick {i}");
         }
         assert_eq!(accepted, 100, "exactly one sample per true tick");
         assert_eq!(s.predictor.history().len(), len_start + 100);
@@ -445,7 +439,7 @@ mod tests {
                 let t = (4000 + i * 10) as i64 + jitter;
                 let absorbed = s.ingest(t as u64, 400.0 + (i % 7) as f64).unwrap();
                 assert_eq!(absorbed, 1, "arrival {i} at t={t} caused spurious fills");
-                assert_eq!(s.newest_timestamp(), 4000 + i * 10, "clock drifted at arrival {i}");
+                assert_eq!(s.newest, 4000 + i * 10, "clock drifted at arrival {i}");
             }
         }
     }
@@ -455,10 +449,10 @@ mod tests {
         let mut s = stream();
         // 18 units past the newest tick is nearest to 2 ticks, not 1.
         assert_eq!(s.ingest(4018, 420.0), Ok(2));
-        assert_eq!(s.newest_timestamp(), 4020);
+        assert_eq!(s.newest, 4020);
         // 4 units short of the next tick still counts as that tick.
         assert_eq!(s.ingest(4026, 430.0), Ok(1));
-        assert_eq!(s.newest_timestamp(), 4030);
+        assert_eq!(s.newest, 4030);
     }
 
     #[test]

@@ -138,17 +138,12 @@ pub fn dtw_compressed_with(q: &[f64], c: &[f64], rho: usize, scratch: &mut DtwSc
 /// Early-abandoning banded DTW for the CPU scan baseline: computes columns
 /// left to right and abandons as soon as the minimum of the current column
 /// exceeds `threshold`, returning `None` (the candidate cannot be a kNN).
+/// Also reports how many warping-matrix cells were actually evaluated — the
+/// work measure the CPU-scan baseline feeds its cost model (abandoning
+/// early is exactly what makes FastCPUScan faster than a full scan).
 ///
 /// # Panics
 /// Panics if the sequences differ in length or are empty.
-pub fn dtw_early_abandon(q: &[f64], c: &[f64], rho: usize, threshold: f64) -> Option<f64> {
-    dtw_early_abandon_counted(q, c, rho, threshold).0
-}
-
-/// [`dtw_early_abandon`] that also reports how many warping-matrix cells
-/// were actually evaluated — the work measure the CPU-scan baseline feeds
-/// its cost model (abandoning early is exactly what makes FastCPUScan
-/// faster than a full scan).
 pub fn dtw_early_abandon_counted(
     q: &[f64],
     c: &[f64],
@@ -158,8 +153,7 @@ pub fn dtw_early_abandon_counted(
     dtw_early_abandon_counted_with(q, c, rho, threshold, &mut DtwScratch::new())
 }
 
-/// [`dtw_early_abandon`] writing into a caller-owned [`DtwScratch`] —
-/// allocation-free after the scratch has grown to the band width.
+/// [`dtw_early_abandon_counted_with`] without the cell count.
 ///
 /// # Panics
 /// Panics if the sequences differ in length or are empty.
@@ -359,7 +353,7 @@ mod tests {
     fn early_abandon_none_when_over_threshold() {
         let q = [0.0; 16];
         let c = [10.0; 16];
-        assert_eq!(dtw_early_abandon(&q, &c, 4, 1.0), None);
+        assert_eq!(dtw_early_abandon_counted(&q, &c, 4, 1.0).0, None);
     }
 
     #[test]
@@ -367,9 +361,9 @@ mod tests {
         let q: Vec<f64> = (0..16).map(|i| (i as f64 * 0.3).cos()).collect();
         let c: Vec<f64> = (0..16).map(|i| (i as f64 * 0.31).cos()).collect();
         let exact = dtw_banded(&q, &c, 4);
-        assert_eq!(dtw_early_abandon(&q, &c, 4, exact + 1.0), Some(exact));
+        assert_eq!(dtw_early_abandon_counted(&q, &c, 4, exact + 1.0).0, Some(exact));
         // Threshold exactly at the distance is inclusive.
-        assert_eq!(dtw_early_abandon(&q, &c, 4, exact), Some(exact));
+        assert_eq!(dtw_early_abandon_counted(&q, &c, 4, exact).0, Some(exact));
     }
 
     #[test]
@@ -435,7 +429,7 @@ mod tests {
             threshold in 0.0f64..500.0,
         ) {
             let full = dtw_banded(&q, &c, rho);
-            match dtw_early_abandon(&q, &c, rho, threshold) {
+            match dtw_early_abandon_counted(&q, &c, rho, threshold).0 {
                 Some(d) => {
                     prop_assert!((d - full).abs() < 1e-9);
                     prop_assert!(full <= threshold + 1e-9);

@@ -21,7 +21,7 @@ pub mod distance;
 pub mod lb;
 
 pub use distance::{
-    dtw_banded, dtw_compressed, dtw_compressed_with, dtw_early_abandon, dtw_early_abandon_counted,
+    dtw_banded, dtw_compressed, dtw_compressed_with, dtw_early_abandon_counted,
     dtw_early_abandon_counted_with, dtw_early_abandon_with, dtw_ops_estimate, DtwScratch,
 };
 pub use lb::{

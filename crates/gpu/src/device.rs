@@ -7,7 +7,6 @@
 //! one block per sliding-window posting list, one block per CSG, one block
 //! per k-selection.
 
-use crate::backend::{Backend, BackendKind, NativeBackend, SimBackend};
 use crate::cost::{BlockCost, CostModel, CpuSpec, GpuSpec, KernelStats};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,6 +24,20 @@ impl DeviceModel {
             DeviceModel::Gpu(s) => s,
             DeviceModel::Cpu(s) => s,
         }
+    }
+}
+
+/// How a [`Device`] clocks its launches: always the cost model. Kept, with
+/// [`Device::backend_kind`], for the benchmark's report stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendKind {
+    /// Cost-model simulation (paper-faithful timing).
+    Sim,
+}
+
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("sim")
     }
 }
 
@@ -106,11 +119,6 @@ impl BlockCtx {
         self.shared_used = requested;
         Ok(())
     }
-
-    /// Shared memory currently reserved by this block.
-    pub fn shared_used(&self) -> usize {
-        self.shared_used
-    }
 }
 
 /// Result of one kernel launch: the per-block results in grid order plus the
@@ -138,7 +146,6 @@ struct DeviceClock {
 #[derive(Debug)]
 pub struct Device {
     model: DeviceModel,
-    backend: Box<dyn Backend>,
     shared_capacity: usize,
     memory_capacity: usize,
     memory_used: Mutex<usize>,
@@ -153,7 +160,6 @@ impl Device {
             shared_capacity: spec.shared_bytes_per_block,
             memory_capacity: spec.memory_bytes,
             model: DeviceModel::Gpu(spec),
-            backend: Box::new(SimBackend),
             memory_used: Mutex::new(0),
             clock: Mutex::new(DeviceClock::default()),
             host_threads: default_host_threads(),
@@ -166,7 +172,6 @@ impl Device {
     pub fn cpu(spec: CpuSpec) -> Self {
         Device {
             model: DeviceModel::Cpu(spec),
-            backend: Box::new(SimBackend),
             shared_capacity: usize::MAX,
             memory_capacity: usize::MAX,
             memory_used: Mutex::new(0),
@@ -180,32 +185,9 @@ impl Device {
         Device::gpu(GpuSpec::default())
     }
 
-    /// A device that executes the same kernel decomposition natively:
-    /// kernels run in parallel on host threads through the lane kernels,
-    /// and launches are timed by the wall clock instead of the cost model.
-    /// Results are bitwise-identical to the simulated device — only the
-    /// timing statistics differ. Keeps the default GPU's shared-memory and
-    /// memory budgets so degradation behaviour matches the simulator.
-    pub fn native() -> Self {
-        let mut dev = Device::default_gpu();
-        dev.backend = Box::new(NativeBackend);
-        dev
-    }
-
-    /// A device for the given [`BackendKind`]: the default simulated GPU
-    /// for [`BackendKind::Sim`], [`Device::native`] for
-    /// [`BackendKind::Native`]. This is the constructor CLI `--backend`
-    /// flags route through.
-    pub fn for_backend(kind: BackendKind) -> Self {
-        match kind {
-            BackendKind::Sim => Device::default_gpu(),
-            BackendKind::Native => Device::native(),
-        }
-    }
-
-    /// Which backend times this device's launches.
+    /// Which clock times this device's launches.
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+        BackendKind::Sim
     }
 
     /// Restrict host-side parallelism (useful in tests and benches).
@@ -225,8 +207,7 @@ impl Device {
         slots.resize_with(blocks, || None);
         let next = AtomicUsize::new(0);
         let slots_mutex = Mutex::new(&mut slots);
-        let workers = self.backend.workers(self.host_threads, blocks);
-        let started = std::time::Instant::now();
+        let workers = self.host_threads.min(blocks).max(1);
 
         if workers == 1 {
             // Nothing to gain from a scoped worker — single-block grid, or
@@ -275,18 +256,21 @@ impl Device {
             .expect("kernel worker panicked");
         }
 
-        let wall_seconds = started.elapsed().as_secs_f64();
+        // Simulated time is a pure function of the reported costs in grid
+        // order — identical no matter how many host threads ran the grid.
+        let model = self.model.as_cost_model();
         let mut results = Vec::with_capacity(blocks);
-        let mut costs = Vec::with_capacity(blocks);
+        let mut cycles = Vec::with_capacity(blocks);
         let mut total = BlockCost::default();
         for slot in slots {
             let (r, c) = slot.expect("every block must have run");
             total.merge(&c);
-            costs.push(c);
+            cycles.push(model.block_cycles(&c));
             results.push(r);
         }
-        let (sim_seconds, saturated_seconds) =
-            self.backend.account(self.model.as_cost_model(), &costs, wall_seconds);
+        let sim_seconds = model.makespan_seconds(&cycles);
+        let saturated_seconds =
+            cycles.iter().sum::<f64>() / (model.parallel_units().max(1) as f64 * model.clock_hz());
         let stats = KernelStats { blocks: blocks as u64, total, sim_seconds, saturated_seconds };
 
         if smiler_obs::enabled() {
@@ -333,14 +317,6 @@ impl Device {
         self.clock.lock().blocks_launched
     }
 
-    /// Per-block shared-memory budget in bytes. Callers batching many
-    /// sensors into one grid use this to pre-screen kernels that could not
-    /// fit, so an oversized request degrades before the launch instead of
-    /// failing inside it.
-    pub fn shared_capacity(&self) -> usize {
-        self.shared_capacity
-    }
-
     /// Reset the cumulative clock (between experiment phases).
     pub fn reset_clock(&self) {
         *self.clock.lock() = DeviceClock::default();
@@ -358,12 +334,6 @@ impl Device {
             }
             _ => false,
         }
-    }
-
-    /// Release previously reserved device memory.
-    pub fn release_memory(&self, bytes: usize) {
-        let mut used = self.memory_used.lock();
-        *used = used.saturating_sub(bytes);
     }
 
     /// Bytes currently reserved.
@@ -453,7 +423,7 @@ mod tests {
             // 48 KiB budget: the third 32 KiB must fail.
             let err = ctx.alloc_shared(32 * 1024).unwrap_err();
             assert_eq!(err.capacity, 48 * 1024);
-            ctx.shared_used()
+            ctx.shared_used
         });
         assert_eq!(report.results[0], 32 * 1024);
     }
@@ -480,37 +450,8 @@ mod tests {
         assert!(dev.try_reserve_memory(600));
         assert!(!dev.try_reserve_memory(600));
         assert_eq!(dev.memory_used(), 600);
-        dev.release_memory(300);
-        assert!(dev.try_reserve_memory(600));
-        assert_eq!(dev.memory_used(), 900);
-        dev.release_memory(10_000);
-        assert_eq!(dev.memory_used(), 0);
-    }
-
-    #[test]
-    fn native_backend_matches_sim_results_and_counts() {
-        let sim = Device::default_gpu();
-        let native = Device::native();
-        assert_eq!(sim.backend_kind(), BackendKind::Sim);
-        assert_eq!(native.backend_kind(), BackendKind::Native);
-        let kernel = |ctx: &mut BlockCtx| {
-            ctx.read_global(7);
-            ctx.flops(42);
-            (ctx.block_id() as f64).sqrt()
-        };
-        let a = sim.launch(33, kernel);
-        let b = native.launch(33, kernel);
-        // Same results, same operation totals — only the clocks differ:
-        // sim charges the cost model, native reports wall time.
-        assert_eq!(a.results, b.results);
-        assert_eq!(a.stats.total, b.stats.total);
-        assert!(a.stats.sim_seconds > 0.0);
-    }
-
-    #[test]
-    fn for_backend_picks_the_requested_backend() {
-        assert_eq!(Device::for_backend(BackendKind::Sim).backend_kind(), BackendKind::Sim);
-        assert_eq!(Device::for_backend(BackendKind::Native).backend_kind(), BackendKind::Native);
+        assert!(dev.try_reserve_memory(400));
+        assert_eq!(dev.memory_used(), 1000);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! k-selection* (so many queries select concurrently) and *all k smallest
 //! elements are returned*, not just the k-th. This module is that kernel:
 //! [`select_k_smallest`] runs inside a block (taking the block's
-//! [`BlockCtx`] for cost accounting) and the convenience launcher
-//! [`launch_multi_select`] maps one block per query, exactly the paper's
-//! grid shape.
+//! [`BlockCtx`] for cost accounting); the index launches it one block per
+//! query, exactly the paper's grid shape.
 //!
 //! The algorithm repeatedly histograms the still-active candidates into
 //! equal-width buckets over their value range, keeps every bucket strictly
@@ -15,7 +14,7 @@
 //! bucket. Each pass is one linear scan — the access pattern that makes it
 //! GPU-friendly.
 
-use crate::device::{BlockCtx, Device, LaunchReport};
+use crate::device::BlockCtx;
 
 /// Number of histogram buckets per partitioning pass.
 const BUCKETS: usize = 32;
@@ -111,20 +110,6 @@ fn sort_by_value(indices: &mut [usize], values: &[f64]) {
     });
 }
 
-/// Launch one k-selection per query: block `q` selects the `ks[q]` smallest
-/// entries of `rows[q]` — the paper's "one block per query" extension.
-pub fn launch_multi_select(
-    device: &Device,
-    rows: &[Vec<f64>],
-    ks: &[usize],
-) -> LaunchReport<Vec<usize>> {
-    assert_eq!(rows.len(), ks.len(), "one k per query row");
-    device.launch(rows.len(), |ctx| {
-        let q = ctx.block_id();
-        select_k_smallest(ctx, &rows[q], ks[q])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,9 +165,14 @@ mod tests {
 
     #[test]
     fn multi_select_one_block_per_query() {
+        // The index's selection phase: block `q` selects from row `q`.
         let dev = Device::default_gpu();
-        let rows = vec![vec![3.0, 1.0, 2.0], vec![9.0, 8.0, 7.0, 6.0]];
-        let report = launch_multi_select(&dev, &rows, &[2, 1]);
+        let rows = [vec![3.0, 1.0, 2.0], vec![9.0, 8.0, 7.0, 6.0]];
+        let ks = [2, 1];
+        let report = dev.launch(rows.len(), |ctx| {
+            let q = ctx.block_id();
+            select_k_smallest(ctx, &rows[q], ks[q])
+        });
         assert_eq!(report.results[0], vec![1, 2]);
         assert_eq!(report.results[1], vec![3]);
         assert_eq!(report.stats.blocks, 2);

@@ -28,13 +28,9 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod cost;
 pub mod device;
-pub mod group;
 pub mod kselect;
 
-pub use backend::{Backend, BackendKind, NativeBackend, SimBackend};
 pub use cost::{CostModel, CpuSpec, GpuSpec, KernelStats};
-pub use device::{BlockCtx, Device, LaunchReport, SharedMemOverflow};
-pub use group::DeviceGroup;
+pub use device::{BackendKind, BlockCtx, Device, LaunchReport, SharedMemOverflow};

@@ -16,8 +16,9 @@
 
 use crate::group;
 use crate::search::{
-    cascade_block, verify_candidates, CascadeCounts, Neighbor, SearchError, SearchOutput,
-    SearchStats, SharedBest, SmilerIndex, ThresholdStrategy, VerifyJob, CASCADE_CHUNK,
+    cascade_block, lb_threshold, verify_candidates, CascadeCounts, Neighbor, SearchError,
+    SearchOutput, SearchStats, SharedBest, SmilerIndex, ThresholdStrategy, VerifyJob,
+    CASCADE_CHUNK,
 };
 use smiler_gpu::kselect;
 use smiler_gpu::Device;
@@ -322,11 +323,12 @@ fn probe_thresholds(device: &Device, tasks: &mut [Task]) -> Result<(), SearchErr
     Ok(())
 }
 
-/// Phase 2b — filter by τ: one block per task, a pure scan. Non-finite
-/// bounds fail the `<= τ` comparison, so candidates poisoned by a NaN in
-/// the history are dropped here, mirroring `kselect`'s non-finite
-/// filtering. Survivors are then ordered tight-bounds-first so the
-/// cascade's running k-th best distance drops as fast as possible.
+/// Phase 2b — filter by τ (plus [`lb_threshold`]'s rounding head-room): one
+/// block per task, a pure scan. Non-finite bounds fail the `<=` comparison,
+/// so candidates poisoned by a NaN in the history are dropped here,
+/// mirroring `kselect`'s non-finite filtering. Survivors are then ordered
+/// tight-bounds-first so the cascade's running k-th best distance drops as
+/// fast as possible.
 fn filter(device: &Device, tasks: &mut [Task]) {
     let kept = device.launch(tasks.len(), |ctx| {
         let task = &tasks[ctx.block_id()];
@@ -337,8 +339,9 @@ fn filter(device: &Device, tasks: &mut [Task]) {
         ctx.flops(task.lbw.len() as u64);
         let mut skip: Vec<usize> = task.verified.iter().map(|&(t, _)| t).collect();
         skip.sort_unstable();
+        let lb_tau = lb_threshold(task.tau);
         (0..task.lbw.len())
-            .filter(|&t| task.lbw[t] <= task.tau && skip.binary_search(&t).is_err())
+            .filter(|&t| task.lbw[t] <= lb_tau && skip.binary_search(&t).is_err())
             .collect::<Vec<usize>>()
     });
     for (task, mut order) in tasks.iter_mut().zip(kept.results).filter(|(task, _)| task.live) {
@@ -368,9 +371,9 @@ fn filter(device: &Device, tasks: &mut [Task]) {
 /// 2-D grid a real GPU kNN kernel launches, one grid-y per query. The
 /// chunk descriptors are a fixed function of each task's candidate count —
 /// never of worker count — so the candidate→block assignment is identical
-/// on every backend and host. Survivors are appended to each task's
-/// `verified` in block order (blocks are reported in launch order
-/// regardless of execution schedule).
+/// on every host. Survivors are appended to each task's `verified` in block
+/// order (blocks are reported in launch order regardless of execution
+/// schedule).
 fn cascade_verify(device: &Device, tasks: &mut [Task]) -> Result<(), SearchError> {
     let chunks: Vec<(usize, usize)> = tasks
         .iter()

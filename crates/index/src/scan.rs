@@ -13,7 +13,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::search::{verify_candidates, Neighbor, SearchError, VerifyJob};
+use crate::search::{lb_threshold, verify_candidates, Neighbor, SearchError, VerifyJob};
 use smiler_gpu::kselect;
 use smiler_gpu::Device;
 use smiler_timeseries::Envelope;
@@ -238,8 +238,9 @@ pub fn smiler_dir(
         // fully poisoned probe set leaves τ at −∞, filtering everything.
         let tau = probe_dists.iter().copied().fold(f64::NEG_INFINITY, f64::max);
 
+        let lb_tau = lb_threshold(tau);
         let survivors: Vec<usize> =
-            (0..lbs.len()).filter(|&t| lbs[t] <= tau && !probes.contains(&t)).collect();
+            (0..lbs.len()).filter(|&t| lbs[t] <= lb_tau && !probes.contains(&t)).collect();
         let dists = verify(&survivors)?;
         let mut verified: Vec<(usize, f64)> = probes.into_iter().zip(probe_dists).collect();
         verified.extend(survivors.into_iter().zip(dists));

@@ -520,14 +520,24 @@ impl SharedBest {
 
 /// Candidates per cascade block. A fixed constant — never derived from the
 /// worker count — so the candidate→block assignment (and therefore every
-/// verified distance and the final kNN) is identical on every backend and
-/// host.
+/// verified distance and the final kNN) is identical on every host.
 pub(crate) const CASCADE_CHUNK: usize = 64;
 
-/// Relative head-room the cascade's lower-bound rungs leave above τ: far
+/// Relative head-room every lower-bound comparison leaves above τ: far
 /// above the ~`d`·2⁻⁵³ rounding of a `d`-term sum of squares, far below any
 /// pruning power worth having.
 const LB_ROUNDING_SLACK: f64 = 1e-9;
+
+/// The value a lower bound must exceed to dismiss its candidate against the
+/// distance threshold `tau`. A bound is a sum in a different order than the
+/// DTW it bounds, so where the two coincide mathematically (flat queries:
+/// zero-width envelopes) the computed bound can land an ulp *above* the
+/// computed DTW. Every bound-vs-τ comparison — the group-level filter, the
+/// baseline scan, the cascade's rungs — therefore prunes against a hair
+/// more than τ and leaves exact ties to the DTW itself.
+pub(crate) fn lb_threshold(tau: f64) -> f64 {
+    tau * (1.0 + LB_ROUNDING_SLACK)
+}
 
 /// One `(task, chunk)` block of the verification cascade: each candidate,
 /// visited in ascending group-bound order, passes through an O(1)
@@ -544,8 +554,9 @@ const LB_ROUNDING_SLACK: f64 = 1e-9;
 /// *survivor* set beyond the kNN can vary with block interleaving, but
 /// every candidate at or below the global k-th-best distance survives in
 /// every schedule, so the k smallest distances — and the downstream
-/// k-selection, which picks by value — are identical on every backend,
-/// thread count and schedule.
+/// k-selection, which picks by value — are identical on every thread count
+/// and schedule. (The work a block *reports*, and with it the launch's
+/// simulated time, does move with the interleaving.)
 ///
 /// Only the `EQ` direction of `LB_EN` (the candidate walked against the
 /// *query's* envelope, which is staged in shared memory) is used here. The
@@ -578,14 +589,10 @@ pub(crate) fn cascade_block(
     let mut out: Vec<(usize, f64)> = Vec::new();
     for &t in starts {
         let tau = shared.tau();
-        // The bounds are sums in a different order than the DTW they
-        // bound, so where bound and distance coincide mathematically (flat
-        // queries) the computed bound can land an ulp *above* the computed
-        // DTW. The rungs therefore prune against a hair more than τ and
-        // leave exact ties to stage 3, whose arithmetic is the distance's
-        // own — otherwise which of two tied neighbours survives would
-        // depend on how far a sibling block had tightened τ.
-        let lb_tau = tau * (1.0 + LB_ROUNDING_SLACK);
+        // The rungs leave exact ties to stage 3, whose arithmetic is the
+        // distance's own — otherwise which of two tied neighbours survives
+        // would depend on how far a sibling block had tightened τ.
+        let lb_tau = lb_threshold(tau);
         let cand = &series[t..t + d];
         // Stage 1: O(1) first/last-point bound.
         ctx.read_global(2);

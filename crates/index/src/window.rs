@@ -181,12 +181,11 @@ impl WindowIndex {
         // disjoint inputs (series/query and their envelopes, never the
         // posting lists), so they fuse into ONE multi-block launch: each
         // block is a phase-tagged descriptor, and one device pass (one
-        // thread team on the native backend, instead of up to four
-        // spin-ups) covers the whole advance. Descriptors are a fixed
-        // function of the index geometry — never of worker count — so the
-        // work→block assignment, the per-block arithmetic, and the
-        // block-order merge are identical to the former phase-by-phase
-        // launches on every backend and host.
+        // host-thread spin-up instead of up to four) covers the whole
+        // advance. Descriptors are a fixed function of the index geometry
+        // — never of worker count — so the work→block assignment, the
+        // per-block arithmetic, and the block-order merge are the same on
+        // every host.
         enum Job {
             /// Fresh SW_0 posting list.
             Fresh,

@@ -2,9 +2,9 @@
 //! kNN (`smiler_dtw::dtw_banded` over every candidate) against
 //! `SmilerIndex::try_search` and `try_fleet_search`, on inputs chosen to
 //! break a filter-and-refine search — exact distance ties at the k-th
-//! place, NaN gaps, flat segments, degenerate bands, fewer candidates than
-//! neighbours — cold and over continuous steps, for both threshold
-//! strategies.
+//! place, lower bounds that equal the DTW they guard, NaN gaps, flat
+//! segments, degenerate bands, fewer candidates than neighbours — cold and
+//! over continuous steps, for both threshold strategies.
 //!
 //! What is asserted, per case × strategy × step × sensor:
 //!
@@ -23,9 +23,12 @@
 //!   `PaperKthLb` names no such bound — only the first two properties hold.
 
 use smiler_gpu::Device;
+use smiler_index::group::compute_group_bounds;
+use smiler_index::window::WindowIndex;
 use smiler_index::{
     try_fleet_search, IndexParams, Neighbor, SearchOutput, SmilerIndex, ThresholdStrategy,
 };
+use smiler_timeseries::Envelope;
 
 const FLEET: usize = 4;
 const H: usize = 3;
@@ -83,6 +86,32 @@ fn flat_runs(s: usize) -> (Vec<f64>, Vec<f64>) {
     (all[..240].to_vec(), all[240..].to_vec())
 }
 
+/// Where [`exact_bounds`] puts its block in sensor `s`'s history (a
+/// multiple of ω, so the three excursions sit in three disjoint windows).
+fn exact_block_start(s: usize) -> usize {
+    40 + 4 * s
+}
+
+/// A flat query against a block that equals it except for three excursions
+/// in three disjoint windows, far from everything else. The query's
+/// envelope has zero width there, so ΣLB_Keogh and DTW are the same three
+/// squares — summed right to left by the group bound, left to right by the
+/// DTW, and with these values the bound rounds one ulp *above* the
+/// distance. Seven alignments of the block tie bit for bit at the k-th
+/// place, and on a continuous step τ is exactly that distance.
+fn exact_bounds(s: usize) -> (Vec<f64>, Vec<f64>) {
+    const FLAT: f64 = 1.5;
+    let far = |n: usize, seed: u64| noise(n, seed).into_iter().map(|v| v + 10.0);
+    let mut block = [FLAT; 24];
+    (block[6], block[10], block[14]) = (1.6, 1.7, 1.3);
+    let mut all: Vec<f64> = far(exact_block_start(s), 100 + s as u64).collect();
+    all.extend(block);
+    all.extend(far(40, 110 + s as u64));
+    all.extend([FLAT; 16 + 6]);
+    let split = all.len() - 6;
+    (all[..split].to_vec(), all[split..].to_vec())
+}
+
 fn random(s: usize) -> (Vec<f64>, Vec<f64>) {
     let all = noise(308 + 10 * s, 70 + s as u64);
     let split = all.len() - 8;
@@ -104,6 +133,7 @@ fn paper_scale(s: usize) -> (Vec<f64>, Vec<f64>) {
 fn cases() -> Vec<Case> {
     vec![
         Case { name: "ties at the k-th place", params: small(3), feed: periodic },
+        Case { name: "bound equal to DTW", params: small(3), feed: exact_bounds },
         Case { name: "NaN gaps in history", params: small(3), feed: nan_gaps },
         Case { name: "flat segments", params: small(3), feed: flat_runs },
         Case { name: "rho = 0", params: small(0), feed: random },
@@ -203,6 +233,33 @@ fn check_against_oracle(
         if tau == f64::INFINITY {
             assert_eq!(got.len(), truth.len().min(k), "{what}: exact kNN size");
         }
+    }
+}
+
+/// The premise of the "bound equal to DTW" case, checked on the real
+/// kernels: the group-level bound of an aligned block candidate exceeds its
+/// DTW (so a bare `lb <= tau` would dismiss an exact tie).
+#[test]
+fn exact_bounds_case_rounds_the_group_bound_above_the_dtw() {
+    let device = Device::default_gpu();
+    let params = small(3);
+    let (series, _) = exact_bounds(0);
+    let d = 16;
+    let query = &series[series.len() - d..];
+    let windex = WindowIndex::build(
+        &device,
+        &series,
+        &Envelope::compute(&series, params.rho),
+        query,
+        &Envelope::compute(query, params.rho),
+        params.omega,
+        params.rho,
+    );
+    let bounds = compute_group_bounds(&device, &windex, &params.lengths, series.len() - H);
+    for t in exact_block_start(0)..=exact_block_start(0) + 4 {
+        let dtw = smiler_dtw::dtw_banded(query, &series[t..t + d], params.rho);
+        let lb = bounds.lbw(2, t);
+        assert!(lb > dtw && lb < dtw * (1.0 + 1e-12), "t={t}: bound {lb:e} vs DTW {dtw:e}");
     }
 }
 

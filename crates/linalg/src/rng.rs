@@ -22,11 +22,6 @@ pub fn normal(rng: &mut impl Rng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A normal deviate with the given mean and standard deviation.
-pub fn normal_with(rng: &mut impl Rng, mean: f64, std_dev: f64) -> f64 {
-    mean + std_dev * normal(rng)
-}
-
 /// Sample `count` distinct indices from `0..n` (Floyd's algorithm).
 ///
 /// # Panics
@@ -72,15 +67,6 @@ mod tests {
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.02, "var = {var}");
-    }
-
-    #[test]
-    fn normal_with_shifts_and_scales() {
-        let mut rng = seeded(9);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| normal_with(&mut rng, 5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.05);
     }
 
     #[test]

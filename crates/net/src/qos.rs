@@ -64,11 +64,6 @@ impl TenantBuckets {
             false
         }
     }
-
-    /// Number of tenants with live buckets.
-    pub fn tenants(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +94,7 @@ mod tests {
         assert!(!buckets.admit(1, t0));
         // Tenant 2's bucket is untouched by tenant 1's exhaustion.
         assert!(buckets.admit(2, t0));
-        assert_eq!(buckets.tenants(), 2);
+        assert_eq!(buckets.buckets.len(), 2);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! squared distances, envelope min/max) is defined here **once**, as a
 //! fixed 4-lane decomposition: element `i` contributes to accumulator lane
 //! `i mod 4`, and lanes are combined in the fixed order
-//! `(l0 ⊕ l2) ⊕ (l1 ⊕ l3)`. Two implementations of that same contract are
-//! always compiled:
+//! `(l0 ⊕ l2) ⊕ (l1 ⊕ l3)`. Each kernel comes as a pair:
 //!
-//! * the `_lanes` variant, written over the [`F64x4`] lane type so the
-//!   compiler autovectorises the chunked loop (no `unsafe`, no
-//!   target-feature gambling — portable SIMD on stable Rust);
-//! * the `_scalar` twin, written as a plain indexed loop over the same
-//!   four accumulators.
+//! * the un-suffixed kernel every caller uses, written over the [`F64x4`]
+//!   lane type so the compiler autovectorises the chunked loop (no
+//!   `unsafe`, no target-feature gambling — portable SIMD on stable Rust);
+//! * its `_scalar` twin, a plain indexed loop over the same four
+//!   accumulators, kept as the reference the property tests compare
+//!   against.
 //!
 //! Because both variants perform the identical floating-point operations in
 //! the identical order, their results are **bitwise equal by construction**
@@ -24,9 +24,7 @@
 //! variant — so equivalence there is up to NaN canonicalisation. Every
 //! numeric result, every single-NaN propagation, and everything routed
 //! through [`fmin`]/[`fmax`] (which swallow NaN deterministically) remains
-//! exactly bitwise paired. The `simd` cargo
-//! feature (default on) selects which variant the un-suffixed dispatchers
-//! route to; disabling it is the scalar fallback build that CI exercises.
+//! exactly bitwise paired.
 //!
 //! Min/max use the NaN-ignoring, tie-deterministic [`fmin`]/[`fmax`]
 //! defined here rather than `f64::min`/`f64::max`, so both variants share
@@ -40,15 +38,9 @@
 /// Number of f64 lanes in the portable vector type.
 pub const LANES: usize = 4;
 
-/// Which kernel variant the un-suffixed dispatchers route to, for bench
-/// report headers: `"lanes"` when the `simd` feature is active, otherwise
-/// `"scalar"`.
+/// The kernel variant callers run, for the benchmark's report stamp.
 pub fn dispatch_label() -> &'static str {
-    if cfg!(feature = "simd") {
-        "lanes"
-    } else {
-        "scalar"
-    }
+    "lanes"
 }
 
 /// NaN-ignoring maximum with a deterministic tie rule: returns `b` iff
@@ -121,24 +113,6 @@ impl F64x4 {
         }
         F64x4(out)
     }
-
-    /// Horizontal sum in the fixed combine order `(l0+l2)+(l1+l3)`.
-    #[inline(always)]
-    pub fn reduce_sum(self) -> f64 {
-        (self.0[0] + self.0[2]) + (self.0[1] + self.0[3])
-    }
-
-    /// Horizontal [`fmax`] in the fixed combine order.
-    #[inline(always)]
-    pub fn reduce_max(self) -> f64 {
-        fmax(fmax(self.0[0], self.0[2]), fmax(self.0[1], self.0[3]))
-    }
-
-    /// Horizontal [`fmin`] in the fixed combine order.
-    #[inline(always)]
-    pub fn reduce_min(self) -> f64 {
-        fmin(fmin(self.0[0], self.0[2]), fmin(self.0[1], self.0[3]))
-    }
 }
 
 /// Lane-wise addition.
@@ -192,7 +166,7 @@ fn keogh_contrib(v: f64, u: f64, l: f64) -> f64 {
     over * over + under * under
 }
 
-/// `LB_Keogh` accumulation — scalar twin of [`lb_keogh_lanes`].
+/// `LB_Keogh` accumulation — scalar twin of [`lb_keogh`].
 ///
 /// # Panics
 /// Panics if slice lengths differ.
@@ -210,7 +184,7 @@ pub fn lb_keogh_scalar(walk: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if slice lengths differ.
-pub fn lb_keogh_lanes(walk: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
+pub fn lb_keogh(walk: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
     assert_eq!(walk.len(), upper.len(), "LB_Keogh length mismatch");
     assert_eq!(walk.len(), lower.len(), "LB_Keogh length mismatch");
     let zero = F64x4::splat(0.0);
@@ -235,19 +209,7 @@ pub fn lb_keogh_lanes(walk: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
-/// `LB_Keogh` accumulation, dispatched by the `simd` feature.
-///
-/// # Panics
-/// Panics if slice lengths differ.
-pub fn lb_keogh(walk: &[f64], upper: &[f64], lower: &[f64]) -> f64 {
-    if cfg!(feature = "simd") {
-        lb_keogh_lanes(walk, upper, lower)
-    } else {
-        lb_keogh_scalar(walk, upper, lower)
-    }
-}
-
-/// Dot product — scalar twin of [`dot_lanes`].
+/// Dot product — scalar twin of [`dot`].
 ///
 /// # Panics
 /// Panics if slice lengths differ.
@@ -264,7 +226,7 @@ pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if slice lengths differ.
-pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let mut acc = F64x4::splat(0.0);
     let mut ac = a.chunks_exact(LANES);
@@ -279,19 +241,7 @@ pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
-/// Dot product, dispatched by the `simd` feature.
-///
-/// # Panics
-/// Panics if slice lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    if cfg!(feature = "simd") {
-        dot_lanes(a, b)
-    } else {
-        dot_scalar(a, b)
-    }
-}
-
-/// Squared Euclidean distance — scalar twin of [`squared_distance_lanes`].
+/// Squared Euclidean distance — scalar twin of [`squared_distance`].
 ///
 /// # Panics
 /// Panics if slice lengths differ.
@@ -309,7 +259,7 @@ pub fn squared_distance_scalar(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if slice lengths differ.
-pub fn squared_distance_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "squared_distance length mismatch");
     let mut acc = F64x4::splat(0.0);
     let mut ac = a.chunks_exact(LANES);
@@ -326,19 +276,7 @@ pub fn squared_distance_lanes(a: &[f64], b: &[f64]) -> f64 {
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
-/// Squared Euclidean distance, dispatched by the `simd` feature.
-///
-/// # Panics
-/// Panics if slice lengths differ.
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    if cfg!(feature = "simd") {
-        squared_distance_lanes(a, b)
-    } else {
-        squared_distance_scalar(a, b)
-    }
-}
-
-/// `y += alpha * x` — scalar twin of [`axpy_lanes`]. Element-wise, so the
+/// `y += alpha * x` — scalar twin of [`axpy`]. Element-wise, so the
 /// two variants are trivially bitwise-identical; the lane form exists
 /// because this is the inner loop of every matrix product in the GP path.
 ///
@@ -355,7 +293,7 @@ pub fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
 ///
 /// # Panics
 /// Panics if slice lengths differ.
-pub fn axpy_lanes(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     let av = F64x4::splat(alpha);
     let mut xc = x.chunks_exact(LANES);
@@ -369,19 +307,7 @@ pub fn axpy_lanes(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y += alpha * x`, dispatched by the `simd` feature.
-///
-/// # Panics
-/// Panics if slice lengths differ.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    if cfg!(feature = "simd") {
-        axpy_lanes(alpha, x, y)
-    } else {
-        axpy_scalar(alpha, x, y)
-    }
-}
-
-/// Minimum and maximum of a slice — scalar twin of [`min_max_lanes`].
+/// Minimum and maximum of a slice — scalar twin of [`min_max`].
 /// Returns `(+∞, −∞)` for an empty slice; NaNs are ignored (an all-NaN
 /// slice also returns the identities).
 pub fn min_max_scalar(xs: &[f64]) -> (f64, f64) {
@@ -396,7 +322,7 @@ pub fn min_max_scalar(xs: &[f64]) -> (f64, f64) {
 
 /// Minimum and maximum of a slice over explicit lanes — the windowed
 /// envelope kernel.
-pub fn min_max_lanes(xs: &[f64]) -> (f64, f64) {
+pub fn min_max(xs: &[f64]) -> (f64, f64) {
     let mut mn = F64x4::splat(f64::INFINITY);
     let mut mx = F64x4::splat(f64::NEG_INFINITY);
     let mut chunks = xs.chunks_exact(LANES);
@@ -417,18 +343,9 @@ pub fn min_max_lanes(xs: &[f64]) -> (f64, f64) {
     )
 }
 
-/// Minimum and maximum of a slice, dispatched by the `simd` feature.
-pub fn min_max(xs: &[f64]) -> (f64, f64) {
-    if cfg!(feature = "simd") {
-        min_max_lanes(xs)
-    } else {
-        min_max_scalar(xs)
-    }
-}
-
 /// Project `walk` onto the envelope `[lower, upper]` — Lemire's `H`
 /// sequence for LB_Improved — scalar twin of
-/// [`clamp_to_envelope_lanes`]. `h_i = min(max(w_i, l_i), u_i)` under
+/// [`clamp_to_envelope`]. `h_i = min(max(w_i, l_i), u_i)` under
 /// [`fmin`]/[`fmax`], so a NaN walk value projects to its envelope bound
 /// instead of poisoning the output.
 ///
@@ -445,7 +362,7 @@ pub fn clamp_to_envelope_scalar(walk: &[f64], upper: &[f64], lower: &[f64], out:
 ///
 /// # Panics
 /// Panics if slice lengths differ.
-pub fn clamp_to_envelope_lanes(walk: &[f64], upper: &[f64], lower: &[f64], out: &mut Vec<f64>) {
+pub fn clamp_to_envelope(walk: &[f64], upper: &[f64], lower: &[f64], out: &mut Vec<f64>) {
     assert_eq!(walk.len(), upper.len(), "clamp length mismatch");
     assert_eq!(walk.len(), lower.len(), "clamp length mismatch");
     out.clear();
@@ -462,18 +379,6 @@ pub fn clamp_to_envelope_lanes(walk: &[f64], upper: &[f64], lower: &[f64], out: 
         wc.remainder().iter().zip(uc.remainder()).zip(lc.remainder()).zip(oc.into_remainder())
     {
         *o = fmin(fmax(v, l), u);
-    }
-}
-
-/// Envelope projection, dispatched by the `simd` feature.
-///
-/// # Panics
-/// Panics if slice lengths differ.
-pub fn clamp_to_envelope(walk: &[f64], upper: &[f64], lower: &[f64], out: &mut Vec<f64>) {
-    if cfg!(feature = "simd") {
-        clamp_to_envelope_lanes(walk, upper, lower, out)
-    } else {
-        clamp_to_envelope_scalar(walk, upper, lower, out)
     }
 }
 
@@ -525,8 +430,7 @@ mod tests {
 
     #[test]
     fn dispatch_label_names_active_variant() {
-        let expect = if cfg!(feature = "simd") { "lanes" } else { "scalar" };
-        assert_eq!(dispatch_label(), expect);
+        assert_eq!(dispatch_label(), "lanes");
     }
 
     #[test]
@@ -539,13 +443,13 @@ mod tests {
         let lanes: [f64; 4] = [1.0 + 1.0, 1e16, 1.0, -1e16];
         let expect: f64 = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
         assert_eq!(dot_scalar(&a, &b).to_bits(), expect.to_bits());
-        assert_eq!(dot_lanes(&a, &b).to_bits(), expect.to_bits());
+        assert_eq!(dot(&a, &b).to_bits(), expect.to_bits());
     }
 
     #[test]
     fn min_max_empty_is_identity() {
         assert_eq!(min_max_scalar(&[]), (f64::INFINITY, f64::NEG_INFINITY));
-        assert_eq!(min_max_lanes(&[]), (f64::INFINITY, f64::NEG_INFINITY));
+        assert_eq!(min_max(&[]), (f64::INFINITY, f64::NEG_INFINITY));
     }
 
     #[test]
@@ -563,21 +467,21 @@ mod tests {
         #[test]
         fn lb_keogh_bitwise((w, u, l) in vecs3(70)) {
             let s = lb_keogh_scalar(&w, &u, &l);
-            let v = lb_keogh_lanes(&w, &u, &l);
+            let v = lb_keogh(&w, &u, &l);
             prop_assert_eq!(s.to_bits(), v.to_bits(), "scalar {} vs lanes {}", s, v);
         }
 
         #[test]
         fn dot_bitwise((a, b) in vecs2(70)) {
             let s = dot_scalar(&a, &b);
-            let v = dot_lanes(&a, &b);
+            let v = dot(&a, &b);
             prop_assert_eq!(canon_bits(s), canon_bits(v), "scalar {} vs lanes {}", s, v);
         }
 
         #[test]
         fn squared_distance_bitwise((a, b) in vecs2(70)) {
             let s = squared_distance_scalar(&a, &b);
-            let v = squared_distance_lanes(&a, &b);
+            let v = squared_distance(&a, &b);
             prop_assert_eq!(canon_bits(s), canon_bits(v), "scalar {} vs lanes {}", s, v);
         }
 
@@ -586,7 +490,7 @@ mod tests {
             let mut ys = y.clone();
             let mut yv = y.clone();
             axpy_scalar(alpha, &x, &mut ys);
-            axpy_lanes(alpha, &x, &mut yv);
+            axpy(alpha, &x, &mut yv);
             let sb: Vec<u64> = ys.iter().map(|v| canon_bits(*v)).collect();
             let vb: Vec<u64> = yv.iter().map(|v| canon_bits(*v)).collect();
             prop_assert_eq!(sb, vb);
@@ -595,7 +499,7 @@ mod tests {
         #[test]
         fn min_max_bitwise(xs in prop::collection::vec(any_value(), 0..70)) {
             let (smn, smx) = min_max_scalar(&xs);
-            let (vmn, vmx) = min_max_lanes(&xs);
+            let (vmn, vmx) = min_max(&xs);
             prop_assert_eq!(smn.to_bits(), vmn.to_bits());
             prop_assert_eq!(smx.to_bits(), vmx.to_bits());
         }
@@ -618,7 +522,7 @@ mod tests {
             let mut s = Vec::new();
             let mut v = Vec::new();
             clamp_to_envelope_scalar(&w, &u, &l, &mut s);
-            clamp_to_envelope_lanes(&w, &u, &l, &mut v);
+            clamp_to_envelope(&w, &u, &l, &mut v);
             let sb: Vec<u64> = s.iter().map(|x| x.to_bits()).collect();
             let vb: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(sb, vb);

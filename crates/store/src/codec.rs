@@ -57,15 +57,10 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
-/// Append a `u64`-length-prefixed byte slice.
-pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
 /// Append a `u64`-length-prefixed UTF-8 string.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
+    put_u64(buf, s.len() as u64);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Append a `u64`-length-prefixed vector of raw `f64` bits.

@@ -39,4 +39,4 @@ pub use codec::{crc32, ByteReader, CodecError};
 pub use store::{
     shared, FlushPolicy, Recovery, SegmentImage, SharedStore, Store, StoreConfig, StoreError,
 };
-pub use wal::{SealedSegment, WalRecord, WAL_VERSION};
+pub use wal::{WalRecord, WAL_VERSION};

@@ -14,7 +14,7 @@
 
 use crate::checkpoint;
 use crate::codec::CodecError;
-use crate::wal::{self, SealedSegment, Wal, WalRecord};
+use crate::wal::{self, Wal, WalRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -318,12 +318,6 @@ impl Store {
     /// log exactly; see [`Wal::append_existing`].
     pub fn append_replicated(&mut self, record: &WalRecord) -> Result<u64, StoreError> {
         Ok(self.wal.append_existing(record)?)
-    }
-
-    /// The sealed WAL segments currently on disk (ascending by index),
-    /// for shipping to a bootstrapping follower.
-    pub fn sealed_segments(&self) -> Vec<SealedSegment> {
-        self.wal.sealed_segments()
     }
 
     /// Snapshot every WAL segment on disk — sealed ones plus the open

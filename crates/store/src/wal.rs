@@ -140,17 +140,6 @@ struct SegmentMeta {
     base_seq: u64,
 }
 
-/// One sealed segment as seen by replication: its file index and the
-/// exclusive upper bound of the sequence numbers it holds (the successor
-/// segment's base).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SealedSegment {
-    /// The `wal-{index:08}.seg` file index.
-    pub index: u64,
-    /// Every record in the segment has `seq < upper_seq`.
-    pub upper_seq: u64,
-}
-
 /// The append side of the log plus the sealed-segment ledger.
 pub struct Wal {
     dir: PathBuf,
@@ -284,32 +273,6 @@ pub fn validate_segment_bytes(bytes: &[u8]) -> Option<(u64, Vec<WalRecord>)> {
     scan_segment_bytes(bytes).map(|scan| (scan.valid_bytes, scan.records))
 }
 
-/// Read-only scan of the log's replayable prefix: every valid record in
-/// sequence order, with **no repair** (no truncation, no quarantine, the
-/// append handle undisturbed). The store's per-sensor recovery rung uses
-/// this to re-read the tail while the log stays open for appending.
-pub fn read_records(dir: &Path) -> std::io::Result<Vec<WalRecord>> {
-    let indices = list_segments(dir)?;
-    let mut records: Vec<WalRecord> = Vec::new();
-    let mut next_seq = 1u64;
-    for &index in &indices {
-        let scan = match scan_segment(&segment_path(dir, index))? {
-            Some(scan) => scan,
-            None => break, // unreadable header ends the replayable prefix
-        };
-        if !(scan.base_seq == next_seq || records.is_empty()) {
-            break; // sequence gap between segments
-        }
-        next_seq = scan.records.last().map(|r| r.seq() + 1).unwrap_or(scan.base_seq.max(next_seq));
-        let dirty = scan.dirty;
-        records.extend(scan.records);
-        if dirty {
-            break; // nothing after a damaged region replays consistently
-        }
-    }
-    Ok(records)
-}
-
 /// Peek a segment's `base_seq` by reading only its 20-byte header.
 /// `None` when the file is missing, shorter than a header, or carries a
 /// foreign magic/version — the same cases that end a full scan.
@@ -330,8 +293,10 @@ fn peek_base_seq(path: &Path) -> std::io::Result<Option<u64>> {
     Ok(Some(r.u64().unwrap_or(0)))
 }
 
-/// Like [`read_records`] filtered to `seq > after_seq`, but in O(tail)
-/// instead of O(log): a segment is skipped without scanning its body when
+/// Read-only scan of the log's replayable prefix — every valid record with
+/// `seq > after_seq`, in sequence order, with **no repair** (no truncation,
+/// no quarantine, the append handle undisturbed) — in O(tail) instead of
+/// O(log): a segment is skipped without scanning its body when
 /// its successor's header proves every record it holds is `<= after_seq`
 /// (the successor's `base_seq` is this segment's exclusive upper bound).
 /// Replication primaries poll this to ship the streaming tail, so the
@@ -514,22 +479,6 @@ impl Wal {
     /// Sequence number of the most recently appended record (0 = none).
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
-    }
-
-    /// The sealed segments currently on disk, ascending by index. The
-    /// replication layer ships these byte-for-byte; the open tail segment
-    /// (index [`Wal::current_index`]) is *not* included because it is
-    /// still being appended to.
-    pub fn sealed_segments(&self) -> Vec<SealedSegment> {
-        self.sealed
-            .iter()
-            .map(|m| SealedSegment { index: m.index, upper_seq: m.base_seq })
-            .collect()
-    }
-
-    /// Index of the segment currently open for appending.
-    pub fn current_index(&self) -> u64 {
-        self.current_index
     }
 
     /// Append a record that already carries its sequence number — the
@@ -717,9 +666,10 @@ mod tests {
             wal.append(|seq| WalRecord::Observe { seq, sensor: i, value: i as f64 }).unwrap();
         }
         wal.sync().unwrap();
-        assert!(wal.sealed_segments().len() >= 3, "test needs several segments");
-        let full = read_records(&dir).unwrap();
-        assert_eq!(full.len(), 120);
+        assert!(wal.sealed.len() >= 3, "test needs several segments");
+        let full: Vec<WalRecord> = (0..120u32)
+            .map(|i| WalRecord::Observe { seq: i as u64 + 1, sensor: i, value: i as f64 })
+            .collect();
         for after in [0u64, 1, 17, 60, 119, 120, 500] {
             let tail = read_records_after(&dir, after).unwrap();
             let expect: Vec<WalRecord> = full.iter().filter(|r| r.seq() > after).cloned().collect();

@@ -6,7 +6,7 @@
 //! segment ending "now" to the value `h` steps later. This crate provides:
 //!
 //! * [`series::TimeSeries`] — an append-only sensor history with segment
-//!   views and the training-pair extraction used by the semi-lazy predictor;
+//!   views;
 //! * [`normalize`] — the z-normalisation the paper applies per sensor (§6.1.2);
 //! * [`envelope`] — DTW envelopes (upper/lower, Sakoe-Chiba width ρ) computed
 //!   by the streaming monotonic-deque algorithm, plus incremental suffix

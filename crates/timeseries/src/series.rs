@@ -89,32 +89,6 @@ impl TimeSeries {
         Some(SegmentRef { start, values: &self.values[start..end] })
     }
 
-    /// The `d`-length segment ending at the latest observation — the model
-    /// input `x_{0,d}` of paper §3.1 (`x_{0,d} = C_{t₀−d+1, d}`).
-    pub fn latest_segment(&self, len: usize) -> Option<SegmentRef<'_>> {
-        let start = self.values.len().checked_sub(len)?;
-        self.segment(start, len)
-    }
-
-    /// The `h`-step-ahead value `y = c_{t+d-1+h}` for the segment starting at
-    /// `start` with length `len` — i.e. the label the semi-lazy predictor
-    /// attaches to a retrieved neighbour (paper §3.2.1).
-    pub fn ahead_value(&self, start: usize, len: usize, h: usize) -> Option<f64> {
-        // The segment ends at index start+len-1; its h-step-ahead value sits
-        // at start+len-1+h.
-        let idx = start.checked_add(len)?.checked_sub(1)?.checked_add(h)?;
-        self.get(idx)
-    }
-
-    /// Number of `d`-length segments whose `h`-step-ahead label exists, i.e.
-    /// the candidate population for a (k, d) predictor at horizon `h`.
-    pub fn usable_segments(&self, d: usize, h: usize) -> usize {
-        if d == 0 {
-            return 0;
-        }
-        self.values.len().saturating_sub(d - 1 + h).min(self.values.len().saturating_sub(d) + 1)
-    }
-
     /// Iterator over every `(start, segment)` pair of length `d`.
     pub fn segments(&self, d: usize) -> impl Iterator<Item = SegmentRef<'_>> + '_ {
         let count = if d == 0 || d > self.values.len() { 0 } else { self.values.len() - d + 1 };
@@ -140,43 +114,13 @@ mod tests {
     }
 
     #[test]
-    fn latest_segment_is_suffix() {
-        let s = series();
-        let seg = s.latest_segment(4).unwrap();
-        assert_eq!(seg.start, 6);
-        assert_eq!(seg.values, &[6.0, 7.0, 8.0, 9.0]);
-        assert!(s.latest_segment(11).is_none());
-    }
-
-    #[test]
-    fn ahead_value_matches_definition() {
-        let s = series();
-        // Segment C_{2,3} covers indices 2..4 and ends at index 4;
-        // its 2-step-ahead value is c_6 = 6.
-        assert_eq!(s.ahead_value(2, 3, 2), Some(6.0));
-        // Out of range: segment ends at 9, 1-ahead would be index 10.
-        assert_eq!(s.ahead_value(7, 3, 1), None);
-        assert_eq!(s.ahead_value(7, 3, 0), Some(9.0));
-    }
-
-    #[test]
-    fn usable_segments_counts_labelled_pairs() {
-        let s = series(); // length 10
-                          // d=3, h=2: last usable start is t with t+3-1+2 <= 9 → t <= 5 → 6.
-        assert_eq!(s.usable_segments(3, 2), 6);
-        assert_eq!(s.usable_segments(10, 0), 1);
-        assert_eq!(s.usable_segments(10, 1), 0);
-        assert_eq!(s.usable_segments(0, 1), 0);
-    }
-
-    #[test]
     fn push_extends_history() {
         let mut s = TimeSeries::empty(1);
         assert!(s.is_empty());
         s.push(1.5);
         s.push(2.5);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.latest_segment(2).unwrap().values, &[1.5, 2.5]);
+        assert_eq!(s.values(), &[1.5, 2.5]);
     }
 
     #[test]

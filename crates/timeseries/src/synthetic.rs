@@ -112,13 +112,6 @@ pub struct SensorDataset {
     pub sensors: Vec<TimeSeries>,
 }
 
-impl SensorDataset {
-    /// Total number of observations across all sensors.
-    pub fn total_points(&self) -> usize {
-        self.sensors.iter().map(|s| s.len()).sum()
-    }
-}
-
 fn finish(id: usize, raw: Vec<f64>) -> TimeSeries {
     let (z, _) = normalize::z_normalize(&raw);
     TimeSeries::new(id, z)
@@ -270,7 +263,6 @@ mod tests {
             assert_eq!(ds.sensors.len(), 3);
             let expect = 5 * kind.samples_per_day();
             assert!(ds.sensors.iter().all(|s| s.len() == expect));
-            assert_eq!(ds.total_points(), 3 * expect);
         }
     }
 

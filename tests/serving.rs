@@ -434,6 +434,79 @@ fn observe_panic_quarantines_and_shows_in_status() {
     assert_eq!((stats.faults, stats.observed, stats.served), (2, 1, 1));
 }
 
+/// A replicated observation is never shed: against a full shard queue
+/// `apply_replicated_observe` blocks until the worker makes room, so a
+/// follower's live history never falls a point behind its log, while
+/// client requests on the same queue keep shedding typed errors.
+#[test]
+fn replicated_observes_wait_out_a_full_queue_instead_of_being_shed() {
+    const CAPACITY: usize = 2;
+    let burst: Vec<f64> = (0..8).map(|i| 0.1 + 0.05 * i as f64).collect();
+    let device = Arc::new(Device::default_gpu());
+    let config = ServeConfig { shards: 1, queue_capacity: CAPACITY, ..ServeConfig::default() };
+    let (server, store, dir) = store_backed(&device, fleet(&device, 2), config, "replicated");
+    let handle = server.handle();
+
+    // Park the worker at the WAL append and flood sensor 1 until the queue
+    // holds CAPACITY forecasts: by then the parking observation has been
+    // dequeued, and nothing else can be until the store is released.
+    let guard = store.lock();
+    let parked = handle.submit_observe(0, PARKING_VALUE).expect("admitted");
+    let mut flood = Vec::new();
+    let mut client_sheds = 0u64;
+    while flood.len() < CAPACITY {
+        match handle.submit_forecast(1, 1, None) {
+            Ok(pending) => flood.push(pending),
+            Err(ServeError::Overloaded { .. }) => {
+                client_sheds += 1;
+                std::thread::yield_now();
+            }
+            Err(other) => panic!("expected Overloaded, got {other}"),
+        }
+    }
+    for _ in 0..3 {
+        match handle.submit_forecast(1, 1, None) {
+            Err(ServeError::Overloaded { .. }) => client_sheds += 1,
+            other => panic!("a full queue admits no client, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    // The burst arrives while the queue is full and the worker parked; the
+    // store is released only once the replication thread is running.
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let applied = std::thread::scope(|scope| {
+        let replication = scope.spawn(|| {
+            started_tx.send(()).expect("test alive");
+            burst.iter().map(|&v| handle.apply_replicated_observe(0, v)).collect::<Vec<_>>()
+        });
+        started_rx.recv().expect("replication thread started");
+        drop(guard);
+        replication.join().expect("replication thread")
+    });
+    parked.wait().expect("parking observation absorbed");
+    for pending in applied {
+        pending.expect("a replicated observe is never shed").wait().expect("absorbed");
+    }
+    for pending in flood {
+        pending.wait().expect("every admitted forecast completes");
+    }
+    let served = handle.forecast(0, 1).expect("served");
+    let stats = server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(stats.shed, client_sheds, "only client requests count as shed");
+    assert_eq!(stats.observed, 1 + burst.len() as u64);
+
+    // Control: the same sensor fed the same points with nothing in its way.
+    let mut control = fleet(&Arc::new(Device::default_gpu()), 1).remove(0);
+    control.observe(PARKING_VALUE);
+    for &v in &burst {
+        control.observe(v);
+    }
+    let expect = control.try_predict_with(1, &RequestPolicy::default()).expect("control predict");
+    assert_eq!(served.mean.to_bits(), expect.mean.to_bits(), "a point was lost");
+    assert_eq!(served.variance.to_bits(), expect.variance.to_bits());
+}
+
 /// Shutdown with a mixed queue — observe, forecasts, observe, forecast,
 /// then the drain marker — answers every request, in per-shard order: each
 /// forecast sees exactly the observations queued ahead of it.
