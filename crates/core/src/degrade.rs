@@ -215,10 +215,10 @@ impl From<SearchError> for PredictError {
 }
 
 /// Rolling error bookkeeping of one sensor, driving the cooldown rung and
-/// the health metrics. Serialisable: a restored sensor that was cooling
-/// down must keep cooling down, or a restart would silently clear the
-/// degradation a failing Gram matrix earned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// the health metrics. Checkpointed with the sensor: a restored sensor
+/// that was cooling down must keep cooling down, or a restart would
+/// silently clear the degradation a failing Gram matrix earned.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ErrorState {
     /// Consecutive prediction steps in which at least one GP column failed
     /// to factorise (reset by a clean full/cached-hyper step).

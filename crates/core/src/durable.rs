@@ -19,16 +19,14 @@
 //!    equivalent to having advanced it online), then re-apply the WAL
 //!    tail as ordinary fleet rounds.
 //!
-//! The same ladder serves per-sensor quarantine recovery:
-//! [`DurableSystem::recover_all`] first tries the in-memory snapshot rung
-//! ([`SmilerSystem::recover_all`]) and, for sensors whose snapshot rung
-//! fails, falls back to rebuilding from the durable checkpoint plus the
-//! WAL tail.
+//! A quarantined sensor is persisted and rebuilt from the same recovery
+//! point, checkpoint + WAL tail; DESIGN §8 ("Quarantine & recovery
+//! lifecycle") describes the contract.
 
 use crate::predictor::PredictorKind;
 use crate::sensor::SensorPredictor;
 use crate::snapshot::{HorizonSnapshot, PendingPrediction, SensorSnapshot};
-use crate::system::{OutOfDeviceMemory, SmilerSystem};
+use crate::system::{OutOfDeviceMemory, SensorHealth, SmilerSystem};
 use crate::SmilerConfig;
 use smiler_gp::Hyperparams;
 use smiler_gpu::Device;
@@ -197,15 +195,13 @@ fn encode_horizon(buf: &mut Vec<u8>, h: &HorizonSnapshot) {
     for hyper in &h.gp_hypers {
         encode_hyper(buf, hyper);
     }
-    let pending = h.pending.as_deref().unwrap_or(&[]);
-    codec::put_u64(buf, pending.len() as u64);
-    for p in pending {
+    codec::put_u64(buf, h.pending.len() as u64);
+    for p in &h.pending {
         codec::put_u64(buf, p.target as u64);
         encode_cells(buf, &p.cells);
     }
-    let cadence = h.gp_cadence.as_deref().unwrap_or(&[]);
-    codec::put_u64(buf, cadence.len() as u64);
-    for &steps in cadence {
+    codec::put_u64(buf, h.gp_cadence.len() as u64);
+    for &steps in &h.gp_cadence {
         codec::put_u64(buf, steps as u64);
     }
 }
@@ -242,8 +238,8 @@ fn decode_horizon(r: &mut ByteReader<'_>) -> Result<HorizonSnapshot, DurableErro
         horizon,
         ensemble: crate::ensemble::EnsembleState { lambda, sleep },
         gp_hypers,
-        pending: Some(pending),
-        gp_cadence: Some(gp_cadence),
+        pending,
+        gp_cadence,
     })
 }
 
@@ -261,11 +257,10 @@ fn encode_sensor(buf: &mut Vec<u8>, snap: &SensorSnapshot) {
         },
     );
     codec::put_f64_slice(buf, &snap.history);
-    let errors = snap.errors.unwrap_or_default();
-    codec::put_u32(buf, errors.consecutive_gp_failures);
-    codec::put_u32(buf, errors.cooldown_remaining);
-    codec::put_u64(buf, errors.total_gp_failures);
-    codec::put_u64(buf, errors.total_search_errors);
+    codec::put_u32(buf, snap.errors.consecutive_gp_failures);
+    codec::put_u32(buf, snap.errors.cooldown_remaining);
+    codec::put_u64(buf, snap.errors.total_gp_failures);
+    codec::put_u64(buf, snap.errors.total_search_errors);
     codec::put_u64(buf, snap.horizons.len() as u64);
     for h in &snap.horizons {
         encode_horizon(buf, h);
@@ -294,7 +289,7 @@ fn decode_sensor(r: &mut ByteReader<'_>) -> Result<SensorSnapshot, DurableError>
     for _ in 0..n_horizons {
         horizons.push(decode_horizon(r)?);
     }
-    Ok(SensorSnapshot { sensor_id, history, config, kind, horizons, errors: Some(errors) })
+    Ok(SensorSnapshot { sensor_id, history, config, kind, horizons, errors })
 }
 
 /// Serialise a fleet's per-sensor snapshots as a checkpoint payload.
@@ -330,10 +325,10 @@ pub fn decode_fleet(payload: &[u8]) -> Result<Vec<SensorSnapshot>, DurableError>
 }
 
 /// The durable recovery point of a fleet: the newest checkpoint's
-/// per-sensor snapshots plus the WAL records past it. A quarantined
-/// sensor is rebuilt from this — by [`DurableSystem::recover_all`]'s store
-/// rung and by the serving frontend's shutdown checkpoint — so a torn
-/// predictor is never trusted.
+/// per-sensor snapshots plus the WAL records past it. The only source a
+/// quarantined sensor is persisted ([`checkpoint_payload`]) or rebuilt
+/// ([`DurableSystem::recover_all`]) from, so a torn predictor is never
+/// trusted.
 pub(crate) struct RecoveryPoint {
     snapshots: Vec<SensorSnapshot>,
     tail: Vec<WalRecord>,
@@ -366,6 +361,36 @@ impl RecoveryPoint {
         }
         Some(snap)
     }
+}
+
+/// The one rule for what a fleet persists. Each sensor, in fleet order,
+/// contributes its live snapshot if healthy. A quarantined sensor may be
+/// torn mid-update, so it contributes its [`RecoveryPoint`] snapshot
+/// instead, or, when the store holds none for it, is left out and counted
+/// as `store.checkpoint.sensor_dropped`.
+pub(crate) fn checkpoint_payload<'a>(
+    store: &Store,
+    fleet: impl Iterator<Item = (&'a SensorPredictor, &'a SensorHealth)> + Clone,
+) -> Result<Vec<u8>, DurableError> {
+    let point = if fleet.clone().any(|(_, health)| *health != SensorHealth::Healthy) {
+        RecoveryPoint::load(store)?
+    } else {
+        None
+    };
+    let mut snapshots = Vec::new();
+    for (position, (sensor, health)) in fleet.enumerate() {
+        let snapshot = match health {
+            SensorHealth::Healthy => Some(sensor.snapshot()),
+            SensorHealth::Quarantined { .. } => {
+                point.as_ref().and_then(|p| p.snapshot_of(sensor.sensor_id(), position))
+            }
+        };
+        match snapshot {
+            Some(snapshot) => snapshots.push(snapshot),
+            None => smiler_obs::count("store.checkpoint.sensor_dropped", "", 1),
+        }
+    }
+    Ok(encode_fleet(&snapshots))
 }
 
 // ------------------------------------------------------ the durable fleet
@@ -421,7 +446,7 @@ impl DurableSystem {
         store_config: StoreConfig,
         checkpoint_every: u64,
     ) -> Result<(Self, Option<OutOfDeviceMemory>), DurableError> {
-        let (mut store, recovery) = Store::open(dir, store_config)?;
+        let (store, recovery) = Store::open(dir, store_config)?;
         if !recovery.is_cold() {
             return Err(DurableError::Corrupt(format!(
                 "{} already holds fleet state (checkpoint {:?}, {} tail records); \
@@ -432,8 +457,10 @@ impl DurableSystem {
             )));
         }
         let (system, oom) = SmilerSystem::new(device, histories, config, kind);
-        store.checkpoint(&encode_fleet(&system.durable_snapshots()))?;
-        Ok((DurableSystem { system, store, checkpoint_every, rounds_since_checkpoint: 0 }, oom))
+        let mut durable =
+            DurableSystem { system, store, checkpoint_every, rounds_since_checkpoint: 0 };
+        durable.checkpoint()?;
+        Ok((durable, oom))
     }
 
     /// Recover a durable fleet from `dir`: newest valid checkpoint, index
@@ -507,7 +534,7 @@ impl DurableSystem {
                     .ok_or_else(|| {
                         DurableError::Corrupt(format!("WAL names unknown sensor {sensor}"))
                     })?;
-                system.sensor_mut(idx).observe(*value);
+                system.observe_one(idx, *value);
             }
         }
         Ok(())
@@ -560,12 +587,14 @@ impl DurableSystem {
         Ok(())
     }
 
-    /// Write a checkpoint of the fleet's current durable state now.
-    /// Quarantined sensors contribute their last good snapshot, never a
-    /// torn live predictor ([`SmilerSystem::durable_snapshots`]).
+    /// Write a checkpoint of the fleet's current durable state now
+    /// ([`checkpoint_payload`]).
     pub fn checkpoint(&mut self) -> Result<u64, DurableError> {
         self.rounds_since_checkpoint = 0;
-        Ok(self.store.checkpoint(&encode_fleet(&self.system.durable_snapshots()))?)
+        let system = &self.system;
+        let fleet = (0..system.len()).map(|idx| (system.sensor(idx), system.health(idx)));
+        let payload = checkpoint_payload(&self.store, fleet)?;
+        Ok(self.store.checkpoint(&payload)?)
     }
 
     /// Force the WAL to the platter regardless of flush policy.
@@ -573,33 +602,25 @@ impl DurableSystem {
         Ok(self.store.sync()?)
     }
 
-    /// Recover every quarantined sensor along the full ladder: the
-    /// in-memory snapshot rung first ([`SmilerSystem::recover_all`]),
-    /// then — for sensors whose snapshot rung failed — a rebuild from the
-    /// durable checkpoint plus the WAL tail. Returns the indices brought
-    /// back.
+    /// Rebuild every quarantined sensor from its [`RecoveryPoint`]: the
+    /// newest checkpoint's snapshot with its share of the WAL tail, so the
+    /// history is current and adaptive state is at the checkpoint cut.
+    /// Returns the indices brought back.
     pub fn recover_all(&mut self) -> Result<Vec<usize>, DurableError> {
-        let mut recovered = self.system.recover_all();
-        let still_out = self.system.quarantined();
-        if still_out.is_empty() {
-            return Ok(recovered);
+        let quarantined = self.system.quarantined();
+        if quarantined.is_empty() {
+            return Ok(Vec::new());
         }
-        // Store rung: rebuild each failed sensor from its durable recovery
-        // point; adaptive state stays at the checkpoint cut (the snapshot
-        // rung's exact semantics).
         let Some(point) = RecoveryPoint::load(&self.store)? else {
-            return Ok(recovered);
+            return Ok(Vec::new());
         };
-        for idx in still_out {
-            let sensor_id = self.system.sensor(idx).sensor_id();
-            let rebuilt = point.snapshot_of(sensor_id, idx);
-            if rebuilt.is_some_and(|snap| self.system.restore_into(idx, snap, "store")) {
-                smiler_obs::count("store.sensor_rebuilt", "", 1);
-                recovered.push(idx);
-            }
-        }
-        recovered.sort_unstable();
-        Ok(recovered)
+        Ok(quarantined
+            .into_iter()
+            .filter(|&idx| {
+                let sensor_id = self.system.sensor(idx).sensor_id();
+                point.snapshot_of(sensor_id, idx).is_some_and(|s| self.system.restore_into(idx, s))
+            })
+            .collect())
     }
 
     /// The wrapped fleet (read-only).
@@ -623,5 +644,41 @@ impl DurableSystem {
     /// sharded serving frontend, which logs and checkpoints itself).
     pub fn into_parts(self) -> (SmilerSystem, Store) {
         (self.system, self.store)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::degrade::{ErrorState, RequestPolicy};
+    use crate::sensor::FaultKind;
+
+    #[test]
+    fn fleet_payload_decodes_and_reencodes_byte_identically() {
+        let noisy_sine = |s: usize| -> Vec<f64> {
+            let noise = |i: usize| ((i * 7919 + s * 104_729) % 1000) as f64 / 2500.0;
+            (0..420).map(|i| (i as f64 * std::f64::consts::TAU / 24.0).sin() + noise(i)).collect()
+        };
+        let (mut system, _) = SmilerSystem::new(
+            Arc::new(Device::default_gpu()),
+            vec![noisy_sine(0), noisy_sine(1)],
+            SmilerConfig { retrain_every: 3, ..SmilerConfig::small_for_tests() },
+            PredictorKind::GaussianProcess,
+        );
+        system.sensor_mut(1).inject_fault(FaultKind::BadGram);
+        for r in 0..6 {
+            let _ = system.predict_all_robust(3, &RequestPolicy::default());
+            system.observe_all(&[(r as f64 * 0.3).sin(), (r as f64 * 0.7).cos()]);
+        }
+        let snapshots: Vec<_> = (0..system.len()).map(|i| system.sensor(i).snapshot()).collect();
+        let horizons = || snapshots.iter().flat_map(|s| &s.horizons);
+        assert!(horizons().any(|h| !h.pending.is_empty()), "pending rounds");
+        assert!(horizons().flat_map(|h| &h.gp_hypers).any(Option::is_some), "trained hypers");
+        assert!(horizons().flat_map(|h| &h.gp_cadence).any(|&c| c > 0), "retrain cadence");
+        assert!(snapshots.iter().any(|s| s.errors != ErrorState::default()), "error counters");
+
+        let payload = encode_fleet(&snapshots);
+        let decoded = decode_fleet(&payload).expect("payload decodes");
+        assert_eq!(encode_fleet(&decoded), payload);
     }
 }

@@ -55,9 +55,9 @@ impl EnsembleConfig {
     }
 }
 
-/// Serialisable adaptive state of an [`EnsembleMatrix`]: the weights and
-/// per-cell sleep bookkeeping `(remaining, counter ς, just_recovered)`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Adaptive state of an [`EnsembleMatrix`]: the weights and per-cell sleep
+/// bookkeeping `(remaining, counter ς, just_recovered)`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleState {
     /// Cell weights (0 for sleeping cells).
     pub lambda: Vec<f64>,

@@ -35,7 +35,7 @@ impl KnnData {
 
 /// Which instantiation of the abstract predictor a sensor uses —
 /// SMiLer-AR vs SMiLer-GP in the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
     /// Aggregation Regression (§5.2.1): mean/variance of the kNN labels.
     Aggregation,

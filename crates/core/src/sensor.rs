@@ -120,15 +120,6 @@ struct HorizonState {
     pending: VecDeque<(usize, CellPredictions)>,
 }
 
-/// Decoded per-horizon state handed to
-/// [`SensorPredictor::install_horizon_snapshots`] by the restore path.
-pub(crate) struct RestoredHorizon {
-    pub(crate) ensemble: EnsembleMatrix,
-    pub(crate) gp_hypers: Vec<Option<smiler_gp::Hyperparams>>,
-    pub(crate) pending: Vec<crate::snapshot::PendingPrediction>,
-    pub(crate) gp_cadence: Vec<usize>,
-}
-
 /// Reusable buffers for the prediction step: GP triangular-solve scratch
 /// and the per-cell centred-target vector. Lives on the predictor so the
 /// steady-state predict loop performs no heap allocations in the GP math.
@@ -336,26 +327,33 @@ impl SensorPredictor {
                     horizon: h,
                     ensemble: state.ensemble.snapshot(),
                     gp_hypers: hypers,
-                    pending: Some(pending),
-                    gp_cadence: Some(cadence),
+                    pending,
+                    gp_cadence: cadence,
                 }
             })
             .collect()
     }
 
-    /// Install restored per-horizon state: ensemble, GP hyperparameters,
-    /// pending prediction rounds and the retrain cadence. The cadence is
-    /// installed *after* [`GpCellPredictor::set_hyper`] (which resets it),
-    /// so the restored cell retrains on exactly the original schedule.
-    pub(crate) fn install_horizon_snapshots(&mut self, states: HashMap<usize, RestoredHorizon>) {
-        for (h, restored) in states {
+    /// Install restored adaptive state: per horizon the ensemble, GP
+    /// hyperparameters, pending prediction rounds and retrain cadence, then
+    /// the error counters. The cadence is installed *after*
+    /// [`GpCellPredictor::set_hyper`] (which resets it), so the restored
+    /// cell retrains on exactly the original schedule.
+    pub(crate) fn install_state(
+        &mut self,
+        horizons: Vec<crate::snapshot::HorizonSnapshot>,
+        errors: ErrorState,
+    ) {
+        for restored in horizons {
+            let h = restored.horizon;
+            let ensemble_config = self.config.ensemble.clone();
             let state = self.horizon_state(h);
             assert_eq!(
                 restored.gp_hypers.len(),
                 state.cells.len(),
                 "snapshot cell count mismatch at horizon {h}"
             );
-            state.ensemble = restored.ensemble;
+            state.ensemble = EnsembleMatrix::restore(ensemble_config, restored.ensemble);
             let mut cadence = restored.gp_cadence.into_iter();
             for (cell, hyper) in state.cells.iter_mut().zip(restored.gp_hypers) {
                 let steps = cadence.next().unwrap_or(0);
@@ -364,13 +362,8 @@ impl SensorPredictor {
                     gp.set_steps_since_train(steps);
                 }
             }
-            state.pending =
-                restored.pending.into_iter().map(|p| (p.target, p.cells)).collect::<VecDeque<_>>();
+            state.pending = restored.pending.into_iter().map(|p| (p.target, p.cells)).collect();
         }
-    }
-
-    /// Restore the rolling error state captured in a snapshot.
-    pub(crate) fn set_error_state(&mut self, errors: ErrorState) {
         self.errors = errors;
     }
 

@@ -50,7 +50,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::degrade::{DegradationLevel, Prediction, RequestPolicy};
-use crate::durable::{RecoveryPoint, StoreStatus};
+use crate::durable::{checkpoint_payload, StoreStatus};
 use crate::predictor::QualitySnapshot;
 use crate::regime::RegimeSnapshot;
 use crate::sensor::SensorPredictor;
@@ -956,10 +956,10 @@ impl SmilerServer {
     /// [`ServeError::ShuttingDown`] afterwards.
     ///
     /// With a store attached ([`SmilerServer::start_with_store`]), the
-    /// drained fleet is checkpointed: healthy sensors contribute their
-    /// live state; a quarantined sensor's entry is rebuilt from the prior
-    /// durable checkpoint plus its WAL tail (the recovery ladder applied
-    /// at checkpoint time) so a torn predictor is never persisted.
+    /// drained fleet is checkpointed by the durable fleet's one rule
+    /// (`durable::checkpoint_payload`; DESIGN §8 covers quarantined
+    /// sensors). A store-less server keeps a quarantined sensor fenced off
+    /// until the process restarts.
     pub fn shutdown(self) -> ServeStatsSnapshot {
         for tx in &self.handle.senders {
             // A blocking send so the drain marker lands even on a full
@@ -977,35 +977,13 @@ impl SmilerServer {
                 fleet.extend(sensors.into_iter().zip(health));
             }
             fleet.sort_by_key(|(s, _)| s.sensor_id());
-            Self::checkpoint_drained(store, fleet);
-        }
-        self.handle.stats.snapshot()
-    }
-
-    /// Checkpoint a drained fleet, never persisting a torn predictor.
-    fn checkpoint_drained(store: &SharedStore, fleet: Vec<(SensorPredictor, SensorHealth)>) {
-        let mut store = store.lock();
-        // Prior durable state backs the entries of quarantined sensors
-        // (sensor ids are fleet positions here).
-        let prior = RecoveryPoint::load(&store).ok().flatten();
-        let mut snapshots = Vec::with_capacity(fleet.len());
-        for (sensor, health) in &fleet {
-            let id = sensor.sensor_id();
-            match health {
-                SensorHealth::Healthy => snapshots.push(sensor.snapshot()),
-                SensorHealth::Quarantined { .. } => {
-                    match prior.as_ref().and_then(|p| p.snapshot_of(id, id)) {
-                        Some(snap) => snapshots.push(snap),
-                        // No durable fallback: drop the sensor from the
-                        // checkpoint rather than persist torn state.
-                        None => smiler_obs::count("store.checkpoint.sensor_dropped", "", 1),
-                    }
-                }
+            let mut store = store.lock();
+            let payload = checkpoint_payload(&store, fleet.iter().map(|(s, h)| (s, h)));
+            if !matches!(payload.map(|p| store.checkpoint(&p)), Ok(Ok(_))) {
+                smiler_obs::count("store.checkpoint_error", "", 1);
             }
         }
-        if store.checkpoint(&crate::durable::encode_fleet(&snapshots)).is_err() {
-            smiler_obs::count("store.checkpoint_error", "", 1);
-        }
+        self.handle.stats.snapshot()
     }
 }
 

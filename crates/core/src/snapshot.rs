@@ -6,34 +6,32 @@
 //! worth keeping: the ensemble weights λ (and their sleep schedules,
 //! §5.1.2) and the warm-started GP hyperparameters per cell and horizon
 //! (§5.2.2). A restart that discards those re-pays the cold-start cost and
-//! forgets which `(k, d)` cells were working. A [`SensorSnapshot`]
-//! round-trips all of it through JSON; the index itself is deterministic in
-//! the history and is rebuilt on restore.
+//! forgets which `(k, d)` cells were working. A [`SensorSnapshot`] holds
+//! all of it (the durable checkpoint codec, `durable::encode_fleet`, writes
+//! it as raw bits); the index itself is deterministic in the history and is
+//! rebuilt on restore.
 //!
-//! Since the durable store landed (PR 5), snapshots also carry the
-//! *transient* per-step state — pending (not-yet-scored) predictions, the
-//! GP retrain-cadence position and the degradation error counters — so that
-//! a predictor restored from a checkpoint continues **bitwise-identically**
-//! to one that never stopped. Pending entries are safe to restore even when
-//! the stream diverges after the snapshot: [`SensorPredictor::observe`]
-//! drops entries whose target already passed, so a stale pending list decays
-//! harmlessly instead of corrupting the weights. All three fields are
-//! `Option`-typed so snapshots written before PR 5 still deserialise
-//! (missing field → `None` → legacy drop-pending behaviour).
+//! Snapshots also carry the *transient* per-step state — pending
+//! (not-yet-scored) predictions, the GP retrain-cadence position and the
+//! degradation error counters — so that a predictor restored from a
+//! checkpoint continues **bitwise-identically** to one that never stopped.
+//! Pending entries are safe to restore even when the stream diverges after
+//! the snapshot: [`SensorPredictor::observe`] drops entries whose target
+//! already passed, so a stale pending list decays harmlessly instead of
+//! corrupting the weights.
 
 use crate::degrade::ErrorState;
-use crate::ensemble::{EnsembleMatrix, EnsembleState};
+use crate::ensemble::EnsembleState;
 use crate::predictor::PredictorKind;
-use crate::sensor::{RestoredHorizon, SensorPredictor, SmilerConfig};
+use crate::sensor::{SensorPredictor, SmilerConfig};
 use smiler_gp::Hyperparams;
 use smiler_gpu::Device;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One not-yet-scored prediction round of one horizon: the per-cell
 /// forecasts issued for history position `target`, awaiting the true value
 /// so the λ update can score them.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingPrediction {
     /// History index the forecasts were issued for.
     pub target: usize,
@@ -42,7 +40,7 @@ pub struct PendingPrediction {
 }
 
 /// Adaptive state of one horizon's ensemble.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HorizonSnapshot {
     /// The horizon `h`.
     pub horizon: usize,
@@ -50,17 +48,15 @@ pub struct HorizonSnapshot {
     pub ensemble: EnsembleState,
     /// Per-cell GP hyperparameters (`None` for untrained or AR cells).
     pub gp_hypers: Vec<Option<Hyperparams>>,
-    /// Not-yet-scored prediction rounds (`None` in pre-durability
-    /// snapshots; restored as empty).
-    pub pending: Option<Vec<PendingPrediction>>,
-    /// Per-cell steps-since-retrain cadence position (`None` in
-    /// pre-durability snapshots; restored as 0, i.e. just-trained).
-    pub gp_cadence: Option<Vec<usize>>,
+    /// Not-yet-scored prediction rounds.
+    pub pending: Vec<PendingPrediction>,
+    /// Per-cell steps-since-retrain cadence position.
+    pub gp_cadence: Vec<usize>,
 }
 
 /// Everything needed to reconstruct a [`SensorPredictor`] with its learned
 /// state.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensorSnapshot {
     /// Sensor identifier.
     pub sensor_id: usize,
@@ -72,9 +68,8 @@ pub struct SensorSnapshot {
     pub kind: PredictorKind,
     /// Per-horizon adaptive state.
     pub horizons: Vec<HorizonSnapshot>,
-    /// Degradation error counters (`None` in pre-durability snapshots;
-    /// restored as a clean slate).
-    pub errors: Option<ErrorState>,
+    /// Degradation error counters.
+    pub errors: ErrorState,
 }
 
 impl SensorPredictor {
@@ -88,7 +83,7 @@ impl SensorPredictor {
             config: self.config().clone(),
             kind: self.kind(),
             horizons,
-            errors: Some(self.error_state()),
+            errors: self.error_state(),
         }
     }
 
@@ -103,26 +98,10 @@ impl SensorPredictor {
             device,
             snapshot.sensor_id,
             snapshot.history,
-            snapshot.config.clone(),
+            snapshot.config,
             snapshot.kind,
         );
-        let mut states = HashMap::new();
-        for h in snapshot.horizons {
-            let ensemble = EnsembleMatrix::restore(snapshot.config.ensemble.clone(), h.ensemble);
-            states.insert(
-                h.horizon,
-                RestoredHorizon {
-                    ensemble,
-                    gp_hypers: h.gp_hypers,
-                    pending: h.pending.unwrap_or_default(),
-                    gp_cadence: h.gp_cadence.unwrap_or_default(),
-                },
-            );
-        }
-        predictor.install_horizon_snapshots(states);
-        if let Some(errors) = snapshot.errors {
-            predictor.set_error_state(errors);
-        }
+        predictor.install_state(snapshot.horizons, snapshot.errors);
         predictor
     }
 }

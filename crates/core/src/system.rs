@@ -18,10 +18,6 @@ use smiler_index::{try_fleet_search, SmilerIndex};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// How many fleet observation rounds pass between snapshot refreshes of
-/// healthy sensors (the recovery point a quarantined sensor restarts from).
-const SNAPSHOT_REFRESH_INTERVAL: u64 = 16;
-
 /// Error returned when a sensor's index does not fit in device memory.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct OutOfDeviceMemory {
@@ -50,8 +46,9 @@ impl std::error::Error for OutOfDeviceMemory {}
 pub enum SensorHealth {
     /// Serving normally.
     Healthy,
-    /// The sensor's predictor panicked and is fenced off until
-    /// [`SmilerSystem::recover`] rebuilds it from its last good snapshot.
+    /// The sensor's predictor panicked and is fenced off until it is
+    /// rebuilt from durable state (DESIGN §8, "Quarantine & recovery
+    /// lifecycle").
     Quarantined {
         /// The panic message that caused the quarantine.
         message: String,
@@ -148,8 +145,8 @@ pub(crate) fn search_stale(
 /// The fleet's one isolation boundary: run `work` on a healthy sensor
 /// behind `catch_unwind`. A quarantined sensor is never touched; a panic
 /// may have torn the predictor mid-update, so it **quarantines** the
-/// sensor — fenced off until it is rebuilt from a snapshot — and both
-/// read as a typed [`SensorFault`].
+/// sensor ([`SensorHealth::Quarantined`]) and both read as a typed
+/// [`SensorFault`].
 pub(crate) fn isolated<T>(
     sensor: &mut SensorPredictor,
     state: &mut SensorHealth,
@@ -183,11 +180,6 @@ pub struct SmilerSystem {
     device: Arc<Device>,
     sensors: Vec<SensorPredictor>,
     health: Vec<SensorHealth>,
-    /// Last good snapshot per sensor — the recovery point. While a sensor
-    /// is quarantined its snapshot keeps absorbing the fleet's incoming
-    /// observations so recovery resumes with a current history.
-    snapshots: Vec<SensorSnapshot>,
-    rounds_since_refresh: u64,
 }
 
 impl SmilerSystem {
@@ -239,9 +231,8 @@ impl SmilerSystem {
             smiler_obs::gauge_set("sensors.resident", "", sensors.len() as f64);
         }
         let health = vec![SensorHealth::Healthy; sensors.len()];
-        let snapshots = sensors.iter().map(|s| s.snapshot()).collect();
         let device = Arc::clone(device);
-        (SmilerSystem { device, sensors, health, snapshots, rounds_since_refresh: 0 }, rejection)
+        (SmilerSystem { device, sensors, health }, rejection)
     }
 
     /// Number of resident sensors.
@@ -269,22 +260,6 @@ impl SmilerSystem {
         &mut self.sensors[idx]
     }
 
-    /// Per-sensor snapshots safe to persist: a healthy sensor contributes
-    /// its *current* state; a quarantined sensor contributes its **last
-    /// good snapshot** (which kept absorbing observations while fenced
-    /// off), never the torn in-memory predictor a panic may have left
-    /// mid-update. This is the durable-checkpoint entry point.
-    pub fn durable_snapshots(&self) -> Vec<SensorSnapshot> {
-        self.sensors
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| match self.health[idx] {
-                SensorHealth::Healthy => s.snapshot(),
-                SensorHealth::Quarantined { .. } => self.snapshots[idx].clone(),
-            })
-            .collect()
-    }
-
     /// One fleet search ([`search_stale`]) for every healthy sensor whose
     /// cached search is stale; each driver below then predicts off the
     /// installed results.
@@ -304,9 +279,8 @@ impl SmilerSystem {
     /// After the shared search, each sensor runs the fallible,
     /// degradation-aware path ([`SensorPredictor::try_predict_with`])
     /// behind the panic boundary ([`isolated`]). A panicking sensor is
-    /// **quarantined** — fenced off from further requests until
-    /// [`SmilerSystem::recover`] rebuilds it from its last good snapshot —
-    /// and reported as a [`SensorFault`]; the other sensors' forecasts are
+    /// **quarantined** (DESIGN §8, "Quarantine & recovery lifecycle") and
+    /// reported as a [`SensorFault`]; the other sensors' forecasts are
     /// exactly what a fault-free pass would have produced (each sensor owns
     /// its index and ensemble, and a search slot is independent of the
     /// fleet it was searched in).
@@ -343,52 +317,21 @@ impl SmilerSystem {
             .collect()
     }
 
-    /// Test support: wreck the stored recovery snapshot for `idx` so the
-    /// in-memory rung of the recovery ladder fails (restore panics on an
-    /// empty history) and callers fall through to the durable-store rung.
-    #[doc(hidden)]
-    pub fn poison_snapshot_for_tests(&mut self, idx: usize) {
-        self.snapshots[idx].history.clear();
-    }
-
-    /// Rebuild a quarantined sensor from its last good snapshot (including
-    /// the observations that arrived while it was fenced off) and mark it
-    /// healthy. Returns `true` on success; `false` if the sensor was not
-    /// quarantined, or if the rebuild itself panicked (it then stays
-    /// quarantined).
-    pub fn recover(&mut self, idx: usize) -> bool {
-        matches!(self.health[idx], SensorHealth::Quarantined { .. })
-            && self.restore_into(idx, self.snapshots[idx].clone(), "")
-    }
-
-    /// Rebuild sensor `idx` from `snapshot` — its own recovery point, or
-    /// one the durable store's recovery rung assembled (`rung` labels the
-    /// counter) — behind a panic boundary, and mark it healthy with that
-    /// state as its new recovery point. `false` if the rebuild panicked.
-    pub(crate) fn restore_into(
-        &mut self,
-        idx: usize,
-        snapshot: SensorSnapshot,
-        rung: &str,
-    ) -> bool {
+    /// Rebuild sensor `idx` from `snapshot` (assembled by
+    /// [`crate::DurableSystem::recover_all`] from checkpoint + WAL) behind
+    /// a panic boundary and mark it healthy. `false` if the rebuild
+    /// panicked; the sensor then stays quarantined.
+    pub(crate) fn restore_into(&mut self, idx: usize, snapshot: SensorSnapshot) -> bool {
         let device = Arc::clone(&self.device);
         match panic::catch_unwind(AssertUnwindSafe(|| SensorPredictor::restore(device, snapshot))) {
             Ok(predictor) => {
-                self.snapshots[idx] = predictor.snapshot();
                 self.sensors[idx] = predictor;
                 self.health[idx] = SensorHealth::Healthy;
-                smiler_obs::count("health.sensor_recovered", rung, 1);
+                smiler_obs::count("health.sensor_recovered", "", 1);
                 true
             }
             Err(_) => false,
         }
-    }
-
-    /// Attempt recovery of every quarantined sensor; returns the indices
-    /// brought back.
-    pub fn recover_all(&mut self) -> Vec<usize> {
-        let quarantined = self.quarantined();
-        quarantined.into_iter().filter(|&idx| self.recover(idx)).collect()
     }
 
     /// One full continuous-prediction step for the whole fleet: predict
@@ -397,12 +340,10 @@ impl SmilerSystem {
     /// `(mean, variance)` forecasts made *before* the observations were
     /// seen.
     ///
-    /// Health-aware: a quarantined sensor is **never touched** — it
-    /// reports `(NaN, ∞)` and its *snapshot* absorbs the observation, the
-    /// same contract as [`SmilerSystem::observe_all`]. (It used to drive
-    /// the torn predictor anyway, re-panicking or corrupting state, and
-    /// never refreshed recovery snapshots — so a crash during a
-    /// `step`-driven run recovered to an arbitrarily stale point.)
+    /// Each sensor's predict + observe runs behind the fleet's isolation
+    /// boundary ([`isolated`]): a sensor that panics is quarantined, a
+    /// quarantined one is never touched, and both report `(NaN, ∞)` while
+    /// the rest of the round completes.
     ///
     /// With observability on, the step runs under a `step` span, records a
     /// per-sensor latency histogram (`step.sensor_seconds`), and updates
@@ -418,21 +359,19 @@ impl SmilerSystem {
         self.search_all_stale();
         // Sensors are independent, so interleaving predict/observe per
         // sensor is equivalent to predict_all followed by observe_all.
-        for (idx, &v) in observations.iter().enumerate() {
-            if matches!(self.health[idx], SensorHealth::Quarantined { .. }) {
-                self.snapshots[idx].history.push(v);
-                predictions.push((f64::NAN, f64::INFINITY));
-                continue;
-            }
-            let s = &mut self.sensors[idx];
+        for ((sensor, state), &v) in self.sensors.iter_mut().zip(&mut self.health).zip(observations)
+        {
             let started = if obs_on { Some(std::time::Instant::now()) } else { None };
-            predictions.push(s.predict(h));
-            s.observe(v);
-            if let Some(started) = started {
+            let served = isolated(sensor, state, |s| {
+                let prediction = s.predict(h);
+                s.observe(v);
+                prediction
+            });
+            if let (Ok(_), Some(started)) = (&served, started) {
                 smiler_obs::observe("step.sensor_seconds", "", started.elapsed().as_secs_f64());
             }
+            predictions.push(served.unwrap_or((f64::NAN, f64::INFINITY)));
         }
-        self.tick_snapshot_refresh();
         if obs_on {
             smiler_obs::gauge_set("sensors.resident", "", self.sensors.len() as f64);
             let (mut active, mut sleeping) = (0usize, 0usize);
@@ -449,40 +388,23 @@ impl SmilerSystem {
         predictions
     }
 
-    /// Feed one new observation per sensor (same order as construction).
-    ///
-    /// Healthy sensors absorb the value normally; a quarantined sensor's
-    /// *snapshot* absorbs it instead, so [`SmilerSystem::recover`] rebuilds
-    /// with a current history. Every [`SNAPSHOT_REFRESH_INTERVAL`] rounds
-    /// the healthy sensors' recovery snapshots are refreshed.
+    /// Feed one new observation per sensor (same order as construction),
+    /// each behind the isolation boundary ([`SmilerSystem::observe_one`]).
     ///
     /// # Panics
     /// Panics if the observation count differs from the sensor count.
     pub fn observe_all(&mut self, observations: &[f64]) {
         assert_eq!(observations.len(), self.sensors.len(), "one observation per sensor");
         for (idx, &v) in observations.iter().enumerate() {
-            match self.health[idx] {
-                SensorHealth::Healthy => self.sensors[idx].observe(v),
-                SensorHealth::Quarantined { .. } => self.snapshots[idx].history.push(v),
-            }
+            self.observe_one(idx, v);
         }
-        self.tick_snapshot_refresh();
     }
 
-    /// Advance the observation-round counter and, every
-    /// [`SNAPSHOT_REFRESH_INTERVAL`] rounds, refresh the recovery
-    /// snapshots of **healthy** sensors only — a quarantined sensor's
-    /// recovery point must never be overwritten by its torn live state.
-    fn tick_snapshot_refresh(&mut self) {
-        self.rounds_since_refresh += 1;
-        if self.rounds_since_refresh >= SNAPSHOT_REFRESH_INTERVAL {
-            self.rounds_since_refresh = 0;
-            for (idx, s) in self.sensors.iter().enumerate() {
-                if self.health[idx] == SensorHealth::Healthy {
-                    self.snapshots[idx] = s.snapshot();
-                }
-            }
-        }
+    /// Feed one observation to sensor `idx` behind the isolation boundary
+    /// ([`isolated`]): a quarantined sensor drops it, a panicking one is
+    /// quarantined.
+    pub(crate) fn observe_one(&mut self, idx: usize, value: f64) {
+        let _ = isolated(&mut self.sensors[idx], &mut self.health[idx], |s| s.observe(value));
     }
 
     /// Dismantle the fleet into its sensors (e.g. to hand them to the
@@ -585,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn step_skips_quarantined_sensors_and_feeds_their_snapshots() {
+    fn step_skips_quarantined_sensors() {
         use crate::sensor::FaultKind;
         let device = Arc::new(Device::default_gpu());
         let (mut system, _) = SmilerSystem::new(
@@ -598,50 +520,18 @@ mod tests {
         let results = system.predict_all_robust(1, &RequestPolicy::default());
         assert!(results[1].is_err());
         assert!(matches!(system.health(1), SensorHealth::Quarantined { .. }));
-        let history_before = system.durable_snapshots()[1].history.len();
+        let history_before = system.sensor(1).history().len();
 
         // Regression: step() used to drive the quarantined predictor
-        // anyway, re-panicking on the injected fault. It must now skip it
-        // (NaN marker) and let the recovery snapshot absorb the values.
+        // anyway, re-panicking on the injected fault. It must skip it (NaN
+        // marker) and leave the torn predictor untouched.
         for round in 0..20 {
             let preds = system.step(1, &[0.1, 0.2, 0.3 + round as f64 * 0.01]);
             assert!(preds[0].0.is_finite() && preds[2].0.is_finite());
             assert!(preds[1].0.is_nan() && preds[1].1.is_infinite());
         }
-        let snaps = system.durable_snapshots();
-        assert_eq!(snaps[1].history.len(), history_before + 20, "snapshot must absorb values");
-        // And recovery resumes from the absorbed history.
-        assert!(system.recover(1));
-        assert_eq!(system.sensor(1).history().len(), history_before + 20);
-        let preds = system.step(1, &[0.0, 0.0, 0.0]);
-        assert!(preds[1].0.is_finite());
-    }
-
-    #[test]
-    fn step_refreshes_recovery_snapshots_of_healthy_sensors() {
-        let device = Arc::new(Device::default_gpu());
-        let (mut system, _) = SmilerSystem::new(
-            device,
-            histories(2, 300),
-            SmilerConfig::small_for_tests(),
-            PredictorKind::Aggregation,
-        );
-        // Regression: step() never refreshed recovery snapshots, so a
-        // sensor quarantined after N step() rounds recovered to the
-        // construction-time state, losing every absorbed observation.
-        let rounds = SNAPSHOT_REFRESH_INTERVAL as usize + 1;
-        for i in 0..rounds {
-            system.step(1, &[i as f64 * 0.01, i as f64 * 0.02]);
-        }
-        system.sensor_mut(0).inject_fault(crate::sensor::FaultKind::PanicOnPredict);
-        let _ = system.predict_all_robust(1, &RequestPolicy::default());
-        assert!(matches!(system.health(0), SensorHealth::Quarantined { .. }));
-        assert!(system.recover(0));
-        assert!(
-            system.sensor(0).history().len() >= 300 + SNAPSHOT_REFRESH_INTERVAL as usize,
-            "recovered to a stale point: {} values",
-            system.sensor(0).history().len()
-        );
+        assert_eq!(system.sensor(1).history().len(), history_before);
+        assert_eq!(system.quarantined(), vec![1]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use smiler_linalg::{vector, Matrix};
 /// Hyperparameters `Θ = {θ₀, θ₁, θ₂}` of the SE kernel (paper Eqn 18):
 /// signal amplitude, characteristic length-scale and noise level. All three
 /// are strictly positive; optimisation happens in log space.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hyperparams {
     /// Signal standard deviation θ₀.
     pub theta0: f64,

@@ -345,56 +345,83 @@ fn served_observations_survive_server_restart() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The store rung of the recovery ladder: when the in-memory snapshot
-/// restore fails, `DurableSystem::recover_all` rebuilds the sensor from
-/// the durable checkpoint plus the WAL tail.
+/// Bitwise view of one sensor's history.
+fn history_bits(system: &SmilerSystem, sensor: usize) -> Vec<u64> {
+    system.sensor(sensor).history().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A never-faulted control fleet and a durable twin at `dir` that run
+/// `rounds` steps in lockstep, the twin's sensor 1 quarantined (through
+/// the robust path) before round `quarantine_at`.
+fn quarantined_run(
+    dir: &std::path::Path,
+    checkpoint_every: u64,
+    quarantine_at: usize,
+    rounds: usize,
+) -> (SmilerSystem, DurableSystem) {
+    let config = SmilerConfig::small_for_tests();
+    let kind = PredictorKind::Aggregation;
+    let device = || Arc::new(Device::default_gpu());
+    let (mut control, _) = SmilerSystem::new(device(), histories(3, 320), config.clone(), kind);
+    let (mut durable, _) = DurableSystem::create(
+        device(),
+        histories(3, 320),
+        config,
+        kind,
+        dir,
+        store_config(),
+        checkpoint_every,
+    )
+    .expect("create");
+    for r in 0..rounds {
+        if r == quarantine_at {
+            let system = durable.system_mut();
+            system.sensor_mut(1).inject_fault(smiler_core::FaultKind::PanicOnPredict);
+            let _ = system.predict_all_robust(1, &smiler_core::RequestPolicy::default());
+            assert_eq!(system.quarantined(), vec![1]);
+        }
+        control.step(1, &round_values(r, 3));
+        durable.step(1, &round_values(r, 3)).expect("step");
+    }
+    (control, durable)
+}
+
+/// Quarantine recovery goes through the store: `DurableSystem::recover_all`
+/// rebuilds the sensor from the newest checkpoint plus the WAL tail, and
+/// its history is the never-faulted control's, value for value — including
+/// the rounds before the quarantine that a checkpoint taken while it was
+/// fenced off (cadence 4: round 12 here) had to carry over.
 #[test]
 fn recover_all_reaches_the_store_rung() {
     let dir = tmpdir("ladder");
-    let config = SmilerConfig::small_for_tests();
-    let (mut durable, _) = DurableSystem::create(
-        Arc::new(Device::default_gpu()),
-        histories(3, 320),
-        config,
-        PredictorKind::Aggregation,
-        &dir,
-        store_config(),
-        /* checkpoint_every */ 4,
-    )
-    .expect("create");
-    for r in 0..10 {
-        durable.step(1, &round_values(r, 3)).expect("step");
-    }
-
-    // Quarantine sensor 1 through the robust path.
-    durable.system_mut().sensor_mut(1).inject_fault(smiler_core::FaultKind::PanicOnPredict);
-    let results =
-        durable.system_mut().predict_all_robust(1, &smiler_core::RequestPolicy::default());
-    assert!(results[1].is_err());
-    assert_eq!(durable.system().quarantined(), vec![1]);
-
-    // A few more durable rounds while quarantined (the WAL keeps logging
-    // and auto-checkpoints keep firing at cadence 4).
-    for r in 10..14 {
-        durable.step(1, &round_values(r, 3)).expect("step while quarantined");
-    }
-
-    // Wreck the in-memory recovery snapshot so the first rung panics and
-    // recovery must fall through to the durable checkpoint + WAL tail.
-    durable.system_mut().poison_snapshot_for_tests(1);
-    let recovered = durable.recover_all().expect("recovery ladder");
-    assert_eq!(recovered, vec![1]);
+    let (control, mut durable) = quarantined_run(&dir, 4, 10, 14);
+    assert_eq!(durable.recover_all().expect("recovery"), vec![1]);
     assert!(durable.system().quarantined().is_empty());
-    // The rebuilt sensor carries exactly what the healthy snapshot rung
-    // would have produced: the construction history plus the four values
-    // observed while quarantined (checkpoint cut + WAL tail), bitwise.
-    let history = durable.system().sensor(1).history();
-    assert_eq!(history.len(), 320 + 4);
-    for (i, r) in (10..14).enumerate() {
-        assert_eq!(history[320 + i].to_bits(), obs(r, 1).to_bits());
-    }
+    assert_eq!(durable.system().sensor(1).history().len(), 320 + 14);
+    assert_eq!(history_bits(durable.system(), 1), history_bits(&control, 1));
     // And keeps serving.
     let preds = durable.step(1, &round_values(14, 3)).expect("step after recovery");
     assert!(preds[1].0.is_finite());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint taken while a sensor is quarantined persists that sensor
+/// from checkpoint + WAL, never from a stale copy: after a restart its
+/// history is the never-faulted control's, value for value.
+#[test]
+fn a_checkpoint_taken_while_quarantined_loses_nothing() {
+    let dir = tmpdir("quarantine_ckpt");
+    let (control, mut durable) = quarantined_run(&dir, 0, 10, 13);
+    durable.checkpoint().expect("checkpoint while quarantined");
+    drop(durable);
+
+    let (restored, report) =
+        DurableSystem::open(Arc::new(Device::default_gpu()), &dir, store_config(), 0)
+            .expect("restart");
+    assert_eq!((report.sensors, report.replayed_rounds), (3, 0));
+    for s in 0..3 {
+        assert_eq!(restored.system().sensor(s).history().len(), 320 + 13, "sensor {s}");
+        assert_eq!(history_bits(restored.system(), s), history_bits(&control, s), "sensor {s}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

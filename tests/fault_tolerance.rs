@@ -2,11 +2,11 @@
 //! layer: one poisoned sensor (NaN history, non-PD Gram matrix, or an
 //! injected worker panic) must never change a healthy sensor's forecast or
 //! take the fleet down, and the poisoned sensor must come back through
-//! typed errors, degraded rungs, and snapshot recovery.
+//! typed errors, degraded rungs, and checkpoint + WAL recovery.
 
 use smiler_core::{
-    DegradationLevel, FaultKind, PredictorKind, RequestPolicy, SensorFault, SensorHealth,
-    SensorPredictor, SmilerConfig, SmilerSystem,
+    DegradationLevel, DurableSystem, FaultKind, PredictorKind, RequestPolicy, SensorFault,
+    SensorHealth, SensorPredictor, SmilerConfig, SmilerSystem,
 };
 use smiler_gpu::Device;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -104,27 +104,70 @@ fn worker_panic_quarantines_one_sensor_not_the_fleet() {
     assert_eq!(gauge.map(|g| g.value), Some(1.0));
 }
 
-/// A quarantined sensor's snapshot keeps absorbing the fleet's
-/// observations, so recovery rebuilds it with a current history and the
-/// sensor serves again.
+/// A durable fleet's WAL keeps logging a quarantined sensor's values, so
+/// `DurableSystem::recover_all` rebuilds it from checkpoint + WAL with a
+/// current history and the sensor serves again.
 #[test]
 fn quarantined_sensor_recovers_from_snapshot_with_current_history() {
-    let mut system = fleet(3, PredictorKind::Aggregation);
-    system.sensor_mut(1).inject_fault(FaultKind::PanicOnPredict);
-    let _ = system.predict_all_robust(1, &RequestPolicy::default());
-    assert_eq!(system.quarantined(), vec![1]);
+    let dir = std::env::temp_dir().join(format!("smiler_fault_recover_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut durable, _) = DurableSystem::create(
+        Arc::new(Device::default_gpu()),
+        histories(3, 300),
+        SmilerConfig::small_for_tests(),
+        PredictorKind::Aggregation,
+        &dir,
+        smiler_store::StoreConfig::default(),
+        /* checkpoint_every */ 0,
+    )
+    .expect("create");
+    durable.step(1, &[0.4, 0.5, 0.6]).expect("step");
+    durable.system_mut().sensor_mut(1).inject_fault(FaultKind::PanicOnPredict);
+    let _ = durable.system_mut().predict_all_robust(1, &RequestPolicy::default());
+    assert_eq!(durable.system().quarantined(), vec![1]);
 
-    let len_before = system.sensor_mut(1).history().len();
+    let len_before = durable.system().sensor(1).history().len();
     for i in 0..5 {
-        system.observe_all(&[0.1 * i as f64, 0.2, 0.3]);
+        durable.observe_all(&[0.1 * i as f64, 0.2, 0.3]).expect("observe");
     }
-    assert_eq!(system.recover_all(), vec![1]);
-    assert!(system.quarantined().is_empty());
+    assert_eq!(durable.recover_all().expect("recover"), vec![1]);
+    assert!(durable.system().quarantined().is_empty());
     // The rebuilt sensor saw the observations that arrived while fenced.
-    assert_eq!(system.sensor_mut(1).history().len(), len_before + 5);
+    assert_eq!(durable.system().sensor(1).history().len(), len_before + 5);
     // And it serves again — the injected fault died with the old instance.
-    let got = system.predict_all_robust(1, &RequestPolicy::default());
+    let got = durable.system_mut().predict_all_robust(1, &RequestPolicy::default());
     assert!(got.iter().all(|r| r.is_ok()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One panicking sensor costs only its own share of a fleet round: `step`
+/// and `observe_all` return, the sensor is quarantined and reports
+/// `(NaN, ∞)`, and every other sensor is bitwise what a fault-free fleet
+/// computes.
+#[test]
+fn a_sensor_panicking_mid_round_is_quarantined_not_the_round() {
+    let mut healthy = fleet(3, PredictorKind::Aggregation);
+    let mut faulty = fleet(3, PredictorKind::Aggregation);
+    faulty.sensor_mut(1).inject_fault(FaultKind::PanicOnObserve);
+    for round in 0..5 {
+        let values = [0.1 * round as f64, 0.2, 0.3];
+        if round == 2 {
+            faulty.sensor_mut(2).inject_fault(FaultKind::PanicOnObserve);
+            healthy.observe_all(&values);
+            faulty.observe_all(&values);
+            continue;
+        }
+        let expected = healthy.step(1, &values);
+        let got = faulty.step(1, &values);
+        for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
+            if *faulty.health(s) == SensorHealth::Healthy {
+                assert_eq!((g.0.to_bits(), g.1.to_bits()), (e.0.to_bits(), e.1.to_bits()));
+            } else {
+                assert!(g.0.is_nan() && g.1.is_infinite(), "round {round} sensor {s}: {g:?}");
+            }
+        }
+    }
+    assert_eq!(faulty.quarantined(), vec![1, 2]);
 }
 
 /// A non-PD Gram matrix (injected via non-finite hyperparameters) is a
