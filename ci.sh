@@ -2,7 +2,8 @@
 # CI gate: formatting, lints, build, tests.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick  skip the release build and the release-mode smoke runs
+#   --quick  skip the release build, the release-mode smoke runs and the
+#            dead-surface sweep
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,6 +64,11 @@ if [[ "$QUICK" == "0" ]]; then
     # (bitwise in-process replay of the wire run, kill -> restore).
     echo "==> benchmark run --seed 1 --smoke (all four workloads + output checks)"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seed 1 --smoke
+
+    # Dead public surface fails the build: any `pub` item that only its own
+    # definition and unit tests reference (checked in a copy of the tree).
+    echo "==> dead-surface sweep"
+    python3 tools/dead_surface_sweep.py . "$(mktemp -d)"
 fi
 
 echo "==> ci.sh: all checks passed"

@@ -653,32 +653,74 @@ mod tests {
     use crate::degrade::{ErrorState, RequestPolicy};
     use crate::sensor::FaultKind;
 
+    fn noisy_sine(s: usize) -> Vec<f64> {
+        let noise = |i: usize| ((i * 7919 + s * 104_729) % 1000) as f64 / 2500.0;
+        (0..420).map(|i| (i as f64 * std::f64::consts::TAU / 24.0).sin() + noise(i)).collect()
+    }
+
     #[test]
     fn fleet_payload_decodes_and_reencodes_byte_identically() {
-        let noisy_sine = |s: usize| -> Vec<f64> {
-            let noise = |i: usize| ((i * 7919 + s * 104_729) % 1000) as f64 / 2500.0;
-            (0..420).map(|i| (i as f64 * std::f64::consts::TAU / 24.0).sin() + noise(i)).collect()
+        let plain = SmilerConfig { retrain_every: 3, ..SmilerConfig::small_for_tests() };
+        let adaptive = SmilerConfig {
+            regime: crate::RegimeConfig {
+                enabled: true,
+                drift: 0.5,
+                threshold: 9.5,
+                z_outlier: 4.25,
+                cooldown: 7,
+            },
+            robust: smiler_gp::RobustSpec { enabled: true, z_clip: 2.5, noise_inflation: 16.0 },
+            ..plain.clone()
         };
-        let (mut system, _) = SmilerSystem::new(
-            Arc::new(Device::default_gpu()),
-            vec![noisy_sine(0), noisy_sine(1)],
-            SmilerConfig { retrain_every: 3, ..SmilerConfig::small_for_tests() },
-            PredictorKind::GaussianProcess,
-        );
-        system.sensor_mut(1).inject_fault(FaultKind::BadGram);
-        for r in 0..6 {
-            let _ = system.predict_all_robust(3, &RequestPolicy::default());
-            system.observe_all(&[(r as f64 * 0.3).sin(), (r as f64 * 0.7).cos()]);
-        }
-        let snapshots: Vec<_> = (0..system.len()).map(|i| system.sensor(i).snapshot()).collect();
-        let horizons = || snapshots.iter().flat_map(|s| &s.horizons);
-        assert!(horizons().any(|h| !h.pending.is_empty()), "pending rounds");
-        assert!(horizons().flat_map(|h| &h.gp_hypers).any(Option::is_some), "trained hypers");
-        assert!(horizons().flat_map(|h| &h.gp_cadence).any(|&c| c > 0), "retrain cadence");
-        assert!(snapshots.iter().any(|s| s.errors != ErrorState::default()), "error counters");
+        for config in [plain, adaptive] {
+            let (mut system, _) = SmilerSystem::new(
+                Arc::new(Device::default_gpu()),
+                vec![noisy_sine(0), noisy_sine(1)],
+                config,
+                PredictorKind::GaussianProcess,
+            );
+            system.sensor_mut(1).inject_fault(FaultKind::BadGram);
+            for r in 0..6 {
+                let _ = system.predict_all_robust(3, &RequestPolicy::default());
+                system.observe_all(&[(r as f64 * 0.3).sin(), (r as f64 * 0.7).cos()]);
+            }
+            let snapshots: Vec<_> =
+                (0..system.len()).map(|i| system.sensor(i).snapshot()).collect();
+            let horizons = || snapshots.iter().flat_map(|s| &s.horizons);
+            assert!(horizons().any(|h| !h.pending.is_empty()), "pending rounds");
+            assert!(horizons().flat_map(|h| &h.gp_hypers).any(Option::is_some), "trained hypers");
+            assert!(horizons().flat_map(|h| &h.gp_cadence).any(|&c| c > 0), "retrain cadence");
+            assert!(snapshots.iter().any(|s| s.errors != ErrorState::default()), "error counters");
 
-        let payload = encode_fleet(&snapshots);
-        let decoded = decode_fleet(&payload).expect("payload decodes");
-        assert_eq!(encode_fleet(&decoded), payload);
+            let payload = encode_fleet(&snapshots);
+            let decoded = decode_fleet(&payload).expect("payload decodes");
+            assert_eq!(encode_fleet(&decoded), payload);
+        }
+    }
+
+    /// A config without the `regime` or `robust` field is a corrupt
+    /// payload, not one silently decoded to the defaults.
+    #[test]
+    fn config_without_adaptation_fields_is_corrupt() {
+        let (system, _) = SmilerSystem::new(
+            Arc::new(Device::default_gpu()),
+            vec![noisy_sine(0)],
+            SmilerConfig::small_for_tests(),
+            PredictorKind::Aggregation,
+        );
+        let payload = encode_fleet(&[system.sensor(0).snapshot()]);
+        // Version u32, sensor count u64, sensor id u64, then the config as
+        // a u64-length-prefixed JSON string.
+        let at = 4 + 8 + 8;
+        let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+        let json = std::str::from_utf8(&payload[at + 8..at + 8 + len]).unwrap();
+        for field in ["regime", "robust"] {
+            let start = json.find(&format!(",\"{field}\":{{")).expect("field is encoded");
+            let end = start + json[start..].find('}').unwrap() + 1;
+            let mut forged = payload[..at].to_vec();
+            codec::put_str(&mut forged, &format!("{}{}", &json[..start], &json[end..]));
+            forged.extend_from_slice(&payload[at + 8 + len..]);
+            assert!(matches!(decode_fleet(&forged), Err(DurableError::Corrupt(_))), "{field}");
+        }
     }
 }

@@ -23,11 +23,16 @@
 //! no state, touches no counters, and leaves every prediction bitwise
 //! unchanged — proven by the chaos bench's clean-workload invariance
 //! check.
+//!
+//! [`Adaptation`] owns the whole regime-side policy of one sensor: the
+//! detector, the outlier-cleaning gates and the post-changepoint bias
+//! corrector. The predictor only asks it to [`Adaptation::judge`] an
+//! arriving value and acts on the [`Judgement`] (DESIGN §14).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// Configuration of the per-sensor regime detector.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RegimeConfig {
     /// Whether the detector runs at all. `false` (the default) is the
     /// pre-adaptation system, bit for bit.
@@ -64,53 +69,6 @@ impl RegimeConfig {
     /// The detector with default thresholds switched on.
     pub fn enabled() -> Self {
         RegimeConfig { enabled: true, ..Default::default() }
-    }
-}
-
-// Hand-written so checkpoints from before the adaptation layer — where the
-// field is absent and reads as null — decode to the disabled default
-// instead of failing. (The vendored serde shim's derive has no
-// `#[serde(default)]`.) Unknown/missing individual fields also default.
-impl serde::Deserialize for RegimeConfig {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let mut out = RegimeConfig::default();
-        let map = match content {
-            serde::Content::Null => return Ok(out),
-            other => other.as_map().ok_or_else(|| {
-                serde::DeError::custom(format!("expected map for RegimeConfig, got {other:?}"))
-            })?,
-        };
-        for (key, value) in map {
-            match key.as_str() {
-                "enabled" => {
-                    out.enabled = value.as_bool().ok_or_else(|| {
-                        serde::DeError::custom("RegimeConfig.enabled: expected bool")
-                    })?;
-                }
-                "drift" => {
-                    out.drift = value.as_f64().ok_or_else(|| {
-                        serde::DeError::custom("RegimeConfig.drift: expected number")
-                    })?;
-                }
-                "threshold" => {
-                    out.threshold = value.as_f64().ok_or_else(|| {
-                        serde::DeError::custom("RegimeConfig.threshold: expected number")
-                    })?;
-                }
-                "z_outlier" => {
-                    out.z_outlier = value.as_f64().ok_or_else(|| {
-                        serde::DeError::custom("RegimeConfig.z_outlier: expected number")
-                    })?;
-                }
-                "cooldown" => {
-                    out.cooldown = value.as_u64().ok_or_else(|| {
-                        serde::DeError::custom("RegimeConfig.cooldown: expected integer")
-                    })? as usize;
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -240,6 +198,194 @@ impl RegimeDetector {
             return Some(RegimeEvent::Changepoint { statistic });
         }
         event
+    }
+}
+
+/// Integral gain of the post-changepoint bias corrector: the fraction of
+/// each served one-step residual folded into the correction.
+const BIAS_GAIN: f64 = 0.35;
+/// Per-step cap on a single bias increment (normalised units), so one
+/// spiked observation cannot yank the correction.
+const BIAS_STEP_CAP: f64 = 0.3;
+/// How many scored steps the corrector stays in its adaptation phase
+/// after a changepoint before bleeding off.
+const BIAS_WINDOW: usize = 64;
+/// Multiplicative bleed-off once the adaptation window expires.
+const BIAS_DECAY: f64 = 0.8;
+/// Longest run of outlier observations that will be cleaned (clipped to
+/// the forecast band) before raw values pass through again: an isolated
+/// glitch is absorbed, a sustained change is not masked.
+const MAX_CONSECUTIVE_CLEANS: usize = 3;
+
+/// What [`Adaptation::judge`] made of one arriving value.
+#[derive(Debug)]
+pub(crate) struct Judgement {
+    /// The value as the sensor reported it.
+    pub(crate) raw: f64,
+    /// The one-step forecast `(mean, variance)` this value realised; `None`
+    /// when none was pending for it or the value is not finite.
+    pub(crate) scored: Option<(f64, f64)>,
+    /// What the detector made of the standardized residual.
+    pub(crate) event: Option<RegimeEvent>,
+    /// The value the history will hold: `raw`, or `raw` clipped to the
+    /// forecast's `z_outlier` band when the clean gates let it be cleaned.
+    pub(crate) entered: f64,
+}
+
+/// The regime-side state and policy of one sensor: the detector, the
+/// pending one-step forecast it scores, the outlier-cleaning gates and the
+/// post-changepoint bias corrector. Every mechanism is event-gated, so a
+/// disabled (or quiet) detector leaves forecasts bitwise unchanged.
+#[derive(Debug)]
+pub(crate) struct Adaptation {
+    detector: RegimeDetector,
+    /// The most recent `h = 1` forecast awaiting its realisation:
+    /// `(target series length, mean, variance)`.
+    pending_one_step: Option<(usize, f64, f64)>,
+    /// Post-changepoint residual bias (integral controller), added to
+    /// ensemble-path forecast means while the kNN neighbourhood still
+    /// reflects the old regime; exactly `0.0` unless a changepoint fired.
+    bias: f64,
+    /// Steps of active bias adaptation remaining (0 = corrector idle; the
+    /// accumulated bias then bleeds off multiplicatively).
+    bias_steps: usize,
+    /// Length of the current run of cleaned values.
+    consecutive_cleans: usize,
+    /// The previous raw observation (pre-cleaning): an outlier that
+    /// exactly repeats it is a stuck-at symptom, never cleaned.
+    last_raw: f64,
+}
+
+impl Adaptation {
+    pub(crate) fn new(config: RegimeConfig) -> Self {
+        Adaptation {
+            detector: RegimeDetector::new(config),
+            pending_one_step: None,
+            bias: 0.0,
+            bias_steps: 0,
+            consecutive_cleans: 0,
+            last_raw: f64::NAN,
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> RegimeSnapshot {
+        self.detector.snapshot()
+    }
+
+    /// See [`RegimeDetector::holdoff`].
+    pub(crate) fn holdoff(&mut self, steps: usize) {
+        self.detector.holdoff(steps);
+    }
+
+    /// Remember a fresh one-step forecast so the value that brings the
+    /// series to length `target` can be scored against it.
+    pub(crate) fn record_forecast(&mut self, target: usize, mean: f64, variance: f64) {
+        self.pending_one_step = Some((target, mean, variance));
+    }
+
+    /// A fused ensemble mean re-centred by the bias corrector. The bias is
+    /// exactly `0.0` unless a changepoint fired, so clean workloads come
+    /// back bitwise untouched.
+    pub(crate) fn debias(&self, mean: f64) -> f64 {
+        if self.bias != 0.0 {
+            mean + self.bias
+        } else {
+            mean
+        }
+    }
+
+    /// Discard the bias: a stuck sensor's residuals describe the fault,
+    /// not a regime.
+    pub(crate) fn forget_bias(&mut self) {
+        self.bias = 0.0;
+        self.bias_steps = 0;
+    }
+
+    /// Score the value that brings the series to length `arriving` against
+    /// the pending one-step forecast (a stale one is dropped), feed the
+    /// standardized residual to the detector and decide what enters the
+    /// history.
+    ///
+    /// An outlier is cleaned — clipped to the forecast's `z_outlier` band,
+    /// so a spike cannot poison the query suffix and every neighbourhood
+    /// that will ever retrieve it — only while three gates hold: the
+    /// detector is armed (in cooldown or holdoff it is saying residuals
+    /// cannot be trusted), the value is not an exact repeat of the previous
+    /// one (a stuck-at signature, not a spike), and the run of cleaned
+    /// values is shorter than [`MAX_CONSECUTIVE_CLEANS`] (past that the
+    /// "glitch" hypothesis lost: the world changed or the sensor is stuck).
+    pub(crate) fn judge(&mut self, arriving: usize, raw: f64) -> Judgement {
+        let scored = match self.pending_one_step.take() {
+            Some((target, mean, variance)) if target == arriving && raw.is_finite() => {
+                Some((mean, variance))
+            }
+            _ => None,
+        };
+        let mut judgement = Judgement { raw, scored, event: None, entered: raw };
+        if !self.detector.enabled() {
+            return judgement;
+        }
+        if let Some((mean, variance)) = scored {
+            let armed = self.detector.snapshot().cooldown_remaining == 0;
+            let sigma = variance.max(0.0).sqrt().max(1e-12);
+            judgement.event = self.detector.observe_z((raw - mean) / sigma);
+            match judgement.event {
+                Some(RegimeEvent::Outlier { z }) => {
+                    if armed
+                        && raw != self.last_raw
+                        && self.consecutive_cleans < MAX_CONSECUTIVE_CLEANS
+                    {
+                        self.consecutive_cleans += 1;
+                        let clip = self.detector.config().z_outlier * sigma;
+                        judgement.entered = mean + (raw - mean).clamp(-clip, clip);
+                        smiler_obs::count("regime.cleaned", "", 1);
+                    }
+                    if smiler_obs::enabled() {
+                        smiler_obs::count("regime.outliers", "", 1);
+                        smiler_obs::observe("regime.outlier_z", "", z.abs());
+                    }
+                }
+                _ => self.consecutive_cleans = 0,
+            }
+        }
+        self.last_raw = raw;
+        judgement
+    }
+
+    /// The bias corrector's update for a scored value: during the
+    /// post-changepoint window fold the residual (capped) into the bias —
+    /// unless it was an outlier, a glitch rather than the new level — and
+    /// once the window expires bleed the correction off to exactly zero.
+    /// Both branches are unreachable until a changepoint arms the corrector.
+    pub(crate) fn steer_bias(&mut self, judgement: &Judgement) {
+        let Some((mean, _)) = judgement.scored else { return };
+        if self.bias_steps > 0 {
+            self.bias_steps -= 1;
+            if !matches!(judgement.event, Some(RegimeEvent::Outlier { .. })) {
+                self.bias +=
+                    (BIAS_GAIN * (judgement.raw - mean)).clamp(-BIAS_STEP_CAP, BIAS_STEP_CAP);
+            }
+            if smiler_obs::enabled() {
+                smiler_obs::gauge_set("regime.bias", "", self.bias);
+            }
+        } else if self.bias != 0.0 {
+            self.bias *= BIAS_DECAY;
+            if self.bias.abs() < 1e-9 {
+                self.bias = 0.0;
+            }
+        }
+    }
+
+    /// Arm (or re-arm) the bias corrector after a changepoint. The
+    /// accumulated correction is kept: a second changepoint mid-relocation
+    /// extends the window rather than discarding what was learned.
+    pub(crate) fn arm_bias(&mut self) {
+        self.bias_steps = BIAS_WINDOW;
+    }
+
+    #[cfg(test)]
+    pub(crate) fn bias(&self) -> f64 {
+        self.bias
     }
 }
 
@@ -386,5 +532,75 @@ mod tests {
         assert_eq!(d.observe_z(f64::NAN), None);
         assert_eq!(d.observe_z(f64::INFINITY), None);
         assert_eq!(d.snapshot(), RegimeSnapshot::default());
+    }
+
+    /// The clean gates, one row per rule. Every value is scored against a
+    /// `N(0, 1)` forecast, so a cleaned outlier (|z| > 5) enters as ±5.
+    /// Outliers alternate in sign so the CUSUM never fires on them.
+    #[test]
+    fn judge_applies_the_clean_gates() {
+        let (on, off) = (RegimeConfig::enabled(), RegimeConfig::default());
+        // (case, detector, holdoff before the first value, raw values,
+        //  entered values, changepoints declared)
+        type Case = (&'static str, RegimeConfig, usize, &'static [f64], &'static [f64], u64);
+        let cases: [Case; 6] = [
+            (
+                "three distinct outliers are cleaned, the fourth enters raw",
+                on,
+                0,
+                &[10.0, -10.0, 11.0, -11.0],
+                &[5.0, -5.0, 5.0, -11.0],
+                0,
+            ),
+            (
+                "a non-outlier resets the run",
+                on,
+                0,
+                &[10.0, -10.0, 0.5, 11.0, -11.0, 12.0],
+                &[5.0, -5.0, 0.5, 5.0, -5.0, 5.0],
+                0,
+            ),
+            (
+                "an exact repeat of the last raw value is never cleaned",
+                on,
+                0,
+                &[10.0, 10.0, -10.0],
+                &[5.0, 10.0, -5.0],
+                0,
+            ),
+            ("holdoff stands cleaning down", on, 2, &[10.0, -10.0, 11.0], &[10.0, -10.0, 5.0], 0),
+            (
+                // (3 − 0.75) per step crosses 14 on the seventh value.
+                "post-changepoint cooldown stands cleaning down",
+                on,
+                0,
+                &[3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 10.0],
+                &[3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 10.0],
+                1,
+            ),
+            (
+                "a disabled detector enters raw values",
+                off,
+                0,
+                &[10.0, -10.0, 11.0, -11.0],
+                &[10.0, -10.0, 11.0, -11.0],
+                0,
+            ),
+        ];
+        for (case, config, holdoff, raws, entered, changepoints) in cases {
+            let mut a = Adaptation::new(config);
+            a.holdoff(holdoff);
+            for (i, (&raw, &want)) in raws.iter().zip(entered).enumerate() {
+                a.record_forecast(i, 0.0, 1.0);
+                let j = a.judge(i, raw);
+                assert_eq!(j.scored, Some((0.0, 1.0)), "{case}: value {i} scored");
+                assert_eq!(j.entered, want, "{case}: value {i} entered");
+            }
+            assert_eq!(a.snapshot().changepoints, changepoints, "{case}");
+            if !config.enabled {
+                let fresh = Adaptation::new(config);
+                assert_eq!(format!("{a:?}"), format!("{fresh:?}"), "{case}: state untouched");
+            }
+        }
     }
 }

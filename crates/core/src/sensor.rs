@@ -13,6 +13,7 @@ use crate::ensemble::{EnsembleConfig, EnsembleMatrix};
 use crate::predictor::{
     ArPredictor, GpCellPredictor, HyperPlan, KnnData, PredictorKind, QualitySnapshot, QualityStats,
 };
+use crate::regime::{Adaptation, Judgement, RegimeEvent};
 use smiler_gp::{GpError, GpModel, GpScratch, Hyperparams, PrefixGp, TrainConfig};
 use smiler_gpu::Device;
 use smiler_index::{IndexParams, SearchError, SearchOutput, SmilerIndex, ThresholdStrategy};
@@ -42,12 +43,9 @@ pub struct SmilerConfig {
     /// Filter threshold strategy of the index.
     pub threshold: ThresholdStrategy,
     /// Changepoint/outlier detection on the one-step residual stream.
-    /// Disabled by default — and absent from older checkpoints, which
-    /// decode to the disabled detector (its `Deserialize` treats the
-    /// missing-field null as the default).
+    /// Disabled by default.
     pub regime: crate::regime::RegimeConfig,
-    /// Robust (outlier-downweighted) GP likelihood. Disabled by default;
-    /// absent from older checkpoints (null decodes to the default).
+    /// Robust (outlier-downweighted) GP likelihood. Disabled by default.
     pub robust: smiler_gp::RobustSpec,
 }
 
@@ -159,45 +157,12 @@ pub struct SensorPredictor {
     errors: ErrorState,
     /// Rolling one-step forecast quality (residual MAE, interval coverage).
     quality: QualityStats,
-    /// The most recent `h = 1` forecast awaiting its realisation:
-    /// `(target series length, mean, variance)`. Scored (then cleared) by
-    /// the observation that brings the series to that length.
-    pending_one_step: Option<(usize, f64, f64)>,
-    /// Changepoint/outlier detector over the scored one-step residuals.
-    regime: crate::regime::RegimeDetector,
-    /// Post-changepoint residual bias (integral controller). Added to
-    /// ensemble-path forecast means while the kNN neighbourhood still
-    /// reflects the old regime; exactly `0.0` unless a changepoint fired,
-    /// so clean workloads stay bitwise identical.
-    bias: f64,
-    /// Steps of active bias adaptation remaining (0 = corrector idle; the
-    /// accumulated bias then bleeds off multiplicatively).
-    bias_steps: usize,
-    /// Length of the current run of cleaned (outlier-clipped) stored
-    /// values; runs are capped so cleaning cannot mask a real change.
-    consecutive_cleans: usize,
-    /// The previous raw observation (pre-cleaning): an outlier that
-    /// exactly repeats it is a stuck-at symptom, never cleaned.
-    last_raw: f64,
+    /// Regime-side state and policy: detector, pending one-step forecast,
+    /// outlier cleaning, bias corrector.
+    adaptation: Adaptation,
     /// Test-harness fault injection; `None` in production.
     injected: Option<FaultKind>,
 }
-
-/// Integral gain of the post-changepoint bias corrector: the fraction of
-/// each served one-step residual folded into the correction.
-const BIAS_GAIN: f64 = 0.35;
-/// Per-step cap on a single bias increment (normalised units), so one
-/// spiked observation cannot yank the correction.
-const BIAS_STEP_CAP: f64 = 0.3;
-/// How many scored steps the corrector stays in its adaptation phase
-/// after a changepoint before bleeding off.
-const BIAS_WINDOW: usize = 64;
-/// Multiplicative bleed-off once the adaptation window expires.
-const BIAS_DECAY: f64 = 0.8;
-/// Longest run of outlier observations that will be cleaned (clipped to
-/// the forecast band) before raw values pass through again: an isolated
-/// glitch is absorbed, a sustained change is not masked.
-const MAX_CONSECUTIVE_CLEANS: usize = 3;
 
 impl SensorPredictor {
     /// Build a predictor over a sensor's (normalised) history.
@@ -214,7 +179,7 @@ impl SensorPredictor {
     ) -> Self {
         let params = config.index_params();
         let index = SmilerIndex::build(&device, history, params).with_threshold(config.threshold);
-        let regime = crate::regime::RegimeDetector::new(config.regime);
+        let adaptation = Adaptation::new(config.regime);
         SensorPredictor {
             device,
             sensor_id,
@@ -226,12 +191,7 @@ impl SensorPredictor {
             scratch: PredictScratch::default(),
             errors: ErrorState::default(),
             quality: QualityStats::default(),
-            pending_one_step: None,
-            regime,
-            bias: 0.0,
-            bias_steps: 0,
-            consecutive_cleans: 0,
-            last_raw: f64::NAN,
+            adaptation,
             injected: None,
         }
     }
@@ -245,7 +205,7 @@ impl SensorPredictor {
     /// changepoint/outlier counts). All-zero while the detector is
     /// disabled.
     pub fn regime_snapshot(&self) -> crate::regime::RegimeSnapshot {
-        self.regime.snapshot()
+        self.adaptation.snapshot()
     }
 
     /// Stand the regime detector down for at least `steps` scored
@@ -255,7 +215,7 @@ impl SensorPredictor {
     /// are transport artifacts, not evidence of a regime change. No-op
     /// while the detector is disabled.
     pub fn regime_holdoff(&mut self, steps: usize) {
-        self.regime.holdoff(steps);
+        self.adaptation.holdoff(steps);
     }
 
     /// The sensor's rolling error state (cooldown, failure totals).
@@ -492,7 +452,7 @@ impl SensorPredictor {
         // bookkeeping — no effect on the forecast itself.
         if h == 1 {
             if let Ok(p) = &result {
-                self.pending_one_step = Some((self.index.series().len(), p.mean, p.variance));
+                self.adaptation.record_forecast(self.index.series().len(), p.mean, p.variance);
             }
         }
         result
@@ -523,11 +483,7 @@ impl SensorPredictor {
             smiler_obs::count("health.flat_history", "", 1);
             smiler_obs::trace::mark_current("rung.flat_history");
             smiler_obs::trace::reason_current("flat_history");
-            // A stuck sensor's residuals taught the bias corrector nothing
-            // about the world — whatever it accumulated while the feed
-            // froze describes the fault, not a regime. Discard it.
-            self.bias = 0.0;
-            self.bias_steps = 0;
+            self.adaptation.forget_bias();
             return Ok(self.finish(
                 stuck,
                 1.0 + h as f64,
@@ -616,14 +572,11 @@ impl SensorPredictor {
         }
 
         match fused {
+            // Post-changepoint relocation: while the kNN neighbourhood still
+            // reflects the old regime, the bias corrector re-centres the
+            // fused forecast.
             Some((mean, variance)) => {
-                // Post-changepoint relocation: while the kNN neighbourhood
-                // still reflects the old regime, the integral bias
-                // corrector re-centres the fused forecast. The bias is
-                // exactly 0.0 unless a changepoint fired, so this branch
-                // leaves clean workloads bitwise untouched.
-                let mean = if self.bias != 0.0 { mean + self.bias } else { mean };
-                Ok(self.finish(mean, variance, level, policy, started))
+                Ok(self.finish(self.adaptation.debias(mean), variance, level, policy, started))
             }
             // Every cell asleep or failed: hold the last finite value.
             None => {
@@ -924,141 +877,61 @@ impl SensorPredictor {
         (fused, gp_failures)
     }
 
-    /// Absorb the newly observed value: score pending predictions whose
-    /// target just realised (the λ update of Eqn 8–9), then advance the
-    /// index (Remark 1 reuse).
+    /// Absorb the newly observed value: judge it against the pending
+    /// one-step forecast, learn from it (quality, bias, the λ update of
+    /// Eqn 8–9, the changepoint response), then append what the judgement
+    /// entered to the index (Remark 1 reuse).
     pub fn observe(&mut self, value: f64) {
         if self.injected == Some(FaultKind::PanicOnObserve) {
             panic!("injected fault: sensor {} observe panicked", self.sensor_id);
         }
+        let judgement = self.adaptation.judge(self.index.series().len(), value);
+        self.learn(&judgement);
+        self.append(judgement.entered);
+    }
+
+    /// Everything an arriving value teaches, in order: forecast quality on
+    /// the raw residual, the bias corrector, each horizon's λ update on the
+    /// entered (cleaned) value — a spike must not mass-punish every cell
+    /// for one glitch — and the changepoint response.
+    fn learn(&mut self, judgement: &Judgement) {
+        if let Some((mean, variance)) = judgement.scored {
+            let residual = (judgement.raw - mean).abs();
+            // 95% two-sided normal interval: mean ± 1.96σ.
+            let covered = residual <= 1.96 * variance.max(0.0).sqrt();
+            self.quality.record(residual, covered);
+            if smiler_obs::enabled() {
+                smiler_obs::observe("quality.residual_abs", "", residual);
+                smiler_obs::count(
+                    "quality.interval",
+                    if covered { "covered" } else { "missed" },
+                    1,
+                );
+            }
+        }
+        self.adaptation.steer_bias(judgement);
         let arriving = self.index.series().len();
-        // What actually enters the history: outlier-flagged observations
-        // are *cleaned* (clipped to the forecast's z_outlier band) so a
-        // spike cannot poison the query suffix and every neighbourhood
-        // that will ever retrieve it. Raw `value` is still what quality
-        // scoring and the detector see.
-        let mut stored = value;
-        // Score the pending one-step forecast if this is the value it
-        // predicted; stale entries (missed steps) are silently dropped.
-        let mut changepoint = None;
-        if let Some((target, mean, variance)) = self.pending_one_step.take() {
-            if target == arriving && value.is_finite() {
-                let residual = (value - mean).abs();
-                // 95% two-sided normal interval: mean ± 1.96σ.
-                let covered = residual <= 1.96 * variance.max(0.0).sqrt();
-                self.quality.record(residual, covered);
-                if smiler_obs::enabled() {
-                    smiler_obs::observe("quality.residual_abs", "", residual);
-                    smiler_obs::count(
-                        "quality.interval",
-                        if covered { "covered" } else { "missed" },
-                        1,
-                    );
-                }
-                // Feed the regime detector the standardized residual.
-                // Inert (and branch-free past the flag check) when
-                // disabled, preserving the pre-adaptation system bitwise.
-                let mut outlier_step = false;
-                if self.regime.enabled() {
-                    // Cleaning trusts the forecast; a detector in
-                    // cooldown/holdoff is saying residuals can't be
-                    // trusted right now (post-changepoint relocation,
-                    // post-dropout resync) — so cleaning stands down too.
-                    let armed = self.regime.snapshot().cooldown_remaining == 0;
-                    let z = (value - mean) / variance.max(0.0).sqrt().max(1e-12);
-                    match self.regime.observe_z(z) {
-                        Some(crate::regime::RegimeEvent::Outlier { z }) => {
-                            outlier_step = true;
-                            // Clean the stored value — but only for short
-                            // runs while the detector is armed, and never
-                            // for an exact repeat of the previous reading
-                            // (a stuck-at signature, not a spike). A run
-                            // longer than the cap means the "glitch"
-                            // hypothesis lost (the world changed, or the
-                            // sensor is stuck): pass raw values so
-                            // adaptation and the flat-history rung can see
-                            // what is actually happening.
-                            if armed
-                                && value != self.last_raw
-                                && self.consecutive_cleans < MAX_CONSECUTIVE_CLEANS
-                            {
-                                self.consecutive_cleans += 1;
-                                let sigma = variance.max(0.0).sqrt().max(1e-12);
-                                let clip = self.regime.config().z_outlier * sigma;
-                                stored = mean + (value - mean).clamp(-clip, clip);
-                                smiler_obs::count("regime.cleaned", "", 1);
-                            }
-                            if smiler_obs::enabled() {
-                                smiler_obs::count("regime.outliers", "", 1);
-                                smiler_obs::observe("regime.outlier_z", "", z.abs());
-                            }
-                        }
-                        Some(crate::regime::RegimeEvent::Changepoint { statistic }) => {
-                            changepoint = Some(statistic);
-                        }
-                        None => {}
-                    }
-                    if !outlier_step {
-                        self.consecutive_cleans = 0;
-                    }
-                }
-                // The bias corrector's update: during the post-changepoint
-                // adaptation window, fold the served residual (capped, so a
-                // spike cannot yank the correction) into the bias; once the
-                // window expires, bleed the correction off. Both branches
-                // are unreachable until a changepoint arms the corrector.
-                if self.bias_steps > 0 {
-                    self.bias_steps -= 1;
-                    // Outlier-flagged residuals are measurement glitches,
-                    // not the new level — they must not steer the bias.
-                    if !outlier_step {
-                        self.bias +=
-                            (BIAS_GAIN * (value - mean)).clamp(-BIAS_STEP_CAP, BIAS_STEP_CAP);
-                    }
-                    if smiler_obs::enabled() {
-                        smiler_obs::gauge_set("regime.bias", "", self.bias);
-                    }
-                } else if self.bias != 0.0 {
-                    self.bias *= BIAS_DECAY;
-                    if self.bias.abs() < 1e-9 {
-                        self.bias = 0.0;
-                    }
-                }
-            }
-        }
         for state in self.horizons.values_mut() {
-            // Drop stale entries, score the matching one.
-            while let Some((t, _)) = state.pending.front() {
-                if *t < arriving {
-                    state.pending.pop_front();
-                } else {
-                    break;
-                }
-            }
-            if let Some((t, _)) = state.pending.front() {
-                if *t == arriving {
-                    if let Some((_, preds)) = state.pending.pop_front() {
-                        // A non-finite "truth" (a gap's missing-mark) can
-                        // score nothing: the λ bump was already a no-op
-                        // (NaN likelihoods), but the sleep schedule used to
-                        // tick anyway — benching cells over values that
-                        // never happened. Consume the entry and skip the
-                        // update entirely.
-                        // Cells are scored on the *cleaned* value: a spike
-                        // must not mass-punish every cell for one glitch.
-                        if stored.is_finite() {
-                            let _span = smiler_obs::span("ensemble.update");
-                            state.ensemble.update(stored, &preds);
-                        }
-                    }
+            // Drop stale entries, score the matching one. A non-finite
+            // "truth" (a gap's missing-mark) scores nothing: its entry is
+            // consumed without benching cells over a value that never
+            // happened.
+            let due = state.pending.iter().take_while(|(t, _)| *t <= arriving).count();
+            for (target, preds) in state.pending.drain(..due) {
+                if target == arriving && judgement.entered.is_finite() {
+                    let _span = smiler_obs::span("ensemble.update");
+                    state.ensemble.update(judgement.entered, &preds);
                 }
             }
         }
-        if let Some(statistic) = changepoint {
+        if let Some(RegimeEvent::Changepoint { statistic }) = judgement.event {
             self.apply_changepoint(statistic);
         }
-        self.last_raw = value;
-        self.index.advance(&self.device, stored);
+    }
+
+    /// The only place the index hears of a value.
+    fn append(&mut self, entered: f64) {
+        self.index.advance(&self.device, entered);
         self.cache = None;
     }
 
@@ -1068,15 +941,12 @@ impl SensorPredictor {
     /// uniform with every cell awake, force the next GP step to
     /// warm-start-retrain regardless of the `retrain_every` cadence, and
     /// drop pending λ updates (their predictions came from the old model).
-    /// Also arms the residual bias corrector: a kNN system's neighbours
-    /// stay stale until the new regime fills the history, so while it
-    /// relocates, the served mean is re-centred by an integral controller
-    /// over the one-step residuals.
+    /// Also arms the bias corrector: a kNN system's neighbours stay stale
+    /// until the new regime fills the history, so while it relocates, the
+    /// served mean is re-centred by an integral controller over the
+    /// one-step residuals.
     fn apply_changepoint(&mut self, statistic: f64) {
-        // Arm (or re-arm) the bias corrector: the accumulated correction is
-        // kept — a second changepoint mid-relocation extends the window
-        // rather than discarding what the controller already learned.
-        self.bias_steps = BIAS_WINDOW;
+        self.adaptation.arm_bias();
         for state in self.horizons.values_mut() {
             state.ensemble.regime_reset();
             state.pending.clear();
@@ -1539,7 +1409,7 @@ mod tests {
         config.regime.enabled = true;
         let history = periodic_history(400);
         let mut p = SensorPredictor::new(device, 3, history, config, PredictorKind::Aggregation);
-        assert_eq!(p.bias, 0.0, "no bias before any changepoint");
+        assert_eq!(p.adaptation.bias(), 0.0, "no bias before any changepoint");
         // Sustained +5σ shift until the detector declares a changepoint.
         // Every shifted step is outlier-flagged, so the (still-disarmed)
         // corrector must not move yet.
@@ -1551,21 +1421,21 @@ mod tests {
             }
         }
         assert!(p.regime_snapshot().changepoints > 0, "setup: changepoint must fire");
-        assert_eq!(p.bias, 0.0, "outlier steps must not steer the bias");
+        assert_eq!(p.adaptation.bias(), 0.0, "outlier steps must not steer the bias");
         // Moderate (sub-outlier) positive residuals now steer the armed
         // corrector toward the new level.
         for _ in 0..8 {
             let pred = p.try_predict(1).unwrap();
             p.observe(pred.mean + 2.0 * pred.variance.max(0.0).sqrt());
         }
-        assert!(p.bias > 0.0, "armed corrector must absorb the shift");
+        assert!(p.adaptation.bias() > 0.0, "armed corrector must absorb the shift");
         // Once forecasts land on target again the correction bleeds off to
         // exactly zero — no permanent drift from a transient regime shift.
         for _ in 0..250 {
             let pred = p.try_predict(1).unwrap();
             p.observe(pred.mean);
         }
-        assert_eq!(p.bias, 0.0, "bias must decay to exactly zero");
+        assert_eq!(p.adaptation.bias(), 0.0, "bias must decay to exactly zero");
     }
 
     #[test]
@@ -1625,7 +1495,7 @@ mod tests {
         let pred = p.try_predict(1).unwrap();
         assert_eq!(pred.level, DegradationLevel::LastValue);
         assert_eq!(pred.mean, 50.0, "flat rung must hold the exact stuck value");
-        assert_eq!(p.bias, 0.0, "flat rung disarms the bias corrector");
+        assert_eq!(p.adaptation.bias(), 0.0, "flat rung disarms the bias corrector");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// Configuration of the robust likelihood variant.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RobustSpec {
     /// Whether the robust path is active at all (`false` = the classic
     /// uniform-noise likelihood, bitwise-unchanged).
@@ -41,43 +41,6 @@ impl RobustSpec {
     /// The robust variant with default thresholds switched on.
     pub fn enabled() -> Self {
         RobustSpec { enabled: true, ..Default::default() }
-    }
-}
-
-// Hand-written so configs from before the robust likelihood — where the
-// field is absent and reads as null — decode to the disabled default
-// instead of failing. (The vendored serde shim's derive has no
-// `#[serde(default)]`.)
-impl serde::Deserialize for RobustSpec {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let mut out = RobustSpec::default();
-        let map = match content {
-            serde::Content::Null => return Ok(out),
-            other => other.as_map().ok_or_else(|| {
-                serde::DeError::custom(format!("expected map for RobustSpec, got {other:?}"))
-            })?,
-        };
-        for (key, value) in map {
-            match key.as_str() {
-                "enabled" => {
-                    out.enabled = value.as_bool().ok_or_else(|| {
-                        serde::DeError::custom("RobustSpec.enabled: expected bool")
-                    })?;
-                }
-                "z_clip" => {
-                    out.z_clip = value.as_f64().ok_or_else(|| {
-                        serde::DeError::custom("RobustSpec.z_clip: expected number")
-                    })?;
-                }
-                "noise_inflation" => {
-                    out.noise_inflation = value.as_f64().ok_or_else(|| {
-                        serde::DeError::custom("RobustSpec.noise_inflation: expected number")
-                    })?;
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -22,25 +22,6 @@ pub fn normal(rng: &mut impl Rng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Sample `count` distinct indices from `0..n` (Floyd's algorithm).
-///
-/// # Panics
-/// Panics if `count > n`.
-pub fn sample_indices(rng: &mut impl Rng, n: usize, count: usize) -> Vec<usize> {
-    assert!(count <= n, "cannot sample {count} distinct indices from 0..{n}");
-    // Floyd's algorithm yields each subset with equal probability in O(count).
-    let mut chosen = Vec::with_capacity(count);
-    for j in n - count..n {
-        let t = rng.gen_range(0..=j);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
-        }
-    }
-    chosen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,27 +48,5 @@ mod tests {
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.02, "var = {var}");
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut rng = seeded(3);
-        for _ in 0..100 {
-            let idx = sample_indices(&mut rng, 50, 10);
-            assert_eq!(idx.len(), 10);
-            let mut sorted = idx.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 10, "indices must be distinct");
-            assert!(idx.iter().all(|&i| i < 50));
-        }
-    }
-
-    #[test]
-    fn sample_indices_full_range() {
-        let mut rng = seeded(4);
-        let mut idx = sample_indices(&mut rng, 5, 5);
-        idx.sort_unstable();
-        assert_eq!(idx, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -81,20 +81,6 @@ pub fn mean_nlpd(means: &[f64], vars: &[f64], truth: &[f64]) -> f64 {
         / means.len() as f64
 }
 
-/// Quantile by linear interpolation on a *sorted* slice, `q ∈ [0, 1]`.
-///
-/// # Panics
-/// Panics on an empty slice or `q` outside `[0, 1]`.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile fraction out of range");
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// Nearest-rank percentile of a *sorted* slice, `q ∈ [0, 1]`: the element
 /// at index `round(q · (n − 1))`, never an interpolated value — what every
 /// load and lag report in the repo quotes as p50/p95/p99. The default
@@ -154,15 +140,6 @@ mod tests {
         let overconfident = mean_nlpd(&[0.0], &[0.01], &truth);
         let calibrated = mean_nlpd(&[0.0], &[1.0], &truth);
         assert!(overconfident > calibrated);
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile_sorted(&xs, 0.0), 1.0);
-        assert_eq!(quantile_sorted(&xs, 1.0), 5.0);
-        assert_eq!(quantile_sorted(&xs, 0.5), 3.0);
-        assert_eq!(quantile_sorted(&xs, 0.25), 2.0);
     }
 
     #[test]

@@ -62,21 +62,6 @@ pub fn max_abs(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |m, &v| m.max(v.abs()))
 }
 
-/// Index of the minimum element; `None` for an empty slice. NaNs lose.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv <= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +85,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, -1.0], &mut y);
         assert_eq!(y, vec![3.0, -1.0]);
-    }
-
-    #[test]
-    fn argmin_skips_nan() {
-        assert_eq!(argmin(&[3.0, f64::NAN, 1.0, 2.0]), Some(2));
-        assert_eq!(argmin(&[]), None);
-        assert_eq!(argmin(&[f64::NAN]), None);
     }
 
     #[test]

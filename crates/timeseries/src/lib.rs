@@ -26,5 +26,5 @@ pub mod series;
 pub mod synthetic;
 
 pub use envelope::{Envelope, EnvelopeScratch};
-pub use series::{SegmentRef, TimeSeries};
+pub use series::TimeSeries;
 pub use synthetic::{SensorDataset, SyntheticSpec};

@@ -52,36 +52,6 @@ pub fn z_normalize(values: &[f64]) -> (Vec<f64>, ZNorm) {
     (z.apply_all(values), z)
 }
 
-/// Linearly re-interpolate a series to a new length.
-///
-/// The paper assumes a fixed sample rate per sensor, noting that "the user
-/// can easily re-interpolate data if the sample rate is changed" (§3.1
-/// footnote). This is that utility: resample `values` onto `new_len`
-/// equally spaced points spanning the same time range.
-///
-/// # Panics
-/// Panics when the input is empty or `new_len` is zero.
-pub fn resample_linear(values: &[f64], new_len: usize) -> Vec<f64> {
-    assert!(!values.is_empty(), "cannot resample an empty series");
-    assert!(new_len > 0, "target length must be positive");
-    if values.len() == 1 {
-        return vec![values[0]; new_len];
-    }
-    if new_len == 1 {
-        return vec![values[0]];
-    }
-    let scale = (values.len() - 1) as f64 / (new_len - 1) as f64;
-    (0..new_len)
-        .map(|i| {
-            let pos = i as f64 * scale;
-            let lo = pos.floor() as usize;
-            let hi = (lo + 1).min(values.len() - 1);
-            let frac = pos - lo as f64;
-            values[lo] * (1.0 - frac) + values[hi] * frac
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,38 +86,5 @@ mod tests {
     fn variance_inversion_scales_quadratically() {
         let params = ZNorm { mean: 10.0, std_dev: 3.0 };
         assert!((params.invert_variance(2.0) - 18.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_preserves_endpoints() {
-        let v = [1.0, 3.0, 2.0, 5.0];
-        for &n in &[2usize, 4, 7, 100] {
-            let r = resample_linear(&v, n);
-            assert_eq!(r.len(), n);
-            assert_eq!(r[0], 1.0);
-            assert!((r[n - 1] - 5.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn resample_identity_when_length_unchanged() {
-        let v = [0.5, -1.0, 2.0];
-        let r = resample_linear(&v, 3);
-        for (a, b) in r.iter().zip(&v) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn upsample_interpolates_midpoints() {
-        let v = [0.0, 2.0];
-        let r = resample_linear(&v, 3);
-        assert!((r[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_degenerate_inputs() {
-        assert_eq!(resample_linear(&[7.0], 4), vec![7.0; 4]);
-        assert_eq!(resample_linear(&[1.0, 2.0, 3.0], 1), vec![1.0]);
     }
 }

@@ -1,31 +1,4 @@
-//! Sensor time series and segment views.
-
-/// A borrowed view of the segment `C_{t,d}` — `d` contiguous observations of
-/// a series starting at timestamp `t` (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SegmentRef<'a> {
-    /// Start timestamp `t` within the owning series.
-    pub start: usize,
-    /// The observations `c_t … c_{t+d-1}`.
-    pub values: &'a [f64],
-}
-
-impl<'a> SegmentRef<'a> {
-    /// Segment length `d`.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the segment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Timestamp one past the segment's last observation.
-    pub fn end(&self) -> usize {
-        self.start + self.values.len()
-    }
-}
+//! Sensor time series.
 
 /// An append-only sensor time series.
 ///
@@ -79,39 +52,11 @@ impl TimeSeries {
     pub fn push(&mut self, value: f64) {
         self.values.push(value);
     }
-
-    /// The segment `C_{t,d}`, or `None` if it does not fit in the history.
-    pub fn segment(&self, start: usize, len: usize) -> Option<SegmentRef<'_>> {
-        let end = start.checked_add(len)?;
-        if end > self.values.len() {
-            return None;
-        }
-        Some(SegmentRef { start, values: &self.values[start..end] })
-    }
-
-    /// Iterator over every `(start, segment)` pair of length `d`.
-    pub fn segments(&self, d: usize) -> impl Iterator<Item = SegmentRef<'_>> + '_ {
-        let count = if d == 0 || d > self.values.len() { 0 } else { self.values.len() - d + 1 };
-        (0..count).map(move |t| SegmentRef { start: t, values: &self.values[t..t + d] })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn series() -> TimeSeries {
-        TimeSeries::new(7, (0..10).map(|i| i as f64).collect())
-    }
-
-    #[test]
-    fn segment_bounds() {
-        let s = series();
-        assert_eq!(s.segment(2, 3).unwrap().values, &[2.0, 3.0, 4.0]);
-        assert_eq!(s.segment(8, 2).unwrap().values, &[8.0, 9.0]);
-        assert!(s.segment(8, 3).is_none());
-        assert!(s.segment(usize::MAX, 2).is_none());
-    }
 
     #[test]
     fn push_extends_history() {
@@ -121,25 +66,5 @@ mod tests {
         s.push(2.5);
         assert_eq!(s.len(), 2);
         assert_eq!(s.values(), &[1.5, 2.5]);
-    }
-
-    #[test]
-    fn segments_iterator_covers_all_offsets() {
-        let s = series();
-        let segs: Vec<_> = s.segments(8).collect();
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0].start, 0);
-        assert_eq!(segs[2].start, 2);
-        assert_eq!(s.segments(11).count(), 0);
-        assert_eq!(s.segments(0).count(), 0);
-    }
-
-    #[test]
-    fn segment_ref_end() {
-        let s = series();
-        let seg = s.segment(3, 4).unwrap();
-        assert_eq!(seg.end(), 7);
-        assert_eq!(seg.len(), 4);
-        assert!(!seg.is_empty());
     }
 }

@@ -5,9 +5,11 @@
 //! Observability state is process-global, so every test takes the shared
 //! lock, resets, and enables recording before driving the pipeline.
 
-use smiler_core::{DurableError, DurableSystem, PredictorKind, SmilerSystem};
+use smiler_core::stream::SensorStream;
+use smiler_core::{DurableError, DurableSystem, PredictorKind, RegimeConfig, SmilerSystem};
 use smiler_gpu::{Device, GpuSpec};
 use smiler_index::{try_fleet_search, IndexParams, SmilerIndex};
+use smiler_timeseries::synthetic::chaos::{ChaosKind, ChaosSpec};
 use smiler_timeseries::synthetic::{DatasetKind, SyntheticSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -241,4 +243,59 @@ fn restored_fleet_reports_admission_telemetry() {
     assert_eq!(oom.len(), 1);
     assert_eq!(oom[0].label, "sensor=2");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every adaptation series README "Chaos & regimes" names is emitted by a
+/// regime-armed predictor fed a drift (changepoint, ensemble reset, bias)
+/// and a spike storm (outliers, cleaning), and the changepoint series agree
+/// with the predictors' own regime snapshots.
+#[test]
+fn regime_armed_predictor_emits_every_adaptation_series() {
+    let _g = lock_obs();
+    let config = smiler_core::sensor::SmilerConfig {
+        regime: RegimeConfig::enabled(),
+        ..smiler_core::sensor::SmilerConfig::small_for_tests()
+    };
+    let (mut changepoints, mut outliers) = (0, 0);
+    for (id, kind) in [ChaosKind::Drift, ChaosKind::SpikeStorm].into_iter().enumerate() {
+        let scenario = ChaosSpec::smoke(7).scenario(kind);
+        let last_ts = scenario.history.len() as u64;
+        let mut stream = SensorStream::new(
+            Arc::new(Device::default_gpu()),
+            id,
+            &scenario.history,
+            last_ts,
+            1,
+            config.clone(),
+            PredictorKind::Aggregation,
+        );
+        for (t, value) in scenario.observed.iter().enumerate() {
+            let value = value.expect("drift and spike feeds drop no tick");
+            stream.forecast(1);
+            stream.ingest(last_ts + t as u64 + 1, value).expect("chaos feed is well-formed");
+        }
+        let snap = stream.predictor().regime_snapshot();
+        changepoints += snap.changepoints;
+        outliers += snap.outliers;
+    }
+    assert!(
+        changepoints > 0 && outliers > 0,
+        "setup: {changepoints} changepoints, {outliers} outliers"
+    );
+
+    let snap = smiler_obs::metrics_snapshot();
+    assert_eq!(counter(&snap, "regime.changepoints", ""), Some(changepoints));
+    for name in ["regime.outliers", "regime.cleaned", "regime.ensemble_resets"] {
+        assert!(counter(&snap, name, "").is_some_and(|n| n > 0), "counter {name}");
+    }
+    // An outlier that also tips the CUSUM over is reported as the
+    // changepoint: the detector counts it, the outlier series does not.
+    let flagged = counter(&snap, "regime.outliers", "").unwrap_or_default();
+    assert!(flagged <= outliers, "{flagged} outlier events of {outliers} outliers");
+    assert!(snap.gauges.iter().any(|g| g.name == "regime.bias"), "gauge regime.bias");
+    let z = snap.histograms.iter().find(|h| h.name == "regime.outlier_z");
+    assert_eq!(z.map(|h| h.count), Some(flagged), "one outlier_z sample per outlier event");
+    let events = smiler_obs::events_snapshot();
+    let fired = events.iter().filter(|e| e.kind == "regime.changepoint").count();
+    assert_eq!(fired as u64, changepoints, "one regime.changepoint event per changepoint");
 }
