@@ -126,7 +126,7 @@ SERVING (forecast):
 
 PERSISTENCE:
   serve --data-dir <dir> makes the fleet durable: every observation is
-  WAL-logged before the index advances, and shutdown checkpoints the
+  WAL-logged before the sensor absorbs it, and shutdown checkpoints the
   drained fleet. Restarting with the same --data-dir restores from the
   newest valid checkpoint plus WAL-tail replay — bitwise-identical to a
   fleet that never stopped. `smiler checkpoint` folds the WAL tail into a

@@ -6,7 +6,7 @@
 //! never stopped:
 //!
 //! 1. every fleet round is appended to the WAL *before* any sensor's
-//!    index advances (a redo log: a crash between the append and the
+//!    history grows (a redo log: a crash between the append and the
 //!    in-memory step replays the round on restart);
 //! 2. periodic checkpoints serialise the full adaptive state — history,
 //!    λ weights and sleep schedules, warm-started GP hyperparameters,
@@ -551,7 +551,7 @@ impl DurableSystem {
     }
 
     /// One durable fleet round: the round is appended to the WAL *before*
-    /// any sensor's index advances, so a crash at any point replays it.
+    /// any sensor's history grows, so a crash at any point replays it.
     /// Checkpoints automatically on the configured cadence.
     ///
     /// # Panics

@@ -880,7 +880,7 @@ impl SensorPredictor {
     /// Absorb the newly observed value: judge it against the pending
     /// one-step forecast, learn from it (quality, bias, the λ update of
     /// Eqn 8–9, the changepoint response), then append what the judgement
-    /// entered to the index (Remark 1 reuse).
+    /// entered to the history (the index catches up at the next search).
     pub fn observe(&mut self, value: f64) {
         if self.injected == Some(FaultKind::PanicOnObserve) {
             panic!("injected fault: sensor {} observe panicked", self.sensor_id);
@@ -929,9 +929,10 @@ impl SensorPredictor {
         }
     }
 
-    /// The only place the index hears of a value.
+    /// The only place the index hears of a value: one history append, no
+    /// device work. The window index catches up at the next search.
     fn append(&mut self, entered: f64) {
-        self.index.advance(&self.device, entered);
+        self.index.append(entered);
         self.cache = None;
     }
 
@@ -1298,8 +1299,9 @@ mod tests {
             launches_after_first,
             "additional horizons must reuse the cached search"
         );
-        // A new observation invalidates the cache.
+        // A new observation launches nothing and invalidates the cache.
         p.observe(0.1);
+        assert_eq!(p.device.kernel_launches(), launches_after_first, "observe only appends");
         p.predict(1);
         assert!(p.device.kernel_launches() > launches_after_first);
     }

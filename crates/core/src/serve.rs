@@ -998,7 +998,7 @@ struct ShardWorker {
     stats: Arc<ServeStats>,
     telemetry: Arc<Telemetry>,
     rx: Receiver<ShardMsg>,
-    /// Durable log: observations append here before any index advances.
+    /// Durable log: observations append here before any sensor absorbs them.
     store: Option<SharedStore>,
     /// Hands the shard's sensors back to the server on exit.
     drained: Sender<(Vec<SensorPredictor>, Vec<SensorHealth>)>,

@@ -90,7 +90,7 @@ pub struct SensorStream {
     /// Longest gap (in ticks) that will be linearly filled.
     max_gap: usize,
     /// Optional durable log: every absorbed (normalised) value is appended
-    /// *before* the predictor's index advances.
+    /// *before* the predictor absorbs it.
     store: Option<SharedStore>,
 }
 
@@ -130,7 +130,7 @@ impl SensorStream {
 
     /// Attach a durable store: every sample [`SensorStream::ingest`]
     /// absorbs (including interpolated fills) is WAL-logged under this
-    /// sensor's id *before* the in-memory index advances.
+    /// sensor's id *before* the in-memory predictor absorbs it.
     pub fn with_store(mut self, store: SharedStore) -> Self {
         self.store = Some(store);
         self

@@ -138,10 +138,12 @@ impl WindowIndex {
         &self.lists[b]
     }
 
-    /// Device memory the index occupies (for the Fig 12c capacity model):
-    /// two f64 posting entries per (sliding window × disjoint window).
-    pub fn device_bytes(&self) -> usize {
-        self.lists.len() * self.dw_count * 2 * std::mem::size_of::<f64>()
+    /// Device memory the index occupies once it covers a history of
+    /// `series_len` points (for the Fig 12c capacity model): two f64
+    /// posting entries per (sliding window × disjoint window).
+    pub fn device_bytes(&self, series_len: usize) -> usize {
+        let dw_count = csg::disjoint_window_count(series_len, self.omega);
+        self.lists.len() * dw_count * 2 * std::mem::size_of::<f64>()
     }
 
     /// Advance one continuous-prediction step (Remark 1, Fig. 6).
@@ -366,7 +368,7 @@ mod tests {
         assert_eq!(idx.sw_count(), D - OMEGA + 1);
         assert_eq!(idx.dw_count(), 10);
         assert_eq!(idx.posting(0).lbeq.len(), 10);
-        assert!(idx.device_bytes() > 0);
+        assert_eq!(idx.device_bytes(series.len()), (D - OMEGA + 1) * 10 * 2 * 8);
     }
 
     #[test]
@@ -401,7 +403,8 @@ mod tests {
         let (mut idx, _, _) = build_index(&series, &device);
 
         // Drive 9 continuous steps — crossing a disjoint-window boundary —
-        // and compare against a from-scratch rebuild each time.
+        // and compare against a from-scratch rebuild each time, bit for bit:
+        // the lazy index's catch-up switches between the two.
         let future = make_series(9, 99);
         for (step, &v) in future.iter().enumerate() {
             series.push(v);
@@ -416,9 +419,9 @@ mod tests {
             for b in 0..idx.sw_count() {
                 for r in 0..idx.dw_count() {
                     let (a, e) = (idx.posting(b).lbeq[r], rebuilt.posting(b).lbeq[r]);
-                    assert!((a - e).abs() < 1e-9, "step {step} LBEQ b={b} r={r}: {a} vs {e}");
+                    assert_eq!(a.to_bits(), e.to_bits(), "step {step} LBEQ b={b} r={r}");
                     let (a, e) = (idx.posting(b).lbec[r], rebuilt.posting(b).lbec[r]);
-                    assert!((a - e).abs() < 1e-9, "step {step} LBEC b={b} r={r}: {a} vs {e}");
+                    assert_eq!(a.to_bits(), e.to_bits(), "step {step} LBEC b={b} r={r}");
                 }
             }
         }

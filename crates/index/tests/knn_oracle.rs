@@ -11,6 +11,9 @@
 //! * **one pipeline**: `try_search(i)`, `try_fleet_search([i])[0]` and the
 //!   sensor's slot in a fleet of four agree bit for bit (`start`,
 //!   `distance.to_bits()`, `stats.candidates`, `stats.unfiltered`);
+//! * **lazy catch-up**: a fleet fed only by `append` and searched after gaps
+//!   of 0, 1, 5 and 500 observations agrees bit for bit with a twin that
+//!   rotates its index on every observation;
 //! * **genuine**: every returned neighbour's distance is bitwise the
 //!   brute-force DTW of its start, finite, within `max_end`, listed once,
 //!   in ascending order;
@@ -325,6 +328,52 @@ fn unified_pipeline_matches_brute_force_on_adversarial_inputs() {
                         &what,
                     );
                     prev[s] = Some(alone);
+                }
+            }
+
+            // A fourth fleet hears only `append` and is searched after gaps
+            // of 0, 1, 5 and 500 observations (the feed's steps, then its
+            // history, cycled) against a twin that rotates on every one.
+            let (mut lazy, mut eager) = (build(), build());
+            let mut tails: Vec<_> = feeds
+                .iter()
+                .map(|(history, future)| future.iter().chain(history).cycle())
+                .collect();
+            let mut prev: Vec<Option<SearchOutput>> = vec![None; FLEET];
+            for gap in [0, 1, 5, 500] {
+                for _ in 0..gap {
+                    for (s, tail) in tails.iter_mut().enumerate() {
+                        let v = *tail.next().expect("a cycled feed never ends");
+                        lazy[s].append(v);
+                        eager[s].advance(&device, v);
+                    }
+                }
+                let max_ends: Vec<usize> = eager.iter().map(|i| i.series().len() - H).collect();
+                let mut refs: Vec<&mut SmilerIndex> = lazy.iter_mut().collect();
+                let lazy_out = try_fleet_search(&device, &mut refs, &max_ends);
+                let mut refs: Vec<&mut SmilerIndex> = eager.iter_mut().collect();
+                let eager_out = try_fleet_search(&device, &mut refs, &max_ends);
+                for (s, (got, want)) in lazy_out.into_iter().zip(&eager_out).enumerate() {
+                    let what = format!("{} / {strategy:?} / gap {gap} / sensor {s}", case.name);
+                    let got = match (got, want) {
+                        (Ok(got), Ok(want)) => {
+                            assert_same_answer(&got, want, &format!("{what}: lazy vs eager"));
+                            got
+                        }
+                        (got, want) => {
+                            assert_eq!(got.err(), want.as_ref().err().cloned(), "{what}");
+                            continue;
+                        }
+                    };
+                    check_against_oracle(
+                        lazy[s].series(),
+                        &case.params,
+                        &got,
+                        prev[s].as_ref(),
+                        strategy == ThresholdStrategy::ExactKBest,
+                        &what,
+                    );
+                    prev[s] = Some(got);
                 }
             }
         }

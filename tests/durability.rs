@@ -345,6 +345,57 @@ fn served_observations_survive_server_restart() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// WAL replay only appends: opening a fleet from a 10-round and from a
+/// 400-round observe-only tail launches the same device blocks (the
+/// checkpoint's index builds and nothing else), and the first forecast
+/// after each open, which pays the catch-up, is bitwise the never-stopped
+/// fleet's.
+#[test]
+fn replay_launches_no_index_work() {
+    let config = SmilerConfig::small_for_tests();
+    let kind = PredictorKind::GaussianProcess;
+    let fleet = 2usize;
+    let mut launched = Vec::new();
+    for tail in [10usize, 400] {
+        let dir = tmpdir(&format!("replay_tail_{tail}"));
+        let (mut durable, _) = DurableSystem::create(
+            Arc::new(Device::default_gpu()),
+            histories(fleet, 420),
+            config.clone(),
+            kind,
+            &dir,
+            store_config(),
+            0,
+        )
+        .expect("create");
+        let (mut control, _) = SmilerSystem::new(
+            Arc::new(Device::default_gpu()),
+            histories(fleet, 420),
+            config.clone(),
+            kind,
+        );
+        for r in 0..tail {
+            durable.observe_all(&round_values(r, fleet)).expect("durable observe");
+            control.observe_all(&round_values(r, fleet));
+        }
+        drop(durable);
+
+        let device = Arc::new(Device::default_gpu());
+        let (mut restored, report) =
+            DurableSystem::open(Arc::clone(&device), &dir, store_config(), 0).expect("open");
+        assert_eq!(report.replayed_rounds, tail);
+        launched.push((device.kernel_launches(), device.blocks_launched()));
+
+        let (want, got) = (control.predict_all(1), restored.system_mut().predict_all(1));
+        for (s, (x, y)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(x.0.to_bits(), y.0.to_bits(), "tail {tail} sensor {s}: mean");
+            assert_eq!(x.1.to_bits(), y.1.to_bits(), "tail {tail} sensor {s}: variance");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert_eq!(launched[0], launched[1], "(launches, blocks) across open, 10- vs 400-round tail");
+}
+
 /// Bitwise view of one sensor's history.
 fn history_bits(system: &SmilerSystem, sensor: usize) -> Vec<u64> {
     system.sensor(sensor).history().iter().map(|v| v.to_bits()).collect()

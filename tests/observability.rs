@@ -123,6 +123,42 @@ fn fleet_search_metrics_agree_with_slot_stats() {
     }
 }
 
+/// Observations defer the index work to the next search, and that search
+/// reports what it paid: six observations record nothing, then one search
+/// catches up with one rebuild at lag 6 under one `index.catch_up` span.
+/// An eager `advance` is a catch-up at lag 1 through the rotation.
+#[test]
+fn deferred_index_work_is_reported_by_the_search_that_pays_it() {
+    let _g = lock_obs();
+    let device = Device::default_gpu();
+    let mut index = SmilerIndex::build(&device, road_sensor(4, 9), IndexParams::default());
+    for v in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6] {
+        index.append(v);
+    }
+    let snap = smiler_obs::metrics_snapshot();
+    assert!(snap.counters.iter().all(|c| c.name != "index.catch_up"), "appends record nothing");
+    assert!(smiler_obs::span_snapshot().is_empty(), "appends open no span");
+
+    index.search(&device, index.series().len() - 30);
+    let snap = smiler_obs::metrics_snapshot();
+    assert_eq!(counter(&snap, "index.catch_up", "rebuild"), Some(1));
+    assert_eq!(counter(&snap, "index.catch_up", "rotate"), None);
+    let lag = snap.histograms.iter().find(|h| h.name == "index.catch_up_lag");
+    assert_eq!(lag.map(|h| (h.count, h.min, h.max)), Some((1, 6.0, 6.0)));
+    let spans = smiler_obs::span_snapshot();
+    let row = spans.iter().find(|s| s.path == "index.catch_up");
+    assert_eq!(row.map(|s| s.count), Some(1), "span index.catch_up; have {spans:?}");
+
+    // Caught up: a second search pays nothing; an advance rotates once.
+    index.search(&device, index.series().len() - 30);
+    index.advance(&device, 0.7);
+    let snap = smiler_obs::metrics_snapshot();
+    assert_eq!(counter(&snap, "index.catch_up", "rebuild"), Some(1));
+    assert_eq!(counter(&snap, "index.catch_up", "rotate"), Some(1));
+    let lag = snap.histograms.iter().find(|h| h.name == "index.catch_up_lag");
+    assert_eq!(lag.map(|h| (h.count, h.min)), Some((2, 1.0)));
+}
+
 /// A parent span's total wall time must cover the sum of its direct
 /// children (both are measured by the same clock, so the slack is pure
 /// bookkeeping outside the children).

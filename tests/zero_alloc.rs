@@ -1,15 +1,19 @@
 //! Proof that the steady-state hot paths are allocation-free: a counting
-//! global allocator watches the DTW-verify primitives and the shared-prefix
-//! GP predict loop after one warm-up pass has grown every scratch buffer.
+//! global allocator watches the DTW-verify primitives, the shared-prefix
+//! GP predict loop and the index side of an observation after one warm-up
+//! pass has grown every buffer.
 //!
-//! One test function on purpose: libtest runs `#[test]`s on parallel
-//! threads, which would make the global allocation counter ambiguous.
+//! Only allocations made on the measuring thread count, so the test
+//! harness's own threads, which may allocate at any moment, cannot fail it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smiler_dtw::DtwScratch;
 use smiler_gp::{GpScratch, Hyperparams, PrefixGp};
+use smiler_gpu::Device;
+use smiler_index::{IndexParams, SmilerIndex};
 use smiler_linalg::Matrix;
 use smiler_timeseries::{Envelope, EnvelopeScratch};
 
@@ -17,9 +21,15 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -45,7 +55,9 @@ fn pseudo_series(n: usize, seed: u64) -> Vec<f64> {
 
 fn count_allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     f();
+    COUNTING.with(|c| c.set(false));
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
@@ -111,6 +123,25 @@ fn steady_state_hot_loops_do_not_allocate() {
         }
     });
     assert_eq!(delta, 0, "GP predict loop allocated {delta} times in steady state");
+
+    // --- The index side of an observation: `append` grows the history
+    //     and defers all index work, telemetry off included, to the next
+    //     search. One warm-up append grows the history's capacity. ---
+    let device = Device::default_gpu();
+    let mut index = SmilerIndex::build(&device, series.clone(), IndexParams::default());
+    index.append(0.0);
+    let delta = count_allocations(|| {
+        for i in 0..20 {
+            index.append(i as f64 * 0.1);
+        }
+    });
+    assert_eq!(delta, 0, "index append allocated {delta} times in steady state");
+    let delta = count_allocations(|| {
+        let _span = smiler_obs::span("index.catch_up");
+        smiler_obs::observe("index.catch_up_lag", "", 20.0);
+        smiler_obs::count("index.catch_up", "rebuild", 1);
+    });
+    assert_eq!(delta, 0, "disabled catch-up telemetry allocated {delta} times");
 
     assert!(sink.is_finite(), "keep the computations observable");
 }
