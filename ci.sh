@@ -65,6 +65,15 @@ if [[ "$QUICK" == "0" ]]; then
     echo "==> benchmark run --seed 1 --smoke (all four workloads + output checks)"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seed 1 --smoke
 
+    # Host parallelism is decided in one place: `Device::host_map` is the
+    # only code that sizes or spawns a team of compute threads.
+    echo "==> one host scheduler"
+    if grep -rnE 'available_parallelism|crossbeam::thread' crates/*/src \
+        | grep -v '^crates/gpu/src/device.rs:'; then
+        echo "host compute threads belong to crates/gpu/src/device.rs (Device::host_map)" >&2
+        exit 1
+    fi
+
     # Dead public surface fails the build: any `pub` item that only its own
     # definition and unit tests reference (checked in a copy of the tree).
     echo "==> dead-surface sweep"

@@ -694,6 +694,7 @@ impl SensorPredictor {
 
         let robust_spec = self.config.robust;
         let mut scratch = std::mem::take(&mut self.scratch);
+        let device = Arc::clone(&self.device);
         let state = self.horizon_state(h);
         let mut predictions: Vec<Option<(f64, f64)>> = vec![None; n_cells];
 
@@ -781,61 +782,17 @@ impl SensorPredictor {
         };
 
         // Phase 2: hyperparameter training + shared-prefix factorisation —
-        // pure, column-independent computations, so extra columns run on
-        // scoped worker threads when the host has cores to spare. The
-        // first job stays on the calling thread (its spans nest under the
-        // step as before); single-job (one-column) ensembles always train
-        // inline.
-        let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let results: Vec<ColumnGpFit> = if jobs.len() <= 1 || host_cores <= 1 {
-            jobs.into_iter().map(run_column_train).collect()
-        } else {
-            // Thread creation is far from free (hundreds of µs on a busy
-            // host), so never spawn more workers than there are *spare*
-            // cores: the calling thread and each spawned worker drain a
-            // shared job queue, and results are re-ordered by job index so
-            // the output is independent of which worker ran what.
-            let spawned = (host_cores - 1).min(jobs.len() - 1);
-            let queue = std::sync::Mutex::new(jobs.into_iter().enumerate());
-            let drain = || {
-                let mut done: Vec<(usize, ColumnGpFit)> = Vec::new();
-                loop {
-                    // Poison recovery: a panicking worker is re-raised via
-                    // its join handle below; the queue iterator itself stays
-                    // valid, so surviving workers keep draining jobs.
-                    let next = queue.lock().unwrap_or_else(|p| p.into_inner()).next();
-                    match next {
-                        Some((idx, job)) => done.push((idx, run_column_train(job))),
-                        None => break,
-                    }
-                }
-                done
-            };
-            let mut indexed = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(|_| drain())).collect();
-                let mut out = drain();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => out.extend(part),
-                        // Re-raise the worker's own panic payload so
-                        // fleet-level isolation sees the original fault.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                out
-            })
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            indexed.sort_unstable_by_key(|&(idx, _)| idx);
-            indexed.into_iter().map(|(_, fit)| fit).collect()
-        };
+        // pure, column-independent computations, run on the device's host
+        // threads and returned in column order.
+        let fits = device.host_map(jobs, run_column_train);
 
         // Phase 3 (serial): install the trained hyperparameters (never
         // non-finite ones — a poisoned optimum must not outlive its step),
         // then predict every awake cell from its column's shared
         // factorisation.
         let mut gp_failures = 0u64;
-        let mut column_gp: Vec<Option<ColumnModel>> = (0..n_elv).map(|_| None).collect();
-        for fit in results {
+        let mut column_gp: Vec<Option<ColumnGpFit>> = (0..n_elv).map(|_| None).collect();
+        for fit in fits {
             let CellState::Gp(cell) = &mut state.cells[fit.idx] else {
                 unreachable!("trainer is a GP cell")
             };
@@ -845,8 +802,8 @@ impl SensorPredictor {
             {
                 cell.install_hyper(fit.hyper);
             }
-            column_gp[fit.d_idx] =
-                Some(ColumnModel { hyper: fit.hyper, fit: fit.fit, robust: fit.robust });
+            let d_idx = fit.d_idx;
+            column_gp[d_idx] = Some(fit);
         }
         for (d_idx, data) in col_data.iter().enumerate() {
             if let Some(data) = data {
@@ -1011,13 +968,6 @@ struct ColumnGpFit {
     robust: Option<Vec<f64>>,
 }
 
-/// One column's trained model as seen by the prediction pass.
-struct ColumnModel {
-    hyper: Hyperparams,
-    fit: Option<Result<PrefixGp, GpError>>,
-    robust: Option<Vec<f64>>,
-}
-
 /// Execute one column's [`HyperPlan`] and fit the column-wide
 /// [`PrefixGp`] factorisation. On the robust path the hyperparameter
 /// trainer sees the winsorized labels — a spike cannot drag the LOO
@@ -1090,7 +1040,7 @@ fn predict_column(
     d_idx: usize,
     awake: &[bool],
     data: &KnnData,
-    column_gp: &Option<ColumnModel>,
+    column_gp: &Option<ColumnGpFit>,
     scratch: &mut PredictScratch,
     predictions: &mut [Option<(f64, f64)>],
 ) -> u64 {

@@ -478,25 +478,25 @@ mod tests {
 
     #[test]
     fn parallel_prediction_matches_serial() {
-        let device = Arc::new(Device::default_gpu());
-        let (mut serial, _) = SmilerSystem::new(
-            Arc::clone(&device),
-            histories(5, 300),
-            SmilerConfig::small_for_tests(),
-            PredictorKind::Aggregation,
-        );
-        let (mut parallel, _) = SmilerSystem::new(
-            Arc::new(Device::default_gpu()),
-            histories(5, 300),
-            SmilerConfig::small_for_tests(),
-            PredictorKind::Aggregation,
-        );
-        let a = serial.predict_all(2);
-        let b = parallel.predict_all_robust(2, &RequestPolicy::default());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            let y = y.as_ref().expect("healthy sensor");
-            assert!((x.0 - y.mean).abs() < 1e-12 && (x.1 - y.variance).abs() < 1e-12);
+        let fleet = |host_threads: usize| {
+            SmilerSystem::new(
+                Arc::new(Device::default_gpu().with_host_threads(host_threads)),
+                histories(5, 300),
+                SmilerConfig::small_for_tests(),
+                PredictorKind::GaussianProcess,
+            )
+            .0
+        };
+        let (mut serial, mut parallel) = (fleet(1), fleet(4));
+        let bits = |out: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+            out.iter().map(|(m, v)| (m.to_bits(), v.to_bits())).collect()
+        };
+        let future = histories(5, 304);
+        for round in 300..304 {
+            let observations: Vec<f64> = future.iter().map(|h| h[round]).collect();
+            let a = bits(serial.step(1, &observations));
+            assert!(a.iter().all(|&(m, _)| f64::from_bits(m).is_finite()), "round {round}");
+            assert_eq!(a, bits(parallel.step(1, &observations)), "round {round}");
         }
     }
 

@@ -7,9 +7,10 @@
 //! one block per sliding-window posting list, one block per CSG, one block
 //! per k-selection.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::cost::{BlockCost, CostModel, CpuSpec, GpuSpec, KernelStats};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which hardware the device simulates.
 #[derive(Debug, Clone, Copy)]
@@ -196,65 +197,66 @@ impl Device {
         self
     }
 
+    /// Map `f` over `items` on host threads; results come back in item
+    /// order. This is the workspace's one host parallel-for: kernel blocks
+    /// ([`Device::launch`]) and GP column training both run through it, so
+    /// [`Device::with_host_threads`] bounds them alike.
+    ///
+    /// With at most one item or one host thread the items run inline on
+    /// the calling thread — a spawn costs more than many tiny hot-path
+    /// grids. Otherwise the caller is worker zero and `min(host_threads,
+    /// n) − 1` scoped workers join it, each taking the next item off one
+    /// shared queue. A panicking item is re-raised with its own payload.
+    pub fn host_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        let workers = self.host_threads.min(items.len());
+        if workers <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let drain = || {
+            let mut done = Vec::new();
+            loop {
+                let Some((i, item)) = queue.lock().next() else { break };
+                done.push((i, f(item)));
+            }
+            done
+        };
+        let mut done = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|_| drain())).collect();
+            let mut done = drain();
+            for handle in handles {
+                match handle.join() {
+                    Ok(part) => done.extend(part),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            done
+        })
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        // Each worker's results are already in item order, so this sort
+        // only merges the runs.
+        done.sort_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
+    }
+
     /// Launch a kernel over `blocks` blocks. Blocks execute in parallel on
-    /// host threads; results are returned in grid order.
+    /// host threads ([`Device::host_map`]); results are returned in grid
+    /// order.
     pub fn launch<R, F>(&self, blocks: usize, kernel: F) -> LaunchReport<R>
     where
         R: Send,
         F: Fn(&mut BlockCtx) -> R + Sync,
     {
-        let mut slots: Vec<Option<(R, BlockCost)>> = Vec::with_capacity(blocks);
-        slots.resize_with(blocks, || None);
-        let next = AtomicUsize::new(0);
-        let slots_mutex = Mutex::new(&mut slots);
-        let workers = self.host_threads.min(blocks).max(1);
-
-        if workers == 1 {
-            // Nothing to gain from a scoped worker — single-block grid, or
-            // a single-core host where blocks serialise anyway. Run the
-            // grid inline on the calling thread: spawning a thread costs
-            // more than many of the tiny hot-path launches.
-            let mut guard = slots_mutex.lock();
-            for id in 0..blocks {
-                let mut ctx = BlockCtx::new(id, self.shared_capacity);
-                let result = kernel(&mut ctx);
-                guard[id] = Some((result, ctx.cost));
-            }
-        } else if blocks > 0 {
-            // Each worker drains block ids and buffers results locally,
-            // taking the shared lock once per batch. The calling thread is
-            // worker zero — only `workers − 1` threads are spawned, so the
-            // common two-worker hot-path launch costs one spawn, not two.
-            let run_worker = || {
-                let mut local: Vec<(usize, R, BlockCost)> = Vec::new();
-                loop {
-                    let id = next.fetch_add(1, Ordering::Relaxed);
-                    if id >= blocks {
-                        break;
-                    }
-                    let mut ctx = BlockCtx::new(id, self.shared_capacity);
-                    let result = kernel(&mut ctx);
-                    local.push((id, result, ctx.cost));
-                    if local.len() >= 64 {
-                        let mut guard = slots_mutex.lock();
-                        for (i, r, c) in local.drain(..) {
-                            guard[i] = Some((r, c));
-                        }
-                    }
-                }
-                let mut guard = slots_mutex.lock();
-                for (i, r, c) in local {
-                    guard[i] = Some((r, c));
-                }
-            };
-            crossbeam::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(|_| run_worker());
-                }
-                run_worker();
-            })
-            .expect("kernel worker panicked");
-        }
+        let ran = self.host_map((0..blocks).collect(), |id| {
+            let mut ctx = BlockCtx::new(id, self.shared_capacity);
+            let result = kernel(&mut ctx);
+            (result, ctx.cost)
+        });
 
         // Simulated time is a pure function of the reported costs in grid
         // order — identical no matter how many host threads ran the grid.
@@ -262,8 +264,7 @@ impl Device {
         let mut results = Vec::with_capacity(blocks);
         let mut cycles = Vec::with_capacity(blocks);
         let mut total = BlockCost::default();
-        for slot in slots {
-            let (r, c) = slot.expect("every block must have run");
+        for (r, c) in ran {
             total.merge(&c);
             cycles.push(model.block_cycles(&c));
             results.push(r);
@@ -352,8 +353,10 @@ fn default_host_threads() -> usize {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn launch_returns_results_in_grid_order() {
@@ -452,6 +455,50 @@ mod tests {
         assert_eq!(dev.memory_used(), 600);
         assert!(dev.try_reserve_memory(400));
         assert_eq!(dev.memory_used(), 1000);
+    }
+
+    #[test]
+    fn a_panicking_block_unwinds_with_its_own_payload() {
+        for threads in [1, 4] {
+            let dev = Device::default_gpu().with_host_threads(threads);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.launch(8, |ctx| {
+                    if ctx.block_id() == 3 {
+                        panic!("block 3 exploded");
+                    }
+                })
+            }));
+            let payload = caught.expect_err("block 3 panics");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            assert_eq!(message.as_deref(), Some("block 3 exploded"), "{threads} host threads");
+        }
+    }
+
+    #[test]
+    fn host_map_returns_item_order_when_item_zero_finishes_last() {
+        let n = 8;
+        let dev = Device::default_gpu().with_host_threads(4);
+        let finished = AtomicUsize::new(0);
+        let out = dev.host_map((0..n).collect(), |i: usize| {
+            if i == 0 {
+                // Hold item 0 until every other item is done.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while finished.load(Ordering::SeqCst) < n - 1 {
+                    assert!(std::time::Instant::now() < deadline, "other items never finished");
+                    std::thread::yield_now();
+                }
+            } else {
+                // Slow enough that the workers share the other items.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            (i * 10, finished.fetch_add(1, Ordering::SeqCst))
+        });
+        let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(out[0].1, n - 1, "item 0 finished last");
     }
 
     #[test]

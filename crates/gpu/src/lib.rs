@@ -11,8 +11,11 @@
 //! DESIGN.md — this crate reproduces the CUDA execution model in software:
 //!
 //! * [`device::Device::launch`] runs a kernel over a grid of blocks with
-//!   real multi-core parallelism (a crossbeam work-stealing loop), so
-//!   wall-clock speedups from the index structure are genuine;
+//!   real multi-core parallelism, so wall-clock speedups from the index
+//!   structure are genuine. Its blocks, like the core's GP column
+//!   training, go through [`device::Device::host_map`], the workspace's
+//!   one host parallel-for: the caller and scoped worker threads take
+//!   items off one shared queue;
 //! * every block self-reports its memory traffic and arithmetic through
 //!   [`device::BlockCtx`], and a calibrated [`cost`] model converts those
 //!   counts into *simulated seconds* on a TITAN-class device, which is what
