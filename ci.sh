@@ -74,6 +74,23 @@ if [[ "$QUICK" == "0" ]]; then
         exit 1
     fi
 
+    # One build body: the window index is built only by the catch-up every
+    # search runs first (`SmilerIndex::catch_up`); no other product code
+    # calls `WindowIndex::build(` (test modules are exempt).
+    echo "==> one build body"
+    if find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_test = 0; cur = "" }
+        /^#\[cfg\(test\)\]/ { in_test = 1 }
+        match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        !in_test && $0 !~ /^[ \t]*\/\// && /WindowIndex::build\(/ \
+            && !(FILENAME ~ /index\/src\/search\.rs$/ && cur == "catch_up") {
+            print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }'; then
+        echo "the window index is built only by SmilerIndex::catch_up" >&2
+        exit 1
+    fi
+
     # Dead public surface fails the build: any `pub` item that only its own
     # definition and unit tests reference (checked in a copy of the tree).
     echo "==> dead-surface sweep"

@@ -718,7 +718,7 @@ fn restore_report_lines(out: &mut String, report: &smiler_core::RestoreReport) {
     );
     let _ = writeln!(
         out,
-        "timings: open {:.3}s, index rebuild {:.3}s, replay {:.3}s",
+        "timings: open {:.3}s, restore {:.3}s, replay {:.3}s",
         report.open_seconds, report.rebuild_seconds, report.replay_seconds
     );
 }

@@ -15,9 +15,10 @@
 //!    bits (JSON would lose NaN gaps and cost the bitwise guarantee);
 //! 3. [`DurableSystem::open`] recovers along the ladder *checkpoint →
 //!    WAL replay → cold rebuild*: decode the newest valid checkpoint,
-//!    rebuild each sensor's index from its saved history (bitwise
-//!    equivalent to having advanced it online), then re-apply the WAL
-//!    tail as ordinary fleet rounds.
+//!    restore each sensor from its snapshot, then re-apply the WAL tail as
+//!    ordinary fleet rounds. No index is built: each sensor's is built by
+//!    its first search over the saved history plus the tail (bitwise
+//!    equivalent to having advanced it online).
 //!
 //! A quarantined sensor is persisted and rebuilt from the same recovery
 //! point, checkpoint + WAL tail; DESIGN §8 ("Quarantine & recovery
@@ -347,7 +348,7 @@ impl RecoveryPoint {
     /// The checkpointed snapshot of `sensor_id` with its share of the WAL
     /// tail absorbed into the history (fleet rounds carry one value per
     /// fleet `position`, single observes name the sensor), so an index
-    /// rebuilt from it is current.
+    /// built from it is current.
     pub(crate) fn snapshot_of(&self, sensor_id: usize, position: usize) -> Option<SensorSnapshot> {
         let mut snap = self.snapshots.iter().find(|s| s.sensor_id == sensor_id)?.clone();
         for record in &self.tail {
@@ -414,7 +415,10 @@ pub struct RestoreReport {
     pub truncated_bytes: u64,
     /// Seconds spent opening and repairing the store.
     pub open_seconds: f64,
-    /// Seconds spent decoding the checkpoint and rebuilding indexes.
+    /// Seconds spent decoding the checkpoint, restoring the sensors from
+    /// their snapshots and admitting them to the device. No index is
+    /// built here (the first search builds it); the name is kept for the
+    /// benchmark's `durable.rebuild_s`.
     pub rebuild_seconds: f64,
     /// Seconds spent re-applying the WAL tail.
     pub replay_seconds: f64,
@@ -463,10 +467,11 @@ impl DurableSystem {
         Ok((durable, oom))
     }
 
-    /// Recover a durable fleet from `dir`: newest valid checkpoint, index
-    /// rebuild, WAL-tail replay. The restored fleet's next prediction is
-    /// bitwise-identical to what the never-stopped fleet would have
-    /// produced.
+    /// Recover a durable fleet from `dir`: newest valid checkpoint, sensor
+    /// restore and admission, WAL-tail replay. Launches nothing on the
+    /// device: each index is built by its first search. The restored
+    /// fleet's next prediction is bitwise-identical to what the
+    /// never-stopped fleet would have produced.
     pub fn open(
         device: Arc<Device>,
         dir: &Path,
@@ -605,6 +610,7 @@ impl DurableSystem {
     /// Rebuild every quarantined sensor from its [`RecoveryPoint`]: the
     /// newest checkpoint's snapshot with its share of the WAL tail, so the
     /// history is current and adaptive state is at the checkpoint cut.
+    /// Launches nothing: the sensor's index is built by its next search.
     /// Returns the indices brought back.
     pub fn recover_all(&mut self) -> Result<Vec<usize>, DurableError> {
         let quarantined = self.system.quarantined();

@@ -165,7 +165,8 @@ pub struct SensorPredictor {
 }
 
 impl SensorPredictor {
-    /// Build a predictor over a sensor's (normalised) history.
+    /// A predictor over a sensor's (normalised) history. Builds no index:
+    /// the first search does ([`SmilerIndex::new`]).
     ///
     /// # Panics
     /// Panics if the history is shorter than the master query plus the
@@ -178,7 +179,7 @@ impl SensorPredictor {
         kind: PredictorKind,
     ) -> Self {
         let params = config.index_params();
-        let index = SmilerIndex::build(&device, history, params).with_threshold(config.threshold);
+        let index = SmilerIndex::new(history, params).with_threshold(config.threshold);
         let adaptation = Adaptation::new(config.regime);
         SensorPredictor {
             device,

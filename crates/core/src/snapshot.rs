@@ -8,8 +8,8 @@
 //! (§5.2.2). A restart that discards those re-pays the cold-start cost and
 //! forgets which `(k, d)` cells were working. A [`SensorSnapshot`] holds
 //! all of it (the durable checkpoint codec, `durable::encode_fleet`, writes
-//! it as raw bits); the index itself is deterministic in the history and is
-//! rebuilt on restore.
+//! it as raw bits); the index itself is deterministic in the history, so it
+//! is not saved, and a restored predictor builds it at its first search.
 //!
 //! Snapshots also carry the *transient* per-step state — pending
 //! (not-yet-scored) predictions, the GP retrain-cadence position and the
@@ -60,7 +60,7 @@ pub struct HorizonSnapshot {
 pub struct SensorSnapshot {
     /// Sensor identifier.
     pub sensor_id: usize,
-    /// Full normalised history (the index is rebuilt from it).
+    /// Full normalised history (the index is built from it).
     pub history: Vec<f64>,
     /// Predictor configuration.
     pub config: SmilerConfig,
@@ -87,8 +87,9 @@ impl SensorPredictor {
         }
     }
 
-    /// Reconstruct a predictor from a snapshot: rebuild the index over the
-    /// saved history, then reinstall the adaptive state.
+    /// Reconstruct a predictor from a snapshot: the saved history (its index
+    /// is built by the first search, as for [`SensorPredictor::new`]), then
+    /// the adaptive state.
     ///
     /// # Panics
     /// Panics if the snapshot is internally inconsistent (cell counts not

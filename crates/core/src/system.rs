@@ -476,6 +476,28 @@ mod tests {
         assert!(err.needed > err.available);
     }
 
+    /// Admission counts every index at its full footprint although none
+    /// is built yet: 300 points × (history + two envelope rows) plus
+    /// 13 sliding × 75 disjoint windows × two posting entries, 8 bytes
+    /// each. A device that fits exactly three admits three.
+    #[test]
+    fn admission_reserves_unbuilt_indexes_at_full_size() {
+        const PER_SENSOR: usize = 300 * 8 * 3 + 13 * 75 * 2 * 8;
+        let spec = GpuSpec { memory_bytes: 3 * PER_SENSOR, ..Default::default() };
+        let device = Arc::new(Device::gpu(spec));
+        let (system, rejected) = SmilerSystem::new(
+            Arc::clone(&device),
+            histories(5, 300),
+            SmilerConfig::small_for_tests(),
+            PredictorKind::Aggregation,
+        );
+        assert_eq!(system.len(), 3);
+        assert_eq!(system.resident_bytes(), 3 * PER_SENSOR);
+        let oom = OutOfDeviceMemory { sensor_id: 3, needed: PER_SENSOR, available: 0 };
+        assert_eq!(rejected, Some(oom));
+        assert_eq!(device.kernel_launches(), 0, "admission builds nothing");
+    }
+
     #[test]
     fn parallel_prediction_matches_serial() {
         let fleet = |host_threads: usize| {

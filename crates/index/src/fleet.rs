@@ -60,9 +60,10 @@ struct Task<'a> {
 /// input order. `max_ends[s]` bounds sensor `s`'s candidate ends (callers
 /// pass `len − h` so every neighbour has its h-step-ahead label).
 ///
-/// Every index first catches up with its history
-/// (`SmilerIndex::catch_up`), so observations appended since its last
-/// search are paid for here.
+/// The fleet first catches up with its histories (`SmilerIndex::catch_up`:
+/// one launch for every index to rebuild, one per rotation step for the
+/// rest), so observations appended since each index's last search, or its
+/// whole history if it was never built, are paid for here.
 ///
 /// A sensor with an out-of-range `max_end` or a non-finite shortest item
 /// query gets a typed [`SearchError`] in *its* slot and is excluded from
@@ -79,9 +80,7 @@ pub fn try_fleet_search(
     max_ends: &[usize],
 ) -> Vec<Result<SearchOutput, SearchError>> {
     assert_eq!(indexes.len(), max_ends.len(), "one max_end per sensor");
-    for index in indexes.iter_mut() {
-        index.catch_up(device);
-    }
+    SmilerIndex::catch_up(device, indexes);
     let screened: Vec<Option<SearchError>> =
         indexes.iter().zip(max_ends).map(|(index, &max_end)| screen(index, max_end)).collect();
     let (mut healthy, healthy_ends): (Vec<&mut SmilerIndex>, Vec<usize>) = indexes

@@ -5,14 +5,15 @@
 //! the window-level index. [`SmilerIndex::search`] answers the Suffix kNN
 //! Search for every item-query length at once, carrying the previous answer
 //! forward as the next filter threshold (the continuous-reuse threshold of
-//! §4.3.3). The index is lazy: [`SmilerIndex::append`] only grows the
-//! history, and the next search first catches the envelope and the window
-//! level up — one Remark 1 rotation per missing step, or one rebuild once
-//! the lag reaches `REBUILD_LAG`.
+//! §4.3.3). The index is lazy: [`SmilerIndex::new`] builds nothing,
+//! [`SmilerIndex::append`] only grows the history, and the next search
+//! first catches the envelope and the window level up — one Remark 1
+//! rotation per missing step, or one build once the lag reaches
+//! `REBUILD_LAG` or when nothing was built yet.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::window::WindowIndex;
+use crate::window::{self, Inputs, Plan, WindowIndex};
 use smiler_gpu::Device;
 use smiler_timeseries::{Envelope, EnvelopeScratch};
 use std::sync::Arc;
@@ -253,38 +254,41 @@ pub struct SmilerIndex {
 }
 
 impl SmilerIndex {
-    /// Build the index over a sensor's normalised history.
+    /// An index over a sensor's normalised history that has built nothing
+    /// yet: its first search (or [`SmilerIndex::advance`]) builds the
+    /// envelope and the window index over the whole history.
+    ///
+    /// # Panics
+    /// Panics if the history is shorter than the master query or parameters
+    /// are inconsistent.
+    pub fn new(series: Vec<f64>, params: IndexParams) -> Self {
+        params.validate();
+        let d = params.d_master();
+        assert!(series.len() >= d, "history shorter than the master query");
+        SmilerIndex {
+            bound_mode: BoundMode::En,
+            threshold: ThresholdStrategy::ExactKBest,
+            indexed_len: 0,
+            series,
+            series_env: Envelope::compute(&[], params.rho),
+            windex: WindowIndex::empty(params.omega, params.rho, d),
+            params,
+            prev_neighbors: None,
+            scratch: SearchScratch::default(),
+        }
+    }
+
+    /// Build the index over a sensor's normalised history now:
+    /// [`SmilerIndex::new`] followed by the catch-up its first search would
+    /// run.
     ///
     /// # Panics
     /// Panics if the history is shorter than the master query or parameters
     /// are inconsistent.
     pub fn build(device: &Device, series: Vec<f64>, params: IndexParams) -> Self {
-        params.validate();
-        let d = params.d_master();
-        assert!(series.len() >= d, "history shorter than the master query");
-        let series_env = Envelope::compute(&series, params.rho);
-        let query = &series[series.len() - d..];
-        let query_env = Envelope::compute(query, params.rho);
-        let windex = WindowIndex::build(
-            device,
-            &series,
-            &series_env,
-            query,
-            &query_env,
-            params.omega,
-            params.rho,
-        );
-        SmilerIndex {
-            params,
-            bound_mode: BoundMode::En,
-            threshold: ThresholdStrategy::ExactKBest,
-            indexed_len: series.len(),
-            series,
-            series_env,
-            windex,
-            prev_neighbors: None,
-            scratch: SearchScratch::default(),
-        }
+        let mut index = SmilerIndex::new(series, params);
+        SmilerIndex::catch_up(device, &mut [&mut index]);
+        index
     }
 
     /// Use a different filter bound (Table 3 ablation).
@@ -360,49 +364,80 @@ impl SmilerIndex {
     /// next search would run.
     pub fn advance(&mut self, device: &Device, value: f64) {
         self.append(value);
-        self.catch_up(device);
+        SmilerIndex::catch_up(device, &mut [self]);
     }
 
-    /// Bring the envelope and the window index up to the history. Below
-    /// [`REBUILD_LAG`] the Remark 1 rotation runs once per missing step,
-    /// each over the history as it stood at that step; from there the
-    /// window index is rebuilt once over the whole history. Both end
-    /// bitwise equal to rotating on every observation.
-    pub(crate) fn catch_up(&mut self, device: &Device) {
-        let len = self.series.len();
-        let lag = len - self.indexed_len;
-        if lag == 0 {
+    /// Observations the envelope and the window index have yet to cover.
+    fn lag(&self) -> usize {
+        self.series.len() - self.indexed_len
+    }
+
+    /// Bring every index of a fleet up to its history, one launch per
+    /// phase. An index never built, or lagging by [`REBUILD_LAG`] or more,
+    /// is rebuilt over its whole history, and all of them share one launch.
+    /// The others replay the Remark 1 rotation once per missing step, each
+    /// over the history as it stood at that step: launch `j` carries
+    /// rotation `j` of every index lagging by at least `j`. Every block
+    /// depends only on its own sensor, so each index ends bitwise equal to
+    /// one that rotated on every observation, whatever fleet it caught up
+    /// in.
+    pub(crate) fn catch_up(device: &Device, fleet: &mut [&mut SmilerIndex]) {
+        let lagging: Vec<&mut SmilerIndex> =
+            fleet.iter_mut().map(|index| &mut **index).filter(|index| index.lag() > 0).collect();
+        if lagging.is_empty() {
             return;
         }
         let _span = smiler_obs::span("index.catch_up");
-        smiler_obs::observe("index.catch_up_lag", "", lag as f64);
-        let IndexParams { rho, omega, .. } = self.params;
-        let d = self.params.d_master();
-        if lag < REBUILD_LAG {
-            smiler_obs::count("index.catch_up", "rotate", 1);
-            for n in self.indexed_len + 1..=len {
-                let (series, scratch) = (&self.series[..n], &mut self.scratch);
-                let query = &series[n - d..];
-                self.series_env.extend_to(series);
-                scratch.query_env.compute_into(query, rho, &mut scratch.env);
-                self.windex.advance(device, series, &self.series_env, query, &scratch.query_env);
+        let (mut rebuilding, mut rotating): (Vec<_>, Vec<_>) = lagging
+            .into_iter()
+            .partition(|index| index.indexed_len == 0 || index.lag() >= REBUILD_LAG);
+        for (indexes, label) in [(&rebuilding, "rebuild"), (&rotating, "rotate")] {
+            for index in indexes {
+                smiler_obs::observe("index.catch_up_lag", "", index.lag() as f64);
+                smiler_obs::count("index.catch_up", label, 1);
             }
-        } else {
-            smiler_obs::count("index.catch_up", "rebuild", 1);
-            let query = &self.series[len - d..];
-            self.series_env.extend_to(&self.series);
-            self.scratch.query_env.compute_into(query, rho, &mut self.scratch.env);
-            self.windex = WindowIndex::build(
-                device,
-                &self.series,
-                &self.series_env,
-                query,
-                &self.scratch.query_env,
-                omega,
-                rho,
-            );
         }
-        self.indexed_len = len;
+        SmilerIndex::catch_up_launch(device, &mut rebuilding, true);
+        while !rotating.is_empty() {
+            SmilerIndex::catch_up_launch(device, &mut rotating, false);
+            rotating.retain(|index| index.lag() > 0);
+        }
+    }
+
+    /// One fused catch-up launch: with `rebuild`, every index of `phase`
+    /// is rebuilt over its whole history; otherwise each one rotates one
+    /// step forward.
+    fn catch_up_launch(device: &Device, phase: &mut [&mut SmilerIndex], rebuild: bool) {
+        if phase.is_empty() {
+            return;
+        }
+        let plans: Vec<Plan> = phase
+            .iter_mut()
+            .map(|index| {
+                let n = if rebuild { index.series.len() } else { index.indexed_len + 1 };
+                let (d, rho) = (index.params.d_master(), index.params.rho);
+                let (series, scratch) = (&index.series[..n], &mut index.scratch);
+                index.series_env.extend_to(series);
+                scratch.query_env.compute_into(&series[n - d..], rho, &mut scratch.env);
+                index.windex.plan(n, rebuild)
+            })
+            .collect();
+        let fleet: Vec<(&Plan, Inputs)> = phase
+            .iter()
+            .zip(&plans)
+            .map(|(index, plan)| {
+                let series = &index.series[..plan.len()];
+                let query = &series[series.len() - index.params.d_master()..];
+                let query_env = &index.scratch.query_env;
+                (plan, Inputs { series, series_env: &index.series_env, query, query_env })
+            })
+            .collect();
+        let outs = window::launch(device, &fleet);
+        drop(fleet);
+        for ((index, plan), outs) in phase.iter_mut().zip(&plans).zip(outs) {
+            index.windex.apply(plan, outs);
+            index.indexed_len = plan.len();
+        }
     }
 
     /// Suffix kNN search over candidates whose end does not exceed
@@ -954,13 +989,16 @@ mod tests {
     }
 
     /// Admission and the capacity model read `device_bytes` on restored
-    /// fleets that have not searched yet: a lagging index must report what
-    /// it will occupy once caught up.
+    /// fleets that have not searched yet: a lagging index, or one not built
+    /// at all, must report what it will occupy once caught up.
     #[test]
     fn device_bytes_does_not_depend_on_the_lag() {
         let device = Device::default_gpu();
         let mut lagging = SmilerIndex::build(&device, make_series(200, 8), small_params());
         let mut current = SmilerIndex::build(&device, make_series(200, 8), small_params());
+        let unbuilt = SmilerIndex::new(make_series(200, 8), small_params());
+        assert_eq!(unbuilt.window_index().sw_count(), 0, "setup: nothing built");
+        assert_eq!(unbuilt.device_bytes(), current.device_bytes());
         for &v in &make_series(23, 9) {
             lagging.append(v);
             current.advance(&device, v);

@@ -10,11 +10,16 @@
 //! history is also incremental: a new disjoint window extends every posting
 //! list by one entry, and `LBEC` entries near the series tail are refreshed
 //! when the series envelope shifts.
+//!
+//! Both are planned as block descriptors, run, then applied in block order,
+//! so a fleet's builds (or its rotations of one step) share one launch:
+//! `launch` runs every sensor's blocks as one grid.
 
 use crate::csg;
 use smiler_gpu::Device;
 use smiler_timeseries::Envelope;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Posting list of one sliding window: lower-bound contributions against
 /// every disjoint window of the history.
@@ -43,36 +48,6 @@ pub struct WindowIndex {
     lists: VecDeque<PostingList>,
 }
 
-/// One sliding window's contribution computed against all disjoint windows.
-fn build_posting_list(
-    series: &[f64],
-    series_env: &Envelope,
-    query: &[f64],
-    query_env: &Envelope,
-    b: usize,
-    omega: usize,
-    dw_count: usize,
-) -> PostingList {
-    let d_master = query.len();
-    let sw_start = csg::sliding_window_start(d_master, b, omega);
-    let mut lbeq = Vec::with_capacity(dw_count);
-    let mut lbec = Vec::with_capacity(dw_count);
-    for r in 0..dw_count {
-        let dw_start = r * omega;
-        lbeq.push(smiler_dtw::lb_keogh(
-            &series[dw_start..dw_start + omega],
-            &query_env.upper[sw_start..sw_start + omega],
-            &query_env.lower[sw_start..sw_start + omega],
-        ));
-        lbec.push(smiler_dtw::lb_keogh(
-            &query[sw_start..sw_start + omega],
-            &series_env.upper[dw_start..dw_start + omega],
-            &series_env.lower[dw_start..dw_start + omega],
-        ));
-    }
-    PostingList { lbeq, lbec }
-}
-
 /// Simulated cost of computing one posting-list entry pair: 2ω envelope
 /// comparisons plus the window reads.
 fn posting_entry_cost(ctx: &mut smiler_gpu::BlockCtx, omega: usize, entries: usize) {
@@ -81,7 +56,153 @@ fn posting_entry_cost(ctx: &mut smiler_gpu::BlockCtx, omega: usize, entries: usi
     ctx.write_global(2 * entries as u64);
 }
 
+/// One sensor's inputs to a posting-list launch, as they stand at the step
+/// being indexed: the history, the master query (its last `D` points) and
+/// both envelopes under width ρ.
+#[derive(Clone, Copy)]
+pub(crate) struct Inputs<'a> {
+    pub(crate) series: &'a [f64],
+    pub(crate) series_env: &'a Envelope,
+    pub(crate) query: &'a [f64],
+    pub(crate) query_env: &'a Envelope,
+}
+
+impl Inputs<'_> {
+    /// `LBEQ(SW_b, DW_r)` for every `r` in `dws`: the history points of
+    /// each disjoint window against the master query's envelope over
+    /// `SW_b`.
+    fn lbeq_row(&self, b: usize, omega: usize, dws: Range<usize>) -> Vec<f64> {
+        let sw = csg::sliding_window_start(self.query.len(), b, omega);
+        let upper = &self.query_env.upper[sw..sw + omega];
+        let lower = &self.query_env.lower[sw..sw + omega];
+        dws.map(|r| smiler_dtw::lb_keogh(&self.series[r * omega..(r + 1) * omega], upper, lower))
+            .collect()
+    }
+
+    /// `LBEC(SW_b, DW_r)` for every `r` in `dws`: the query points of
+    /// `SW_b` against the history envelope over each disjoint window.
+    fn lbec_row(&self, b: usize, omega: usize, dws: Range<usize>) -> Vec<f64> {
+        let sw = csg::sliding_window_start(self.query.len(), b, omega);
+        let (query, env) = (&self.query[sw..sw + omega], self.series_env);
+        dws.map(|r| {
+            let dw = r * omega..(r + 1) * omega;
+            smiler_dtw::lb_keogh(query, &env.upper[dw.clone()], &env.lower[dw])
+        })
+        .collect()
+    }
+
+    /// Both rows of sliding window `SW_b` over the disjoint windows `dws`.
+    fn entries(&self, b: usize, omega: usize, dws: Range<usize>) -> PostingList {
+        PostingList {
+            lbeq: self.lbeq_row(b, omega, dws.clone()),
+            lbec: self.lbec_row(b, omega, dws),
+        }
+    }
+}
+
+/// One block of a posting-list launch, tagged with what it computes.
+/// Descriptors are a fixed function of the index geometry — never of
+/// worker count — so the work→block assignment, the per-block arithmetic
+/// and the block-order merge are the same on every host.
+#[derive(Debug, Clone, Copy)]
+enum Job {
+    /// Posting list `b` from scratch: every list of a build, SW_0 of a
+    /// rotation.
+    Build(usize),
+    /// Append the new disjoint-window columns to list `b`.
+    Grow(usize),
+    /// Recompute the whole `LBEQ` row of list `b`.
+    RefreshEq(usize),
+    /// Refresh tail `LBEC` columns of list `b`.
+    RefreshEc(usize),
+}
+
+/// What one [`Job`] block returns: posting-list entries (both rows) for
+/// [`Job::Build`] and [`Job::Grow`], one row for the refreshes.
+pub(crate) enum Out {
+    List(PostingList),
+    Row(Vec<f64>),
+}
+
+/// The blocks that bring one index to a history of `len` points: a build
+/// (one block per sliding window) or one Remark 1 rotation.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    jobs: Vec<Job>,
+    rebuild: bool,
+    omega: usize,
+    d_master: usize,
+    len: usize,
+    old_dw: usize,
+    new_dw: usize,
+    /// First disjoint window whose `LBEC` the series-envelope drift touches.
+    tail_from: usize,
+}
+
+impl Plan {
+    /// History length the index covers once the plan is applied.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Run one block of the plan against its sensor's inputs.
+    fn run(&self, ctx: &mut smiler_gpu::BlockCtx, job: Job, inputs: &Inputs) -> Out {
+        let Plan { omega, old_dw, new_dw, tail_from, .. } = *self;
+        match job {
+            Job::Build(b) => {
+                posting_entry_cost(ctx, omega, new_dw);
+                Out::List(inputs.entries(b, omega, 0..new_dw))
+            }
+            Job::Grow(b) => {
+                posting_entry_cost(ctx, omega, new_dw - old_dw);
+                Out::List(inputs.entries(b, omega, old_dw..new_dw))
+            }
+            Job::RefreshEq(b) => {
+                ctx.read_global((omega * new_dw) as u64);
+                ctx.flops((3 * omega * new_dw) as u64);
+                ctx.write_global(new_dw as u64);
+                Out::Row(inputs.lbeq_row(b, omega, 0..new_dw))
+            }
+            Job::RefreshEc(b) => {
+                posting_entry_cost(ctx, omega, new_dw - tail_from);
+                Out::Row(inputs.lbec_row(b, omega, tail_from..new_dw))
+            }
+        }
+    }
+}
+
+/// Run every sensor's plan in ONE launch: the grid is each plan's blocks
+/// in sensor order, and each block reads only its own sensor's inputs, so
+/// the fused launch returns bitwise what one launch per sensor would.
+/// Returns each sensor's block results, in its plan's job order.
+pub(crate) fn launch(device: &Device, fleet: &[(&Plan, Inputs)]) -> Vec<Vec<Out>> {
+    for (plan, inputs) in fleet {
+        assert_eq!(inputs.series.len(), plan.len, "inputs stand at the planned step");
+        assert_eq!(inputs.series_env.len(), plan.len, "series envelope mismatch");
+        assert_eq!(inputs.query.len(), plan.d_master, "master query length must stay fixed");
+        assert_eq!(inputs.query_env.len(), plan.d_master, "query envelope mismatch");
+    }
+    let blocks: Vec<(usize, Job)> = fleet
+        .iter()
+        .enumerate()
+        .flat_map(|(s, (plan, _))| plan.jobs.iter().map(move |&job| (s, job)))
+        .collect();
+    let report = device.launch(blocks.len(), |ctx| {
+        let (s, job) = blocks[ctx.block_id()];
+        let (plan, inputs) = &fleet[s];
+        plan.run(ctx, job, inputs)
+    });
+    let mut results = report.results.into_iter();
+    fleet.iter().map(|(plan, _)| results.by_ref().take(plan.jobs.len()).collect()).collect()
+}
+
 impl WindowIndex {
+    /// An index over no history yet: the geometry and no posting lists.
+    /// The first plan applied to it must be a build.
+    pub(crate) fn empty(omega: usize, rho: usize, d_master: usize) -> Self {
+        WindowIndex { omega, rho, d_master, dw_count: 0, lists: VecDeque::new() }
+    }
+
     /// Build the index from scratch: one block per sliding window.
     ///
     /// `series` is the full normalised history; `query` the current master
@@ -99,18 +220,12 @@ impl WindowIndex {
         omega: usize,
         rho: usize,
     ) -> Self {
-        assert_eq!(series.len(), series_env.len(), "series envelope mismatch");
-        assert_eq!(query.len(), query_env.len(), "query envelope mismatch");
-        let d_master = query.len();
-        let sw_count = csg::sliding_window_count(d_master, omega);
-        let dw_count = csg::disjoint_window_count(series.len(), omega);
-
-        let report = device.launch(sw_count, |ctx| {
-            let b = ctx.block_id();
-            posting_entry_cost(ctx, omega, dw_count);
-            build_posting_list(series, series_env, query, query_env, b, omega, dw_count)
-        });
-        WindowIndex { omega, rho, d_master, dw_count, lists: report.results.into() }
+        let mut index = WindowIndex::empty(omega, rho, query.len());
+        let plan = index.plan(series.len(), true);
+        let inputs = Inputs { series, series_env, query, query_env };
+        let outs = launch(device, &[(&plan, inputs)]).pop().unwrap_or_default();
+        index.apply(&plan, outs);
+        index
     }
 
     /// Window length ω.
@@ -140,185 +255,96 @@ impl WindowIndex {
 
     /// Device memory the index occupies once it covers a history of
     /// `series_len` points (for the Fig 12c capacity model): two f64
-    /// posting entries per (sliding window × disjoint window).
+    /// posting entries per (sliding window × disjoint window). Derived from
+    /// the geometry, so an index not built yet reports its full footprint.
     pub fn device_bytes(&self, series_len: usize) -> usize {
+        let sw_count = csg::sliding_window_count(self.d_master, self.omega);
         let dw_count = csg::disjoint_window_count(series_len, self.omega);
-        self.lists.len() * dw_count * 2 * std::mem::size_of::<f64>()
+        sw_count * dw_count * 2 * std::mem::size_of::<f64>()
     }
 
-    /// Advance one continuous-prediction step (Remark 1, Fig. 6).
+    /// Plan the blocks that bring the index to a history of `len` points:
+    /// with `rebuild`, one [`Job::Build`] per sliding window; otherwise one
+    /// continuous-prediction step (Remark 1, Fig. 6) from `len − 1`.
     ///
-    /// `series`/`series_env` must already include the newly observed point
-    /// and `query`/`query_env` must be the new master query (shifted by
-    /// one). The rotation: drop the oldest posting list, compute the new
-    /// `SW_0`, refresh `LBEQ` of the ρ envelope-affected lists, and — when
-    /// a new disjoint window completed — append its column and refresh
-    /// `LBEC` near the series tail.
-    pub fn advance(
-        &mut self,
-        device: &Device,
-        series: &[f64],
-        series_env: &Envelope,
-        query: &[f64],
-        query_env: &Envelope,
-    ) {
-        assert_eq!(query.len(), self.d_master, "master query length must stay fixed");
-        assert_eq!(series.len(), series_env.len(), "series envelope mismatch");
-        let omega = self.omega;
-        let rho = self.rho;
+    /// The rotation: the previous step's SW_b becomes this step's
+    /// SW_{b+1} — its window covers the same absolute observations, so its
+    /// posting list stays valid — and the oldest list is evicted, its
+    /// memory recycled for the fresh SW_0 ([`WindowIndex::apply`] does this
+    /// host-side bookkeeping). The four refresh phases — fresh SW_0, history
+    /// growth, query-envelope refresh, series-envelope drift — touch
+    /// disjoint inputs (series/query and their envelopes, never the posting
+    /// lists), so they fuse into one launch of phase-tagged blocks.
+    pub(crate) fn plan(&self, len: usize, rebuild: bool) -> Plan {
+        let (omega, rho) = (self.omega, self.rho);
+        let sw_count = csg::sliding_window_count(self.d_master, omega);
         let old_dw = self.dw_count;
-        let new_dw = csg::disjoint_window_count(series.len(), omega);
-
-        // 1. Rotate (Fig. 6): the previous step's SW_b becomes this step's
-        //    SW_{b+1} — its window covers the same absolute observations, so
-        //    its posting list stays valid. The oldest list is evicted and
-        //    its memory recycled for the fresh SW_0. The rotation itself is
-        //    host-side bookkeeping; all recomputation fans out below.
-        let recycled = self.lists.pop_back().expect("index has at least one list");
-        self.lists.push_front(recycled);
-        let sw_count = self.lists.len();
-
-        // The four refresh phases — fresh SW_0 (2), history growth (3),
-        // query-envelope refresh (4), series-envelope drift (5) — touch
-        // disjoint inputs (series/query and their envelopes, never the
-        // posting lists), so they fuse into ONE multi-block launch: each
-        // block is a phase-tagged descriptor, and one device pass (one
-        // host-thread spin-up instead of up to four) covers the whole
-        // advance. Descriptors are a fixed function of the index geometry
-        // — never of worker count — so the work→block assignment, the
-        // per-block arithmetic, and the block-order merge are the same on
-        // every host.
-        enum Job {
-            /// Fresh SW_0 posting list.
-            Fresh,
-            /// Append the new disjoint-window columns to list `b`.
-            Grow(usize),
-            /// Recompute the whole `LBEQ` row of list `b`.
-            RefreshEq(usize),
-            /// Refresh tail `LBEC` columns of list `b`.
-            RefreshEc(usize),
-        }
-        enum Out {
-            Fresh(PostingList),
-            Grow(Vec<(f64, f64)>),
-            RefreshEq(Vec<f64>),
-            RefreshEc(Vec<f64>),
-        }
-
-        let mut jobs: Vec<Job> = vec![Job::Fresh];
-        // 2. History growth: when a new disjoint window completed, append
-        //    its column (both bounds) to every pre-existing list.
-        if new_dw > old_dw {
-            jobs.extend((1..sw_count).map(Job::Grow));
-        }
-        // 3. Query-envelope refresh (Remark 1: "re-calculate LBEQ for these
-        //    affected sliding windows"). Appending the newest point changes
-        //    the query envelope at the last ρ query positions — lists
-        //    b ≤ ρ. Dropping the *oldest* point moves the clamped left
-        //    boundary, changing the envelope of the first ρ positions too —
-        //    lists b ≥ sw_count − ρ — a case the paper glosses over but a
-        //    from-scratch rebuild exposes. Only LBEQ depends on the query
-        //    envelope; LBEC rows stay valid.
-        jobs.extend((1..sw_count).filter(|&b| b <= rho || b + rho >= sw_count).map(Job::RefreshEq));
-        // 4. Series-envelope drift: the appended observation changes the
-        //    series envelope at the last ρ positions, which invalidates the
-        //    LBEC entries of the disjoint windows containing them. Refresh
-        //    those columns for every pre-existing list.
-        let tail_from = series.len().saturating_sub(1 + rho) / omega;
-        if tail_from < new_dw {
-            jobs.extend((1..sw_count).map(Job::RefreshEc));
-        }
-
-        let d_master = self.d_master;
-        let report = device.launch(jobs.len(), |ctx| match jobs[ctx.block_id()] {
-            Job::Fresh => {
-                posting_entry_cost(ctx, omega, new_dw);
-                Out::Fresh(build_posting_list(
-                    series, series_env, query, query_env, 0, omega, new_dw,
-                ))
+        let new_dw = csg::disjoint_window_count(len, omega);
+        let tail_from = len.saturating_sub(1 + rho) / omega;
+        let jobs = if rebuild {
+            (0..sw_count).map(Job::Build).collect()
+        } else {
+            assert_eq!(self.lists.len(), sw_count, "a rotation needs a built index");
+            let mut jobs = vec![Job::Build(0)];
+            // History growth: when a new disjoint window completed, append
+            // its column (both bounds) to every pre-existing list.
+            if new_dw > old_dw {
+                jobs.extend((1..sw_count).map(Job::Grow));
             }
-            Job::Grow(b) => {
-                posting_entry_cost(ctx, omega, new_dw - old_dw);
-                let sw_start = csg::sliding_window_start(d_master, b, omega);
-                Out::Grow(
-                    (old_dw..new_dw)
-                        .map(|r| {
-                            let dw_start = r * omega;
-                            let eq = smiler_dtw::lb_keogh(
-                                &series[dw_start..dw_start + omega],
-                                &query_env.upper[sw_start..sw_start + omega],
-                                &query_env.lower[sw_start..sw_start + omega],
-                            );
-                            let ec = smiler_dtw::lb_keogh(
-                                &query[sw_start..sw_start + omega],
-                                &series_env.upper[dw_start..dw_start + omega],
-                                &series_env.lower[dw_start..dw_start + omega],
-                            );
-                            (eq, ec)
-                        })
-                        .collect(),
-                )
+            // Query-envelope refresh (Remark 1: "re-calculate LBEQ for
+            // these affected sliding windows"). Appending the newest point
+            // changes the query envelope at the last ρ query positions —
+            // lists b ≤ ρ. Dropping the *oldest* point moves the clamped
+            // left boundary, changing the envelope of the first ρ positions
+            // too — lists b ≥ sw_count − ρ — a case the paper glosses over
+            // but a from-scratch rebuild exposes. Only LBEQ depends on the
+            // query envelope; LBEC rows stay valid.
+            jobs.extend(
+                (1..sw_count).filter(|&b| b <= rho || b + rho >= sw_count).map(Job::RefreshEq),
+            );
+            // Series-envelope drift: the appended observation changes the
+            // series envelope at the last ρ positions, which invalidates the
+            // LBEC entries of the disjoint windows containing them. Refresh
+            // those columns for every pre-existing list.
+            if tail_from < new_dw {
+                jobs.extend((1..sw_count).map(Job::RefreshEc));
             }
-            Job::RefreshEq(b) => {
-                ctx.read_global((omega * new_dw) as u64);
-                ctx.flops((3 * omega * new_dw) as u64);
-                ctx.write_global(new_dw as u64);
-                let sw_start = csg::sliding_window_start(d_master, b, omega);
-                Out::RefreshEq(
-                    (0..new_dw)
-                        .map(|r| {
-                            let dw_start = r * omega;
-                            smiler_dtw::lb_keogh(
-                                &series[dw_start..dw_start + omega],
-                                &query_env.upper[sw_start..sw_start + omega],
-                                &query_env.lower[sw_start..sw_start + omega],
-                            )
-                        })
-                        .collect(),
-                )
-            }
-            Job::RefreshEc(b) => {
-                posting_entry_cost(ctx, omega, new_dw - tail_from);
-                let sw_start = csg::sliding_window_start(d_master, b, omega);
-                Out::RefreshEc(
-                    (tail_from..new_dw)
-                        .map(|r| {
-                            let dw_start = r * omega;
-                            smiler_dtw::lb_keogh(
-                                &query[sw_start..sw_start + omega],
-                                &series_env.upper[dw_start..dw_start + omega],
-                                &series_env.lower[dw_start..dw_start + omega],
-                            )
-                        })
-                        .collect(),
-                )
-            }
-        });
+            jobs
+        };
+        Plan { jobs, rebuild, omega, d_master: self.d_master, len, old_dw, new_dw, tail_from }
+    }
 
-        // Merge in block order — descriptors were built in phase order, so
-        // this replays exactly the former phase-by-phase application (the
-        // fresh list lands before any growth, growth extends rows before
-        // the EC patch indexes them, and the EQ refresh rows already cover
-        // the grown columns because they were computed with `new_dw`).
-        for (job, out) in jobs.iter().zip(report.results) {
+    /// Apply a plan's block results, in block order. Descriptors were built
+    /// in phase order, so this replays exactly the phase-by-phase
+    /// application: the fresh list lands before any growth, growth extends
+    /// rows before the EC patch indexes them, and the EQ refresh rows
+    /// already cover the grown columns because they were computed with
+    /// the new window count.
+    pub(crate) fn apply(&mut self, plan: &Plan, outs: Vec<Out>) {
+        if plan.rebuild {
+            self.lists.clear();
+        } else if let Some(recycled) = self.lists.pop_back() {
+            self.lists.push_front(recycled);
+        }
+        let (tail_from, new_dw) = (plan.tail_from, plan.new_dw);
+        for (job, out) in plan.jobs.iter().zip(outs) {
             match (job, out) {
-                (Job::Fresh, Out::Fresh(fresh)) => {
-                    let sw0 = &mut self.lists[0];
-                    sw0.lbeq.clear();
-                    sw0.lbec.clear();
-                    sw0.lbeq.extend_from_slice(&fresh.lbeq);
-                    sw0.lbec.extend_from_slice(&fresh.lbec);
+                (_, Out::List(list)) if plan.rebuild => self.lists.push_back(list),
+                (&Job::Build(b), Out::List(fresh)) => {
+                    let recycled = &mut self.lists[b];
+                    recycled.lbeq.clear();
+                    recycled.lbec.clear();
+                    recycled.lbeq.extend_from_slice(&fresh.lbeq);
+                    recycled.lbec.extend_from_slice(&fresh.lbec);
                 }
-                (&Job::Grow(b), Out::Grow(cols)) => {
-                    for (eq, ec) in cols {
-                        self.lists[b].lbeq.push(eq);
-                        self.lists[b].lbec.push(ec);
-                    }
+                (&Job::Grow(b), Out::List(cols)) => {
+                    self.lists[b].lbeq.extend_from_slice(&cols.lbeq);
+                    self.lists[b].lbec.extend_from_slice(&cols.lbec);
                 }
-                (&Job::RefreshEq(b), Out::RefreshEq(row)) => {
+                (&Job::RefreshEq(b), Out::Row(row)) => {
                     self.lists[b].lbeq = row;
                 }
-                (&Job::RefreshEc(b), Out::RefreshEc(vals)) => {
+                (&Job::RefreshEc(b), Out::Row(vals)) => {
                     for (r, v) in (tail_from..new_dw).zip(vals) {
                         self.lists[b].lbec[r] = v;
                     }
@@ -326,7 +352,6 @@ impl WindowIndex {
                 _ => unreachable!("block result phase matches its descriptor"),
             }
         }
-
         self.dw_count = new_dw;
     }
 }
@@ -350,6 +375,22 @@ mod tests {
                 (state % 1000) as f64 / 100.0 - 5.0
             })
             .collect()
+    }
+
+    /// One continuous-prediction step in its own launch: the plan of one
+    /// rotation, run and applied.
+    fn rotate(
+        idx: &mut WindowIndex,
+        device: &Device,
+        series: &[f64],
+        series_env: &Envelope,
+        query: &[f64],
+        query_env: &Envelope,
+    ) {
+        let plan = idx.plan(series.len(), false);
+        let inputs = Inputs { series, series_env, query, query_env };
+        let outs = launch(device, &[(&plan, inputs)]).pop().expect("one sensor");
+        idx.apply(&plan, outs);
     }
 
     fn build_index(series: &[f64], device: &Device) -> (WindowIndex, Envelope, Envelope) {
@@ -411,7 +452,7 @@ mod tests {
             let series_env = Envelope::compute(&series, RHO);
             let query = series[series.len() - D..].to_vec();
             let query_env = Envelope::compute(&query, RHO);
-            idx.advance(&device, &series, &series_env, &query, &query_env);
+            rotate(&mut idx, &device, &series, &series_env, &query, &query_env);
 
             let rebuilt =
                 WindowIndex::build(&device, &series, &series_env, &query, &query_env, OMEGA, RHO);
@@ -455,7 +496,7 @@ mod tests {
         let series_env = Envelope::compute(&series, BIG_RHO);
         let query = series[series.len() - BIG_D..].to_vec();
         let query_env = Envelope::compute(&query, BIG_RHO);
-        idx.advance(&dev_adv, &series, &series_env, &query, &query_env);
+        rotate(&mut idx, &dev_adv, &series, &series_env, &query, &query_env);
         let adv_cost = dev_adv.elapsed_seconds();
 
         WindowIndex::build(

@@ -13,7 +13,9 @@
 //!   `distance.to_bits()`, `stats.candidates`, `stats.unfiltered`);
 //! * **lazy catch-up**: a fleet fed only by `append` and searched after gaps
 //!   of 0, 1, 5 and 500 observations agrees bit for bit with a twin that
-//!   rotates its index on every observation;
+//!   rotates its index on every observation; so does a fleet that mixes an
+//!   index never built with lags of 0, 1, 3, 5 and 500 and catches up in
+//!   one launch per phase, on 1, 2 and 4 host threads;
 //! * **genuine**: every returned neighbour's distance is bitwise the
 //!   brute-force DTW of its start, finite, within `max_end`, listed once,
 //!   in ascending order;
@@ -377,5 +379,100 @@ fn unified_pipeline_matches_brute_force_on_adversarial_inputs() {
                 }
             }
         }
+    }
+}
+
+/// An index's whole state as text. `f64`'s `Debug` form is the shortest
+/// that round-trips, so equal text means equal bits in the history, the
+/// envelopes, every posting list and the continuous-reuse state (NaN
+/// payloads aside).
+fn state(index: &SmilerIndex) -> String {
+    format!("{index:?}")
+}
+
+/// One `try_fleet_search` catches up a fleet that mixes an index never
+/// built (`SmilerIndex::new`) with indexes lagging by 0, 1, 3, the rebuild
+/// crossover and 500 observations. Every sensor ends bitwise equal — kNN,
+/// envelopes, posting lists — to an eager twin that rotated on every
+/// observation, and the catch-up takes one launch per phase: one for all
+/// the rebuilds, then one per rotation step, carrying every sensor that
+/// still lags. Caught up one sensor at a time instead, the same blocks
+/// take one launch per sensor and step.
+#[test]
+fn fused_catch_up_matches_eager_twins_in_one_launch_per_phase() {
+    /// The lag from which a catch-up rebuilds (the index's `REBUILD_LAG`).
+    const REBUILD_LAG: usize = 5;
+    let lags = [None, Some(0), Some(1), Some(3), Some(REBUILD_LAG), Some(500)];
+    // One launch for the three rebuilds, then rotations 1..=3.
+    const FUSED_LAUNCHES: u64 = 1 + 3;
+    // Per sensor: three rebuilds, then 0 + 1 + 3 rotations.
+    const SOLO_LAUNCHES: u64 = 3 + 4;
+    let params = small(3);
+    let feeds: Vec<(Vec<f64>, Vec<f64>)> =
+        (0..lags.len()).map(|s| (random(s).0, noise(500, 300 + s as u64))).collect();
+
+    for threads in [1, 2, 4] {
+        let device = || Device::default_gpu().with_host_threads(threads);
+        let (fused_dev, twin_dev, solo_dev, solo_twin_dev) =
+            (device(), device(), device(), device());
+        let lazy_fleet = |device: &Device| -> Vec<SmilerIndex> {
+            feeds
+                .iter()
+                .zip(lags)
+                .map(|((history, future), lag)| match lag {
+                    None => SmilerIndex::new(history.clone(), params.clone()),
+                    Some(lag) => {
+                        let mut index = SmilerIndex::build(device, history.clone(), params.clone());
+                        future[..lag].iter().for_each(|&v| index.append(v));
+                        index
+                    }
+                })
+                .collect()
+        };
+        let eager_fleet = |device: &Device| -> Vec<SmilerIndex> {
+            feeds
+                .iter()
+                .zip(lags)
+                .map(|((history, future), lag)| {
+                    let mut index = SmilerIndex::build(device, history.clone(), params.clone());
+                    future[..lag.unwrap_or(0)].iter().for_each(|&v| index.advance(device, v));
+                    index
+                })
+                .collect()
+        };
+        let (mut fused, mut twins) = (lazy_fleet(&fused_dev), eager_fleet(&twin_dev));
+        let (mut solo, mut solo_twins) = (lazy_fleet(&solo_dev), eager_fleet(&solo_twin_dev));
+        for dev in [&fused_dev, &twin_dev, &solo_dev, &solo_twin_dev] {
+            dev.reset_clock();
+        }
+        let max_ends: Vec<usize> = twins.iter().map(|i| i.series().len() - H).collect();
+        let got =
+            try_fleet_search(&fused_dev, &mut fused.iter_mut().collect::<Vec<_>>(), &max_ends);
+        let want =
+            try_fleet_search(&twin_dev, &mut twins.iter_mut().collect::<Vec<_>>(), &max_ends);
+        for (s, (index, &max_end)) in solo.iter_mut().zip(&max_ends).enumerate() {
+            index.try_search(&solo_dev, max_end).expect("healthy sensor");
+            solo_twins[s].try_search(&solo_twin_dev, max_end).expect("healthy sensor");
+        }
+
+        for (s, (got, want)) in got.iter().zip(&want).enumerate() {
+            let what = format!("{threads} threads / sensor {s} / lag {:?}", lags[s]);
+            let (got, want) = (got.as_ref().expect("healthy"), want.as_ref().expect("healthy"));
+            assert_same_answer(got, want, &format!("{what}: fused vs eager"));
+            check_against_oracle(fused[s].series(), &params, got, None, true, &what);
+            assert!(state(&fused[s]) == state(&twins[s]), "{what}: fused state vs eager twin");
+            assert!(state(&solo[s]) == state(&twins[s]), "{what}: solo state vs eager twin");
+        }
+        let catch_up = |lazy: &Device, eager: &Device| {
+            (
+                lazy.kernel_launches() - eager.kernel_launches(),
+                lazy.blocks_launched() - eager.blocks_launched(),
+            )
+        };
+        let (fused_launches, fused_blocks) = catch_up(&fused_dev, &twin_dev);
+        let (solo_launches, solo_blocks) = catch_up(&solo_dev, &solo_twin_dev);
+        assert_eq!(fused_launches, FUSED_LAUNCHES, "{threads} threads: one launch per phase");
+        assert_eq!(solo_launches, SOLO_LAUNCHES, "{threads} threads: one launch per sensor step");
+        assert_eq!(fused_blocks, solo_blocks, "{threads} threads: fusing adds no block");
     }
 }

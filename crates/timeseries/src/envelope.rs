@@ -147,7 +147,9 @@ impl Envelope {
     /// entries whose ±ρ window now contains a new point are recomputed —
     /// the incremental update that keeps continuous queries cheap
     /// (paper Remark 1). The affected region is tiny (≤ ρ + appended count),
-    /// so a direct window scan is used.
+    /// so a direct window scan is used — except from an empty envelope,
+    /// where every entry is new and the O(n) sweep of
+    /// [`Envelope::compute`] runs instead.
     ///
     /// # Panics
     /// Panics if `values` is shorter than the current envelope.
@@ -156,6 +158,10 @@ impl Envelope {
         let n = values.len();
         assert!(n >= old_n, "series must not shrink");
         if n == old_n {
+            return;
+        }
+        if old_n == 0 {
+            self.compute_into(values, self.rho, &mut EnvelopeScratch::new());
             return;
         }
         self.upper.resize(n, 0.0);
@@ -248,6 +254,25 @@ mod tests {
         v.extend((0..7).map(|i| (i as f64 * 1.3).cos()));
         e.extend_to(&v);
         assert_eq!(e, Envelope::compute(&v, 5));
+    }
+
+    #[test]
+    fn extend_from_empty_is_bitwise_compute() {
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let ties = [2.0, 2.0, -1.0, 2.0, -1.0, -1.0, 0.5, 2.0, 0.5];
+        let runs = [0.0, 0.0, 0.0, -0.0, 3.0, 3.0, 3.0, 3.0, 1.0, 1.0];
+        let noisy: Vec<f64> = (0..40).map(|i| ((i * 37) % 11) as f64 * 0.3 - 1.5).collect();
+        for values in [&ties[..], &runs[..], &noisy[..], &[7.0][..]] {
+            for rho in [0, 1, 3, values.len() - 1, values.len(), values.len() + 5] {
+                let mut grown = Envelope::compute(&[], rho);
+                grown.extend_to(values);
+                let fresh = Envelope::compute(values, rho);
+                let what = format!("n={} rho={rho}", values.len());
+                assert_eq!(grown.rho(), rho, "{what}");
+                assert_eq!(bits(&grown.upper), bits(&fresh.upper), "{what}: upper");
+                assert_eq!(bits(&grown.lower), bits(&fresh.lower), "{what}: lower");
+            }
+        }
     }
 
     proptest! {

@@ -345,10 +345,10 @@ fn served_observations_survive_server_restart() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// WAL replay only appends: opening a fleet from a 10-round and from a
-/// 400-round observe-only tail launches the same device blocks (the
-/// checkpoint's index builds and nothing else), and the first forecast
-/// after each open, which pays the catch-up, is bitwise the never-stopped
+/// A restart builds no index and WAL replay only appends: opening a fleet
+/// from a 10-round and from a 400-round observe-only tail launches nothing
+/// on the device, and the first forecast after each open, which builds
+/// each index over the whole history, is bitwise the never-stopped
 /// fleet's.
 #[test]
 fn replay_launches_no_index_work() {
@@ -393,7 +393,51 @@ fn replay_launches_no_index_work() {
         }
         let _ = fs::remove_dir_all(&dir);
     }
-    assert_eq!(launched[0], launched[1], "(launches, blocks) across open, 10- vs 400-round tail");
+    assert_eq!(launched, [(0, 0), (0, 0)], "(launches, blocks) across open, 10- vs 400-round tail");
+}
+
+/// Quarantine recovery builds no index either: after `recover_all` the
+/// device has launched nothing, and the next step, which builds the
+/// indexes, forecasts bitwise what a never-quarantined control does.
+#[test]
+fn quarantine_recovery_launches_nothing_until_the_next_step() {
+    let dir = tmpdir("recover_lazy");
+    let config = SmilerConfig::small_for_tests();
+    let kind = PredictorKind::GaussianProcess;
+    let device = Arc::new(Device::default_gpu());
+    let (mut control, _) =
+        SmilerSystem::new(Arc::new(Device::default_gpu()), histories(3, 320), config.clone(), kind);
+    let (mut durable, _) = DurableSystem::create(
+        Arc::clone(&device),
+        histories(3, 320),
+        config,
+        kind,
+        &dir,
+        store_config(),
+        0,
+    )
+    .expect("create");
+    // Observe-only rounds teach nothing but the history, so the sensor
+    // rebuilt from checkpoint + WAL is the control's sensor exactly.
+    durable.system_mut().sensor_mut(1).inject_fault(smiler_core::FaultKind::PanicOnObserve);
+    for r in 0..8 {
+        durable.observe_all(&round_values(r, 3)).expect("durable observe");
+        control.observe_all(&round_values(r, 3));
+    }
+    assert_eq!(durable.system().quarantined(), vec![1]);
+
+    assert_eq!(durable.recover_all().expect("recovery"), vec![1]);
+    assert_eq!(history_bits(durable.system(), 1), history_bits(&control, 1));
+    assert_eq!((device.kernel_launches(), device.blocks_launched()), (0, 0), "recovery");
+
+    let want = control.step(1, &round_values(8, 3));
+    let got = durable.step(1, &round_values(8, 3)).expect("step after recovery");
+    assert!(device.kernel_launches() > 0, "the step builds the indexes");
+    for (s, (x, y)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(x.0.to_bits(), y.0.to_bits(), "sensor {s}: mean");
+        assert_eq!(x.1.to_bits(), y.1.to_bits(), "sensor {s}: variance");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Bitwise view of one sensor's history.

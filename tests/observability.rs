@@ -126,12 +126,18 @@ fn fleet_search_metrics_agree_with_slot_stats() {
 /// Observations defer the index work to the next search, and that search
 /// reports what it paid: six observations record nothing, then one search
 /// catches up with one rebuild at lag 6 under one `index.catch_up` span.
-/// An eager `advance` is a catch-up at lag 1 through the rotation.
+/// An eager `advance` is a catch-up at lag 1 through the rotation, and an
+/// index built by nothing but `new` pays one rebuild over its whole history
+/// at its first search.
 #[test]
 fn deferred_index_work_is_reported_by_the_search_that_pays_it() {
     let _g = lock_obs();
     let device = Device::default_gpu();
     let mut index = SmilerIndex::build(&device, road_sensor(4, 9), IndexParams::default());
+    // `build` is `new` plus that first catch-up, and reports it as such.
+    let snap = smiler_obs::metrics_snapshot();
+    assert_eq!(counter(&snap, "index.catch_up", "rebuild"), Some(1));
+    smiler_obs::reset();
     for v in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6] {
         index.append(v);
     }
@@ -157,6 +163,19 @@ fn deferred_index_work_is_reported_by_the_search_that_pays_it() {
     assert_eq!(counter(&snap, "index.catch_up", "rotate"), Some(1));
     let lag = snap.histograms.iter().find(|h| h.name == "index.catch_up_lag");
     assert_eq!(lag.map(|h| (h.count, h.min)), Some((2, 1.0)));
+
+    smiler_obs::reset();
+    let history = road_sensor(4, 10);
+    let len = history.len();
+    let mut unbuilt = SmilerIndex::new(history, IndexParams::default());
+    let snap = smiler_obs::metrics_snapshot();
+    assert!(snap.counters.iter().all(|c| c.name != "index.catch_up"), "new records nothing");
+    unbuilt.search(&device, len - 30);
+    let snap = smiler_obs::metrics_snapshot();
+    assert_eq!(counter(&snap, "index.catch_up", "rebuild"), Some(1));
+    assert_eq!(counter(&snap, "index.catch_up", "rotate"), None);
+    let lag = snap.histograms.iter().find(|h| h.name == "index.catch_up_lag");
+    assert_eq!(lag.map(|h| (h.count, h.min, h.max)), Some((1, len as f64, len as f64)));
 }
 
 /// A parent span's total wall time must cover the sum of its direct
