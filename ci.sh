@@ -74,6 +74,15 @@ if [[ "$QUICK" == "0" ]]; then
         exit 1
     fi
 
+    # One health owner: a sensor's quarantine state is a field of its
+    # `SensorPredictor`, so every handoff of the predictors carries it; no
+    # parallel health vector, slice or (predictor, health) pair may return.
+    echo "==> one health owner"
+    if grep -rnE 'Vec<SensorHealth>|&\[SensorHealth\]|SensorHealth\)' crates/*/src; then
+        echo "a sensor's health is a field of its SensorPredictor" >&2
+        exit 1
+    fi
+
     # One build body: the window index is built only by the catch-up every
     # search runs first (`SmilerIndex::catch_up`); no other product code
     # calls `WindowIndex::build(` (test modules are exempt).

@@ -12,9 +12,11 @@ use smiler_cluster::{
 use smiler_core::eval::{evaluate, EvalConfig};
 use smiler_core::sensor::{SmilerConfig, SmilerForecaster};
 use smiler_core::serve::{ServeConfig, SmilerServer};
-use smiler_core::{DurableError, DurableSystem, PredictorKind, RequestPolicy, SensorPredictor};
+use smiler_core::{
+    DurableError, DurableSystem, PredictorKind, RequestPolicy, RestoreReport, SensorPredictor,
+};
 use smiler_gpu::Device;
-use smiler_store::{FlushPolicy, StoreConfig};
+use smiler_store::{FlushPolicy, Store, StoreConfig};
 use smiler_timeseries::io;
 use smiler_timeseries::normalize::ZNorm;
 use smiler_timeseries::synthetic::{DatasetKind, SyntheticSpec};
@@ -412,14 +414,19 @@ fn evaluate_cmd(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The synthetic dataset a `--dataset` value names.
+fn dataset_kind(name: &str) -> Result<DatasetKind, CliError> {
+    match name {
+        "road" => Ok(DatasetKind::Road),
+        "mall" => Ok(DatasetKind::Mall),
+        "net" => Ok(DatasetKind::Net),
+        other => Err(CliError::Other(format!("unknown dataset {other:?} (road|mall|net)"))),
+    }
+}
+
 /// `smiler generate`: emit a synthetic sensor series to stdout.
 fn generate(args: &Args) -> Result<String, CliError> {
-    let kind = match args.require("dataset")? {
-        "road" => DatasetKind::Road,
-        "mall" => DatasetKind::Mall,
-        "net" => DatasetKind::Net,
-        other => return Err(CliError::Other(format!("unknown dataset {other:?} (road|mall|net)"))),
-    };
+    let kind = dataset_kind(args.require("dataset")?)?;
     let days: usize = args.get_or("days", 14)?;
     let seed: u64 = args.get_or("seed", 7)?;
     let dataset = SyntheticSpec { kind, sensors: 1, days, seed }.generate();
@@ -482,80 +489,50 @@ fn serve(args: &Args) -> Result<String, CliError> {
         "ar" => PredictorKind::Aggregation,
         other => return Err(CliError::Other(format!("unknown predictor {other:?} (gp|ar)"))),
     };
-    let kind = match args.get("dataset").unwrap_or("road") {
-        "road" => DatasetKind::Road,
-        "mall" => DatasetKind::Mall,
-        "net" => DatasetKind::Net,
-        other => return Err(CliError::Other(format!("unknown dataset {other:?} (road|mall|net)"))),
-    };
+    let kind = dataset_kind(args.get("dataset").unwrap_or("road"))?;
 
     let config =
         with_adaptation(args, SmilerConfig { h_max: horizon.max(1), ..Default::default() });
     let device = Arc::new(Device::default_gpu());
     let mut durability_note = String::new();
+    let spec = SyntheticSpec { kind, sensors, days, seed };
     let (fleet, store) = match args.get("data-dir").map(std::path::PathBuf::from) {
         Some(dir) => {
-            let store_config = store_config_from_args(args)?;
-            // Warm restart if the directory holds fleet state; cold-start a
-            // synthetic fleet into it otherwise. Serving checkpoints on
-            // drain, so the in-run checkpoint cadence stays 0.
-            match DurableSystem::open(Arc::clone(&device), &dir, store_config.clone(), 0) {
-                Ok((durable, report)) => {
-                    let _ = writeln!(
-                        durability_note,
-                        "restored {} sensors from {} (checkpoint seq {}, replayed {} rounds + \
-                         {} observes in {:.3}s)",
-                        report.sensors,
-                        dir.display(),
-                        report.checkpoint_seq,
-                        report.replayed_rounds,
-                        report.replayed_observes,
-                        report.open_seconds + report.rebuild_seconds + report.replay_seconds,
-                    );
-                    let (system, store) = durable.into_parts();
-                    (system.into_sensors(), Some(store))
-                }
-                Err(DurableError::NoState) => {
-                    let dataset = SyntheticSpec { kind, sensors, days, seed }.generate();
-                    let histories: Vec<Vec<f64>> = dataset
-                        .sensors
-                        .iter()
-                        .map(|s| smiler_timeseries::normalize::z_normalize(s.values()).0)
-                        .collect();
-                    let (durable, _) = DurableSystem::create(
-                        Arc::clone(&device),
-                        histories,
-                        config.clone(),
-                        predictor_kind,
-                        &dir,
-                        store_config,
-                        0,
-                    )?;
-                    let _ = writeln!(durability_note, "created durable state at {}", dir.display());
-                    let (system, store) = durable.into_parts();
-                    (system.into_sensors(), Some(store))
-                }
-                Err(e) => return Err(e.into()),
-            }
+            let (fleet, store, report) = open_or_create(
+                &device,
+                &dir,
+                store_config_from_args(args)?,
+                config.clone(),
+                predictor_kind,
+                || Ok(synthetic_histories(spec)),
+            )?;
+            let _ = match report {
+                Some(report) => writeln!(
+                    durability_note,
+                    "restored {} sensors from {} (checkpoint seq {}, replayed {} rounds + \
+                     {} observes in {:.3}s)",
+                    report.sensors,
+                    dir.display(),
+                    report.checkpoint_seq,
+                    report.replayed_rounds,
+                    report.replayed_observes,
+                    report.open_seconds + report.rebuild_seconds + report.replay_seconds,
+                ),
+                None => writeln!(durability_note, "created durable state at {}", dir.display()),
+            };
+            (fleet, Some(store))
         }
         None => {
-            let dataset = SyntheticSpec { kind, sensors, days, seed }.generate();
-            let fleet: Vec<SensorPredictor> = dataset
-                .sensors
-                .iter()
-                .enumerate()
-                .map(|(id, s)| {
-                    let (normalised, _) = smiler_timeseries::normalize::z_normalize(s.values());
-                    SensorPredictor::new(
-                        Arc::clone(&device),
-                        id,
-                        normalised,
-                        config.clone(),
-                        predictor_kind,
-                    )
-                })
-                .collect();
-            (fleet, None)
+            let predictor = |(id, history)| {
+                SensorPredictor::new(
+                    Arc::clone(&device),
+                    id,
+                    history,
+                    config.clone(),
+                    predictor_kind,
+                )
+            };
+            (synthetic_histories(spec).into_iter().enumerate().map(predictor).collect(), None)
         }
     };
     let sensors = fleet.len();
@@ -768,18 +745,55 @@ fn cluster(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// Synthetic z-normalised histories for a cluster fleet, shared by the
-/// primary and demo roles so both sides of a comparison see identical
-/// data.
-fn cluster_histories(args: &Args, sensors: usize) -> Result<Vec<Vec<f64>>, CliError> {
-    let days: usize = args.get_or("days", 1)?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let dataset = SyntheticSpec { kind: DatasetKind::Road, sensors, days, seed }.generate();
-    Ok(dataset
+/// One z-normalised history per sensor of the synthetic dataset `spec`.
+fn synthetic_histories(spec: SyntheticSpec) -> Vec<Vec<f64>> {
+    let dataset = spec.generate();
+    dataset
         .sensors
         .iter()
         .map(|s| smiler_timeseries::normalize::z_normalize(s.values()).0)
-        .collect())
+        .collect()
+}
+
+/// The durable fleet at `dir`, as sensors ready to serve with its store:
+/// opened when the directory holds fleet state (with the restore report),
+/// otherwise created there from `histories` (report `None`). The server
+/// checkpoints on drain, so the in-run checkpoint cadence is 0.
+fn open_or_create(
+    device: &Arc<Device>,
+    dir: &std::path::Path,
+    store_config: StoreConfig,
+    config: SmilerConfig,
+    kind: PredictorKind,
+    histories: impl FnOnce() -> Result<Vec<Vec<f64>>, CliError>,
+) -> Result<(Vec<SensorPredictor>, Store, Option<RestoreReport>), CliError> {
+    let (durable, report) =
+        match DurableSystem::open(Arc::clone(device), dir, store_config.clone(), 0) {
+            Ok((durable, report)) => (durable, Some(report)),
+            Err(DurableError::NoState) => {
+                let (durable, _) = DurableSystem::create(
+                    Arc::clone(device),
+                    histories()?,
+                    config,
+                    kind,
+                    dir,
+                    store_config,
+                    0,
+                )?;
+                (durable, None)
+            }
+            Err(e) => return Err(e.into()),
+        };
+    let (system, store) = durable.into_parts();
+    Ok((system.into_sensors(), store, report))
+}
+
+/// Synthetic ROAD histories for a cluster fleet, shared by the primary
+/// and demo roles so both sides of a comparison see identical data.
+fn cluster_histories(args: &Args, sensors: usize) -> Result<Vec<Vec<f64>>, CliError> {
+    let days: usize = args.get_or("days", 1)?;
+    let seed: u64 = args.get_or("seed", 7)?;
+    Ok(synthetic_histories(SyntheticSpec { kind: DatasetKind::Road, sensors, days, seed }))
 }
 
 /// Deterministic live observation for cluster runs: round- and
@@ -802,29 +816,18 @@ fn cluster_primary(args: &Args) -> Result<String, CliError> {
     let config = with_adaptation(args, SmilerConfig::default());
 
     let mut out = String::new();
-    let (system, store) =
-        match DurableSystem::open(Arc::clone(&device), &dir, store_config.clone(), 0) {
-            Ok((durable, report)) => {
-                let _ = writeln!(out, "restored {} sensors from {}", report.sensors, dir.display());
-                durable.into_parts()
-            }
-            Err(DurableError::NoState) => {
-                let histories = cluster_histories(args, sensors)?;
-                let (durable, _) = DurableSystem::create(
-                    Arc::clone(&device),
-                    histories,
-                    config,
-                    PredictorKind::GaussianProcess,
-                    &dir,
-                    store_config,
-                    0,
-                )?;
-                let _ = writeln!(out, "created durable state at {}", dir.display());
-                durable.into_parts()
-            }
-            Err(e) => return Err(e.into()),
-        };
-    let fleet = system.into_sensors();
+    let (fleet, store, report) = open_or_create(
+        &device,
+        &dir,
+        store_config,
+        config,
+        PredictorKind::GaussianProcess,
+        || cluster_histories(args, sensors),
+    )?;
+    let _ = match report {
+        Some(report) => writeln!(out, "restored {} sensors from {}", report.sensors, dir.display()),
+        None => writeln!(out, "created durable state at {}", dir.display()),
+    };
     let sensors = fleet.len();
     let store = smiler_store::shared(store);
     let server = SmilerServer::start_with_store(

@@ -371,16 +371,16 @@ impl RecoveryPoint {
 /// as `store.checkpoint.sensor_dropped`.
 pub(crate) fn checkpoint_payload<'a>(
     store: &Store,
-    fleet: impl Iterator<Item = (&'a SensorPredictor, &'a SensorHealth)> + Clone,
+    fleet: impl Iterator<Item = &'a SensorPredictor> + Clone,
 ) -> Result<Vec<u8>, DurableError> {
-    let point = if fleet.clone().any(|(_, health)| *health != SensorHealth::Healthy) {
+    let point = if fleet.clone().any(|sensor| sensor.health != SensorHealth::Healthy) {
         RecoveryPoint::load(store)?
     } else {
         None
     };
     let mut snapshots = Vec::new();
-    for (position, (sensor, health)) in fleet.enumerate() {
-        let snapshot = match health {
+    for (position, sensor) in fleet.enumerate() {
+        let snapshot = match sensor.health {
             SensorHealth::Healthy => Some(sensor.snapshot()),
             SensorHealth::Quarantined { .. } => {
                 point.as_ref().and_then(|p| p.snapshot_of(sensor.sensor_id(), position))
@@ -539,7 +539,7 @@ impl DurableSystem {
                     .ok_or_else(|| {
                         DurableError::Corrupt(format!("WAL names unknown sensor {sensor}"))
                     })?;
-                system.observe_one(idx, *value);
+                let _ = system.observe_one(idx, *value);
             }
         }
         Ok(())
@@ -597,8 +597,7 @@ impl DurableSystem {
     pub fn checkpoint(&mut self) -> Result<u64, DurableError> {
         self.rounds_since_checkpoint = 0;
         let system = &self.system;
-        let fleet = (0..system.len()).map(|idx| (system.sensor(idx), system.health(idx)));
-        let payload = checkpoint_payload(&self.store, fleet)?;
+        let payload = checkpoint_payload(&self.store, (0..system.len()).map(|i| system.sensor(i)))?;
         Ok(self.store.checkpoint(&payload)?)
     }
 

@@ -14,6 +14,7 @@ use crate::predictor::{
     ArPredictor, GpCellPredictor, HyperPlan, KnnData, PredictorKind, QualitySnapshot, QualityStats,
 };
 use crate::regime::{Adaptation, Judgement, RegimeEvent};
+use crate::system::SensorHealth;
 use smiler_gp::{GpError, GpModel, GpScratch, Hyperparams, PrefixGp, TrainConfig};
 use smiler_gpu::Device;
 use smiler_index::{IndexParams, SearchError, SearchOutput, SmilerIndex, ThresholdStrategy};
@@ -160,6 +161,10 @@ pub struct SensorPredictor {
     /// Regime-side state and policy: detector, pending one-step forecast,
     /// outlier cleaning, bias corrector.
     adaptation: Adaptation,
+    /// Whether the fleet's isolation boundary (`system::isolated`) has
+    /// fenced this predictor off. Travels with the predictor through every
+    /// handoff; only a rebuild from durable state clears it.
+    pub(crate) health: SensorHealth,
     /// Test-harness fault injection; `None` in production.
     injected: Option<FaultKind>,
 }
@@ -193,6 +198,7 @@ impl SensorPredictor {
             errors: ErrorState::default(),
             quality: QualityStats::default(),
             adaptation,
+            health: SensorHealth::Healthy,
             injected: None,
         }
     }

@@ -8,8 +8,10 @@
 //! concurrent requests back into batches. This module is that something:
 //!
 //! * the fleet is **partitioned across N shard workers** (sensor `s` lives
-//!   on shard `s % N`), each owning its sensors outright — no locks on the
-//!   request path;
+//!   on shard `s % N`), each owning its sensors outright as a shard-local
+//!   [`SmilerSystem`] whose methods serve every request — the same search,
+//!   predict and observe routines the in-process fleet runs, and no locks
+//!   on the request path;
 //! * requests enter through **bounded MPMC queues**; a full queue returns
 //!   a typed [`ServeError::Overloaded`] immediately (admission control —
 //!   the caller sheds to [`DegradationLevel::LastValue`] locally rather
@@ -24,10 +26,14 @@
 //!   [`RequestPolicy`]: the budget remaining after queueing is what the
 //!   ladder checkpoints see, so a request that waited too long degrades
 //!   instead of overshooting;
-//! * a sensor that panics — predicting or observing — is **quarantined
-//!   shard-locally** (the fleet's one boundary, [`crate::system`]) and its
-//!   shard keeps draining — one poisoned sensor never stalls a queue;
-//! * shutdown **drains**: queued requests complete, then workers exit;
+//! * a sensor that panics — predicting or observing — is **quarantined**
+//!   (the fleet's one boundary, [`crate::system`]) and its shard keeps
+//!   draining — one poisoned sensor never stalls a queue. Health is the
+//!   predictor's own, so a sensor handed to [`SmilerServer::start`]
+//!   already quarantined stays fenced, and its status row says so from the
+//!   first request;
+//! * shutdown **drains**: queued requests complete, then workers exit and
+//!   hand their sensors back (a store-backed server checkpoints them);
 //!   late requests get a typed [`ServeError::ShuttingDown`].
 //!
 //! Observability (`serve.*`): per-shard queue-depth gauges, a batch-size
@@ -54,7 +60,7 @@ use crate::durable::{checkpoint_payload, StoreStatus};
 use crate::predictor::QualitySnapshot;
 use crate::regime::RegimeSnapshot;
 use crate::sensor::SensorPredictor;
-use crate::system::{isolated, predict_isolated, search_stale, SensorFault, SensorHealth};
+use crate::system::{SensorFault, SensorHealth, SmilerSystem};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use smiler_gpu::Device;
@@ -317,7 +323,9 @@ struct SensorRow {
 }
 
 impl Telemetry {
-    fn new(fleet: usize, config: &ServeConfig) -> Telemetry {
+    /// Fresh telemetry over `sensors`; each row starts from its sensor's
+    /// handed-over health.
+    fn new(sensors: &[SensorPredictor], config: &ServeConfig) -> Telemetry {
         let fresh = || WindowedHistogram::new(TELEMETRY_WINDOW, TELEMETRY_KEEP);
         Telemetry {
             started: Instant::now(),
@@ -333,17 +341,19 @@ impl Telemetry {
             )),
             wal_append: Mutex::new(fresh()),
             served_by_rung: std::array::from_fn(|_| AtomicU64::new(0)),
-            sensors: Mutex::new(vec![
-                SensorRow {
-                    served: 0,
-                    faults: 0,
-                    last_rung: None,
-                    quarantined: false,
-                    quality: QualitySnapshot::default(),
-                    regime: RegimeSnapshot::default(),
-                };
-                fleet
-            ]),
+            sensors: Mutex::new(
+                sensors
+                    .iter()
+                    .map(|sensor| SensorRow {
+                        served: 0,
+                        faults: 0,
+                        last_rung: None,
+                        quarantined: sensor.health != SensorHealth::Healthy,
+                        quality: QualitySnapshot::default(),
+                        regime: RegimeSnapshot::default(),
+                    })
+                    .collect(),
+            ),
         }
     }
 
@@ -860,9 +870,9 @@ impl ServeHandle {
 pub struct SmilerServer {
     handle: ServeHandle,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Workers hand their sensors (and health) back through this when they
-    /// exit, so a drained server can checkpoint the whole fleet.
-    drained: Receiver<(Vec<SensorPredictor>, Vec<SensorHealth>)>,
+    /// Workers hand their sensors back through this when they exit, so a
+    /// drained server can checkpoint the whole fleet.
+    drained: Receiver<Vec<SensorPredictor>>,
     store: Option<SharedStore>,
 }
 
@@ -896,7 +906,7 @@ impl SmilerServer {
         let shards = config.shards.max(1);
         let fleet = sensors.len();
         let stats = Arc::new(ServeStats::default());
-        let telemetry = Arc::new(Telemetry::new(fleet, &config));
+        let telemetry = Arc::new(Telemetry::new(&sensors, &config));
 
         let mut partitions: Vec<Vec<SensorPredictor>> = Vec::new();
         partitions.resize_with(shards, Vec::new);
@@ -913,9 +923,7 @@ impl SmilerServer {
             let worker = ShardWorker {
                 shard,
                 shards,
-                device: Arc::clone(&device),
-                health: vec![SensorHealth::Healthy; part.len()],
-                sensors: part,
+                system: SmilerSystem::resident(Arc::clone(&device), part),
                 config,
                 stats: Arc::clone(&stats),
                 telemetry: Arc::clone(&telemetry),
@@ -972,13 +980,13 @@ impl SmilerServer {
             }
         }
         if let Some(store) = &self.store {
-            let mut fleet: Vec<(SensorPredictor, SensorHealth)> = Vec::new();
-            while let Ok((sensors, health)) = self.drained.try_recv() {
-                fleet.extend(sensors.into_iter().zip(health));
+            let mut fleet = Vec::new();
+            while let Ok(sensors) = self.drained.try_recv() {
+                fleet.extend(sensors);
             }
-            fleet.sort_by_key(|(s, _)| s.sensor_id());
+            fleet.sort_by_key(SensorPredictor::sensor_id);
             let mut store = store.lock();
-            let payload = checkpoint_payload(&store, fleet.iter().map(|(s, h)| (s, h)));
+            let payload = checkpoint_payload(&store, fleet.iter());
             if !matches!(payload.map(|p| store.checkpoint(&p)), Ok(Ok(_))) {
                 smiler_obs::count("store.checkpoint_error", "", 1);
             }
@@ -987,13 +995,13 @@ impl SmilerServer {
     }
 }
 
-/// One shard: exclusive owner of its sensors, drained by a single thread.
+/// One shard: exclusive owner of its sensors — a shard-local
+/// [`SmilerSystem`] whose methods serve every request — drained by a
+/// single thread.
 struct ShardWorker {
     shard: usize,
     shards: usize,
-    device: Arc<Device>,
-    sensors: Vec<SensorPredictor>,
-    health: Vec<SensorHealth>,
+    system: SmilerSystem,
     config: ServeConfig,
     stats: Arc<ServeStats>,
     telemetry: Arc<Telemetry>,
@@ -1001,7 +1009,7 @@ struct ShardWorker {
     /// Durable log: observations append here before any sensor absorbs them.
     store: Option<SharedStore>,
     /// Hands the shard's sensors back to the server on exit.
-    drained: Sender<(Vec<SensorPredictor>, Vec<SensorHealth>)>,
+    drained: Sender<Vec<SensorPredictor>>,
 }
 
 impl ShardWorker {
@@ -1044,7 +1052,7 @@ impl ShardWorker {
         }
         // Hand the shard's sensors back so the server can checkpoint the
         // drained fleet (no-op when nobody is listening).
-        let _ = self.drained.try_send((self.sensors, self.health));
+        let _ = self.drained.try_send(self.system.into_sensors());
     }
 
     /// Serve one micro-batch: a single fleet search covers every distinct
@@ -1085,7 +1093,7 @@ impl ShardWorker {
                 }
             }
             let wanted: Vec<usize> = batch.iter().filter_map(|j| self.local_of(j.sensor)).collect();
-            search_stale(&self.device, &mut self.sensors, &self.health, |l| wanted.contains(&l));
+            self.system.search_stale(|l| wanted.contains(&l));
             for job in &mut batch {
                 if let Some(trace) = &mut job.trace {
                     trace.mark("batch_search.done");
@@ -1128,7 +1136,7 @@ impl ShardWorker {
         let Some(local) = self.local_of(sensor_id) else {
             let _ = reply.try_send(Err(ServeError::UnknownSensor {
                 sensor: sensor_id,
-                fleet: self.shards * self.sensors.len(),
+                fleet: self.shards * self.system.len(),
             }));
             if let Some(mut trace) = trace {
                 trace.finish_error("unknown_sensor");
@@ -1140,8 +1148,7 @@ impl ShardWorker {
         // deep inside `try_predict_with` can annotate it; the thread-local
         // survives the unwind of a panicking prediction.
         smiler_obs::trace::set_current(trace.take());
-        let outcome =
-            predict_isolated(&mut self.sensors[local], &mut self.health[local], h, &policy);
+        let outcome = self.system.predict_isolated(local, h, &policy);
         let mut trace = smiler_obs::trace::take_current();
         let reply_value = match outcome {
             Ok(mut prediction) => {
@@ -1196,11 +1203,11 @@ impl ShardWorker {
         let Some(local) = self.local_of(job.sensor) else {
             let _ = job.reply.try_send(Err(ServeError::UnknownSensor {
                 sensor: job.sensor,
-                fleet: self.shards * self.sensors.len(),
+                fleet: self.shards * self.system.len(),
             }));
             return;
         };
-        if let SensorHealth::Quarantined { message } = &self.health[local] {
+        if let SensorHealth::Quarantined { message } = self.system.health(local) {
             let fault = SensorFault::Quarantined { message: message.clone() };
             self.record_fault(job.sensor, &fault);
             let _ = job.reply.try_send(Err(ServeError::Fault(fault)));
@@ -1222,12 +1229,12 @@ impl ShardWorker {
                 return;
             }
         }
-        let sensor = &mut self.sensors[local];
-        let reply = match isolated(sensor, &mut self.health[local], |s| s.observe(job.value)) {
+        let reply = match self.system.observe_one(local, job.value) {
             Ok(()) => {
                 self.stats.observed.fetch_add(1, Ordering::Relaxed);
                 // The arriving value may have scored a pending one-step
                 // prediction; refresh the sensor's quality telemetry row.
+                let sensor = self.system.sensor(local);
                 self.telemetry.update_quality(
                     job.sensor,
                     sensor.quality_snapshot(),
@@ -1250,6 +1257,6 @@ impl ShardWorker {
             return None;
         }
         let local = sensor / self.shards;
-        (local < self.sensors.len()).then_some(local)
+        (local < self.system.len()).then_some(local)
     }
 }

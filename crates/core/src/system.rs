@@ -105,81 +105,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The fleet's one search routine: a single [`try_fleet_search`] over the
-/// healthy sensors among `wanted` whose cached search is stale — one
-/// launch per phase serves all their suffix queries (§4.4) — installing
-/// each `Ok` slot as that sensor's cached search. An error slot is simply
-/// not installed: that sensor re-searches (and degrades, or reports its
-/// typed error) through its own `try_predict_with` path, and so does a
-/// lone stale sensor, whose solo search is already a fleet search of one.
-/// A panic inside the launch falls back the same way; quarantine happens
-/// at the per-sensor boundary ([`isolated`]), never here.
-pub(crate) fn search_stale(
-    device: &Device,
-    sensors: &mut [SensorPredictor],
-    health: &[SensorHealth],
-    wanted: impl Fn(usize) -> bool,
-) {
-    let mut locals = Vec::new();
-    let mut max_ends = Vec::new();
-    let mut indexes: Vec<&mut SmilerIndex> = Vec::new();
-    for (local, sensor) in sensors.iter_mut().enumerate() {
-        if wanted(local) && health[local] == SensorHealth::Healthy && !sensor.has_current_search() {
-            locals.push(local);
-            max_ends.push(sensor.search_max_end());
-            indexes.push(sensor.index_mut());
-        }
-    }
-    if locals.len() < 2 {
-        return;
-    }
-    let searched =
-        panic::catch_unwind(AssertUnwindSafe(|| try_fleet_search(device, &mut indexes, &max_ends)));
-    for (local, slot) in locals.into_iter().zip(searched.unwrap_or_default()) {
-        if let Ok(out) = slot {
-            sensors[local].install_search(out);
-        }
-    }
-}
-
 /// The fleet's one isolation boundary: run `work` on a healthy sensor
 /// behind `catch_unwind`. A quarantined sensor is never touched; a panic
 /// may have torn the predictor mid-update, so it **quarantines** the
-/// sensor ([`SensorHealth::Quarantined`]) and both read as a typed
-/// [`SensorFault`].
+/// sensor (its [`SensorHealth`] becomes `Quarantined`) and both read as a
+/// typed [`SensorFault`].
 pub(crate) fn isolated<T>(
     sensor: &mut SensorPredictor,
-    state: &mut SensorHealth,
     work: impl FnOnce(&mut SensorPredictor) -> T,
 ) -> Result<T, SensorFault> {
-    if let SensorHealth::Quarantined { message } = state {
+    if let SensorHealth::Quarantined { message } = &sensor.health {
         return Err(SensorFault::Quarantined { message: message.clone() });
     }
     panic::catch_unwind(AssertUnwindSafe(|| work(sensor))).map_err(|payload| {
         let message = panic_message(payload);
-        *state = SensorHealth::Quarantined { message: message.clone() };
+        sensor.health = SensorHealth::Quarantined { message: message.clone() };
         smiler_obs::count("health.sensor_panic", "", 1);
         SensorFault::Panicked { message }
     })
 }
 
-/// One sensor's isolated prediction: the fallible, degradation-aware path
-/// ([`SensorPredictor::try_predict_with`]) behind the [`isolated`]
-/// boundary.
-pub(crate) fn predict_isolated(
-    sensor: &mut SensorPredictor,
-    state: &mut SensorHealth,
-    h: usize,
-    policy: &RequestPolicy,
-) -> Result<Prediction, SensorFault> {
-    isolated(sensor, state, |s| s.try_predict_with(h, policy))?.map_err(SensorFault::Predict)
-}
-
-/// A fleet of per-sensor SMiLer predictors sharing one device.
+/// A fleet of per-sensor SMiLer predictors sharing one device. Each
+/// sensor carries its own [`SensorHealth`], so a fleet dismantled into
+/// its sensors ([`SmilerSystem::into_sensors`]) hands every quarantine on.
 pub struct SmilerSystem {
     device: Arc<Device>,
     sensors: Vec<SensorPredictor>,
-    health: Vec<SensorHealth>,
 }
 
 impl SmilerSystem {
@@ -230,9 +181,14 @@ impl SmilerSystem {
         if smiler_obs::enabled() {
             smiler_obs::gauge_set("sensors.resident", "", sensors.len() as f64);
         }
-        let health = vec![SensorHealth::Healthy; sensors.len()];
-        let device = Arc::clone(device);
-        (SmilerSystem { device, sensors, health }, rejection)
+        (Self::resident(Arc::clone(device), sensors), rejection)
+    }
+
+    /// A fleet over sensors whose device memory is already accounted for
+    /// (admitted earlier, or never reserved): reserves nothing. A serving
+    /// shard is one of these over its share of an admitted fleet.
+    pub(crate) fn resident(device: Arc<Device>, sensors: Vec<SensorPredictor>) -> Self {
+        SmilerSystem { device, sensors }
     }
 
     /// Number of resident sensors.
@@ -260,16 +216,58 @@ impl SmilerSystem {
         &mut self.sensors[idx]
     }
 
-    /// One fleet search ([`search_stale`]) for every healthy sensor whose
-    /// cached search is stale; each driver below then predicts off the
-    /// installed results.
-    fn search_all_stale(&mut self) {
-        search_stale(&self.device, &mut self.sensors, &self.health, |_| true);
+    /// The fleet's one search routine: a single [`try_fleet_search`] over
+    /// the healthy sensors among `wanted` (by position) whose cached search
+    /// is stale — one launch per phase serves all their suffix queries
+    /// (§4.4) — installing each `Ok` slot as that sensor's cached search.
+    /// An error slot is simply not installed: that sensor re-searches (and
+    /// degrades, or reports its typed error) through its own
+    /// `try_predict_with` path, and so does a lone stale sensor, whose solo
+    /// search is already a fleet search of one. A panic inside the launch
+    /// falls back the same way; quarantine happens at the per-sensor
+    /// boundary ([`isolated`]), never here.
+    pub(crate) fn search_stale(&mut self, wanted: impl Fn(usize) -> bool) {
+        let mut positions = Vec::new();
+        let mut max_ends = Vec::new();
+        let mut indexes: Vec<&mut SmilerIndex> = Vec::new();
+        for (idx, sensor) in self.sensors.iter_mut().enumerate() {
+            if wanted(idx) && sensor.health == SensorHealth::Healthy && !sensor.has_current_search()
+            {
+                positions.push(idx);
+                max_ends.push(sensor.search_max_end());
+                indexes.push(sensor.index_mut());
+            }
+        }
+        if positions.len() < 2 {
+            return;
+        }
+        let device = &self.device;
+        let searched = panic::catch_unwind(AssertUnwindSafe(|| {
+            try_fleet_search(device, &mut indexes, &max_ends)
+        }));
+        for (idx, slot) in positions.into_iter().zip(searched.unwrap_or_default()) {
+            if let Ok(out) = slot {
+                self.sensors[idx].install_search(out);
+            }
+        }
+    }
+
+    /// One sensor's isolated prediction: the fallible, degradation-aware
+    /// path ([`SensorPredictor::try_predict_with`]) behind the [`isolated`]
+    /// boundary.
+    pub(crate) fn predict_isolated(
+        &mut self,
+        idx: usize,
+        h: usize,
+        policy: &RequestPolicy,
+    ) -> Result<Prediction, SensorFault> {
+        isolated(&mut self.sensors[idx], |s| s.try_predict_with(h, policy))?
+            .map_err(SensorFault::Predict)
     }
 
     /// Predict horizon `h` for every resident sensor.
     pub fn predict_all(&mut self, h: usize) -> Vec<(f64, f64)> {
-        self.search_all_stale();
+        self.search_stale(|_| true);
         self.sensors.iter_mut().map(|s| s.predict(h)).collect()
     }
 
@@ -289,13 +287,9 @@ impl SmilerSystem {
         h: usize,
         policy: &RequestPolicy,
     ) -> Vec<Result<Prediction, SensorFault>> {
-        self.search_all_stale();
-        let results = self
-            .sensors
-            .iter_mut()
-            .zip(&mut self.health)
-            .map(|(sensor, state)| predict_isolated(sensor, state, h, policy))
-            .collect();
+        self.search_stale(|_| true);
+        let results =
+            (0..self.sensors.len()).map(|idx| self.predict_isolated(idx, h, policy)).collect();
         if smiler_obs::enabled() {
             smiler_obs::gauge_set("health.quarantined", "", self.quarantined().len() as f64);
         }
@@ -304,29 +298,23 @@ impl SmilerSystem {
 
     /// Health of one resident sensor.
     pub fn health(&self, idx: usize) -> &SensorHealth {
-        &self.health[idx]
+        &self.sensors[idx].health
     }
 
     /// Indices of currently quarantined sensors.
     pub fn quarantined(&self) -> Vec<usize> {
-        self.health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| matches!(h, SensorHealth::Quarantined { .. }))
-            .map(|(i, _)| i)
-            .collect()
+        (0..self.sensors.len()).filter(|&idx| *self.health(idx) != SensorHealth::Healthy).collect()
     }
 
     /// Rebuild sensor `idx` from `snapshot` (assembled by
     /// [`crate::DurableSystem::recover_all`] from checkpoint + WAL) behind
-    /// a panic boundary and mark it healthy. `false` if the rebuild
-    /// panicked; the sensor then stays quarantined.
+    /// a panic boundary; the rebuilt predictor is healthy. `false` if the
+    /// rebuild panicked; the sensor then stays quarantined.
     pub(crate) fn restore_into(&mut self, idx: usize, snapshot: SensorSnapshot) -> bool {
         let device = Arc::clone(&self.device);
         match panic::catch_unwind(AssertUnwindSafe(|| SensorPredictor::restore(device, snapshot))) {
             Ok(predictor) => {
                 self.sensors[idx] = predictor;
-                self.health[idx] = SensorHealth::Healthy;
                 smiler_obs::count("health.sensor_recovered", "", 1);
                 true
             }
@@ -356,13 +344,12 @@ impl SmilerSystem {
         let _span = smiler_obs::span("step");
         let obs_on = smiler_obs::enabled();
         let mut predictions = Vec::with_capacity(self.sensors.len());
-        self.search_all_stale();
+        self.search_stale(|_| true);
         // Sensors are independent, so interleaving predict/observe per
         // sensor is equivalent to predict_all followed by observe_all.
-        for ((sensor, state), &v) in self.sensors.iter_mut().zip(&mut self.health).zip(observations)
-        {
+        for (sensor, &v) in self.sensors.iter_mut().zip(observations) {
             let started = if obs_on { Some(std::time::Instant::now()) } else { None };
-            let served = isolated(sensor, state, |s| {
+            let served = isolated(sensor, |s| {
                 let prediction = s.predict(h);
                 s.observe(v);
                 prediction
@@ -396,19 +383,19 @@ impl SmilerSystem {
     pub fn observe_all(&mut self, observations: &[f64]) {
         assert_eq!(observations.len(), self.sensors.len(), "one observation per sensor");
         for (idx, &v) in observations.iter().enumerate() {
-            self.observe_one(idx, v);
+            let _ = self.observe_one(idx, v);
         }
     }
 
     /// Feed one observation to sensor `idx` behind the isolation boundary
     /// ([`isolated`]): a quarantined sensor drops it, a panicking one is
-    /// quarantined.
-    pub(crate) fn observe_one(&mut self, idx: usize, value: f64) {
-        let _ = isolated(&mut self.sensors[idx], &mut self.health[idx], |s| s.observe(value));
+    /// quarantined; either reads as the returned fault.
+    pub(crate) fn observe_one(&mut self, idx: usize, value: f64) -> Result<(), SensorFault> {
+        isolated(&mut self.sensors[idx], |s| s.observe(value))
     }
 
     /// Dismantle the fleet into its sensors (e.g. to hand them to the
-    /// sharded serving frontend).
+    /// sharded serving frontend); each keeps its health.
     pub fn into_sensors(self) -> Vec<SensorPredictor> {
         self.sensors
     }

@@ -443,13 +443,70 @@ impl Response {
     }
 }
 
+/// One frame family's envelope: the magic, version and payload cap that
+/// tell the serving protocol and replication ([`crate::repl`]) apart on
+/// the wire. Both share the layout, [`HEADER_BYTES`] of header then the
+/// payload, and these two routines.
+pub(crate) struct Envelope {
+    pub(crate) magic: [u8; 8],
+    pub(crate) version: u32,
+    pub(crate) max_payload: u32,
+}
+
+/// The serving protocol's envelope.
+const SERVING: Envelope =
+    Envelope { magic: MAGIC, version: VERSION, max_payload: MAX_PAYLOAD_BYTES };
+
+impl Envelope {
+    /// Append `payload` to `buf` wrapped in this envelope.
+    pub(crate) fn seal(&self, buf: &mut Vec<u8>, payload: &[u8]) {
+        buf.extend_from_slice(&self.magic);
+        codec::put_u32(buf, self.version);
+        codec::put_u32(buf, payload.len() as u32);
+        codec::put_u32(buf, codec::crc32(payload));
+        buf.extend_from_slice(payload);
+    }
+
+    /// Try to carve one frame of this family off the front of `buf`
+    /// (the contract is [`try_frame`]'s).
+    pub(crate) fn carve<'a>(&self, buf: &'a [u8]) -> Result<Option<(usize, &'a [u8])>, FrameError> {
+        // Magic: verify every byte that has arrived so far.
+        let check = buf.len().min(self.magic.len());
+        for (offset, (&got, &want)) in buf.iter().zip(self.magic.iter()).enumerate().take(check) {
+            if got != want {
+                return Err(FrameError::BadMagic { offset, found: got });
+            }
+        }
+        if buf.len() < HEADER_BYTES {
+            return Ok(None);
+        }
+        let mut r = ByteReader::new(&buf[self.magic.len()..HEADER_BYTES]);
+        // The reader covers exactly 12 bytes; these reads cannot fail.
+        let version = r.u32()?;
+        let len = r.u32()?;
+        let declared_crc = r.u32()?;
+        if version != self.version {
+            return Err(FrameError::BadVersion { got: version });
+        }
+        if len > self.max_payload {
+            return Err(FrameError::Oversized { len });
+        }
+        let total = HEADER_BYTES + len as usize;
+        if buf.len() < total {
+            return Ok(None);
+        }
+        let payload = &buf[HEADER_BYTES..total];
+        let computed = codec::crc32(payload);
+        if computed != declared_crc {
+            return Err(FrameError::BadCrc { declared: declared_crc, computed });
+        }
+        Ok(Some((total, payload)))
+    }
+}
+
 /// Append `payload` to `buf` wrapped in the frame envelope.
 pub fn encode_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&MAGIC);
-    codec::put_u32(buf, VERSION);
-    codec::put_u32(buf, payload.len() as u32);
-    codec::put_u32(buf, codec::crc32(payload));
-    buf.extend_from_slice(payload);
+    SERVING.seal(buf, payload);
 }
 
 /// Try to carve one frame off the front of `buf`.
@@ -463,37 +520,7 @@ pub fn encode_frame(buf: &mut Vec<u8>, payload: &[u8]) {
 ///   from the first byte of a connection), and a bad version, oversized
 ///   length, or CRC mismatch fails as soon as the header is complete.
 pub fn try_frame(buf: &[u8]) -> Result<Option<(usize, &[u8])>, FrameError> {
-    // Magic: verify every byte that has arrived so far.
-    let check = buf.len().min(MAGIC.len());
-    for (offset, (&got, &want)) in buf.iter().zip(MAGIC.iter()).enumerate().take(check) {
-        if got != want {
-            return Err(FrameError::BadMagic { offset, found: got });
-        }
-    }
-    if buf.len() < HEADER_BYTES {
-        return Ok(None);
-    }
-    let mut r = ByteReader::new(&buf[MAGIC.len()..HEADER_BYTES]);
-    // The reader covers exactly 12 bytes; these reads cannot fail.
-    let version = r.u32()?;
-    let len = r.u32()?;
-    let declared_crc = r.u32()?;
-    if version != VERSION {
-        return Err(FrameError::BadVersion { got: version });
-    }
-    if len > MAX_PAYLOAD_BYTES {
-        return Err(FrameError::Oversized { len });
-    }
-    let total = HEADER_BYTES + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[HEADER_BYTES..total];
-    let computed = codec::crc32(payload);
-    if computed != declared_crc {
-        return Err(FrameError::BadCrc { declared: declared_crc, computed });
-    }
-    Ok(Some((total, payload)))
+    SERVING.carve(buf)
 }
 
 #[cfg(test)]

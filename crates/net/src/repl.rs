@@ -27,7 +27,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::frame::FrameError;
+use crate::frame::{Envelope, FrameError};
 use smiler_store::codec::{self, ByteReader};
 use smiler_store::WalRecord;
 
@@ -36,9 +36,6 @@ pub const REPL_MAGIC: [u8; 8] = *b"SMLRREPL";
 
 /// Replication protocol version.
 pub const REPL_VERSION: u32 = 1;
-
-/// Envelope size: magic + version + length + CRC.
-pub const REPL_HEADER_BYTES: usize = 20;
 
 /// Upper bound on one replication frame's payload. Larger than the
 /// serving protocol's cap because segment chunks are bulk data.
@@ -219,49 +216,20 @@ impl ReplMsg {
     }
 }
 
+/// The replication envelope: the serving layout under its own magic.
+const REPL: Envelope =
+    Envelope { magic: REPL_MAGIC, version: REPL_VERSION, max_payload: MAX_REPL_PAYLOAD_BYTES };
+
 /// Append `payload` to `buf` wrapped in the `SMLRREPL` envelope.
 pub fn encode_repl_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&REPL_MAGIC);
-    codec::put_u32(buf, REPL_VERSION);
-    codec::put_u32(buf, payload.len() as u32);
-    codec::put_u32(buf, codec::crc32(payload));
-    buf.extend_from_slice(payload);
+    REPL.seal(buf, payload);
 }
 
 /// Try to carve one `SMLRREPL` frame off the front of `buf` — the same
 /// contract as [`crate::frame::try_frame`], including earliest-possible
 /// error reporting on a magic mismatch.
 pub fn try_repl_frame(buf: &[u8]) -> Result<Option<(usize, &[u8])>, FrameError> {
-    let check = buf.len().min(REPL_MAGIC.len());
-    for (offset, (&got, &want)) in buf.iter().zip(REPL_MAGIC.iter()).enumerate().take(check) {
-        if got != want {
-            return Err(FrameError::BadMagic { offset, found: got });
-        }
-    }
-    if buf.len() < REPL_HEADER_BYTES {
-        return Ok(None);
-    }
-    let mut r = ByteReader::new(&buf[REPL_MAGIC.len()..REPL_HEADER_BYTES]);
-    // The reader covers exactly 12 bytes; these reads cannot fail.
-    let version = r.u32()?;
-    let len = r.u32()?;
-    let declared_crc = r.u32()?;
-    if version != REPL_VERSION {
-        return Err(FrameError::BadVersion { got: version });
-    }
-    if len > MAX_REPL_PAYLOAD_BYTES {
-        return Err(FrameError::Oversized { len });
-    }
-    let total = REPL_HEADER_BYTES + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[REPL_HEADER_BYTES..total];
-    let computed = codec::crc32(payload);
-    if computed != declared_crc {
-        return Err(FrameError::BadCrc { declared: declared_crc, computed });
-    }
-    Ok(Some((total, payload)))
+    REPL.carve(buf)
 }
 
 /// Split `bytes` into [`CHUNK_BYTES`]-sized chunk messages via `make`,

@@ -4,8 +4,8 @@
 //! that never stopped.
 
 use smiler_core::{
-    DurableSystem, PredictorKind, SensorStream, ServeConfig, SmilerConfig, SmilerServer,
-    SmilerSystem,
+    DurableSystem, FaultKind, PredictorKind, SensorFault, SensorStream, ServeConfig, ServeError,
+    SmilerConfig, SmilerServer, SmilerSystem,
 };
 use smiler_gpu::Device;
 use smiler_store::{FlushPolicy, Store, StoreConfig};
@@ -516,6 +516,59 @@ fn a_checkpoint_taken_while_quarantined_loses_nothing() {
     assert_eq!((report.sensors, report.replayed_rounds), (3, 0));
     for s in 0..3 {
         assert_eq!(restored.system().sensor(s).history().len(), 320 + 13, "sensor {s}");
+        assert_eq!(history_bits(restored.system(), s), history_bits(&control, s), "sensor {s}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A quarantine travels with the sensor through the serving handoff
+/// (`into_parts` → `into_sensors` → `start_with_store`): the fenced
+/// sensor is not served, and the drain checkpoint persists it from
+/// checkpoint + WAL, never from its gapped live history. Sensor 1 gets no
+/// observation after the handoff, so after a restart every sensor's
+/// history is the never-faulted control's, value for value.
+#[test]
+fn quarantine_survives_the_serving_handoff() {
+    let dir = tmpdir("handoff_quarantine");
+    let config = SmilerConfig::small_for_tests();
+    let kind = PredictorKind::Aggregation;
+    let (mut control, _) =
+        SmilerSystem::new(Arc::new(Device::default_gpu()), histories(3, 320), config.clone(), kind);
+    let (mut durable, _) = DurableSystem::create(
+        Arc::new(Device::default_gpu()),
+        histories(3, 320),
+        config,
+        kind,
+        &dir,
+        store_config(),
+        0,
+    )
+    .expect("create");
+    durable.system_mut().sensor_mut(1).inject_fault(FaultKind::PanicOnObserve);
+    for r in 0..4 {
+        durable.observe_all(&round_values(r, 3)).expect("durable observe");
+        control.observe_all(&round_values(r, 3));
+    }
+    assert_eq!(durable.system().quarantined(), vec![1]);
+
+    let (system, store) = durable.into_parts();
+    let server = SmilerServer::start_with_store(
+        Arc::new(Device::default_gpu()),
+        system.into_sensors(),
+        ServeConfig { shards: 2, ..ServeConfig::default() },
+        smiler_store::shared(store),
+    );
+    match server.handle().forecast(1, 1) {
+        Err(ServeError::Fault(SensorFault::Quarantined { .. })) => {}
+        other => panic!("a quarantined sensor must stay fenced after the handoff, got {other:?}"),
+    }
+    server.shutdown();
+
+    let (restored, _) =
+        DurableSystem::open(Arc::new(Device::default_gpu()), &dir, store_config(), 0)
+            .expect("restart from the drained checkpoint");
+    for s in 0..3 {
+        assert_eq!(restored.system().sensor(s).history().len(), 320 + 4, "sensor {s}");
         assert_eq!(history_bits(restored.system(), s), history_bits(&control, s), "sensor {s}");
     }
     let _ = fs::remove_dir_all(&dir);

@@ -434,6 +434,29 @@ fn observe_panic_quarantines_and_shows_in_status() {
     assert_eq!((stats.faults, stats.observed, stats.served), (2, 1, 1));
 }
 
+/// `/status` tells the truth from the first request: a sensor handed over
+/// already quarantined reads as quarantined before any request reaches it.
+#[test]
+fn status_shows_a_handed_over_quarantine_before_any_request() {
+    let device = Arc::new(Device::default_gpu());
+    let (mut system, _) = SmilerSystem::new(
+        Arc::clone(&device),
+        histories(3, 300),
+        SmilerConfig::small_for_tests(),
+        PredictorKind::Aggregation,
+    );
+    system.sensor_mut(1).inject_fault(FaultKind::PanicOnObserve);
+    system.observe_all(&[0.1, 0.2, 0.3]);
+    assert_eq!(system.quarantined(), vec![1]);
+
+    let server = SmilerServer::start(device, system.into_sensors(), ServeConfig::default());
+    let report = server.status_report();
+    assert!(report.sensors[1].quarantined, "the handed-over quarantine must show at once");
+    assert!(!report.sensors[0].quarantined && !report.sensors[2].quarantined);
+    assert_eq!(report.stats.faults, 0, "no request has reached the server");
+    server.shutdown();
+}
+
 /// A replicated observation is never shed: against a full shard queue
 /// `apply_replicated_observe` blocks until the worker makes room, so a
 /// follower's live history never falls a point behind its log, while
