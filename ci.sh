@@ -37,6 +37,12 @@ if [[ "$QUICK" == "0" ]]; then
     echo "==> cargo build --workspace --release"
     cargo build --workspace --release
 
+    # The DTW and linear-algebra kernels are pinned bit for bit to verbatim
+    # oracles by property tests; give those 4096 cases instead of the
+    # default 96.
+    echo "==> PROPTEST_CASES=4096 cargo test --release -p smiler-dtw -p smiler-linalg"
+    PROPTEST_CASES=4096 cargo test --release -p smiler-dtw -p smiler-linalg
+
     # Serve smoke with tracing on: a real CLI run writing request traces
     # and status lines, every trace schema-validated by the CLI test; then
     # the observability budget — trace-path cost must stay under 5% of a

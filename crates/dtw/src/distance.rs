@@ -14,17 +14,22 @@ fn check_inputs(q: &[f64], c: &[f64]) -> usize {
     q.len()
 }
 
-/// Reusable warping buffer for the compressed-matrix DTW variants: two
-/// flat columns in diagonal-offset coordinates (see [`dtw_compressed_with`]).
+/// Reusable buffers for the banded-DTW recurrence (see [`dtw_compressed_with`]):
+/// the compressed warping matrix — `2ρ+3` cells split by the parity of
+/// their diagonal offset — and the candidate reversed.
 ///
 /// One scratch per verification lane: the `_with` functions reset and grow
-/// it as needed, so a caller that loops over candidates of the same band
-/// width performs **zero heap allocations** after the first call — the
-/// workspace contract of the hot verification path.
+/// it as needed, so a caller that loops over candidates of the same length
+/// and band width performs **zero heap allocations** after the first call —
+/// the workspace contract of the hot verification path.
 #[derive(Debug, Clone, Default)]
 pub struct DtwScratch {
-    col_a: Vec<f64>,
-    col_b: Vec<f64>,
+    /// Cells at even diagonal offsets `w = 0, 2, …, 2ρ+2` (`ρ+2` cells).
+    even: Vec<f64>,
+    /// Cells at odd diagonal offsets `w = 1, 3, …, 2ρ+1` (`ρ+1` cells).
+    odd: Vec<f64>,
+    /// The candidate back to front, so one anti-diagonal reads it forwards.
+    reversed: Vec<f64>,
 }
 
 impl DtwScratch {
@@ -33,21 +38,14 @@ impl DtwScratch {
         DtwScratch::default()
     }
 
-    /// A scratch pre-sized for warping width `rho` (no allocation on use).
+    /// A scratch pre-sized for warping width `rho` (the reversed candidate
+    /// still grows on first use).
     pub fn with_rho(rho: usize) -> Self {
         DtwScratch {
-            col_a: vec![f64::INFINITY; 2 * rho + 3],
-            col_b: vec![f64::INFINITY; 2 * rho + 3],
+            even: vec![f64::INFINITY; rho + 2],
+            odd: vec![f64::INFINITY; rho + 1],
+            reversed: Vec::new(),
         }
-    }
-
-    /// Reset (and grow if needed) both columns to `cap` infinity cells.
-    fn columns(&mut self, cap: usize) -> (&mut Vec<f64>, &mut Vec<f64>) {
-        self.col_a.clear();
-        self.col_a.resize(cap, f64::INFINITY);
-        self.col_b.clear();
-        self.col_b.resize(cap, f64::INFINITY);
-        (&mut self.col_a, &mut self.col_b)
     }
 }
 
@@ -78,12 +76,8 @@ pub fn dtw_banded(q: &[f64], c: &[f64], rho: usize) -> f64 {
 }
 
 /// Banded DTW with the paper's compressed warping matrix (Appendix E,
-/// Algorithm 2): two rolling columns of `2ρ+3` cells, sized to live in GPU
-/// shared memory. Cells are addressed by their diagonal offset `i − j`
-/// (shifted to stay positive) rather than the paper's
-/// `(i mod (2ρ+2), j mod 2)` modulus scheme — the same compressed
-/// footprint, but predecessors sit at fixed strides so the inner loop
-/// carries no ring arithmetic or bounds checks.
+/// Algorithm 2): `2ρ+3` cells, sized to live in GPU shared memory, swept
+/// one anti-diagonal at a time (see [`dtw_compressed_with`]).
 ///
 /// # Panics
 /// Panics if the sequences differ in length or are empty.
@@ -92,55 +86,27 @@ pub fn dtw_compressed(q: &[f64], c: &[f64], rho: usize) -> f64 {
 }
 
 /// [`dtw_compressed`] writing into a caller-owned [`DtwScratch`] —
-/// allocation-free after the scratch has grown to the band width.
+/// allocation-free after the scratch has grown to the sequence length.
+///
+/// The cells of one anti-diagonal `s = i + j` depend only on the two
+/// anti-diagonals before it, so the sweep has no loop-carried dependency
+/// inside an anti-diagonal (a column sweep waits on the cell above at every
+/// row). Each cell is still `cell(q_i, c_j) + min(diag, left, above)` over
+/// the same predecessor values, so every cell — and the distance — is
+/// bitwise the column recurrence's.
 ///
 /// # Panics
 /// Panics if the sequences differ in length or are empty.
 pub fn dtw_compressed_with(q: &[f64], c: &[f64], rho: usize, scratch: &mut DtwScratch) -> f64 {
     smiler_obs::count("dtw.evals", "compressed", 1);
-    let d = check_inputs(q, c);
-    let inf = f64::INFINITY;
-    // Two flat columns in diagonal-offset coordinates: cell (i, j) lives at
-    // offset `o = i − base_j` with `base_j = j − ρ − 1`, so o ∈ [1, 2ρ+1]
-    // for every in-band row and the predecessors become fixed strides —
-    // diagonal (i−1, j−1) at `prev[o]`, left (i, j−1) at `prev[o+1]`,
-    // vertical (i−1, j) in a register. Offsets 0 and 2ρ+2 are permanent
-    // infinity sentinels, so out-of-band reads need no per-column
-    // invalidation and the inner loop is three zipped slices the compiler
-    // proves in-bounds (no ring arithmetic, no bounds checks).
-    let (mut prev, mut cur) = scratch.columns(2 * rho + 3);
-    // Border column j = 0: gamma(0,0) = 0 at row 0's offset, rest infinity.
-    prev[rho + 1] = 0.0;
-    for j in 1..=d {
-        let base = j as isize - rho as isize - 1;
-        let lo = j.saturating_sub(rho).max(1);
-        let hi = (j + rho).min(d);
-        let o_lo = (lo as isize - base) as usize;
-        let o_hi = (hi as isize - base) as usize;
-        let cj = c[j - 1];
-        cur.fill(inf);
-        let mut above = inf; // gamma(i−1, j): the border for i = lo
-        for ((cv, (&diag, &left)), &qi) in cur[o_lo..=o_hi]
-            .iter_mut()
-            .zip(prev[o_lo..=o_hi].iter().zip(&prev[o_lo + 1..=o_hi + 1]))
-            .zip(&q[lo - 1..hi])
-        {
-            let v = cell(qi, cj) + diag.min(left).min(above);
-            *cv = v;
-            above = v;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    // Row d in column d sits at offset d − base_d = ρ + 1.
-    prev[rho + 1]
+    wavefront(q, c, rho, f64::INFINITY, scratch).0
 }
 
-/// Early-abandoning banded DTW for the CPU scan baseline: computes columns
-/// left to right and abandons as soon as the minimum of the current column
-/// exceeds `threshold`, returning `None` (the candidate cannot be a kNN).
-/// Also reports how many warping-matrix cells were actually evaluated — the
-/// work measure the CPU-scan baseline feeds its cost model (abandoning
-/// early is exactly what makes FastCPUScan faster than a full scan).
+/// Early-abandoning banded DTW: the exact distance when it is at most
+/// `threshold`, else `None` (the candidate cannot be a kNN). Also reports
+/// how many warping-matrix cells were evaluated — the work measure the
+/// verification cost models are fed (abandoning early is exactly what
+/// makes FastCPUScan faster than a full scan).
 ///
 /// # Panics
 /// Panics if the sequences differ in length or are empty.
@@ -169,17 +135,15 @@ pub fn dtw_early_abandon_with(
 
 /// [`dtw_early_abandon_counted`] writing into a caller-owned
 /// [`DtwScratch`] — allocation-free after the scratch has grown to the
-/// band width.
+/// sequence length.
 ///
-/// Beyond the per-column abandon, this prunes *within* columns
-/// (Silva & Batista's PrunedDTW adapted to the band): cumulative cost is
-/// non-decreasing along any path, so a cell all of whose predecessors
-/// exceed `threshold` must exceed it too and can be skipped. Skipping is
-/// value-preserving, not approximate — any cell whose true cumulative cost
-/// is ≤ `threshold` has its minimal predecessor ≤ `threshold` as well, so
-/// that predecessor is always among the kept cells and the computed values
-/// (and the returned distance) are bitwise-identical to the unpruned
-/// recurrence. Only the evaluated-cell count changes.
+/// The sweep abandons once two consecutive anti-diagonals hold no cell at
+/// or below `threshold`: a warping path steps from one anti-diagonal to the
+/// next or the one after, so it crosses one of the two, and cumulative cost
+/// never decreases along it. Abandoning only cuts the sweep short; the
+/// distance it returns is the full recurrence's, bit for bit, and it is
+/// returned exactly when it is `≤ threshold`. A threshold of `+∞` never
+/// abandons (a `+∞` distance is within it).
 pub fn dtw_early_abandon_counted_with(
     q: &[f64],
     c: &[f64],
@@ -187,73 +151,84 @@ pub fn dtw_early_abandon_counted_with(
     threshold: f64,
     scratch: &mut DtwScratch,
 ) -> (Option<f64>, u64) {
-    let d = check_inputs(q, c);
-    let mut cells: u64 = 0;
-    let inf = f64::INFINITY;
-    // Same diagonal-offset column layout as [`dtw_compressed_with`]: cell
-    // (i, j) at offset `i − (j − ρ − 1)`, predecessors at fixed strides.
-    // Each column starts as all-infinity, so rows skipped below `plo` or
-    // cut off by the break simply stay infinite — no explicit invalidation.
-    let (mut prev, mut cur) = scratch.columns(2 * rho + 3);
-    prev[rho + 1] = 0.0;
-    // Rows of the previous column that can still seed a ≤ threshold path:
-    // `plo` is the first, `phi` the last (column 0 is the single cell
-    // gamma(0,0) = 0).
-    let mut plo: usize = 0;
-    let mut phi: usize = 0;
+    let (dist, cells) = wavefront(q, c, rho, threshold, scratch);
+    ((dist <= threshold).then_some(dist), cells)
+}
 
-    for j in 1..=d {
-        let base = j as isize - rho as isize - 1;
-        let blo = j.saturating_sub(rho).max(1);
-        let bhi = (j + rho).min(d);
-        // Rows below `plo` have every predecessor over the threshold: skip.
-        let lo = blo.max(plo);
-        let o_lo = (lo as isize - base) as usize;
-        let o_hi = (bhi as isize - base) as usize;
-        let cj = c[j - 1];
-        cur.fill(inf);
-        let mut tlo = usize::MAX;
-        let mut thi = 0usize;
-        let mut evaluated = 0u64;
-        let mut above = inf; // gamma(i−1, j): the border for i = lo
-        for ((k, (cv, (&diag, &left))), &qi) in cur[o_lo..=o_hi]
-            .iter_mut()
-            .zip(prev[o_lo..=o_hi].iter().zip(&prev[o_lo + 1..=o_hi + 1]))
-            .enumerate()
-            .zip(&q[lo - 1..bhi])
-        {
-            let i = lo + k;
-            // Above `phi + 1` the left and diagonal predecessors are over
-            // the threshold (or outside the band); once the vertical chain
-            // exceeds it too, every remaining cell in the column must.
-            if i > phi + 1 && above > threshold {
-                break;
-            }
-            // Diagonal/left first: both come from the previous column, so
-            // only the `above` min and the final add sit on the serial
-            // dependency chain of the recurrence.
-            let v = cell(qi, cj) + diag.min(left).min(above);
-            *cv = v;
-            above = v;
-            if v <= threshold {
-                if tlo == usize::MAX {
-                    tlo = i;
-                }
-                thi = i;
-            }
-            evaluated += 1;
-        }
-        cells += evaluated;
-        // No cell of this column can reach the threshold: abandon.
-        if tlo == usize::MAX {
-            return (None, cells);
-        }
-        plo = tlo;
-        phi = thi;
-        std::mem::swap(&mut prev, &mut cur);
+/// The banded-DTW recurrence, one anti-diagonal at a time. Returns the
+/// distance and the cells evaluated; unless `tau` is `+∞`, it stops as
+/// soon as two consecutive anti-diagonals hold no cell `≤ tau` and reports
+/// `+∞` (the distance is provably not `≤ tau`).
+///
+/// Cell `(i, j)` lives at diagonal offset `w = i − j + ρ + 1`, in `1..=2ρ+1`
+/// for every in-band cell; offsets `0` and `2ρ+2` are permanent `+∞`
+/// sentinels. On anti-diagonal `s` every cell has the parity of `s + ρ + 1`,
+/// so splitting the offsets by parity puts one anti-diagonal in one
+/// contiguous run of its parity's buffer: the diagonal predecessor
+/// `(i−1, j−1)` (anti-diagonal `s − 2`) is the cell's own slot, overwritten
+/// in place, and `above` `(i−1, j)` and `left` `(i, j−1)` (anti-diagonal
+/// `s − 1`) are the two neighbouring slots of the other buffer. Along the
+/// run `i` rises and `j` falls, so the query is read forwards and the
+/// candidate from its reversed copy. Each run is clipped to the matrix, so
+/// a slot no in-matrix cell has reached still holds its initial `+∞` — the
+/// `i = 0` / `j = 0` borders — and `γ(0, 0) = 0` seeds the first run.
+fn wavefront(q: &[f64], c: &[f64], rho: usize, tau: f64, scratch: &mut DtwScratch) -> (f64, u64) {
+    let d = check_inputs(q, c);
+    let inf = f64::INFINITY;
+    let DtwScratch { even, odd, reversed } = scratch;
+    even.clear();
+    even.resize(rho + 2, inf);
+    odd.clear();
+    odd.resize(rho + 1, inf);
+    reversed.clear();
+    reversed.extend(c.iter().rev());
+    // γ(0, 0) and γ(d, d) sit at offset ρ+1: slot ⌈ρ/2⌉ of the even
+    // buffer when ρ is odd, of the odd buffer when ρ is even.
+    let corner = rho.div_ceil(2);
+    if rho % 2 == 1 {
+        even[corner] = 0.0;
+    } else {
+        odd[corner] = 0.0;
     }
-    let result = prev[rho + 1];
-    ((result <= threshold).then_some(result), cells)
+    let armed = tau != inf;
+    let mut cells = 0u64;
+    // Anti-diagonal 1 holds no matrix cell, so none at or below τ.
+    let mut prev_live = false;
+    for s in 2..=2 * d {
+        // Rows of anti-diagonal s inside the matrix and the band |2i − s| ≤ ρ.
+        let i_lo = s.saturating_sub(d).max(1).max(s.saturating_sub(rho).div_ceil(2));
+        let i_hi = (s - 1).min(d).min((s + rho) / 2);
+        let mut live = false;
+        if i_lo <= i_hi {
+            let n = i_hi - i_lo + 1;
+            let p = (s + rho + 1) % 2;
+            // Slot k of parity p holds offset w = 2k + p = 2i + ρ + 1 − s.
+            let k_lo = (2 * i_lo + rho + 1 - s - p) / 2;
+            let (run, other) =
+                if p == 0 { (&mut even[..], &odd[..]) } else { (&mut odd[..], &even[..]) };
+            // Offset w − 1 (above) is slot k − 1 + p of the other parity,
+            // offset w + 1 (left) slot k + p.
+            let above = &other[k_lo + p - 1..k_lo + p - 1 + n];
+            let left = &other[k_lo + p..k_lo + p + n];
+            let qs = &q[i_lo - 1..i_hi];
+            // c_j with j = s − i is reversed[d − j].
+            let cs = &reversed[d + i_lo - s..d + i_hi + 1 - s];
+            for ((((g, &up), &lf), &qi), &cj) in
+                run[k_lo..k_lo + n].iter_mut().zip(above).zip(left).zip(qs).zip(cs)
+            {
+                let v = cell(qi, cj) + g.min(lf).min(up);
+                *g = v;
+                live |= v <= tau;
+            }
+            cells += n as u64;
+        }
+        if armed && !live && !prev_live {
+            return (inf, cells);
+        }
+        prev_live = live;
+    }
+    let last = if rho % 2 == 1 { even[corner] } else { odd[corner] };
+    (last, cells)
 }
 
 /// Analytic operation count of one banded DTW evaluation, used by the GPU /
@@ -297,6 +272,117 @@ mod tests {
             }
         }
         buf[idx(d as isize)][d % 2]
+    }
+
+    /// The column-sweep compressed DTW the wavefront replaced, kept verbatim
+    /// (its two columns allocated here instead of borrowed from a scratch)
+    /// as a bitwise oracle.
+    fn dtw_compressed_column_oracle(q: &[f64], c: &[f64], rho: usize) -> f64 {
+        let d = check_inputs(q, c);
+        let inf = f64::INFINITY;
+        let (mut prev, mut cur) = (vec![inf; 2 * rho + 3], vec![inf; 2 * rho + 3]);
+        // Border column j = 0: gamma(0,0) = 0 at row 0's offset, rest infinity.
+        prev[rho + 1] = 0.0;
+        for j in 1..=d {
+            let base = j as isize - rho as isize - 1;
+            let lo = j.saturating_sub(rho).max(1);
+            let hi = (j + rho).min(d);
+            let o_lo = (lo as isize - base) as usize;
+            let o_hi = (hi as isize - base) as usize;
+            let cj = c[j - 1];
+            cur.fill(inf);
+            let mut above = inf; // gamma(i−1, j): the border for i = lo
+            for ((cv, (&diag, &left)), &qi) in cur[o_lo..=o_hi]
+                .iter_mut()
+                .zip(prev[o_lo..=o_hi].iter().zip(&prev[o_lo + 1..=o_hi + 1]))
+                .zip(&q[lo - 1..hi])
+            {
+                let v = cell(qi, cj) + diag.min(left).min(above);
+                *cv = v;
+                above = v;
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        // Row d in column d sits at offset d − base_d = ρ + 1.
+        prev[rho + 1]
+    }
+
+    /// The column-sweep early-abandoning DTW (PrunedDTW within columns) the
+    /// wavefront replaced, kept verbatim as a bitwise oracle.
+    fn dtw_early_abandon_column_oracle(
+        q: &[f64],
+        c: &[f64],
+        rho: usize,
+        threshold: f64,
+    ) -> Option<f64> {
+        let d = check_inputs(q, c);
+        let inf = f64::INFINITY;
+        let (mut prev, mut cur) = (vec![inf; 2 * rho + 3], vec![inf; 2 * rho + 3]);
+        prev[rho + 1] = 0.0;
+        let mut plo: usize = 0;
+        let mut phi: usize = 0;
+        for j in 1..=d {
+            let base = j as isize - rho as isize - 1;
+            let blo = j.saturating_sub(rho).max(1);
+            let bhi = (j + rho).min(d);
+            let lo = blo.max(plo);
+            let o_lo = (lo as isize - base) as usize;
+            let o_hi = (bhi as isize - base) as usize;
+            let cj = c[j - 1];
+            cur.fill(inf);
+            let mut tlo = usize::MAX;
+            let mut thi = 0usize;
+            let mut above = inf;
+            for ((k, (cv, (&diag, &left))), &qi) in cur[o_lo..=o_hi]
+                .iter_mut()
+                .zip(prev[o_lo..=o_hi].iter().zip(&prev[o_lo + 1..=o_hi + 1]))
+                .enumerate()
+                .zip(&q[lo - 1..bhi])
+            {
+                let i = lo + k;
+                if i > phi + 1 && above > threshold {
+                    break;
+                }
+                let v = cell(qi, cj) + diag.min(left).min(above);
+                *cv = v;
+                above = v;
+                if v <= threshold {
+                    if tlo == usize::MAX {
+                        tlo = i;
+                    }
+                    thi = i;
+                }
+            }
+            if tlo == usize::MAX {
+                return None;
+            }
+            plo = tlo;
+            phi = thi;
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        let result = prev[rho + 1];
+        (result <= threshold).then_some(result)
+    }
+
+    /// Bits of a distance, every NaN folded onto one pattern (the payload
+    /// of a NaN is not part of any contract).
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Finite values salted with NaN, ±∞ and −0.
+    fn salted() -> impl Strategy<Value = f64> {
+        (-10.0f64..10.0, 0u8..16).prop_map(|(v, pick)| match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            _ => v,
+        })
     }
 
     #[test]
@@ -417,6 +503,43 @@ mod tests {
             // infinite threshold it must produce the same bits too.
             let (ea, _) = dtw_early_abandon_counted(&q, &c, rho, f64::INFINITY);
             prop_assert_eq!(ea.map(f64::to_bits), Some(oracle.to_bits()));
+        }
+
+        #[test]
+        fn wavefront_is_bitwise_the_column_sweep(
+            (q, c) in (1usize..49, 0u8..2).prop_flat_map(|(n, salt)| (
+                prop::collection::vec(salted(), n),
+                prop::collection::vec(salted(), n),
+                Just(salt == 1),
+            )).prop_map(|(q, c, salt): (Vec<f64>, Vec<f64>, bool)| {
+                // Half the cases keep only finite values.
+                let keep = |v: f64| if salt || v.is_finite() { v } else { 0.5 };
+                let q: Vec<f64> = q.into_iter().map(keep).collect();
+                let c: Vec<f64> = c.into_iter().map(keep).collect();
+                (q, c)
+            }),
+            // Narrow bands, the paper's, and bands at least the length.
+            (band, narrow, wide) in (0u8..3, 0usize..12, 48usize..60),
+            (tau_pick, tau_value) in (0u8..4, 0.0f64..400.0),
+        ) {
+            let rho = match band { 0 => narrow % 4, 1 => narrow, _ => wide };
+            let random_tau = match tau_pick { 2 => f64::NAN, 3 => -1.0, _ => tau_value };
+            let oracle = dtw_compressed_column_oracle(&q, &c, rho);
+            let fast = dtw_compressed(&q, &c, rho);
+            prop_assert_eq!(bits(fast), bits(oracle), "compressed: oracle {} vs wavefront {}", oracle, fast);
+            let mut scratch = DtwScratch::new();
+            for tau in [f64::INFINITY, oracle, random_tau] {
+                let (got, _) = dtw_early_abandon_counted_with(&q, &c, rho, tau, &mut scratch);
+                let expect = dtw_early_abandon_column_oracle(&q, &c, rho, tau);
+                if tau == f64::INFINITY && !oracle.is_finite() {
+                    // A non-finite distance against τ = +∞: the column sweep
+                    // abandoned on a column of NaN cells (its pruning decided
+                    // which), the wavefront answers by the contract.
+                    prop_assert_eq!(got.map(bits), (oracle <= tau).then_some(oracle).map(bits));
+                } else {
+                    prop_assert_eq!(got.map(bits), expect.map(bits), "tau {}", tau);
+                }
+            }
         }
 
         #[test]

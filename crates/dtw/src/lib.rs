@@ -2,8 +2,8 @@
 //!
 //! The paper uses banded DTW as the similarity measure of the suffix kNN
 //! search (§4, Appendix B.1) and verification runs on the GPU with a
-//! *compressed warping matrix* of size `2×(2ρ+2)` that fits shared memory
-//! (Appendix E, Algorithm 2). Filtering uses `LB_Keogh` (Keogh 2002) in
+//! *compressed warping matrix* that fits shared memory (Appendix E,
+//! Algorithm 2): here `2ρ+3` cells, swept one anti-diagonal at a time. Filtering uses `LB_Keogh` (Keogh 2002) in
 //! both envelope directions and the paper's enhanced bound
 //! `LBen = max(LBEQ, LBEC)` (§4.2, Theorem 4.1).
 //!

@@ -178,14 +178,19 @@ fn traced_minimize(
         return minimize_cg(f, start, opts);
     }
     /// Records every finite objective value — value-only probes and full
-    /// evaluations alike — in evaluation order.
+    /// evaluations alike — in evaluation order, and the gradient's max-norm
+    /// at the start point (the first full evaluation).
     struct Traced<'a> {
         inner: &'a mut dyn Objective,
         trajectory: &'a mut Vec<f64>,
+        start_grad_norm: Option<f64>,
     }
     impl Objective for Traced<'_> {
         fn value_and_gradient(&mut self, logs: &[f64]) -> (f64, Vec<f64>) {
             let (value, grad) = self.inner.value_and_gradient(logs);
+            if self.start_grad_norm.is_none() {
+                self.start_grad_norm = Some(smiler_linalg::vector::max_abs(&grad));
+            }
             if value.is_finite() {
                 // Store the LOO log-likelihood (objective sign flipped back).
                 self.trajectory.push(-value);
@@ -201,12 +206,20 @@ fn traced_minimize(
         }
     }
     let mut trajectory: Vec<f64> = Vec::new();
-    let report = {
-        let mut wrapped = Traced { inner: f, trajectory: &mut trajectory };
-        minimize_cg(&mut wrapped, start, opts)
+    let (report, start_grad_norm) = {
+        let mut wrapped = Traced { inner: f, trajectory: &mut trajectory, start_grad_norm: None };
+        let report = minimize_cg(&mut wrapped, start, opts);
+        (report, wrapped.start_grad_norm)
     };
     smiler_obs::count("gp.cg_iters", mode, report.iterations as u64);
     smiler_obs::count("gp.train_runs", mode, 1);
+    smiler_obs::count("cg.line_search_rejections", mode, report.rejections as u64);
+    if mode == "online" {
+        // How far from converged each warm start is (ROADMAP item 3(a)).
+        if let Some(norm) = start_grad_norm {
+            smiler_obs::observe("gp.warm_start_grad_norm", "", norm);
+        }
+    }
     smiler_obs::event(
         "gp.train",
         mode,

@@ -209,7 +209,6 @@ struct SearchScratch {
 pub(crate) struct CascadeCounts {
     kim_pruned: u64,
     keogh_pruned: u64,
-    lb_improved_pruned: u64,
     dtw_abandoned: u64,
     dtw_full: u64,
 }
@@ -218,7 +217,6 @@ impl CascadeCounts {
     pub(crate) fn merge(&mut self, other: &CascadeCounts) {
         self.kim_pruned += other.kim_pruned;
         self.keogh_pruned += other.keogh_pruned;
-        self.lb_improved_pruned += other.lb_improved_pruned;
         self.dtw_abandoned += other.dtw_abandoned;
         self.dtw_full += other.dtw_full;
     }
@@ -228,7 +226,6 @@ impl CascadeCounts {
         if smiler_obs::enabled() {
             smiler_obs::count("verify.cascade", "kim_pruned", self.kim_pruned);
             smiler_obs::count("verify.cascade", "keogh_pruned", self.keogh_pruned);
-            smiler_obs::count("verify.cascade", "lb_improved", self.lb_improved_pruned);
             smiler_obs::count("verify.cascade", "dtw_abandoned", self.dtw_abandoned);
             smiler_obs::count("verify.cascade", "dtw_full", self.dtw_full);
         }
@@ -623,10 +620,16 @@ pub(crate) fn lb_threshold(tau: f64) -> f64 {
 
 /// One `(task, chunk)` block of the verification cascade: each candidate,
 /// visited in ascending group-bound order, passes through an O(1)
-/// first/last-point bound, the full `LB_Keogh` envelope bound, Lemire's
-/// `LB_Improved` second pass and finally an early-abandoning DTW — every
-/// stage pruning against (and every verdict tightening) the *running*
-/// k-th-best verified distance τ of its own task's [`SharedBest`].
+/// first/last-point bound, the full `LB_Keogh` envelope bound and finally
+/// an early-abandoning DTW — every stage pruning against (and every verdict
+/// tightening) the *running* k-th-best verified distance τ of its own
+/// task's [`SharedBest`].
+///
+/// Lemire's `LB_Improved` second pass is not a rung: timed over the
+/// survivors it actually sees on ROAD, MALL and NET, it cost more than the
+/// early-abandoning DTW it saved on every dataset (DESIGN §7). A candidate
+/// it would prune has DTW ≥ the bound > τ, so the DTW rung abandons it
+/// instead and τ evolves exactly as before.
 ///
 /// Exactness: τ is the k-th smallest among distances verified so far for
 /// that task, which is always ≥ the k-th smallest over the whole candidate
@@ -666,7 +669,6 @@ pub(crate) fn cascade_block(
     ctx.alloc_shared(4 * d * 4 + matrix_bytes)?;
     ctx.read_global(3 * d as u64); // stage query + envelope once
     let mut scratch = smiler_dtw::DtwScratch::with_rho(rho);
-    let mut lb_scratch = smiler_dtw::LbImprovedScratch::new();
     let mut counts = CascadeCounts::default();
     let mut out: Vec<(usize, f64)> = Vec::new();
     for &t in starts {
@@ -688,24 +690,8 @@ pub(crate) fn cascade_block(
         // per-candidate global traffic past this point.
         ctx.read_global(d as u64);
         ctx.flops(3 * d as u64);
-        let lb = smiler_dtw::lb_keogh(cand, &query_env.upper, &query_env.lower);
-        if lb > lb_tau {
+        if smiler_dtw::lb_keogh(cand, &query_env.upper, &query_env.lower) > lb_tau {
             counts.keogh_pruned += 1;
-            continue;
-        }
-        // Stage 2½: Lemire's LB_Improved second pass — project the
-        // staged candidate onto the query's envelope and walk the query
-        // against the projection's envelope. Reuses `lb` as the first
-        // term, costs ~6d ops on already-staged data, and (like every
-        // rung) prunes only when the bound strictly exceeds τ, so the
-        // kNN set is untouched. Roughly 16× cheaper than the full DTW
-        // it avoids at the paper's d=96, ρ=8.
-        ctx.flops(6 * d as u64);
-        ctx.access_shared(2 * d as u64);
-        let improved =
-            lb + smiler_dtw::lb_improved_second_pass(query, cand, query_env, &mut lb_scratch);
-        if improved > lb_tau {
-            counts.lb_improved_pruned += 1;
             continue;
         }
         // Stage 3: early-abandoning DTW against τ, on the staged candidate.
@@ -717,9 +703,10 @@ pub(crate) fn cascade_block(
             Some(dist) => {
                 counts.dtw_full += 1;
                 out.push((t, dist));
-                // A NaN distance (poisoned candidate) is reported but
-                // never tightens τ — `SharedBest::insert` drops it and
-                // `kselect` drops it downstream.
+                // A non-finite distance (a poisoned candidate, `+∞`
+                // within a `+∞` τ) is reported but never tightens τ —
+                // `SharedBest::insert` drops it and `kselect` drops it
+                // downstream.
                 shared.insert(dist);
             }
             None => counts.dtw_abandoned += 1,

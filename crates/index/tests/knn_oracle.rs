@@ -3,8 +3,9 @@
 //! `SmilerIndex::try_search` and `try_fleet_search`, on inputs chosen to
 //! break a filter-and-refine search — exact distance ties at the k-th
 //! place, lower bounds that equal the DTW they guard, NaN gaps, flat
-//! segments, degenerate bands, fewer candidates than neighbours — cold and
-//! over continuous steps, for both threshold strategies.
+//! segments, degenerate bands, one-point item queries (where a first/last
+//! bound's two ends are one cell), fewer candidates than neighbours — cold
+//! and over continuous steps, for both threshold strategies.
 //!
 //! What is asserted, per case × strategy × step × sensor:
 //!
@@ -147,6 +148,11 @@ fn cases() -> Vec<Case> {
             name: "at most k candidates",
             params: IndexParams { k_max: 16, ..small(3) },
             feed: short_history,
+        },
+        Case {
+            name: "one-point windows",
+            params: IndexParams { rho: 1, omega: 1, lengths: vec![1, 2], k_max: 3 },
+            feed: random,
         },
         Case { name: "random, small scale", params: small(3), feed: random },
         Case { name: "random, paper scale", params: IndexParams::default(), feed: paper_scale },

@@ -281,10 +281,16 @@ impl Cholesky {
     /// [`Cholesky::inverse`] into caller-owned storage — the GP training loop
     /// inverts one Gram matrix per objective probe and reuses the buffers.
     ///
-    /// The forward solve against `e_j` exploits the unit vector's structure:
-    /// rows above `j` of the solution are exactly zero, so the substitution
+    /// First `Z = L⁻¹`, one forward solve against `e_j` per column: rows
+    /// above `j` of the solution are exactly zero, so the substitution
     /// starts at row `j` and halves the triangular work versus solving dense
-    /// right-hand sides.
+    /// right-hand sides. Then `A⁻¹ = L⁻ᵀ Z`, back-substituted for every
+    /// column at once in [`Matrix::matmul_into`]'s i-k-j order: row `i` is
+    /// row `i` of `Z` minus `L[k][i]` times row `k` of the result for `k`
+    /// ascending, divided by `L[i][i]`. Each column sees exactly the
+    /// subtraction sequence of a per-column backward substitution, but the
+    /// updates run along contiguous rows instead of one serial `sum -=`
+    /// chain per column.
     pub fn inverse_into(&self, out: &mut Matrix, work: &mut Vec<f64>) {
         let n = self.dim();
         out.reset_zeros(n, n);
@@ -292,15 +298,23 @@ impl Cholesky {
         work.resize(n, 0.0);
         for j in 0..n {
             // Forward solve L z = e_j; z[..j] is identically zero.
-            work[..j].fill(0.0);
             work[j] = 1.0 / self.l[(j, j)];
             for i in j + 1..n {
                 let row = self.l.row(i);
                 work[i] = -smiler_simd::dot(&row[j..i], &work[j..i]) / row[i];
             }
-            self.solve_upper_in_place(work);
-            for (i, &v) in work.iter().enumerate() {
+            for (i, &v) in work.iter().enumerate().skip(j) {
                 out[(i, j)] = v;
+            }
+        }
+        for i in (0..n).rev() {
+            work.copy_from_slice(out.row(i));
+            for k in i + 1..n {
+                smiler_simd::axpy(-self.l[(k, i)], out.row(k), work);
+            }
+            let pivot = self.l[(i, i)];
+            for (x, &acc) in out.row_mut(i).iter_mut().zip(work.iter()) {
+                *x = acc / pivot;
             }
         }
     }
@@ -348,6 +362,28 @@ mod tests {
         let mut a = b.matmul(&b.transpose());
         a.add_diagonal(n as f64);
         a
+    }
+
+    /// The per-column inverse the batched back substitution replaced, kept
+    /// verbatim as a bitwise oracle.
+    fn inverse_per_column_oracle(c: &Cholesky) -> Matrix {
+        let n = c.dim();
+        let mut out = Matrix::zeros(n, n);
+        let mut work = vec![0.0; n];
+        for j in 0..n {
+            // Forward solve L z = e_j; z[..j] is identically zero.
+            work[..j].fill(0.0);
+            work[j] = 1.0 / c.l[(j, j)];
+            for i in j + 1..n {
+                let row = c.l.row(i);
+                work[i] = -smiler_simd::dot(&row[j..i], &work[j..i]) / row[i];
+            }
+            c.solve_upper_in_place(&mut work);
+            for (i, &v) in work.iter().enumerate() {
+                out[(i, j)] = v;
+            }
+        }
+        out
     }
 
     #[test]
@@ -511,6 +547,34 @@ mod tests {
             c.inverse_into(&mut out, &mut work);
             let fresh = c.inverse();
             assert_eq!(out.max_abs_diff(&fresh), Some(0.0), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn batched_inverse_is_bitwise_the_per_column_inverse() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut out = Matrix::zeros(0, 0);
+        let mut work = Vec::new();
+        for n in 1..=48usize {
+            // A well-conditioned factor, and one that needed jitter: a
+            // rank-deficient Gram matrix nudged by a tiny diagonal.
+            let low_rank = {
+                let b = Matrix::from_fn(n, 2, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
+                b.matmul(&b.transpose())
+            };
+            let factors = [
+                Cholesky::decompose(&spd(n, 100 + n as u64)).unwrap(),
+                Cholesky::decompose_with_jitter(&low_rank, 1e-10, 1.0).unwrap(),
+            ];
+            assert!(n < 3 || factors[1].jitter() > 0.0, "n = {n}: expected a jittered factor");
+            for (which, c) in factors.iter().enumerate() {
+                c.inverse_into(&mut out, &mut work);
+                assert_eq!(
+                    bits(&out),
+                    bits(&inverse_per_column_oracle(c)),
+                    "n = {n}, factor {which}"
+                );
+            }
         }
     }
 

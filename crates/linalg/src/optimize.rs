@@ -107,6 +107,9 @@ pub struct CgReport {
     pub iterations: usize,
     /// Total objective evaluations.
     pub evaluations: usize,
+    /// Line-search probes rejected (failed the Armijo test or were not
+    /// finite).
+    pub rejections: usize,
     /// Why the run stopped.
     pub stop: StopReason,
 }
@@ -117,6 +120,7 @@ pub fn minimize_cg(f: &mut dyn Objective, x0: &[f64], opts: &CgOptions) -> CgRep
     let mut x = x0.to_vec();
     let (mut fx, mut grad) = f.value_and_gradient(&x);
     let mut evaluations = 1;
+    let mut rejections = 0;
     let mut direction: Vec<f64> = grad.iter().map(|g| -g).collect();
     let mut iterations = 0;
     let mut stop = StopReason::MaxIterations;
@@ -156,6 +160,7 @@ pub fn minimize_cg(f: &mut dyn Objective, x0: &[f64], opts: &CgOptions) -> CgRep
                 accepted = Some(trial);
                 break;
             }
+            rejections += 1;
             step *= opts.backtrack;
         }
         let Some(new_x) = accepted else {
@@ -191,7 +196,7 @@ pub fn minimize_cg(f: &mut dyn Objective, x0: &[f64], opts: &CgOptions) -> CgRep
 
     smiler_obs::count("cg.iterations", "", iterations as u64);
     smiler_obs::count("cg.evaluations", "", evaluations as u64);
-    CgReport { x, value: fx, iterations, evaluations, stop }
+    CgReport { x, value: fx, iterations, evaluations, rejections, stop }
 }
 
 /// Central finite-difference gradient, for validating analytic gradients in

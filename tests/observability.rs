@@ -110,7 +110,7 @@ fn fleet_search_metrics_agree_with_slot_stats() {
     // walks every other survivor, and each leaves through exactly one rung.
     let survived: usize = outs.iter().flat_map(|o| &o.stats.unfiltered).sum();
     let probes = outs.len() * params.lengths.len() * params.k_max;
-    let rungs: u64 = ["kim_pruned", "keogh_pruned", "lb_improved", "dtw_abandoned", "dtw_full"]
+    let rungs: u64 = ["kim_pruned", "keogh_pruned", "dtw_abandoned", "dtw_full"]
         .iter()
         .map(|rung| counter(&snap, "verify.cascade", rung).expect("every rung is reported"))
         .sum();
@@ -230,6 +230,34 @@ fn span_totals_cover_their_children() {
     ] {
         assert!(paths.contains(&phase), "missing span {phase}; have {paths:?}");
     }
+}
+
+/// Every GP training run reports its rejected line-search probes under its
+/// mode, and every online (warm-started) run the gradient's max-norm at
+/// its start point.
+#[test]
+fn online_training_reports_rejections_and_warm_start_gradient() {
+    let _g = lock_obs();
+    let device = Arc::new(Device::default_gpu());
+    let histories = vec![road_sensor(10, 8), road_sensor(10, 9)];
+    let config = smiler_core::sensor::SmilerConfig { h_max: 2, ..Default::default() };
+    let (mut system, rejected) =
+        SmilerSystem::new(device, histories, config, PredictorKind::GaussianProcess);
+    assert!(rejected.is_none());
+    for step in 0..4 {
+        system.step(1, &[0.1 * step as f64; 2]);
+    }
+    let snap = smiler_obs::metrics_snapshot();
+    for mode in ["full", "online"] {
+        assert!(counter(&snap, "gp.train_runs", mode).is_some_and(|runs| runs > 0), "{mode} runs");
+        assert!(counter(&snap, "cg.line_search_rejections", mode).is_some(), "{mode} rejections");
+    }
+    let norms = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "gp.warm_start_grad_norm")
+        .expect("warm-start gradient norms recorded");
+    assert_eq!(Some(norms.count), counter(&snap, "gp.train_runs", "online"));
 }
 
 /// With the switch off, driving the pipeline must leave no trace at all.
