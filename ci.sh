@@ -37,6 +37,23 @@ if [[ "$QUICK" == "0" ]]; then
     echo "==> cargo build --workspace --release"
     cargo build --workspace --release
 
+    # The shipped binary and its exit codes, not only `run()` in-process:
+    # a forecast off a generated series prints a `t+1` line, and a
+    # misspelt flag fails instead of being ignored.
+    echo "==> smiler binary: generate, forecast, misspelt flag"
+    series="$(mktemp)"
+    target/release/smiler generate --dataset road --days 2 > "$series"
+    forecast="$(target/release/smiler forecast --input "$series")"
+    if ! grep -q '^t+1 ' <<< "$forecast"; then
+        echo "smiler forecast printed no t+1 line" >&2
+        exit 1
+    fi
+    if target/release/smiler generate --dataset road --dayz 1 > /dev/null 2>&1; then
+        echo "smiler accepted the misspelt flag --dayz" >&2
+        exit 1
+    fi
+    rm -f "$series"
+
     # The DTW and linear-algebra kernels are pinned bit for bit to verbatim
     # oracles by property tests; give those 4096 cases instead of the
     # default 96.

@@ -31,6 +31,8 @@ pub enum ArgError {
     },
     /// A positional argument appeared where none is accepted.
     UnexpectedPositional(String),
+    /// A flag the command does not accept (usually a misspelling).
+    Unknown(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -38,10 +40,9 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingValue(flag) => write!(f, "--{flag} requires a value"),
             ArgError::Required(flag) => write!(f, "--{flag} is required"),
-            ArgError::Invalid { flag, value } => {
-                write!(f, "--{flag}: cannot parse {value:?}")
-            }
+            ArgError::Invalid { flag, value } => write!(f, "invalid --{flag} {value:?}"),
             ArgError::UnexpectedPositional(arg) => write!(f, "unexpected argument {arg:?}"),
+            ArgError::Unknown(flag) => write!(f, "unknown flag --{flag}"),
         }
     }
 }
@@ -84,14 +85,20 @@ impl Args {
         self.get(flag).ok_or_else(|| ArgError::Required(flag.to_string()))
     }
 
+    /// Optional parsed flag: `None` when absent, an error naming the flag
+    /// and its value when present but unparsable.
+    pub fn get_parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ArgError> {
+        self.get(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| ArgError::Invalid { flag: flag.to_string(), value: v.to_string() })
+            })
+            .transpose()
+    }
+
     /// Optional parsed flag with a default.
     pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError::Invalid { flag: flag.to_string(), value: v.to_string() }),
-        }
+        Ok(self.get_parsed(flag)?.unwrap_or(default))
     }
 
     /// Comma-separated list flag with a default.
@@ -113,6 +120,11 @@ impl Args {
     /// Whether a boolean switch was given.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
+    }
+
+    /// The name of every flag and switch given.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().chain(&self.switches).map(String::as_str)
     }
 }
 

@@ -54,9 +54,10 @@ pub struct FollowerConfig {
     pub ack_every: u64,
     /// Receive poll interval while streaming.
     pub poll: Duration,
-    /// How long to keep retrying the initial connection.
-    pub connect_timeout: Duration,
 }
+
+/// How long a follower keeps retrying its initial connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl FollowerConfig {
     /// Sensible defaults for `node_id` following `primary` into `dir`.
@@ -68,7 +69,6 @@ impl FollowerConfig {
             store_config: StoreConfig::default(),
             ack_every: 16,
             poll: Duration::from_millis(10),
-            connect_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -307,9 +307,9 @@ pub fn promote(
 }
 
 /// Dial the primary, retrying (it may still be binding) until
-/// `connect_timeout`.
+/// [`CONNECT_TIMEOUT`].
 fn connect(config: &FollowerConfig) -> Result<ReplConn, ClusterError> {
-    let deadline = Instant::now() + config.connect_timeout;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     loop {
         match std::net::TcpStream::connect(&config.primary) {
             Ok(stream) => return Ok(ReplConn::new(stream)?),

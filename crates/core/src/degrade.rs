@@ -99,12 +99,17 @@ impl DegradationLevel {
     }
 }
 
+/// After this many consecutive steps with GP failures, the sensor is parked
+/// on [`DegradationLevel::Aggregation`] for [`GP_COOLDOWN_STEPS`] steps.
+pub(crate) const GP_FAILURE_THRESHOLD: u32 = 3;
+/// Length of the aggregation cooldown after repeated GP failures.
+pub(crate) const GP_COOLDOWN_STEPS: u32 = 8;
+
 /// Per-request serving policy: how much latency the request may spend and
-/// how aggressively the sensor backs off after repeated GP failures.
+/// which rung it may start from.
 ///
-/// The default policy (no deadline, full ensemble, back off after 3
-/// consecutive failing steps) makes the robust path bit-identical to the
-/// original pipeline on healthy sensors.
+/// The default policy (no deadline, full ensemble) makes the robust path
+/// bit-identical to the original pipeline on healthy sensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestPolicy {
     /// Wall-clock budget for one prediction request. Checkpoints: already
@@ -117,22 +122,11 @@ pub struct RequestPolicy {
     /// The least degraded rung this request may use (callers can force a
     /// cheap prediction by starting further down the ladder).
     pub entry_level: DegradationLevel,
-    /// After this many consecutive steps with GP failures, the sensor is
-    /// parked on [`DegradationLevel::Aggregation`] for
-    /// [`RequestPolicy::gp_cooldown_steps`] steps.
-    pub gp_failure_threshold: u32,
-    /// Length of the aggregation cooldown after repeated GP failures.
-    pub gp_cooldown_steps: u32,
 }
 
 impl Default for RequestPolicy {
     fn default() -> Self {
-        RequestPolicy {
-            deadline: None,
-            entry_level: DegradationLevel::FullEnsemble,
-            gp_failure_threshold: 3,
-            gp_cooldown_steps: 8,
-        }
+        RequestPolicy { deadline: None, entry_level: DegradationLevel::FullEnsemble }
     }
 }
 

@@ -8,7 +8,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::degrade::{DegradationLevel, ErrorState, PredictError, Prediction, RequestPolicy};
+use crate::degrade::{
+    DegradationLevel, ErrorState, PredictError, Prediction, RequestPolicy, GP_COOLDOWN_STEPS,
+    GP_FAILURE_THRESHOLD,
+};
 use crate::ensemble::{EnsembleConfig, EnsembleMatrix};
 use crate::predictor::{
     ArPredictor, GpCellPredictor, HyperPlan, KnnData, PredictorKind, QualitySnapshot, QualityStats,
@@ -569,9 +572,9 @@ impl SensorPredictor {
             self.errors.total_gp_failures += gp_failures;
             self.errors.consecutive_gp_failures += 1;
             smiler_obs::count("health.gp_failure", "", gp_failures);
-            if self.errors.consecutive_gp_failures >= policy.gp_failure_threshold {
+            if self.errors.consecutive_gp_failures >= GP_FAILURE_THRESHOLD {
                 self.errors.consecutive_gp_failures = 0;
-                self.errors.cooldown_remaining = policy.gp_cooldown_steps;
+                self.errors.cooldown_remaining = GP_COOLDOWN_STEPS;
                 smiler_obs::count("health.gp_cooldown_entered", "", 1);
             }
         } else if level < DegradationLevel::Aggregation {

@@ -91,11 +91,6 @@ pub struct ServeConfig {
     /// Bounded queue capacity per shard; a full queue sheds load with
     /// [`ServeError::Overloaded`] instead of blocking.
     pub queue_capacity: usize,
-    /// Base policy for every request; per-request deadlines override
-    /// `policy.deadline` with the budget remaining after queueing, and
-    /// queue pressure can only push `policy.entry_level` further down the
-    /// ladder.
-    pub policy: RequestPolicy,
     /// End-to-end latency target for SLO accounting (admission →
     /// terminal). Purely observational: it never changes rung selection.
     pub slo_target: Duration,
@@ -109,7 +104,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             queue_capacity: 64,
-            policy: RequestPolicy::default(),
             slo_target: Duration::from_millis(50),
             slo_budget: 0.01,
         }
@@ -1112,7 +1106,10 @@ impl ShardWorker {
     fn serve_forecast(&mut self, job: ForecastJob, pressure: DegradationLevel) {
         let ForecastJob { sensor: sensor_id, h, deadline, enqueued, reply, mut trace } = job;
         let now = Instant::now();
-        let mut policy = self.config.policy;
+        // Every request starts from the default policy: the per-request
+        // deadline becomes the budget left after queueing, and queue
+        // pressure can only push the entry rung further down the ladder.
+        let mut policy = RequestPolicy::default();
         policy.entry_level = policy.entry_level.at_least(pressure);
         if pressure > DegradationLevel::FullEnsemble {
             if let Some(trace) = &mut trace {

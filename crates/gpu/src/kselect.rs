@@ -24,8 +24,8 @@ const SORT_CUTOFF: usize = 64;
 
 /// Select the indices of the `k` smallest values, sorted ascending by value
 /// (ties broken by index for determinism). Non-finite values are treated as
-/// "filtered out" and never selected unless fewer than `k` finite values
-/// exist.
+/// "filtered out" and never selected, so fewer than `k` indices come back
+/// when fewer than `k` finite values exist.
 ///
 /// Runs as a block-level kernel: every scan over candidates is reported to
 /// `ctx` so the launch inherits the right simulated cost.

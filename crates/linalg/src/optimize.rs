@@ -46,27 +46,20 @@ pub struct CgOptions {
     pub gradient_tolerance: f64,
     /// Stop when the objective improves by less than this between iterations.
     pub value_tolerance: f64,
-    /// Initial trial step of the line search.
-    pub initial_step: f64,
-    /// Armijo sufficient-decrease constant.
-    pub armijo_c: f64,
-    /// Backtracking shrink factor.
-    pub backtrack: f64,
-    /// Maximum backtracking steps per line search.
-    pub max_line_search: usize,
 }
+
+/// Initial trial step of the line search.
+const INITIAL_STEP: f64 = 1.0;
+/// Armijo sufficient-decrease constant.
+const ARMIJO_C: f64 = 1e-4;
+/// Backtracking shrink factor.
+const BACKTRACK: f64 = 0.5;
+/// Maximum backtracking steps per line search.
+const MAX_LINE_SEARCH: usize = 30;
 
 impl Default for CgOptions {
     fn default() -> Self {
-        CgOptions {
-            max_iters: 100,
-            gradient_tolerance: 1e-6,
-            value_tolerance: 1e-10,
-            initial_step: 1.0,
-            armijo_c: 1e-4,
-            backtrack: 0.5,
-            max_line_search: 30,
-        }
+        CgOptions { max_iters: 100, gradient_tolerance: 1e-6, value_tolerance: 1e-10 }
     }
 }
 
@@ -74,12 +67,7 @@ impl CgOptions {
     /// Options for the paper's online mode: a fixed budget of `steps` CG
     /// iterations from a warm start (§5.2.2 uses five).
     pub fn fixed_steps(steps: usize) -> Self {
-        CgOptions {
-            max_iters: steps,
-            gradient_tolerance: 0.0,
-            value_tolerance: 0.0,
-            ..Self::default()
-        }
+        CgOptions { max_iters: steps, gradient_tolerance: 0.0, value_tolerance: 0.0 }
     }
 }
 
@@ -149,19 +137,19 @@ pub fn minimize_cg(f: &mut dyn Objective, x0: &[f64], opts: &CgOptions) -> CgRep
         // gradient. The objective is a deterministic function, so the
         // accept/reject sequence and every accepted iterate are identical
         // to evaluating the full gradient at every probe.
-        let mut step = opts.initial_step;
+        let mut step = INITIAL_STEP;
         let mut accepted = None;
-        for _ in 0..opts.max_line_search {
+        for _ in 0..MAX_LINE_SEARCH {
             let mut trial = x.clone();
             vector::axpy(step, &direction, &mut trial);
             let ft = f.value(&trial);
             evaluations += 1;
-            if ft.is_finite() && ft <= fx + opts.armijo_c * step * dir_dot_grad {
+            if ft.is_finite() && ft <= fx + ARMIJO_C * step * dir_dot_grad {
                 accepted = Some(trial);
                 break;
             }
             rejections += 1;
-            step *= opts.backtrack;
+            step *= BACKTRACK;
         }
         let Some(new_x) = accepted else {
             stop = StopReason::LineSearchFailed;

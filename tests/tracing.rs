@@ -234,7 +234,6 @@ fn status_report_exposes_windowed_tails_and_quality() {
         // so the burn rate must read positive.
         slo_target: Duration::ZERO,
         slo_budget: 0.5,
-        ..ServeConfig::default()
     };
     let server = SmilerServer::start(device, sensors, config);
     let handle = server.handle();
