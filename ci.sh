@@ -38,9 +38,11 @@ if [[ "$QUICK" == "0" ]]; then
     cargo build --workspace --release
 
     # The shipped binary and its exit codes, not only `run()` in-process:
-    # a forecast off a generated series prints a `t+1` line, and a
-    # misspelt flag fails instead of being ignored.
-    echo "==> smiler binary: generate, forecast, misspelt flag"
+    # a forecast off a generated series prints a `t+1` line, a misspelt
+    # flag or switch fails instead of being ignored, and a flag value
+    # outside its domain is a typed error (exit 1) before anything runs —
+    # not a hang (124 under timeout) or a panic (101).
+    echo "==> smiler binary: generate, forecast, misspelt flag, flag domains"
     series="$(mktemp)"
     target/release/smiler generate --dataset road --days 2 > "$series"
     forecast="$(target/release/smiler forecast --input "$series")"
@@ -50,6 +52,24 @@ if [[ "$QUICK" == "0" ]]; then
     fi
     if target/release/smiler generate --dataset road --dayz 1 > /dev/null 2>&1; then
         echo "smiler accepted the misspelt flag --dayz" >&2
+        exit 1
+    fi
+    if err="$(target/release/smiler forecast --input "$series" --intervall 2>&1)" \
+        || ! grep -q 'unknown flag --intervall' <<< "$err"; then
+        echo "smiler forecast --intervall: want 'unknown flag --intervall', got: $err" >&2
+        exit 1
+    fi
+    status=0
+    timeout 10 target/release/smiler serve --shards 1 --sensors 2 --clients 1 --requests 4 \
+        --predictor ar --days 2 --qps 0 > /dev/null 2>&1 || status=$?
+    if [[ "$status" == 0 || "$status" == 124 ]]; then
+        echo "smiler serve --qps 0 exited $status: want a typed error" >&2
+        exit 1
+    fi
+    status=0
+    target/release/smiler forecast --input "$series" --horizons 0 > /dev/null 2>&1 || status=$?
+    if [[ "$status" != 1 ]]; then
+        echo "smiler forecast --horizons 0 exited $status: want 1" >&2
         exit 1
     fi
     rm -f "$series"

@@ -1,8 +1,8 @@
 //! `smiler forecast` and `smiler evaluate`: forecasts off the end of a
 //! user series, and a continuous-prediction comparison of models on it.
 
-use super::{load_series, predictor_kind, with_adaptation, CliError};
-use crate::args::Args;
+use super::{predictor_kind, series, with_adaptation, CliError, Run};
+use crate::args::{any, at_least_one, horizon, Args};
 use smiler_baselines::holtwinters::HoltWinters;
 use smiler_baselines::lazyknn::{LazyKnn, LazyKnnConfig};
 use smiler_baselines::linear::{self, LinearConfig};
@@ -15,89 +15,88 @@ use smiler_timeseries::normalize::ZNorm;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-pub(super) const FORECAST_FLAGS: &str =
-    "input column horizons predictor warmup interval deadline-ms regime robust";
-
-pub(super) const EVALUATE_FLAGS: &str = "input column steps horizons models period";
-
 /// `smiler forecast`: multi-horizon forecasts off the end of a series.
-pub(super) fn forecast(args: &Args) -> Result<String, CliError> {
-    let raw = load_series(args)?;
-    let horizons = args.get_list("horizons", &[1, 6])?;
-    let h_max = *horizons.iter().max().expect("non-empty horizons");
+pub(super) fn forecast(args: &mut Args) -> Result<Run, CliError> {
+    let load = series(args)?;
+    let horizons = args.get_list("horizons", &[1, 6], horizon)?;
     let predictor_kind = predictor_kind(args, "gp")?;
-    let deadline_ms: Option<u64> = args.get_parsed("deadline-ms")?;
-
-    let config = with_adaptation(args, SmilerConfig { h_max, ..Default::default() });
-    let d_master = *config.ensemble.elv.iter().max().expect("non-empty ELV");
-    let needed = d_master + h_max + 1;
-    if raw.len() < needed {
-        return Err(CliError::Other(format!(
-            "need at least {needed} observations for the default configuration, got {}",
-            raw.len()
-        )));
-    }
-
-    // Normalise in, de-normalise out: users think in sensor units.
-    let znorm = ZNorm::fit(&raw);
-    let normalised = znorm.apply_all(&raw);
-    let device = Arc::new(Device::default_gpu());
-
-    // Warm-up replay: hold back the last `warmup` observations, then feed
-    // them through predict/observe so the ensemble weights (and, for GP,
-    // the hyperparameters) adapt to the series before the real forecast —
-    // the same continuous loop the paper's system runs. Clamped so the
-    // held-back prefix still supports the configuration.
-    let warmup = args.get_or("warmup", 16usize)?.min(normalised.len() - needed);
-    let split = normalised.len() - warmup;
-    let mut predictor =
-        SensorPredictor::new(device, 0, normalised[..split].to_vec(), config, predictor_kind);
-    for &v in &normalised[split..] {
-        let _ = predictor.predict(1);
-        predictor.observe(v);
-    }
-
-    let policy = deadline_ms.map_or_else(RequestPolicy::default, |ms| {
-        RequestPolicy::with_deadline(std::time::Duration::from_millis(ms))
-    });
-
-    let mut out = String::new();
-    let _ = writeln!(out, "forecasts from t = {} ({} observations read):", raw.len(), raw.len());
+    let warmup: usize = args.get_or("warmup", 16, any)?;
+    let deadline_ms: Option<u64> = args.get_parsed("deadline-ms", any)?;
     let want_interval = args.switch("interval");
-    let mut missed = 0usize;
-    for &h in &horizons {
-        let pred = predictor
-            .try_predict_with(h, &policy)
-            .map_err(|e| CliError::Other(format!("prediction failed: {e}")))?;
-        let mean = znorm.invert(pred.mean);
-        let sd = znorm.invert_variance(pred.variance).max(0.0).sqrt();
-        if want_interval {
-            let _ = write!(
-                out,
-                "t+{h:<4} {mean:12.4}   95% [{:.4}, {:.4}]",
-                mean - 1.96 * sd,
-                mean + 1.96 * sd
-            );
-        } else {
-            let _ = write!(out, "t+{h:<4} {mean:12.4}");
+    let h_max = *horizons.iter().max().expect("a list flag holds at least one entry");
+    let config = with_adaptation(args, SmilerConfig { h_max, ..Default::default() });
+    Ok(Box::new(move || {
+        let raw = load()?;
+        let d_master = *config.ensemble.elv.iter().max().expect("non-empty ELV");
+        let needed = d_master + h_max + 1;
+        if raw.len() < needed {
+            return Err(CliError::Other(format!(
+                "need at least {needed} observations for the default configuration, got {}",
+                raw.len()
+            )));
         }
-        if deadline_ms.is_some() {
-            let _ = write!(out, "   served={}", pred.level.as_str());
-            if pred.deadline_missed {
-                missed += 1;
-                let _ = write!(out, " (deadline missed)");
+
+        // Normalise in, de-normalise out: users think in sensor units.
+        let znorm = ZNorm::fit(&raw);
+        let normalised = znorm.apply_all(&raw);
+        let device = Arc::new(Device::default_gpu());
+
+        // Warm-up replay: hold back the last `warmup` observations, then
+        // feed them through predict/observe so the ensemble weights (and,
+        // for GP, the hyperparameters) adapt to the series before the real
+        // forecast — the same continuous loop the paper's system runs.
+        // Clamped so the held-back prefix still supports the configuration.
+        let warmup = warmup.min(normalised.len() - needed);
+        let split = normalised.len() - warmup;
+        let mut predictor =
+            SensorPredictor::new(device, 0, normalised[..split].to_vec(), config, predictor_kind);
+        for &v in &normalised[split..] {
+            let _ = predictor.predict(1);
+            predictor.observe(v);
+        }
+
+        let policy = deadline_ms.map_or_else(RequestPolicy::default, |ms| {
+            RequestPolicy::with_deadline(std::time::Duration::from_millis(ms))
+        });
+
+        let mut out = String::new();
+        let _ =
+            writeln!(out, "forecasts from t = {} ({} observations read):", raw.len(), raw.len());
+        let mut missed = 0usize;
+        for &h in &horizons {
+            let pred = predictor
+                .try_predict_with(h, &policy)
+                .map_err(|e| CliError::Other(format!("prediction failed: {e}")))?;
+            let mean = znorm.invert(pred.mean);
+            let sd = znorm.invert_variance(pred.variance).max(0.0).sqrt();
+            if want_interval {
+                let _ = write!(
+                    out,
+                    "t+{h:<4} {mean:12.4}   95% [{:.4}, {:.4}]",
+                    mean - 1.96 * sd,
+                    mean + 1.96 * sd
+                );
+            } else {
+                let _ = write!(out, "t+{h:<4} {mean:12.4}");
             }
+            if deadline_ms.is_some() {
+                let _ = write!(out, "   served={}", pred.level.as_str());
+                if pred.deadline_missed {
+                    missed += 1;
+                    let _ = write!(out, " (deadline missed)");
+                }
+            }
+            out.push('\n');
         }
-        out.push('\n');
-    }
-    if let Some(ms) = deadline_ms {
-        let _ = writeln!(
-            out,
-            "serving health: deadline {ms} ms, {missed}/{} deadline misses",
-            horizons.len()
-        );
-    }
-    Ok(out)
+        if let Some(ms) = deadline_ms {
+            let _ = writeln!(
+                out,
+                "serving health: deadline {ms} ms, {missed}/{} deadline misses",
+                horizons.len()
+            );
+        }
+        Ok(out)
+    }))
 }
 
 /// Model factory for `smiler evaluate`.
@@ -124,46 +123,53 @@ fn make_model(
         "onlinerr" => Box::new(linear::online_rr(lin)),
         other => {
             return Err(CliError::Other(format!(
-            "unknown model {other:?} (smiler-gp|smiler-ar|lazyknn|holtwinters|onlinesvr|onlinerr)"
-        )))
+                "unknown model {other:?} in --models \
+                 (smiler-gp|smiler-ar|lazyknn|holtwinters|onlinesvr|onlinerr)"
+            )))
         }
     })
 }
 
 /// `smiler evaluate`: continuous-prediction comparison on a user series.
-pub(super) fn evaluate_cmd(args: &Args) -> Result<String, CliError> {
-    let raw = load_series(args)?;
-    let horizons = args.get_list("horizons", &[1, 5, 10])?;
-    let steps: usize = args.get_or("steps", 50)?;
-    let period: usize = args.get_or("period", 144)?;
-    let model_list = args
-        .get("models")
+pub(super) fn evaluate_cmd(args: &mut Args) -> Result<Run, CliError> {
+    let load = series(args)?;
+    let horizons = args.get_list("horizons", &[1, 5, 10], horizon)?;
+    let steps: usize = args.get_or("steps", 50, at_least_one)?;
+    let period: usize = args.get_or("period", 144, at_least_one)?;
+    let model_list = args.get("models")?;
+    let device = Arc::new(Device::default_gpu());
+    let models = model_list
+        .as_deref()
         .unwrap_or("smiler-gp,smiler-ar,lazyknn")
         .split(',')
-        .map(|s| s.trim().to_lowercase())
-        .collect::<Vec<_>>();
+        .map(|name| make_model(&name.trim().to_lowercase(), &device, &horizons, period))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Box::new(move || {
+        let raw = load()?;
+        let h_max = *horizons.iter().max().expect("a list flag holds at least one entry");
+        if raw.len().saturating_sub(h_max + 1) <= steps {
+            return Err(CliError::Other(format!(
+                "series of {} too short for {steps} steps at horizon {h_max}",
+                raw.len()
+            )));
+        }
+        let (normalised, _) = smiler_timeseries::normalize::z_normalize(&raw);
 
-    let h_max = *horizons.iter().max().expect("non-empty");
-    if raw.len() <= steps + h_max + 1 {
-        return Err(CliError::Other(format!(
-            "series of {} too short for {steps} steps at horizon {h_max}",
-            raw.len()
-        )));
-    }
-    let (normalised, _) = smiler_timeseries::normalize::z_normalize(&raw);
-
-    let config = EvalConfig { horizons: horizons.clone(), steps };
-    let device = Arc::new(Device::default_gpu());
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<12} {:>10} {:>10}   per-horizon MAE", "model", "MAE", "MNLPD");
-    for name in &model_list {
-        let mut model = make_model(name, &device, &horizons, period)?;
-        let r = evaluate(model.as_mut(), &normalised, &config);
-        let avg_mae: f64 = r.mae.values().sum::<f64>() / r.mae.len() as f64;
-        let avg_nlpd: f64 = r.mnlpd.values().sum::<f64>() / r.mnlpd.len() as f64;
-        let detail: Vec<String> = r.mae.iter().map(|(h, m)| format!("h{h}:{m:.3}")).collect();
-        let _ =
-            writeln!(out, "{:<12} {avg_mae:>10.4} {avg_nlpd:>10.4}   {}", r.name, detail.join(" "));
-    }
-    Ok(out)
+        let config = EvalConfig { horizons, steps };
+        let mut out = String::new();
+        let _ = writeln!(out, "{:<12} {:>10} {:>10}   per-horizon MAE", "model", "MAE", "MNLPD");
+        for mut model in models {
+            let r = evaluate(model.as_mut(), &normalised, &config);
+            let avg_mae: f64 = r.mae.values().sum::<f64>() / r.mae.len() as f64;
+            let avg_nlpd: f64 = r.mnlpd.values().sum::<f64>() / r.mnlpd.len() as f64;
+            let detail: Vec<String> = r.mae.iter().map(|(h, m)| format!("h{h}:{m:.3}")).collect();
+            let _ = writeln!(
+                out,
+                "{:<12} {avg_mae:>10.4} {avg_nlpd:>10.4}   {}",
+                r.name,
+                detail.join(" ")
+            );
+        }
+        Ok(out)
+    }))
 }

@@ -7,7 +7,7 @@ mod forecast;
 mod serve;
 mod store;
 
-use crate::args::{ArgError, Args};
+use crate::args::{any, at_least_one, ArgError, Args};
 use smiler_core::sensor::SmilerConfig;
 use smiler_core::{DurableError, PredictorKind};
 use smiler_timeseries::io;
@@ -92,7 +92,9 @@ USAGE:
 
 Series files are one-value-per-line or CSV (use --column for a named CSV
 column). Forecasts are printed in the input's units. A flag the command
-does not accept is an error.
+does not accept is an error. Flag values are checked before a command
+runs: a value outside its flag's domain (a count below 1, a rate that is
+not a finite number above 0) is an error that names the flag.
 
 LOAD SERVING (serve):
   Partitions a synthetic sensor fleet across --shards worker threads, puts
@@ -112,7 +114,8 @@ LOAD SERVING (serve):
   --qos-rate <r>         per-tenant token-bucket admission: sustained
                          requests/second per tenant (tenant id travels in
                          the frame header / ?tenant= query parameter)
-  --qos-burst <b>        bucket capacity in tokens (default 2×rate)
+  --qos-burst <b>        bucket capacity in tokens, at least 1 (default
+                         2×rate)
 
 SERVING (forecast):
   --deadline-ms <ms>     per-request latency budget; requests degrade down
@@ -182,68 +185,62 @@ REQUEST TRACING & STATUS (serve):
                          accounting in the status line (default 50)
 ";
 
-/// Flags every command accepts. Flag lists are space-separated names.
-const GLOBAL_FLAGS: &str = "help quiet metrics-out trace-out";
+/// A verb's run stage: everything it does once its flags are read.
+type Run = Box<dyn FnOnce() -> Result<String, CliError>>;
 
-/// A verb (a role, for `cluster`): the flags it accepts besides
-/// [`GLOBAL_FLAGS`] and the function that runs it.
-struct Verb {
-    name: &'static str,
-    flags: &'static str,
-    run: fn(&Args) -> Result<String, CliError>,
-}
+/// A verb's read stage: it reads every flag the verb accepts, each with
+/// its domain, and does no I/O, binds, spawns or sleeps; these reads are
+/// the verb's whole grammar. It returns the run stage.
+type Read = fn(&mut Args) -> Result<Run, CliError>;
 
 /// Every verb but `cluster`, whose roles are [`cluster::ROLES`].
-const VERBS: &[Verb] = &[
-    Verb { name: "forecast", flags: forecast::FORECAST_FLAGS, run: forecast::forecast },
-    Verb { name: "evaluate", flags: forecast::EVALUATE_FLAGS, run: forecast::evaluate_cmd },
-    Verb { name: "generate", flags: "dataset days seed", run: generate },
-    Verb { name: "serve", flags: serve::FLAGS, run: serve::serve },
-    Verb { name: "checkpoint", flags: store::FLAGS, run: store::checkpoint_cmd },
-    Verb { name: "restore", flags: store::FLAGS, run: store::restore_cmd },
-    Verb { name: "info", flags: "", run: info },
+const VERBS: &[(&str, Read)] = &[
+    ("forecast", forecast::forecast),
+    ("evaluate", forecast::evaluate_cmd),
+    ("generate", generate),
+    ("serve", serve::serve),
+    ("checkpoint", store::checkpoint_cmd),
+    ("restore", store::restore_cmd),
+    ("info", info),
 ];
 
-/// No command at all: the usage text.
-static USAGE_VERB: Verb = Verb { name: "", flags: "", run: |_| Ok(USAGE.to_string()) };
-
-/// The verb a command line names (its role, for `cluster`).
-fn verb(args: &Args) -> Result<&'static Verb, CliError> {
-    match args.command.as_deref() {
-        None => Ok(&USAGE_VERB),
-        Some("cluster") => {
+/// The read stage of the verb a command line names (of its role, for
+/// `cluster`), run over the rest of the line.
+fn read_verb(args: &mut Args) -> Result<Run, CliError> {
+    let find = |table: &[(&str, Read)], name: &str| {
+        table.iter().find(|(verb, _)| *verb == name).map(|(_, read)| *read)
+    };
+    let read = match args.command() {
+        None => return Ok(Box::new(|| Ok(USAGE.to_string()))),
+        Some(name) if name == "cluster" => {
             let role = args.require("role")?;
-            cluster::ROLES.iter().find(|v| v.name == role).ok_or_else(|| {
-                CliError::Other(format!("unknown role {role:?} (primary|follower|plan)"))
-            })
+            find(cluster::ROLES, &role).ok_or_else(|| {
+                CliError::Other(format!("unknown role {role:?} (--role primary|follower|plan)"))
+            })?
         }
-        Some(name) => VERBS
-            .iter()
-            .find(|v| v.name == name)
-            .ok_or_else(|| CliError::Other(format!("unknown command {name:?}\n\n{USAGE}"))),
-    }
+        Some(name) => find(VERBS, &name)
+            .ok_or_else(|| CliError::Other(format!("unknown command {name:?}\n\n{USAGE}")))?,
+    };
+    read(args)
 }
 
-/// Dispatch a parsed command line.
-pub fn run(args: &Args) -> Result<String, CliError> {
+/// Dispatch a command line: read every flag, refuse any token no read
+/// consumed, and only then run the verb.
+pub fn run(args: &mut Args) -> Result<String, CliError> {
     if args.switch("help") {
         return Ok(USAGE.to_string());
     }
-    let verb = verb(args)?;
-    let accepted = |name: &str| {
-        GLOBAL_FLAGS.split_whitespace().chain(verb.flags.split_whitespace()).any(|f| f == name)
-    };
-    if let Some(flag) = args.names().find(|name| !accepted(name)) {
-        return Err(ArgError::Unknown(flag.to_string()).into());
-    }
-    let metrics_out = args.get("metrics-out").map(std::path::PathBuf::from);
-    let trace_out = args.get("trace-out").map(std::path::PathBuf::from);
+    let quiet = args.switch("quiet");
+    let metrics_out = args.get("metrics-out")?.map(std::path::PathBuf::from);
+    let trace_out = args.get("trace-out")?.map(std::path::PathBuf::from);
+    let run_verb = read_verb(args)?;
+    args.finish()?;
     let observing = metrics_out.is_some() || trace_out.is_some();
     if observing {
         smiler_obs::reset();
         smiler_obs::set_enabled(true);
     }
-    let mut output = (verb.run)(args)?;
+    let mut output = run_verb()?;
     if observing {
         if let Some(path) = &metrics_out {
             smiler_obs::write_metrics_jsonl(path).map_err(|e| {
@@ -255,7 +252,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 CliError::Other(format!("cannot write trace to {}: {e}", path.display()))
             })?;
         }
-        if !args.switch("quiet") {
+        if !quiet {
             let table = smiler_obs::summary_table();
             if !table.is_empty() {
                 output.push_str("\n-- observability summary --\n");
@@ -266,9 +263,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     Ok(output)
 }
 
-fn load_series(args: &Args) -> Result<Vec<f64>, CliError> {
+/// `--input` and `--column`: the user series, loaded when the returned
+/// loader is called.
+fn series(args: &mut Args) -> Result<impl FnOnce() -> Result<Vec<f64>, CliError>, CliError> {
     let path = args.require("input")?;
-    Ok(io::read_series_file(path, args.get("column"))?)
+    let column = args.get("column")?;
+    Ok(move || Ok(io::read_series_file(&path, column.as_deref())?))
 }
 
 /// The adaptation switches shared by `forecast`, `serve` and the cluster
@@ -276,7 +276,7 @@ fn load_series(args: &Args) -> Result<Vec<f64>, CliError> {
 /// forced retrain, bias correction, outlier cleaning on fire), `--robust`
 /// the outlier-downweighted GP likelihood. Both default off — the
 /// paper-faithful fixed schedule, bit for bit.
-fn with_adaptation(args: &Args, mut config: SmilerConfig) -> SmilerConfig {
+fn with_adaptation(args: &mut Args, mut config: SmilerConfig) -> SmilerConfig {
     if args.switch("regime") {
         config.regime = smiler_core::RegimeConfig::enabled();
     }
@@ -287,11 +287,11 @@ fn with_adaptation(args: &Args, mut config: SmilerConfig) -> SmilerConfig {
 }
 
 /// The `--predictor` a command runs, `default` when the flag is absent.
-fn predictor_kind(args: &Args, default: &str) -> Result<PredictorKind, CliError> {
-    match args.get("predictor").unwrap_or(default) {
+fn predictor_kind(args: &mut Args, default: &str) -> Result<PredictorKind, CliError> {
+    match args.get("predictor")?.as_deref().unwrap_or(default) {
         "gp" => Ok(PredictorKind::GaussianProcess),
         "ar" => Ok(PredictorKind::Aggregation),
-        other => Err(CliError::Other(format!("unknown predictor {other:?} (gp|ar)"))),
+        other => Err(CliError::Other(format!("unknown --predictor {other:?} (gp|ar)"))),
     }
 }
 
@@ -301,7 +301,7 @@ fn dataset_kind(name: &str) -> Result<DatasetKind, CliError> {
         "road" => Ok(DatasetKind::Road),
         "mall" => Ok(DatasetKind::Mall),
         "net" => Ok(DatasetKind::Net),
-        other => Err(CliError::Other(format!("unknown dataset {other:?} (road|mall|net)"))),
+        other => Err(CliError::Other(format!("unknown --dataset {other:?} (road|mall|net)"))),
     }
 }
 
@@ -316,24 +316,27 @@ fn synthetic_histories(spec: SyntheticSpec) -> Vec<Vec<f64>> {
 }
 
 /// `smiler generate`: emit a synthetic sensor series to stdout.
-fn generate(args: &Args) -> Result<String, CliError> {
-    let kind = dataset_kind(args.require("dataset")?)?;
-    let days: usize = args.get_or("days", 14)?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let dataset = SyntheticSpec { kind, sensors: 1, days, seed }.generate();
-    let mut out = String::with_capacity(dataset.sensors[0].len() * 8);
-    let _ = writeln!(out, "# {} synthetic sensor, {days} days, seed {seed}", dataset.name);
-    for v in dataset.sensors[0].values() {
-        let _ = writeln!(out, "{v}");
-    }
-    Ok(out)
+fn generate(args: &mut Args) -> Result<Run, CliError> {
+    let kind = dataset_kind(&args.require("dataset")?)?;
+    let days: usize = args.get_or("days", 14, at_least_one)?;
+    let seed: u64 = args.get_or("seed", 7, any)?;
+    Ok(Box::new(move || {
+        let dataset = SyntheticSpec { kind, sensors: 1, days, seed }.generate();
+        let mut out = String::with_capacity(dataset.sensors[0].len() * 8);
+        let _ = writeln!(out, "# {} synthetic sensor, {days} days, seed {seed}", dataset.name);
+        for v in dataset.sensors[0].values() {
+            let _ = writeln!(out, "{v}");
+        }
+        Ok(out)
+    }))
 }
 
 /// `smiler info`: defaults and provenance.
-fn info(_: &Args) -> Result<String, CliError> {
+fn info(_: &mut Args) -> Result<Run, CliError> {
     let c = SmilerConfig::default();
-    Ok(format!(
-        "SMiLer (Zhou & Tung, SIGMOD 2015) — semi-lazy GP prediction\n\
+    Ok(Box::new(move || {
+        Ok(format!(
+            "SMiLer (Zhou & Tung, SIGMOD 2015) — semi-lazy GP prediction\n\
          defaults (paper Table 2):\n\
          \x20 warping width ρ     : {}\n\
          \x20 window length ω     : {}\n\
@@ -341,8 +344,9 @@ fn info(_: &Args) -> Result<String, CliError> {
          \x20 ELV (segment len)   : {:?}\n\
          \x20 max horizon         : {}\n\
          device: simulated GTX TITAN (14 SMX, 6 GB) — no GPU required\n",
-        c.rho, c.omega, c.ensemble.ekv, c.ensemble.elv, c.h_max
-    ))
+            c.rho, c.omega, c.ensemble.ekv, c.ensemble.elv, c.h_max
+        ))
+    }))
 }
 
 #[cfg(test)]

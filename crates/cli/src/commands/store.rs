@@ -1,7 +1,7 @@
 //! `smiler checkpoint` and `smiler restore`, and the durable-fleet
 //! helpers `serve` and the cluster primary share.
 
-use super::CliError;
+use super::{CliError, Run};
 use crate::args::Args;
 use smiler_core::sensor::SmilerConfig;
 use smiler_core::{DurableError, DurableSystem, PredictorKind, RestoreReport, SensorPredictor};
@@ -10,12 +10,11 @@ use smiler_store::{FlushPolicy, Store, StoreConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-pub(super) const FLAGS: &str = "data-dir flush";
-
 /// The store tuning `--flush` asks for (group commit every 32 by default).
-pub(super) fn store_config_from_args(args: &Args) -> Result<StoreConfig, CliError> {
-    let flush = args.get("flush").map_or(Ok(FlushPolicy::default()), str::parse);
-    Ok(StoreConfig { flush: flush.map_err(CliError::Other)?, ..StoreConfig::default() })
+pub(super) fn store_config_from_args(args: &mut Args) -> Result<StoreConfig, CliError> {
+    let flush = args.get("flush")?.map_or(Ok(FlushPolicy::default()), |v| v.parse());
+    let flush = flush.map_err(|e| CliError::Other(format!("invalid --flush: {e}")))?;
+    Ok(StoreConfig { flush, ..StoreConfig::default() })
 }
 
 fn restore_report_lines(out: &mut String, report: &RestoreReport) {
@@ -44,33 +43,38 @@ fn restore_report_lines(out: &mut String, report: &RestoreReport) {
 
 /// `smiler checkpoint`: fold the WAL tail into a fresh checkpoint so the
 /// next restart replays (almost) nothing, then prune covered WAL segments.
-pub(super) fn checkpoint_cmd(args: &Args) -> Result<String, CliError> {
+pub(super) fn checkpoint_cmd(args: &mut Args) -> Result<Run, CliError> {
     let dir = std::path::PathBuf::from(args.require("data-dir")?);
-    let device = Arc::new(Device::default_gpu());
-    let (mut durable, report) =
-        DurableSystem::open(device, &dir, store_config_from_args(args)?, 0)?;
-    let mut out = String::new();
-    restore_report_lines(&mut out, &report);
-    let seq = durable.checkpoint()?;
-    let _ = writeln!(out, "checkpointed {} at seq {seq}", dir.display());
-    Ok(out)
+    let store_config = store_config_from_args(args)?;
+    Ok(Box::new(move || {
+        let device = Arc::new(Device::default_gpu());
+        let (mut durable, report) = DurableSystem::open(device, &dir, store_config, 0)?;
+        let mut out = String::new();
+        restore_report_lines(&mut out, &report);
+        let seq = durable.checkpoint()?;
+        let _ = writeln!(out, "checkpointed {} at seq {seq}", dir.display());
+        Ok(out)
+    }))
 }
 
 /// `smiler restore`: run the recovery ladder and report what it found —
 /// a dry-run restart that doubles as an integrity check.
-pub(super) fn restore_cmd(args: &Args) -> Result<String, CliError> {
+pub(super) fn restore_cmd(args: &mut Args) -> Result<Run, CliError> {
     let dir = std::path::PathBuf::from(args.require("data-dir")?);
-    let device = Arc::new(Device::default_gpu());
-    let (durable, report) = DurableSystem::open(device, &dir, store_config_from_args(args)?, 0)?;
-    let mut out = String::new();
-    restore_report_lines(&mut out, &report);
-    let quarantined = durable.system().quarantined();
-    if quarantined.is_empty() {
-        let _ = writeln!(out, "fleet healthy: {} sensors ready", report.sensors);
-    } else {
-        let _ = writeln!(out, "quarantined sensors: {quarantined:?}");
-    }
-    Ok(out)
+    let store_config = store_config_from_args(args)?;
+    Ok(Box::new(move || {
+        let device = Arc::new(Device::default_gpu());
+        let (durable, report) = DurableSystem::open(device, &dir, store_config, 0)?;
+        let mut out = String::new();
+        restore_report_lines(&mut out, &report);
+        let quarantined = durable.system().quarantined();
+        if quarantined.is_empty() {
+            let _ = writeln!(out, "fleet healthy: {} sensors ready", report.sensors);
+        } else {
+            let _ = writeln!(out, "quarantined sensors: {quarantined:?}");
+        }
+        Ok(out)
+    }))
 }
 
 /// The durable fleet at `dir`, as sensors ready to serve with its store:

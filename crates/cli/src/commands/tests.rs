@@ -5,7 +5,45 @@ use super::*;
 use crate::args::Args;
 
 fn args(tokens: &[&str]) -> Args {
-    Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+    Args::new(tokens.iter().map(|s| s.to_string()))
+}
+
+/// One valid command line per verb and role, its data directory `dir`:
+/// the lines the grammar tests read.
+fn valid_lines(dir: &str) -> Vec<Vec<String>> {
+    let lines: &[&[&str]] = &[
+        &["forecast", "--input", "s.csv"],
+        &["evaluate", "--input", "s.csv"],
+        &["generate", "--dataset", "road"],
+        &["serve"],
+        &["checkpoint", "--data-dir", dir],
+        &["restore", "--data-dir", dir],
+        &["info"],
+        &["cluster", "--role", "primary", "--data-dir", dir],
+        &["cluster", "--role", "follower", "--peers", "127.0.0.1:1", "--data-dir", dir],
+        &["cluster", "--role", "plan", "--peers", "a"],
+    ];
+    let lines: Vec<Vec<String>> =
+        lines.iter().map(|line| line.iter().map(|s| s.to_string()).collect()).collect();
+    let covered: std::collections::BTreeSet<&str> = lines
+        .iter()
+        .map(|line| if line[0] == "cluster" { &line[2] } else { &line[0] })
+        .map(String::as_str)
+        .collect();
+    let every = VERBS.iter().chain(cluster::ROLES).map(|(name, _)| *name).collect();
+    assert_eq!(covered, every, "one valid line per verb and role");
+    lines
+}
+
+/// The flags a valid command line's read stage asks for, with whether
+/// each takes a value.
+fn grammar(line: &[String]) -> Vec<(String, bool)> {
+    let mut args = Args::new(line.to_vec());
+    if let Err(e) = read_verb(&mut args) {
+        panic!("{line:?} is valid: {e}");
+    }
+    args.finish().unwrap_or_else(|e| panic!("{line:?} is valid: {e}"));
+    args.asked
 }
 
 fn write_temp_series(name: &str, n: usize) -> std::path::PathBuf {
@@ -18,33 +56,37 @@ fn write_temp_series(name: &str, n: usize) -> std::path::PathBuf {
 
 #[test]
 fn no_command_prints_usage() {
-    assert!(run(&args(&[])).unwrap().contains("USAGE"));
-    assert!(run(&args(&["--help"])).unwrap().contains("USAGE"));
+    assert!(run(&mut args(&[])).unwrap().contains("USAGE"));
+    assert!(run(&mut args(&["--help"])).unwrap().contains("USAGE"));
 }
 
 #[test]
 fn unknown_command_is_an_error() {
-    assert!(run(&args(&["frobnicate"])).is_err());
+    assert!(run(&mut args(&["frobnicate"])).is_err());
 }
 
 #[test]
 fn misspelt_flag_is_rejected() {
-    let err = run(&args(&["generate", "--dataset", "road", "--dayz", "1"])).unwrap_err();
+    let err = run(&mut args(&["generate", "--dataset", "road", "--dayz", "1"])).unwrap_err();
     assert!(err.to_string().contains("--dayz"), "{err}");
     // A cluster role accepts its own flags only.
-    let err =
-        run(&args(&["cluster", "--role", "plan", "--peers", "a", "--rounds", "3"])).unwrap_err();
+    let err = run(&mut args(&["cluster", "--role", "plan", "--peers", "a", "--rounds", "3"]))
+        .unwrap_err();
     assert!(err.to_string().contains("--rounds"), "{err}");
 }
 
 #[test]
 fn usage_lists_exactly_the_accepted_flags() {
-    let accepted: std::collections::BTreeSet<&str> = VERBS
+    // The flags `run` itself reads, then every verb's and role's.
+    let mut info = args(&["info"]);
+    run(&mut info).unwrap();
+    let accepted: std::collections::BTreeSet<String> = valid_lines("d")
         .iter()
-        .chain(cluster::ROLES)
-        .flat_map(|verb| verb.flags.split_whitespace())
-        .chain(GLOBAL_FLAGS.split_whitespace())
+        .flat_map(|line| grammar(line))
+        .chain(info.asked)
+        .map(|(flag, _)| flag)
         .collect();
+    let accepted: std::collections::BTreeSet<&str> = accepted.iter().map(String::as_str).collect();
     let documented: std::collections::BTreeSet<&str> = USAGE
         .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
         .filter_map(|word| word.strip_prefix("--"))
@@ -53,15 +95,90 @@ fn usage_lists_exactly_the_accepted_flags() {
 }
 
 #[test]
+fn hostile_argv_gets_a_typed_error_naming_the_flag() {
+    let with = |base: &[&str], extra: &[&str]| -> Vec<String> {
+        base.iter().chain(extra).map(|s| s.to_string()).collect()
+    };
+    let serve = [
+        "serve",
+        "--shards",
+        "1",
+        "--sensors",
+        "2",
+        "--clients",
+        "1",
+        "--requests",
+        "4",
+        "--predictor",
+        "ar",
+        "--days",
+        "2",
+    ];
+    let follower = ["cluster", "--role", "follower", "--peers", "127.0.0.1:1", "--data-dir", "d"];
+    // The series file does not exist: each probe must be refused before
+    // anything reads it, binds, spawns or sleeps.
+    let forecast = ["forecast", "--input", "no-such-series.csv"];
+    let evaluate = ["evaluate", "--input", "no-such-series.csv"];
+    let probes = [
+        (with(&serve, &["--qps", "0"]), "invalid --qps \"0\""),
+        (with(&serve, &["--qps", "-1"]), "invalid --qps \"-1\""),
+        (with(&serve, &["--qps", "nan"]), "invalid --qps \"nan\""),
+        (with(&serve, &["--qos-rate", "nan"]), "invalid --qos-rate \"nan\""),
+        (with(&serve, &["--qos-burst", "4"]), "--qos-burst needs --qos-rate"),
+        (with(&serve, &["--shards", "0"]), "invalid --shards \"0\""),
+        (with(&serve, &["--horizon", "0"]), "invalid --horizon \"0\""),
+        (with(&serve, &["--horizon", "4294967296"]), "invalid --horizon \"4294967296\""),
+        (with(&follower, &["--duration-s", "inf"]), "invalid --duration-s \"inf\""),
+        (with(&forecast, &["--intervall"]), "unknown flag --intervall"),
+        (with(&forecast, &["--intervall", "--horizons", "1"]), "unknown flag --intervall"),
+        (with(&forecast, &["--horizons", "0"]), "invalid --horizons \"0\""),
+        (
+            with(&evaluate, &["--horizons", "0", "--steps", "5", "--models", "smiler-ar"]),
+            "invalid --horizons \"0\"",
+        ),
+        (with(&evaluate, &["--period", "0", "--models", "holtwinters"]), "invalid --period \"0\""),
+        (with(&evaluate, &["--steps", "0"]), "invalid --steps \"0\""),
+        (with(&["generate", "--dataset", "road"], &["--days", "0"]), "invalid --days \"0\""),
+    ];
+    for (line, expected) in probes {
+        let err = run(&mut Args::new(line.clone())).unwrap_err();
+        assert_eq!(err.to_string(), expected, "{line:?}");
+    }
+}
+
+#[test]
+fn junk_values_get_ok_or_an_error_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("smiler_cli_junk_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for line in valid_lines(dir.to_str().unwrap()) {
+        for (flag, _) in grammar(&line).into_iter().filter(|(_, valued)| *valued) {
+            for junk in ["inf", "nan", "-1", "0", "1e309", "", "x"] {
+                let mut argv = line.clone();
+                argv.extend([format!("--{flag}"), junk.to_string()]);
+                let read = std::panic::catch_unwind(|| read_verb(&mut Args::new(argv)).map(drop));
+                match read {
+                    Err(_) => panic!("{line:?} --{flag} {junk:?}: the read stage panicked"),
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => {
+                        assert!(e.to_string().contains(&format!("--{flag}")), "{line:?}: {e}")
+                    }
+                }
+            }
+        }
+    }
+    assert!(!dir.exists(), "a read stage touched {}", dir.display());
+}
+
+#[test]
 fn info_mentions_paper_defaults() {
-    let s = run(&args(&["info"])).unwrap();
+    let s = run(&mut args(&["info"])).unwrap();
     assert!(s.contains("ρ"));
     assert!(s.contains("[32, 64, 96]"));
 }
 
 #[test]
 fn generate_emits_values() {
-    let s = run(&args(&["generate", "--dataset", "road", "--days", "4"])).unwrap();
+    let s = run(&mut args(&["generate", "--dataset", "road", "--days", "4"])).unwrap();
     let lines: Vec<&str> = s.lines().collect();
     assert!(lines[0].starts_with("# ROAD"));
     assert_eq!(lines.len() - 1, 4 * 144);
@@ -71,7 +188,7 @@ fn generate_emits_values() {
 #[test]
 fn forecast_end_to_end() {
     let path = write_temp_series("smiler_cli_forecast.csv", 400);
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "forecast",
         "--input",
         path.to_str().unwrap(),
@@ -102,7 +219,7 @@ fn forecast_with_observability_writes_jsonl() {
     let path = write_temp_series("smiler_cli_obs.csv", 400);
     let metrics = std::env::temp_dir().join("smiler_cli_obs_metrics.jsonl");
     let trace = std::env::temp_dir().join("smiler_cli_obs_trace.jsonl");
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "forecast",
         "--input",
         path.to_str().unwrap(),
@@ -141,7 +258,7 @@ fn forecast_with_observability_writes_jsonl() {
 fn forecast_with_deadline_reports_serving_rung() {
     let path = write_temp_series("smiler_cli_deadline.csv", 400);
     // A generous budget: the full pipeline fits comfortably.
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "forecast",
         "--input",
         path.to_str().unwrap(),
@@ -157,7 +274,7 @@ fn forecast_with_deadline_reports_serving_rung() {
     assert!(s.contains("serving health: deadline 10000 ms"), "{s}");
     // A zero budget: every request degrades to the last-value hold —
     // and still produces a finite raw-unit forecast.
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "forecast",
         "--input",
         path.to_str().unwrap(),
@@ -184,8 +301,9 @@ fn forecast_with_deadline_reports_serving_rung() {
 #[test]
 fn bad_deadline_is_reported() {
     let path = write_temp_series("smiler_cli_baddl.csv", 400);
-    let err = run(&args(&["forecast", "--input", path.to_str().unwrap(), "--deadline-ms", "soon"]))
-        .unwrap_err();
+    let err =
+        run(&mut args(&["forecast", "--input", path.to_str().unwrap(), "--deadline-ms", "soon"]))
+            .unwrap_err();
     assert!(err.to_string().contains("invalid --deadline-ms"));
     let _ = std::fs::remove_file(path);
 }
@@ -193,14 +311,14 @@ fn bad_deadline_is_reported() {
 #[test]
 fn forecast_rejects_short_series() {
     let path = write_temp_series("smiler_cli_short.csv", 20);
-    let err = run(&args(&["forecast", "--input", path.to_str().unwrap()])).unwrap_err();
+    let err = run(&mut args(&["forecast", "--input", path.to_str().unwrap()])).unwrap_err();
     assert!(err.to_string().contains("need at least"));
     let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn serve_reports_throughput_and_batching() {
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "serve",
         "--shards",
         "2",
@@ -224,7 +342,7 @@ fn serve_reports_throughput_and_batching() {
 
 #[test]
 fn serve_listen_drives_open_loop_wire_load() {
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "serve",
         "--shards",
         "2",
@@ -251,7 +369,7 @@ fn serve_listen_drives_open_loop_wire_load() {
 #[test]
 fn serve_with_request_tracing_writes_terminal_traces() {
     let path = std::env::temp_dir().join(format!("smiler_cli_traces_{}.jsonl", std::process::id()));
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "serve",
         "--shards",
         "2",
@@ -287,7 +405,7 @@ fn serve_with_request_tracing_writes_terminal_traces() {
 
 #[test]
 fn serve_ignores_an_unrepresentable_status_period() {
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "serve",
         "--shards",
         "1",
@@ -310,7 +428,7 @@ fn serve_ignores_an_unrepresentable_status_period() {
 fn restore_requires_existing_state() {
     let dir = std::env::temp_dir().join(format!("smiler_cli_nostate_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let err = run(&args(&["restore", "--data-dir", dir.to_str().unwrap()])).unwrap_err();
+    let err = run(&mut args(&["restore", "--data-dir", dir.to_str().unwrap()])).unwrap_err();
     assert!(err.to_string().contains("no recoverable fleet state"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -336,38 +454,39 @@ fn serve_data_dir_cold_start_then_restore_then_checkpoint() {
     ];
 
     // First run creates the durable directory and checkpoints on drain.
-    let s = run(&args(&serve_args)).unwrap();
+    let s = run(&mut args(&serve_args)).unwrap();
     assert!(s.contains("created durable state"), "{s}");
 
     // A restart from the same directory restores instead of recreating.
-    let s = run(&args(&serve_args)).unwrap();
+    let s = run(&mut args(&serve_args)).unwrap();
     assert!(s.contains("restored 2 sensors"), "{s}");
 
     // Offline recovery report, then WAL compaction.
-    let s = run(&args(&["restore", "--data-dir", dir.to_str().unwrap()])).unwrap();
+    let s = run(&mut args(&["restore", "--data-dir", dir.to_str().unwrap()])).unwrap();
     assert!(s.contains("restored 2 sensors"), "{s}");
     assert!(s.contains("fleet healthy"), "{s}");
-    let s = run(&args(&["checkpoint", "--data-dir", dir.to_str().unwrap()])).unwrap();
+    let s = run(&mut args(&["checkpoint", "--data-dir", dir.to_str().unwrap()])).unwrap();
     assert!(s.contains("checkpointed"), "{s}");
 
     // Bad flush policies are argument errors, not panics.
-    let err = run(&args(&["restore", "--data-dir", dir.to_str().unwrap(), "--flush", "sometimes"]))
-        .unwrap_err();
+    let err =
+        run(&mut args(&["restore", "--data-dir", dir.to_str().unwrap(), "--flush", "sometimes"]))
+            .unwrap_err();
     assert!(err.to_string().contains("flush policy"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn cluster_requires_a_role() {
-    let err = run(&args(&["cluster"])).unwrap_err();
+    let err = run(&mut args(&["cluster"])).unwrap_err();
     assert!(err.to_string().contains("--role is required"), "{err}");
-    let err = run(&args(&["cluster", "--role", "overlord"])).unwrap_err();
+    let err = run(&mut args(&["cluster", "--role", "overlord"])).unwrap_err();
     assert!(err.to_string().contains("unknown role"), "{err}");
 }
 
 #[test]
 fn cluster_plan_reports_ownership_and_minimal_migration() {
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "cluster",
         "--role",
         "plan",
@@ -430,8 +549,8 @@ fn cluster_primary_and_follower_roles_connect_over_the_wire() {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    let primary = std::thread::spawn(move || run(&Args::parse(primary_args).unwrap()));
-    let follower_out = run(&args(&[
+    let primary = std::thread::spawn(move || run(&mut Args::new(primary_args)));
+    let follower_out = run(&mut args(&[
         "cluster",
         "--role",
         "follower",
@@ -461,7 +580,7 @@ fn cluster_primary_and_follower_roles_connect_over_the_wire() {
 #[test]
 fn evaluate_compares_models() {
     let path = write_temp_series("smiler_cli_eval.csv", 500);
-    let s = run(&args(&[
+    let s = run(&mut args(&[
         "evaluate",
         "--input",
         path.to_str().unwrap(),
@@ -483,8 +602,9 @@ fn evaluate_compares_models() {
 #[test]
 fn unknown_model_is_reported() {
     let path = write_temp_series("smiler_cli_badmodel.csv", 500);
-    let err = run(&args(&["evaluate", "--input", path.to_str().unwrap(), "--models", "nonsense"]))
-        .unwrap_err();
+    let err =
+        run(&mut args(&["evaluate", "--input", path.to_str().unwrap(), "--models", "nonsense"]))
+            .unwrap_err();
     assert!(err.to_string().contains("unknown model"));
     let _ = std::fs::remove_file(path);
 }

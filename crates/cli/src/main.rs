@@ -11,14 +11,7 @@ mod args;
 mod commands;
 
 fn main() {
-    let parsed = match args::Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    match commands::run(&parsed) {
+    match commands::run(&mut args::Args::new(std::env::args().skip(1))) {
         Ok(output) => print!("{output}"),
         Err(e) => {
             eprintln!("error: {e}");

@@ -91,6 +91,14 @@ pub enum DurableError {
     NoState,
     /// Restored sensors exceed device memory.
     OutOfMemory(OutOfDeviceMemory),
+    /// A round asked for a horizon outside `1..=h_max`, the range every
+    /// sensor of the fleet forecasts.
+    Horizon {
+        /// The horizon asked for.
+        h: usize,
+        /// The fleet's largest horizon.
+        h_max: usize,
+    },
 }
 
 impl std::fmt::Display for DurableError {
@@ -103,6 +111,9 @@ impl std::fmt::Display for DurableError {
                 write!(f, "data directory holds no recoverable fleet state")
             }
             DurableError::OutOfMemory(e) => write!(f, "restored fleet does not fit: {e}"),
+            DurableError::Horizon { h, h_max } => {
+                write!(f, "horizon {h} outside the fleet's 1..={h_max}")
+            }
         }
     }
 }
@@ -531,6 +542,7 @@ impl DurableSystem {
             }
             WalRecord::Round { horizon, values, .. } => {
                 Self::check_width(system, values.len())?;
+                Self::check_horizon(system, *horizon as usize)?;
                 system.step(*horizon as usize, values);
             }
             WalRecord::Observe { sensor, value, .. } => {
@@ -555,9 +567,21 @@ impl DurableSystem {
         Ok(())
     }
 
+    fn check_horizon(system: &SmilerSystem, h: usize) -> Result<(), DurableError> {
+        let h_max = system.max_horizon();
+        if !(1..=h_max).contains(&h) {
+            return Err(DurableError::Horizon { h, h_max });
+        }
+        Ok(())
+    }
+
     /// One durable fleet round: the round is appended to the WAL *before*
     /// any sensor's history grows, so a crash at any point replays it.
     /// Checkpoints automatically on the configured cadence.
+    ///
+    /// A horizon outside the fleet's `1..=h_max` is refused with
+    /// [`DurableError::Horizon`] before the append: the fleet and the WAL
+    /// are left as they were.
     ///
     /// # Panics
     /// Panics if the observation count differs from the sensor count
@@ -567,6 +591,7 @@ impl DurableSystem {
         h: usize,
         observations: &[f64],
     ) -> Result<Vec<(f64, f64)>, DurableError> {
+        Self::check_horizon(&self.system, h)?;
         self.store.append_round(h as u32, observations)?;
         let predictions = self.system.step(h, observations);
         self.tick_checkpoint()?;

@@ -338,9 +338,13 @@ impl SmilerSystem {
     /// the `sensors.resident` / `cells.active` / `cells.sleeping` gauges.
     ///
     /// # Panics
-    /// Panics if the observation count differs from the sensor count.
+    /// Panics if the observation count differs from the sensor count, or
+    /// if `h` lies outside `1..=`[`SmilerSystem::max_horizon`]; either
+    /// before any sensor is touched.
     pub fn step(&mut self, h: usize, observations: &[f64]) -> Vec<(f64, f64)> {
         assert_eq!(observations.len(), self.sensors.len(), "one observation per sensor");
+        let h_max = self.max_horizon();
+        assert!((1..=h_max).contains(&h), "horizon {h} outside the fleet's 1..={h_max}");
         let _span = smiler_obs::span("step");
         let obs_on = smiler_obs::enabled();
         let mut predictions = Vec::with_capacity(self.sensors.len());
@@ -373,6 +377,12 @@ impl SmilerSystem {
             smiler_obs::gauge_set("cells.sleeping", "", sleeping as f64);
         }
         predictions
+    }
+
+    /// The largest horizon every resident sensor is configured to forecast
+    /// (unbounded for an empty fleet).
+    pub(crate) fn max_horizon(&self) -> usize {
+        self.sensors.iter().map(|s| s.config().h_max).min().unwrap_or(usize::MAX)
     }
 
     /// Feed one new observation per sensor (same order as construction),

@@ -32,6 +32,8 @@ pub enum ClientError {
     ConnectionClosed,
     /// A response decoded but was not the kind the call expected.
     UnexpectedResponse,
+    /// [`crate::run_net_load`] was asked for a run it cannot schedule.
+    InvalidLoad(String),
 }
 
 impl std::fmt::Display for ClientError {
@@ -44,6 +46,7 @@ impl std::fmt::Display for ClientError {
             }
             ClientError::ConnectionClosed => write!(f, "connection closed mid-response"),
             ClientError::UnexpectedResponse => write!(f, "response kind did not match request"),
+            ClientError::InvalidLoad(why) => write!(f, "invalid load: {why}"),
         }
     }
 }

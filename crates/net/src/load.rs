@@ -117,16 +117,31 @@ struct ConnOutcome {
 /// Drive an open-loop run against a serving frontend at `addr`. Sensors
 /// are assigned round-robin over `fleet` ids so load spreads across every
 /// shard. Returns a report; connection-level failures surface as
-/// [`ClientError`].
+/// [`ClientError`], and a run that cannot be scheduled — a rate that is
+/// not a finite number above zero, no connections, or fewer requests
+/// than connections — as [`ClientError::InvalidLoad`] before anything
+/// connects.
 pub fn run_net_load(
     addr: SocketAddr,
     fleet: usize,
     gen: &NetLoadGen,
 ) -> Result<NetLoadReport, ClientError> {
-    let connections = gen.connections.max(1);
-    let per_conn = (gen.requests / connections).max(1);
+    if !(gen.rps.is_finite() && gen.rps > 0.0) {
+        return Err(ClientError::InvalidLoad(format!(
+            "offered rate {} is not a finite number above 0",
+            gen.rps
+        )));
+    }
+    if gen.connections == 0 || gen.requests < gen.connections {
+        return Err(ClientError::InvalidLoad(format!(
+            "{} requests over {} connections: each connection needs at least one",
+            gen.requests, gen.connections
+        )));
+    }
+    let connections = gen.connections;
+    let per_conn = gen.requests / connections;
     let total_requests = per_conn * connections;
-    let conn_rate = (gen.rps / connections as f64).max(1e-6);
+    let conn_rate = gen.rps / connections as f64;
     let sensor_cursor = Arc::new(AtomicU64::new(0));
 
     let start = Instant::now();

@@ -95,12 +95,24 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting connections
-    /// in front of `handle`'s shard queues.
+    /// in front of `handle`'s shard queues. A QoS rate that is not a
+    /// finite number above zero, or a burst below one token (a bucket
+    /// that never admits), is refused as [`ErrorKind::InvalidInput`]
+    /// before anything binds.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         handle: ServeHandle,
         config: NetConfig,
     ) -> io::Result<NetServer> {
+        if let Some(QosConfig { rate, burst }) = config.qos {
+            let refuse = |why: String| Err(io::Error::new(ErrorKind::InvalidInput, why));
+            if !(rate.is_finite() && rate > 0.0) {
+                return refuse(format!("QoS rate {rate} is not a finite number above 0"));
+            }
+            if !(burst.is_finite() && burst >= 1.0) {
+                return refuse(format!("QoS burst {burst} is not a finite number of at least 1"));
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(handle, config));

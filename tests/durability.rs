@@ -4,8 +4,8 @@
 //! that never stopped.
 
 use smiler_core::{
-    DurableSystem, FaultKind, PredictorKind, SensorFault, SensorStream, ServeConfig, ServeError,
-    SmilerConfig, SmilerServer, SmilerSystem,
+    DurableError, DurableSystem, FaultKind, PredictorKind, SensorFault, SensorStream, ServeConfig,
+    ServeError, SmilerConfig, SmilerServer, SmilerSystem,
 };
 use smiler_gpu::Device;
 use smiler_store::{FlushPolicy, Store, StoreConfig};
@@ -571,5 +571,57 @@ fn quarantine_survives_the_serving_handoff() {
         assert_eq!(restored.system().sensor(s).history().len(), 320 + 4, "sensor {s}");
         assert_eq!(history_bits(restored.system(), s), history_bits(&control, s), "sensor {s}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A round whose horizon the fleet cannot forecast changes nothing: the
+/// in-process step panics before any sensor is touched (no quarantine, no
+/// observation absorbed), and the durable step is refused before the WAL
+/// append, so the reopened fleet is the live one.
+#[test]
+fn out_of_range_horizon_round_changes_nothing() {
+    let dir = tmpdir("horizon");
+    let config = SmilerConfig::small_for_tests();
+    let kind = PredictorKind::Aggregation;
+    let (mut system, _) =
+        SmilerSystem::new(Arc::new(Device::default_gpu()), histories(2, 300), config.clone(), kind);
+    for h in [0, config.h_max + 1] {
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            system.step(h, &round_values(0, 2))
+        }));
+        assert!(step.is_err(), "horizon {h} was served");
+        assert!(system.quarantined().is_empty(), "horizon {h} quarantined the fleet");
+        assert!((0..2).all(|s| system.sensor(s).history().len() == 300), "horizon {h}");
+    }
+
+    let (mut durable, _) = DurableSystem::create(
+        Arc::new(Device::default_gpu()),
+        histories(2, 300),
+        config.clone(),
+        kind,
+        &dir,
+        store_config(),
+        0,
+    )
+    .expect("create");
+    durable.step(1, &round_values(0, 2)).expect("in-range round");
+    for h in [0, config.h_max + 1] {
+        match durable.step(h, &round_values(1, 2)) {
+            Err(DurableError::Horizon { h: refused, h_max }) => {
+                assert_eq!((refused, h_max), (h, config.h_max))
+            }
+            other => panic!("horizon {h}: {:?}", other.map(|_| ())),
+        }
+    }
+    assert!(durable.system().quarantined().is_empty());
+    let live: Vec<Vec<u64>> = (0..2).map(|s| history_bits(durable.system(), s)).collect();
+    drop(durable);
+    let (reopened, report) =
+        DurableSystem::open(Arc::new(Device::default_gpu()), &dir, store_config(), 0)
+            .expect("reopen");
+    assert_eq!(report.replayed_rounds, 1, "only the in-range round reached the WAL");
+    assert!(reopened.system().quarantined().is_empty());
+    let replayed: Vec<Vec<u64>> = (0..2).map(|s| history_bits(reopened.system(), s)).collect();
+    assert_eq!(replayed, live);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -269,6 +269,44 @@ fn hot_tenant_is_throttled_cold_tenant_is_not() {
     server.shutdown();
 }
 
+/// A load or QoS config that cannot be honoured is refused with a typed
+/// error before anything connects or binds: a rate of zero or NaN would
+/// otherwise schedule the first arrival forever out, and a bucket below
+/// one token would throttle every request.
+#[test]
+fn unschedulable_load_and_qos_configs_are_refused() {
+    // Nothing listens here: a refusal must come before any connect.
+    let nowhere: std::net::SocketAddr = "127.0.0.1:1".parse().expect("addr");
+    let base = NetLoadGen { connections: 2, requests: 4, rps: 100.0, ..NetLoadGen::default() };
+    let bad_loads = [
+        NetLoadGen { rps: 0.0, ..base },
+        NetLoadGen { rps: -1.0, ..base },
+        NetLoadGen { rps: f64::NAN, ..base },
+        NetLoadGen { rps: f64::INFINITY, ..base },
+        NetLoadGen { connections: 0, ..base },
+        NetLoadGen { requests: 0, ..base },
+        NetLoadGen { requests: 1, ..base },
+    ];
+    for gen in bad_loads {
+        match run_net_load(nowhere, 4, &gen) {
+            Err(ClientError::InvalidLoad(_)) => {}
+            other => panic!("{gen:?}: expected InvalidLoad, got {:?}", other.map(|r| r.requests)),
+        }
+    }
+
+    let server = start_server(1, ServeConfig::default());
+    for (rate, burst) in
+        [(f64::NAN, 4.0), (0.0, 4.0), (-1.0, 4.0), (f64::INFINITY, 4.0), (2.0, 0.5)]
+    {
+        let config = NetConfig { qos: Some(QosConfig { rate, burst }), ..NetConfig::default() };
+        match NetServer::bind("127.0.0.1:0", server.handle(), config) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            Ok(_) => panic!("QoS rate {rate} burst {burst} was accepted"),
+        }
+    }
+    server.shutdown();
+}
+
 /// Pipelined requests on one connection all get answers, matched by id.
 #[test]
 fn pipelined_binary_requests_all_answer() {
