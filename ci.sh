@@ -66,6 +66,21 @@ if [[ "$QUICK" == "0" ]]; then
         echo "smiler serve --qps 0 exited $status: want a typed error" >&2
         exit 1
     fi
+    # An empty fleet, and a rate whose run no `Duration` can span, exit 1
+    # with the flag named: at the parent the first served nothing and
+    # exited 0, the second panicked a connection thread.
+    serve_refuses() { # <flag> <serve args...>
+        local flag="$1" status=0 err
+        shift
+        err="$(timeout 10 target/release/smiler serve "$@" 2>&1 > /dev/null)" || status=$?
+        if [[ "$status" != 1 ]] || ! grep -q "invalid --$flag" <<< "$err"; then
+            echo "smiler serve $*: exited $status, want 1 naming --$flag; got: $err" >&2
+            exit 1
+        fi
+    }
+    serve_refuses sensors --shards 1 --sensors 0 --clients 1 --requests 4 --predictor ar --days 2
+    serve_refuses qps --shards 1 --sensors 2 --clients 1 --requests 4 --predictor ar --days 2 \
+        --qps 1e-30
     status=0
     target/release/smiler forecast --input "$series" --horizons 0 > /dev/null 2>&1 || status=$?
     if [[ "$status" != 1 ]]; then

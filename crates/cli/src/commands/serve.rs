@@ -15,14 +15,22 @@ use std::time::Duration;
 /// `smiler serve`: sharded load-serving over a synthetic fleet.
 pub(super) fn serve(args: &mut Args) -> Result<Run, CliError> {
     let shards: usize = args.get_or("shards", 2, at_least_one)?;
-    let sensors: usize = args.get_or("sensors", 8, any)?;
+    let sensors: usize = args.get_or("sensors", 8, at_least_one)?;
     let clients: usize = args.get_or("clients", 4, at_least_one)?;
     let requests: usize = args.get_or("requests", 64, at_least_one)?;
+    let total_requests = clients.checked_mul(requests).ok_or_else(|| ArgError::Invalid {
+        flag: "requests".to_string(),
+        value: requests.to_string(),
+    })?;
     let horizon: u32 = args.get_or("horizon", 1, at_least_one)?;
     let queue: usize = args.get_or("queue", 64, at_least_one)?;
     let days: usize = args.get_or("days", 2, at_least_one)?;
     let seed: u64 = args.get_or("seed", 7, any)?;
-    let qps = args.get_or("qps", clients as f64 * 250.0, positive)?;
+    // The offered rate must also leave the run a schedulable span.
+    let schedulable = |qps: f64| {
+        positive(qps).filter(|&q| Duration::try_from_secs_f64(total_requests as f64 / q).is_ok())
+    };
+    let qps = args.get_or("qps", clients as f64 * 250.0, schedulable)?;
     let deadline = args.get_parsed("deadline-ms", any)?.map(Duration::from_millis);
     let slo_ms: u64 = args.get_or("slo-ms", 50, any)?;
     let listen = args.get("listen")?.unwrap_or_else(|| "127.0.0.1:0".to_string());
@@ -50,10 +58,6 @@ pub(super) fn serve(args: &mut Args) -> Result<Run, CliError> {
     let kind = dataset_kind(args.get("dataset")?.as_deref().unwrap_or("road"))?;
     let data_dir = args.get("data-dir")?.map(std::path::PathBuf::from);
     let store_config = store_config_from_args(args)?;
-    let total_requests = clients.checked_mul(requests).ok_or_else(|| ArgError::Invalid {
-        flag: "requests".to_string(),
-        value: requests.to_string(),
-    })?;
     let config =
         with_adaptation(args, SmilerConfig { h_max: horizon as usize, ..Default::default() });
     Ok(Box::new(move || {

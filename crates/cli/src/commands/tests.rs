@@ -126,6 +126,8 @@ fn hostile_argv_gets_a_typed_error_naming_the_flag() {
         (with(&serve, &["--qos-rate", "nan"]), "invalid --qos-rate \"nan\""),
         (with(&serve, &["--qos-burst", "4"]), "--qos-burst needs --qos-rate"),
         (with(&serve, &["--shards", "0"]), "invalid --shards \"0\""),
+        (with(&serve, &["--sensors", "0"]), "invalid --sensors \"0\""),
+        (with(&serve, &["--qps", "1e-30"]), "invalid --qps \"1e-30\""),
         (with(&serve, &["--horizon", "0"]), "invalid --horizon \"0\""),
         (with(&serve, &["--horizon", "4294967296"]), "invalid --horizon \"4294967296\""),
         (with(&follower, &["--duration-s", "inf"]), "invalid --duration-s \"inf\""),

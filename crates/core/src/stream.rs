@@ -14,7 +14,6 @@
 use crate::predictor::PredictorKind;
 use crate::sensor::{SensorPredictor, SmilerConfig};
 use smiler_gpu::Device;
-use smiler_store::SharedStore;
 use smiler_timeseries::normalize::ZNorm;
 use std::sync::Arc;
 
@@ -39,12 +38,6 @@ pub enum StreamError {
         /// The head tick it snapped onto.
         head: u64,
     },
-    /// The attached durable store rejected the append; nothing was
-    /// absorbed (a value that is not durable must not advance the index).
-    Store {
-        /// The store's error, stringified (I/O errors are not `Clone`).
-        message: String,
-    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -56,9 +49,6 @@ impl std::fmt::Display for StreamError {
             StreamError::NotFinite => write!(f, "observation is not a finite number"),
             StreamError::DuplicateTick { got, head } => {
                 write!(f, "timestamp {got} snaps onto the already-ingested tick at {head}")
-            }
-            StreamError::Store { message } => {
-                write!(f, "durable store rejected the append: {message}")
             }
         }
     }
@@ -89,9 +79,6 @@ pub struct SensorStream {
     newest_value: f64,
     /// Longest gap (in ticks) that will be linearly filled.
     max_gap: usize,
-    /// Optional durable log: every absorbed (normalised) value is appended
-    /// *before* the predictor absorbs it.
-    store: Option<SharedStore>,
 }
 
 impl SensorStream {
@@ -124,16 +111,7 @@ impl SensorStream {
             newest: last_timestamp,
             newest_value,
             max_gap: 16,
-            store: None,
         }
-    }
-
-    /// Attach a durable store: every sample [`SensorStream::ingest`]
-    /// absorbs (including interpolated fills) is WAL-logged under this
-    /// sensor's id *before* the in-memory predictor absorbs it.
-    pub fn with_store(mut self, store: SharedStore) -> Self {
-        self.store = Some(store);
-        self
     }
 
     /// The normalisation parameters in use.
@@ -190,18 +168,6 @@ impl SensorStream {
                 })
                 .collect()
         };
-        // Durability first: every value reaches the WAL before any index
-        // advances, so a crash mid-ingest replays the whole batch and an
-        // append failure absorbs nothing (the clock stays put too).
-        if let Some(store) = &self.store {
-            let sensor = self.predictor.sensor_id() as u32;
-            let mut store = store.lock();
-            for &v in &values {
-                store
-                    .append_observe(sensor, v)
-                    .map_err(|e| StreamError::Store { message: e.to_string() })?;
-            }
-        }
         // Fabricated values (interpolated fills, missing-marks) produce
         // residuals against data that never happened; stand the regime
         // detector down while they and their immediate wake pass through.

@@ -117,19 +117,29 @@ struct ConnOutcome {
 /// Drive an open-loop run against a serving frontend at `addr`. Sensors
 /// are assigned round-robin over `fleet` ids so load spreads across every
 /// shard. Returns a report; connection-level failures surface as
-/// [`ClientError`], and a run that cannot be scheduled — a rate that is
-/// not a finite number above zero, no connections, or fewer requests
-/// than connections — as [`ClientError::InvalidLoad`] before anything
-/// connects.
+/// [`ClientError`], and a run that cannot be scheduled — an empty fleet, a
+/// rate that is not a finite number above zero, an expected span
+/// (`requests / rps` seconds) no `Duration` holds, no connections, or
+/// fewer requests than connections — as [`ClientError::InvalidLoad`]
+/// before anything connects.
 pub fn run_net_load(
     addr: SocketAddr,
     fleet: usize,
     gen: &NetLoadGen,
 ) -> Result<NetLoadReport, ClientError> {
+    if fleet == 0 {
+        return Err(ClientError::InvalidLoad("the fleet has no sensor to forecast".to_string()));
+    }
     if !(gen.rps.is_finite() && gen.rps > 0.0) {
         return Err(ClientError::InvalidLoad(format!(
             "offered rate {} is not a finite number above 0",
             gen.rps
+        )));
+    }
+    if Duration::try_from_secs_f64(gen.requests as f64 / gen.rps).is_err() {
+        return Err(ClientError::InvalidLoad(format!(
+            "{} requests at {} req/s span more seconds than a Duration holds",
+            gen.requests, gen.rps
         )));
     }
     if gen.connections == 0 || gen.requests < gen.connections {
@@ -224,14 +234,15 @@ impl PoissonArrivals {
         }
     }
 
-    /// The scheduled time of arrival `self.next`, advancing the stream.
-    fn next_arrival(&mut self) -> Instant {
+    /// The scheduled time of arrival `self.next`, advancing the stream;
+    /// `None` once the offset is past what a `Duration` or the clock holds.
+    fn next_arrival(&mut self) -> Option<Instant> {
         let u: f64 = self.rng.gen();
         // Exponential inter-arrival gap; clamp the log's argument away
         // from zero so a pathological draw cannot produce infinity.
         self.offset += -(1.0 - u).max(1e-12).ln() / self.rate;
         self.next += 1;
-        self.base + Duration::from_secs_f64(self.offset)
+        Duration::try_from_secs_f64(self.offset).ok().and_then(|d| self.base.checked_add(d))
     }
 }
 
@@ -261,8 +272,9 @@ impl ScheduleCursor {
         }
         while self.arrivals.next <= idx {
             let i = self.arrivals.next;
-            let at = self.arrivals.next_arrival();
-            self.pending.insert(i, at);
+            if let Some(at) = self.arrivals.next_arrival() {
+                self.pending.insert(i, at);
+            }
         }
         self.pending.remove(&idx)
     }
@@ -285,7 +297,7 @@ fn run_connection(
     let base = Instant::now();
     let mut send_arrivals = PoissonArrivals::new(gen.seed, conn_idx, base, conn_rate);
     let recv_arrivals = PoissonArrivals::new(gen.seed, conn_idx, base, conn_rate);
-    let fleet = fleet.max(1) as u64;
+    let fleet = fleet as u64;
 
     let reader = std::thread::spawn(move || -> Result<ConnOutcome, ClientError> {
         let mut schedule = ScheduleCursor::new(recv_arrivals, per_conn as u64);
@@ -324,7 +336,9 @@ fn run_connection(
     });
 
     for idx in 0..per_conn {
-        let at = send_arrivals.next_arrival();
+        let at = send_arrivals.next_arrival().ok_or_else(|| {
+            ClientError::InvalidLoad(format!("arrival {idx} lies past what the clock holds"))
+        })?;
         let wait = at.saturating_duration_since(Instant::now());
         if !wait.is_zero() {
             std::thread::sleep(wait);
@@ -358,11 +372,18 @@ mod tests {
     }
 
     #[test]
+    fn an_arrival_past_the_clock_is_none_not_a_panic() {
+        let mut arrivals = PoissonArrivals::new(42, 0, Instant::now(), 1e-30);
+        assert_eq!(arrivals.next_arrival(), None);
+        assert_eq!(arrivals.next, 1, "the stream still advances");
+    }
+
+    #[test]
     fn cursor_serves_out_of_order_ids_and_bounds_memory() {
         let base = Instant::now();
         let rate = 10_000.0;
         let mut reference = PoissonArrivals::new(7, 0, base, rate);
-        let expected: Vec<Instant> = (0..100).map(|_| reference.next_arrival()).collect();
+        let expected: Vec<Instant> = (0..100).map(|_| reference.next_arrival().unwrap()).collect();
 
         let mut cursor = ScheduleCursor::new(PoissonArrivals::new(7, 0, base, rate), 100);
         // Out-of-order consumption within an in-flight window.

@@ -7,8 +7,10 @@
 //! crate owns the on-disk state that survives:
 //!
 //! * a **segmented append-only WAL** of sensor observations — CRC-checked,
-//!   length-prefixed records, torn-tail truncation on open, corrupt
-//!   segments quarantined (renamed aside) rather than aborting recovery;
+//!   length-prefixed records, one ledger of its segments, and one repair
+//!   rule on open: the segment where replay ends is cut back to its valid
+//!   prefix and later ones are quarantined (renamed aside) rather than
+//!   aborting recovery;
 //! * **checkpoints** — opaque, caller-serialised durable state (history
 //!   rings, posting-list-deterministic index inputs, λ matrices, GP
 //!   hyperparameters) in a versioned binary container with a header magic,
@@ -19,7 +21,8 @@
 //! * **recovery** = latest valid checkpoint + WAL tail replay. A corrupt
 //!   checkpoint falls back to the previous one (the WAL keeps enough tail
 //!   to replay from there); a corrupt WAL segment ends the replayable
-//!   prefix instead of poisoning it.
+//!   prefix instead of poisoning it, and damage the checkpoint covers is
+//!   never read.
 //!
 //! The crate is deliberately policy-free about *what* the durable state
 //! is: checkpoint payloads are opaque bytes. `smiler-core`'s `durable`

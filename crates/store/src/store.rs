@@ -8,9 +8,10 @@
 //!
 //! [`Store::open`] performs recovery: newest valid checkpoint (corrupt
 //! ones quarantined), then the WAL records *after* that checkpoint's
-//! sequence number as the replay tail. [`Store::checkpoint`] writes a new
-//! cut, prunes old checkpoints, and prunes WAL segments wholly covered by
-//! the oldest retained checkpoint — steady state disk usage is bounded.
+//! sequence number as the replay tail, which must continue the checkpoint
+//! without a gap. [`Store::checkpoint`] writes a new cut, prunes old
+//! checkpoints, and prunes WAL segments wholly covered by the oldest
+//! retained checkpoint — steady state disk usage is bounded.
 
 use crate::checkpoint;
 use crate::codec::CodecError;
@@ -187,10 +188,17 @@ impl Store {
         let _span = smiler_obs::span("store.open");
         std::fs::create_dir_all(dir)?;
         let (loaded, quarantined_checkpoints) = checkpoint::load_latest(&Self::ckpt_dir(dir))?;
-        let (wal, records, report) = Wal::open(&Self::wal_dir(dir), &config)?;
         let checkpoint_seq = loaded.as_ref().map(|c| c.seq);
         let floor = checkpoint_seq.unwrap_or(0);
-        let replay: Vec<WalRecord> = records.into_iter().filter(|r| r.seq() > floor).collect();
+        let (wal, replay, report) = Wal::open(&Self::wal_dir(dir), &config, floor)?;
+        // Replaying a mid-log suffix as if it were the whole history would
+        // silently drop what lies between the checkpoint and the log.
+        let next = floor.saturating_add(1);
+        if let Some(first) = replay.first().map(WalRecord::seq).filter(|&s| s != next) {
+            return Err(StoreError::Recovery(format!(
+                "the WAL resumes at seq {first} but recovery from seq {floor} needs seq {next} next"
+            )));
+        }
         if smiler_obs::enabled() {
             smiler_obs::count("store.replayed_records", "", replay.len() as u64);
             smiler_obs::observe("store.recover_seconds", "", started.elapsed().as_secs_f64());
@@ -241,10 +249,11 @@ impl Store {
         Ok(loaded.map(|c| (c.seq, c.payload)))
     }
 
-    /// Re-read every replayable WAL record with sequence number greater
-    /// than `after_seq`, without disturbing the append handle.
+    /// Re-read every WAL record with sequence number greater than
+    /// `after_seq`, without disturbing the append handle. A segment that
+    /// no longer reads whole is an error, never a silently short tail.
     pub fn read_tail(&self, after_seq: u64) -> Result<Vec<WalRecord>, StoreError> {
-        Ok(wal::read_records_after(&Self::wal_dir(&self.dir), after_seq)?)
+        Ok(self.wal.read_after(after_seq)?)
     }
 
     /// Write `payload` as a checkpoint covering everything logged so far,
@@ -270,7 +279,7 @@ impl Store {
                 Some(pinned) => oldest_kept.min(pinned),
                 None => oldest_kept,
             };
-            self.wal.prune_below(floor)?;
+            self.wal.prune_below(floor);
         }
         if smiler_obs::enabled() {
             smiler_obs::observe("store.checkpoint_seconds", "", started.elapsed().as_secs_f64());
@@ -320,18 +329,11 @@ impl Store {
         Ok(self.wal.append_existing(record)?)
     }
 
-    /// Snapshot every WAL segment on disk — sealed ones plus the open
-    /// tail — as raw images for follower bootstrap. The WAL is synced
-    /// first so the images contain every acknowledged record.
+    /// Snapshot every live WAL segment — sealed ones plus the open tail —
+    /// as raw images for follower bootstrap. The WAL is synced first so
+    /// the images contain every acknowledged record.
     pub fn segment_images(&mut self) -> Result<Vec<SegmentImage>, StoreError> {
-        self.wal.sync()?;
-        let wal_dir = Self::wal_dir(&self.dir);
-        let mut images = Vec::new();
-        for index in wal::list_segments(&wal_dir)? {
-            let bytes = std::fs::read(wal::segment_path(&wal_dir, index))?;
-            images.push(SegmentImage { index, bytes });
-        }
-        Ok(images)
+        Ok(self.wal.segment_images()?)
     }
 
     /// Install a shipped segment image into a **closed** data directory
@@ -576,6 +578,152 @@ mod tests {
         assert!(Store::install_segment(&follower, 99, b"not a segment").is_err());
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&follower);
+    }
+
+    // Crash sequences over 256-byte segments. An Observe record frames to
+    // 29 bytes, so each segment holds 9 records: 1..=9, 10..=18, 19..=27, …
+
+    fn small(keep_checkpoints: usize) -> StoreConfig {
+        StoreConfig { flush: FlushPolicy::Always, segment_bytes: 256, keep_checkpoints }
+    }
+
+    fn seqs(records: &[WalRecord]) -> Vec<u64> {
+        records.iter().map(WalRecord::seq).collect()
+    }
+
+    fn append_to(store: &mut Store, last: u64) {
+        while store.last_seq() < last {
+            store.append_observe(0, store.last_seq() as f64).unwrap();
+        }
+    }
+
+    /// Flip the middle byte of WAL segment `index` (a record's CRC).
+    fn flip_segment(dir: &Path, index: u64) {
+        let path = wal::segment_path(&Store::wal_dir(dir), index);
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn cursor_pin_holds_after_a_restart() {
+        let dir = tmpdir("pin_restart");
+        {
+            let (mut store, _) = Store::open(&dir, small(1)).unwrap();
+            append_to(&mut store, 40);
+        }
+        let (mut store, _) = Store::open(&dir, small(1)).unwrap();
+        store.register_cursor("follower-a", 5);
+        append_to(&mut store, 41);
+        store.checkpoint(b"at 41").unwrap();
+        assert_eq!(seqs(&store.read_tail(5).unwrap()), (6..=41).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_fallback_after_a_restart_replays_every_record() {
+        let dir = tmpdir("fallback_restart");
+        {
+            let (mut store, _) = Store::open(&dir, small(2)).unwrap();
+            append_to(&mut store, 6);
+            store.checkpoint(b"at 6").unwrap();
+            append_to(&mut store, 40);
+        }
+        {
+            let (mut store, _) = Store::open(&dir, small(2)).unwrap();
+            append_to(&mut store, 41);
+            assert_eq!(store.checkpoint(b"at 41").unwrap(), 41);
+        }
+        let ck = Store::ckpt_dir(&dir).join(format!("ckpt-{:016}.ck", 41));
+        let mut bytes = fs::read(&ck).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        fs::write(&ck, &bytes).unwrap();
+
+        let (_, recovery) = Store::open(&dir, small(2)).unwrap();
+        assert_eq!(recovery.checkpoint_seq, Some(6));
+        assert_eq!(recovery.quarantined_segments, 0);
+        assert_eq!(seqs(&recovery.replay), (7..=41).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_acknowledged_after_a_repair_survive_two_restarts() {
+        let dir = tmpdir("repair_acks");
+        {
+            let (mut store, _) = Store::open(&dir, small(2)).unwrap();
+            append_to(&mut store, 50);
+        }
+        flip_segment(&dir, 2); // inside seq 14's frame
+        {
+            let (mut store, recovery) = Store::open(&dir, small(2)).unwrap();
+            assert_eq!(seqs(&recovery.replay), (1..=13).collect::<Vec<_>>());
+            assert_eq!(recovery.quarantined_segments, 4, "segments 3..=6 go aside");
+            assert!(recovery.truncated_bytes > 0);
+            append_to(&mut store, 16);
+        }
+        {
+            let (mut store, recovery) = Store::open(&dir, small(2)).unwrap();
+            assert_eq!(seqs(&recovery.replay), (1..=16).collect::<Vec<_>>());
+            assert_eq!(recovery.quarantined_segments, 0);
+            append_to(&mut store, 30);
+        }
+        let (store, recovery) = Store::open(&dir, small(2)).unwrap();
+        assert_eq!(seqs(&recovery.replay), (1..=30).collect::<Vec<_>>());
+        assert_eq!(store.last_seq(), 30);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bit_rot_below_the_checkpoint_stops_nothing() {
+        let dir = tmpdir("rot_below");
+        {
+            let (mut store, _) = Store::open(&dir, small(2)).unwrap();
+            append_to(&mut store, 20);
+            store.checkpoint(b"at 20").unwrap();
+            append_to(&mut store, 60);
+            store.checkpoint(b"at 60").unwrap();
+            append_to(&mut store, 70);
+        }
+        flip_segment(&dir, 4); // seqs 28..=36, all covered by checkpoint 60
+        {
+            let (mut store, recovery) = Store::open(&dir, small(2)).unwrap();
+            assert_eq!(recovery.checkpoint_seq, Some(60));
+            assert_eq!(recovery.quarantined_segments, 0);
+            assert_eq!(seqs(&recovery.replay), (61..=70).collect::<Vec<_>>());
+            assert_eq!(store.last_seq(), 70);
+            append_to(&mut store, 71);
+        }
+        let (_, recovery) = Store::open(&dir, small(2)).unwrap();
+        assert_eq!(seqs(&recovery.replay), (61..=71).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_gapped_replay_is_refused() {
+        let dir = tmpdir("gapped");
+        {
+            let (mut store, _) = Store::open(&dir, small(1)).unwrap();
+            append_to(&mut store, 40);
+            store.checkpoint(b"at 40").unwrap(); // prunes seqs 1..=36
+        }
+        // An empty replay past a checkpoint is valid.
+        let (_, recovery) = Store::open(&dir, small(1)).unwrap();
+        assert_eq!(recovery.checkpoint_seq, Some(40));
+        assert!(recovery.replay.is_empty());
+        // Without the checkpoint the log would replay 37..=40 as if it were
+        // the whole history.
+        let ck = Store::ckpt_dir(&dir).join(format!("ckpt-{:016}.ck", 40));
+        let mut bytes = fs::read(&ck).unwrap();
+        bytes[3] ^= 0x40;
+        fs::write(&ck, &bytes).unwrap();
+        match Store::open(&dir, small(1)) {
+            Err(StoreError::Recovery(msg)) => assert!(msg.contains("seq 37"), "{msg}"),
+            Err(e) => panic!("expected a recovery error, got {e}"),
+            Ok((_, recovery)) => panic!("replayed {:?}", seqs(&recovery.replay)),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,15 +16,28 @@
 //!   kind 2 (Round):   horizon u32 · n u32 · n × f64-bits
 //! ```
 //!
+//! A [`Wal`] keeps one ledger of its live segments: `(index, base_seq)` in
+//! log order, each `base_seq` read from that segment's own header, the
+//! last entry being the segment appends go to. Segment *i* holds the seqs
+//! `[base_i, base_{i+1})`; opening, rotation, pruning, tail reads and
+//! bootstrap images all derive from that one rule, and only
+//! [`Wal::open`] lists the directory.
+//!
 //! Appends reach the OS immediately (`write_all`), so a *process* kill
 //! loses nothing; `fsync` cadence — what a *power* loss can take — is the
-//! [`FlushPolicy`]'s call (group commit). On open, the final segment's
-//! torn tail (a record cut mid-write) is truncated back to the last whole
-//! record; corruption anywhere earlier quarantines that segment and every
-//! later one (sequence continuity is gone), keeping the valid prefix.
+//! [`FlushPolicy`]'s call (group commit).
+//!
+//! Opening takes the recovery floor, the checkpoint's seq (0 without one).
+//! Segments the floor covers are never read past their header; the scan
+//! starts at the segment holding `floor + 1`. One repair rule: replay ends
+//! at the first unreadable header, sequence break or bad record. A segment
+//! whose header reads is cut back to its valid prefix there and stays the
+//! append tail; every later segment is renamed aside (`.quarantined`).
+//! Appends resume at `max(last replayed, floor) + 1`, in a fresh segment
+//! with that base when the tail does not end exactly there.
 
 use crate::codec::{self, ByteReader};
-use crate::store::{FlushPolicy, StoreConfig};
+use crate::store::{FlushPolicy, SegmentImage, StoreConfig};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -124,30 +137,31 @@ impl WalRecord {
 /// What [`Wal::open`] found and repaired.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WalOpenReport {
-    /// Segments scanned (including quarantined ones).
+    /// Segment files found (including quarantined ones).
     pub segments: usize,
-    /// Segments renamed aside because of mid-log corruption.
+    /// Segments renamed aside because replay could not reach them.
     pub quarantined_segments: usize,
-    /// Bytes cut off the final segment's torn tail.
+    /// Bytes cut off the segment where replay ended.
     pub truncated_bytes: u64,
 }
 
-/// Metadata of one sealed (no longer written) segment.
+/// One ledger entry: a live segment's file index and the first sequence
+/// number it holds, as its own header states.
 #[derive(Debug, Clone, Copy)]
-struct SegmentMeta {
+struct Segment {
     index: u64,
-    /// First sequence number the segment holds (records are contiguous).
     base_seq: u64,
 }
 
-/// The append side of the log plus the sealed-segment ledger.
+/// The append side of the log plus the segment ledger.
 pub struct Wal {
     dir: PathBuf,
     file: File,
-    current_index: u64,
+    /// Every live segment in log order; the last one is open for appends.
+    ledger: Vec<Segment>,
+    /// Bytes in the open segment.
     current_bytes: u64,
     next_seq: u64,
-    sealed: Vec<SegmentMeta>,
     segment_bytes: u64,
     policy: FlushPolicy,
     appends_since_sync: u64,
@@ -156,7 +170,7 @@ pub struct Wal {
 }
 
 /// Path of segment `index` inside the WAL directory `dir`. Public so the
-/// replication layer can ship sealed segment files byte-for-byte.
+/// replication layer can install shipped segment files byte-for-byte.
 pub fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("wal-{index:08}.seg"))
 }
@@ -180,58 +194,70 @@ pub fn list_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
     Ok(indices)
 }
 
-fn write_segment_header(file: &mut File, base_seq: u64) -> std::io::Result<()> {
+/// Create segment `index` holding only a header with `base_seq`, synced.
+fn create_segment(dir: &Path, index: u64, base_seq: u64) -> std::io::Result<File> {
+    let mut file = OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .read(true)
+        .open(segment_path(dir, index))?;
     let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
     header.extend_from_slice(SEGMENT_MAGIC);
     codec::put_u32(&mut header, WAL_VERSION);
     codec::put_u64(&mut header, base_seq);
-    file.write_all(&header)
+    file.write_all(&header)?;
+    file.sync_data()?;
+    Ok(file)
+}
+
+/// A segment header's `base_seq`; `None` when the bytes are shorter than a
+/// header or carry a foreign magic or version.
+fn parse_header(bytes: &[u8]) -> Option<u64> {
+    let header = bytes.get(..SEGMENT_HEADER_BYTES as usize)?;
+    let mut r = ByteReader::new(&header[8..]);
+    if &header[..8] != SEGMENT_MAGIC || r.u32().ok()? != WAL_VERSION {
+        return None;
+    }
+    r.u64().ok()
+}
+
+/// Read only a segment's header.
+fn read_header(path: &Path) -> std::io::Result<Option<u64>> {
+    let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
+    File::open(path)?.take(SEGMENT_HEADER_BYTES).read_to_end(&mut header)?;
+    Ok(parse_header(&header))
 }
 
 /// Outcome of scanning one segment file.
 struct SegmentScan {
+    base_seq: u64,
     records: Vec<WalRecord>,
     /// Byte offset just past the last valid record.
     valid_bytes: u64,
     /// Total bytes in the file.
     file_bytes: u64,
-    /// Whether the valid prefix ends before the file does.
-    dirty: bool,
-    base_seq: u64,
 }
 
 fn scan_segment(path: &Path) -> std::io::Result<Option<SegmentScan>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(scan_segment_bytes(&bytes))
+    Ok(scan_segment_bytes(&fs::read(path)?))
 }
 
+/// Decode a segment's valid prefix: whole, CRC-checked records whose seqs
+/// continue from the header's base. `None` for an unreadable header.
 fn scan_segment_bytes(bytes: &[u8]) -> Option<SegmentScan> {
-    let file_bytes = bytes.len() as u64;
-    if bytes.len() < SEGMENT_HEADER_BYTES as usize || &bytes[..8] != SEGMENT_MAGIC {
-        return None; // unreadable header: the whole segment is suspect
-    }
-    let mut header = ByteReader::new(&bytes[8..SEGMENT_HEADER_BYTES as usize]);
-    let version = header.u32().unwrap_or(0);
-    let base_seq = header.u64().unwrap_or(0);
-    if version != WAL_VERSION {
-        return None;
-    }
+    let base_seq = parse_header(bytes)?;
     let mut records = Vec::new();
     let mut pos = SEGMENT_HEADER_BYTES as usize;
     let mut expected_seq = base_seq;
     // All bounds arithmetic is checked: a segment truncated anywhere
-    // inside the 8-byte `[len][crc]` record header must land in the
-    // torn-tail branch, never wrap (an unchecked `len - pos - 8` here
-    // underflowed — and wrapped in release — when fewer than 8 bytes
-    // remained after `pos`, letting a header-torn tail escape repair).
-    // The `while let` ends the scan if the cursor ever passes the end.
+    // inside the 8-byte `[len][crc]` record header must end the valid
+    // prefix, never wrap (an unchecked `len - pos - 8` here underflowed —
+    // and wrapped in release — when fewer than 8 bytes remained after
+    // `pos`, letting a header-torn tail escape repair). The `while let`
+    // ends the scan if the cursor ever passes the end.
     while let Some(remaining) = bytes.len().checked_sub(pos) {
-        if remaining == 0 {
-            break; // clean end
-        }
         if remaining < 8 {
-            break; // torn length/crc prefix
+            break; // clean end, or a torn length/crc prefix
         }
         let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
         let crc =
@@ -243,25 +269,14 @@ fn scan_segment_bytes(bytes: &[u8]) -> Option<SegmentScan> {
         if codec::crc32(payload) != crc {
             break;
         }
-        let record = match WalRecord::decode(payload) {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        if record.seq() != expected_seq {
-            break; // sequence discontinuity: do not replay past it
+        match WalRecord::decode(payload) {
+            Ok(record) if record.seq() == expected_seq => records.push(record),
+            _ => break, // undecodable, or a sequence break: do not replay past it
         }
         expected_seq += 1;
         pos += 8 + len as usize;
-        records.push(record);
     }
-    let valid_bytes = pos as u64;
-    Some(SegmentScan {
-        records,
-        valid_bytes,
-        file_bytes,
-        dirty: valid_bytes < file_bytes,
-        base_seq,
-    })
+    Some(SegmentScan { base_seq, records, valid_bytes: pos as u64, file_bytes: bytes.len() as u64 })
 }
 
 /// Validate a shipped segment image before installing it in a follower's
@@ -273,73 +288,6 @@ pub fn validate_segment_bytes(bytes: &[u8]) -> Option<(u64, Vec<WalRecord>)> {
     scan_segment_bytes(bytes).map(|scan| (scan.valid_bytes, scan.records))
 }
 
-/// Peek a segment's `base_seq` by reading only its 20-byte header.
-/// `None` when the file is missing, shorter than a header, or carries a
-/// foreign magic/version — the same cases that end a full scan.
-fn peek_base_seq(path: &Path) -> std::io::Result<Option<u64>> {
-    let mut file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
-    if file.read_exact(&mut header).is_err() || &header[..8] != SEGMENT_MAGIC {
-        return Ok(None);
-    }
-    let mut r = ByteReader::new(&header[8..]);
-    if r.u32().unwrap_or(0) != WAL_VERSION {
-        return Ok(None);
-    }
-    Ok(Some(r.u64().unwrap_or(0)))
-}
-
-/// Read-only scan of the log's replayable prefix — every valid record with
-/// `seq > after_seq`, in sequence order, with **no repair** (no truncation,
-/// no quarantine, the append handle undisturbed) — in O(tail) instead of
-/// O(log): a segment is skipped without scanning its body when
-/// its successor's header proves every record it holds is `<= after_seq`
-/// (the successor's `base_seq` is this segment's exclusive upper bound).
-/// Replication primaries poll this to ship the streaming tail, so the
-/// cost must track the new records, not the log's lifetime length.
-pub fn read_records_after(dir: &Path, after_seq: u64) -> std::io::Result<Vec<WalRecord>> {
-    let indices = list_segments(dir)?;
-    let mut bases: Vec<Option<u64>> = Vec::with_capacity(indices.len());
-    for &index in &indices {
-        bases.push(peek_base_seq(&segment_path(dir, index))?);
-    }
-    let mut records: Vec<WalRecord> = Vec::new();
-    // Continuity cursor; unknown until anchored by a skip or a scan (a
-    // pruned log legitimately starts past seq 1).
-    let mut next_seq: Option<u64> = None;
-    for (i, &index) in indices.iter().enumerate() {
-        let base = match bases[i] {
-            Some(base) => base,
-            None => break, // unreadable header ends the replayable prefix
-        };
-        if let Some(expect) = next_seq {
-            if base != expect {
-                break; // sequence gap between segments
-            }
-        }
-        if let Some(&Some(upper)) = bases.get(i + 1) {
-            if upper >= base && upper <= after_seq.saturating_add(1) {
-                next_seq = Some(upper);
-                continue; // whole segment precedes the requested tail
-            }
-        }
-        let scan = match scan_segment(&segment_path(dir, index))? {
-            Some(scan) => scan,
-            None => break,
-        };
-        next_seq = Some(scan.records.last().map(|r| r.seq() + 1).unwrap_or(base));
-        records.extend(scan.records.into_iter().filter(|r| r.seq() > after_seq));
-        if scan.dirty {
-            break; // nothing after a damaged region replays consistently
-        }
-    }
-    Ok(records)
-}
-
 fn quarantine(path: &Path) -> std::io::Result<()> {
     let mut target = path.as_os_str().to_owned();
     target.push(".quarantined");
@@ -348,125 +296,99 @@ fn quarantine(path: &Path) -> std::io::Result<()> {
 }
 
 impl Wal {
-    /// Open (or create) the log in `dir`, repairing the tail: returns the
-    /// log positioned for appending, every replayable record in sequence
-    /// order, and a report of what was repaired.
+    /// Open (or create) the log in `dir` above the recovery `floor` (the
+    /// checkpoint's seq, 0 without one) and repair it by the module's one
+    /// rule: returns the log positioned for appending, every replayable
+    /// record with `seq > floor` in sequence order, and a report of what
+    /// was repaired.
     pub fn open(
         dir: &Path,
         config: &StoreConfig,
+        floor: u64,
     ) -> std::io::Result<(Wal, Vec<WalRecord>, WalOpenReport)> {
         fs::create_dir_all(dir)?;
         let indices = list_segments(dir)?;
-
         let mut report = WalOpenReport { segments: indices.len(), ..Default::default() };
-        let mut records: Vec<WalRecord> = Vec::new();
-        let mut sealed: Vec<SegmentMeta> = Vec::new();
-        let mut next_seq = 1u64;
-        // The segment that stays open for appending, if the scan ends
-        // cleanly on it: (index, valid_bytes).
-        let mut tail: Option<(u64, u64)> = None;
-        let mut max_index = 0u64;
-
-        for (i, &index) in indices.iter().enumerate() {
-            max_index = max_index.max(index);
-            let is_final = i + 1 == indices.len();
-            let path = segment_path(dir, index);
-            let scan = scan_segment(&path)?;
-            let abort = match scan {
+        let mut bases = Vec::with_capacity(indices.len());
+        for &index in &indices {
+            bases.push(read_header(&segment_path(dir, index))?);
+        }
+        // The scan starts at the segment holding `floor + 1`: the last one
+        // whose header puts its base at or below it. The floor covers every
+        // earlier one, so damage there stops nothing; one whose header does
+        // not even read is renamed aside.
+        let first = floor.saturating_add(1);
+        let start = bases.iter().rposition(|base| base.is_some_and(|b| b <= first)).unwrap_or(0);
+        let mut ledger = Vec::with_capacity(indices.len() + 1);
+        for (&index, base) in indices.iter().zip(&bases).take(start) {
+            match *base {
+                Some(base_seq) => ledger.push(Segment { index, base_seq }),
                 None => {
-                    // Unreadable header: nothing in this segment (or after
-                    // it) can be replayed.
-                    quarantine(&path)?;
-                    report.quarantined_segments += 1;
-                    true
-                }
-                Some(scan) => {
-                    // A sequence gap between segments also ends the
-                    // replayable prefix.
-                    let contiguous = scan.base_seq == next_seq || records.is_empty();
-                    if !contiguous {
-                        quarantine(&path)?;
-                        report.quarantined_segments += 1;
-                        true
-                    } else {
-                        if records.is_empty() && !scan.records.is_empty() {
-                            next_seq = scan.records[0].seq();
-                        }
-                        next_seq = scan
-                            .records
-                            .last()
-                            .map(|r| r.seq() + 1)
-                            .unwrap_or(scan.base_seq.max(next_seq));
-                        records.extend(scan.records);
-                        if scan.dirty && !is_final {
-                            // Corruption mid-log: the valid prefix of this
-                            // segment replays, but nothing after it may.
-                            quarantine(&path)?;
-                            report.quarantined_segments += 1;
-                            true
-                        } else {
-                            if scan.dirty {
-                                // Torn tail of the final segment: cut it.
-                                report.truncated_bytes += scan.file_bytes - scan.valid_bytes;
-                                let f = OpenOptions::new().write(true).open(&path)?;
-                                f.set_len(scan.valid_bytes)?;
-                                f.sync_data()?;
-                            }
-                            if is_final {
-                                tail = Some((index, scan.valid_bytes));
-                            } else {
-                                sealed.push(SegmentMeta { index, base_seq: scan.base_seq });
-                            }
-                            false
-                        }
-                    }
-                }
-            };
-            if abort {
-                // Quarantine every later segment: with a hole in the
-                // sequence they can never be replayed consistently.
-                for &later in &indices[i + 1..] {
-                    max_index = max_index.max(later);
-                    quarantine(&segment_path(dir, later))?;
+                    quarantine(&segment_path(dir, index))?;
                     report.quarantined_segments += 1;
                 }
-                break;
             }
         }
 
+        let mut records = Vec::new();
+        // Valid bytes and end seq (one past its last record) of the last
+        // segment replayed: the candidate append tail.
+        let mut tail: Option<(u64, u64)> = None;
+        let mut cut = indices.len();
+        for (i, &index) in indices.iter().enumerate().skip(start) {
+            let path = segment_path(dir, index);
+            let scan = match scan_segment(&path)? {
+                Some(scan) if tail.map_or(true, |(_, end)| end == scan.base_seq) => scan,
+                _ => {
+                    cut = i; // an unreadable header or a sequence break
+                    break;
+                }
+            };
+            let end = scan.records.last().map_or(scan.base_seq, |r| r.seq() + 1);
+            records.extend(scan.records.into_iter().filter(|r| r.seq() > floor));
+            ledger.push(Segment { index, base_seq: scan.base_seq });
+            tail = Some((scan.valid_bytes, end));
+            if scan.valid_bytes < scan.file_bytes {
+                // A bad record: keep the valid prefix as the append tail.
+                report.truncated_bytes += scan.file_bytes - scan.valid_bytes;
+                let f = OpenOptions::new().write(true).open(&path)?;
+                f.set_len(scan.valid_bytes)?;
+                f.sync_data()?;
+                cut = i + 1;
+                break;
+            }
+        }
+        for &index in &indices[cut..] {
+            quarantine(&segment_path(dir, index))?;
+            report.quarantined_segments += 1;
+        }
         if report.truncated_bytes > 0 {
             smiler_obs::count("store.wal.truncated_bytes", "", report.truncated_bytes);
         }
 
-        let (file, current_index, current_bytes) = match tail {
-            Some((index, valid_bytes)) => {
-                let mut f =
-                    OpenOptions::new().write(true).read(true).open(segment_path(dir, index))?;
-                f.seek(SeekFrom::Start(valid_bytes))?;
-                (f, index, valid_bytes)
-            }
-            None => {
-                // No usable tail: start a fresh segment after everything
-                // seen (quarantined names keep their index).
-                let index = max_index + 1;
+        let next_seq = tail.map_or(first, |(_, end)| end.max(first));
+        let (file, current_bytes) = match (tail, ledger.last()) {
+            (Some((valid_bytes, end)), Some(last)) if end == next_seq => {
                 let mut f = OpenOptions::new()
-                    .create_new(true)
                     .write(true)
                     .read(true)
-                    .open(segment_path(dir, index))?;
-                write_segment_header(&mut f, next_seq)?;
-                f.sync_data()?;
-                (f, index, SEGMENT_HEADER_BYTES)
+                    .open(segment_path(dir, last.index))?;
+                f.seek(SeekFrom::Start(valid_bytes))?;
+                (f, valid_bytes)
+            }
+            _ => {
+                let index = indices.last().map_or(1, |&last| last + 1);
+                ledger.push(Segment { index, base_seq: next_seq });
+                (create_segment(dir, index, next_seq)?, SEGMENT_HEADER_BYTES)
             }
         };
 
         let wal = Wal {
             dir: dir.to_path_buf(),
             file,
-            current_index,
+            ledger,
             current_bytes,
             next_seq,
-            sealed,
             segment_bytes: config.segment_bytes.max(SEGMENT_HEADER_BYTES + 64),
             policy: config.flush,
             appends_since_sync: 0,
@@ -487,41 +409,27 @@ impl Wal {
     /// a gap or replayed duplicate is rejected so a follower can never
     /// silently diverge from the primary's log.
     pub fn append_existing(&mut self, record: &WalRecord) -> std::io::Result<u64> {
-        if record.seq() != self.next_seq {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "replicated record seq {} does not continue the log (next is {})",
-                    record.seq(),
-                    self.next_seq
-                ),
-            ));
-        }
-        let seq = record.seq();
-        let payload = record.encode();
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        codec::put_u32(&mut framed, payload.len() as u32);
-        codec::put_u32(&mut framed, codec::crc32(&payload));
-        framed.extend_from_slice(&payload);
-        self.file.write_all(&framed)?;
-        self.next_seq += 1;
-        self.current_bytes += framed.len() as u64;
-        self.appends_since_sync += 1;
-        self.maybe_sync()?;
-        if self.current_bytes >= self.segment_bytes {
-            self.rotate()?;
-        }
-        Ok(seq)
+        self.write(record)
     }
 
     /// Append one record (the `seq` it carries is assigned here). The
     /// bytes reach the OS before this returns; whether they reach the
     /// platter is the flush policy's decision.
     pub fn append(&mut self, make: impl FnOnce(u64) -> WalRecord) -> std::io::Result<u64> {
+        self.write(&make(self.next_seq))
+    }
+
+    /// The one write path: frame `record`, which must continue the log,
+    /// write it, then let the flush policy and the rotation size decide.
+    fn write(&mut self, record: &WalRecord) -> std::io::Result<u64> {
         let started = Instant::now();
-        let seq = self.next_seq;
-        let record = make(seq);
-        debug_assert_eq!(record.seq(), seq, "append must use the assigned seq");
+        let seq = record.seq();
+        if seq != self.next_seq {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("record seq {seq} does not continue the log (next is {})", self.next_seq),
+            ));
+        }
         let payload = record.encode();
         let mut framed = Vec::with_capacity(payload.len() + 8);
         codec::put_u32(&mut framed, payload.len() as u32);
@@ -581,62 +489,76 @@ impl Wal {
         self.syncs
     }
 
-    /// Seal the current segment and start the next one.
+    /// Seal the open segment and start the next one at `next_seq`.
     fn rotate(&mut self) -> std::io::Result<()> {
         self.sync()?;
-        self.sealed.push(SegmentMeta {
-            index: self.current_index,
-            base_seq: 0, // unknown precisely; conservative (never pruned early)
-        });
-        // Recompute the sealed segment's base conservatively as "first seq
-        // it *could* contain": pruning uses the next segment's base, so
-        // only `next_seq` matters here.
-        if let Some(last) = self.sealed.last_mut() {
-            last.base_seq = u64::MAX; // placeholder; fixed below
-        }
-        let index = self.current_index + 1;
-        let mut f = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .read(true)
-            .open(segment_path(&self.dir, index))?;
-        write_segment_header(&mut f, self.next_seq)?;
-        f.sync_data()?;
-        // Fix the placeholder now that the successor's base is known: a
-        // sealed segment holds seqs strictly below the next base.
-        if let Some(last) = self.sealed.last_mut() {
-            last.base_seq = self.next_seq;
-        }
-        self.file = f;
-        self.current_index = index;
+        let index = self.ledger.last().map_or(1, |open| open.index + 1);
+        self.file = create_segment(&self.dir, index, self.next_seq)?;
+        self.ledger.push(Segment { index, base_seq: self.next_seq });
         self.current_bytes = SEGMENT_HEADER_BYTES;
         smiler_obs::count("store.wal.rotations", "", 1);
         Ok(())
     }
 
-    /// Delete sealed segments whose every record is older than `keep_from`
-    /// (exclusive): they are fully covered by a retained checkpoint.
-    /// Returns how many were removed.
-    pub fn prune_below(&mut self, keep_from: u64) -> std::io::Result<usize> {
-        // sealed[i] covers seqs in [own base, sealed[i].base_seq) where the
-        // stored base_seq is the *successor's* base (see `rotate`); a
-        // segment is disposable when that upper bound is ≤ keep_from.
-        let mut removed = 0usize;
-        let dir = self.dir.clone();
-        self.sealed.retain(|meta| {
-            if meta.base_seq <= keep_from + 1 {
-                if fs::remove_file(segment_path(&dir, meta.index)).is_ok() {
-                    removed += 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
+    /// Delete the sealed segments holding only seqs `<= keep_from`: those
+    /// whose successor's base is at most `keep_from + 1`. Returns how many
+    /// files were removed.
+    pub fn prune_below(&mut self, keep_from: u64) -> usize {
+        let covered = self
+            .ledger
+            .windows(2)
+            .take_while(|pair| pair[1].base_seq <= keep_from.saturating_add(1))
+            .count();
+        let removed = self
+            .ledger
+            .drain(..covered)
+            .filter(|segment| fs::remove_file(segment_path(&self.dir, segment.index)).is_ok())
+            .count();
         if removed > 0 {
             smiler_obs::count("store.wal.segments_pruned", "", removed as u64);
         }
-        Ok(removed)
+        removed
+    }
+
+    /// Every record with `seq > after_seq`, in sequence order, read from
+    /// the ledger's segments without disturbing the append handle. The
+    /// read starts at the segment holding `after_seq + 1`, or at the
+    /// oldest one when pruning went past it. A segment that no longer
+    /// reads whole is an `InvalidData` error, never a silently short tail.
+    pub(crate) fn read_after(&self, after_seq: u64) -> std::io::Result<Vec<WalRecord>> {
+        let first = after_seq.saturating_add(1);
+        let start = self.ledger.iter().rposition(|s| s.base_seq <= first).unwrap_or(0);
+        let mut records = Vec::new();
+        for segment in &self.ledger[start..] {
+            let path = segment_path(&self.dir, segment.index);
+            match scan_segment(&path)? {
+                Some(scan) if scan.valid_bytes == scan.file_bytes => {
+                    records.extend(scan.records.into_iter().filter(|r| r.seq() > after_seq))
+                }
+                _ => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("WAL segment {} is damaged", path.display()),
+                    ))
+                }
+            }
+        }
+        Ok(records)
+    }
+
+    /// Every live segment's raw bytes in log order, synced first so the
+    /// images hold every appended record.
+    pub(crate) fn segment_images(&mut self) -> std::io::Result<Vec<SegmentImage>> {
+        self.sync()?;
+        self.ledger
+            .iter()
+            .map(|s| {
+                Ok(SegmentImage {
+                    index: s.index,
+                    bytes: fs::read(segment_path(&self.dir, s.index))?,
+                })
+            })
+            .collect()
     }
 }
 
@@ -661,17 +583,17 @@ mod tests {
     fn tail_read_matches_filtered_full_scan_at_every_cut() {
         let dir = tmpdir("tail_after");
         let config = StoreConfig { segment_bytes: 256, ..config() };
-        let (mut wal, _, _) = Wal::open(&dir, &config).unwrap();
+        let (mut wal, _, _) = Wal::open(&dir, &config, 0).unwrap();
         for i in 0..120u32 {
             wal.append(|seq| WalRecord::Observe { seq, sensor: i, value: i as f64 }).unwrap();
         }
         wal.sync().unwrap();
-        assert!(wal.sealed.len() >= 3, "test needs several segments");
+        assert!(wal.ledger.len() >= 4, "test needs several segments");
         let full: Vec<WalRecord> = (0..120u32)
             .map(|i| WalRecord::Observe { seq: i as u64 + 1, sensor: i, value: i as f64 })
             .collect();
         for after in [0u64, 1, 17, 60, 119, 120, 500] {
-            let tail = read_records_after(&dir, after).unwrap();
+            let tail = wal.read_after(after).unwrap();
             let expect: Vec<WalRecord> = full.iter().filter(|r| r.seq() > after).cloned().collect();
             assert_eq!(tail, expect, "after_seq {after}");
         }
@@ -681,7 +603,7 @@ mod tests {
     fn append_and_reopen_replays_in_order() {
         let dir = tmpdir("roundtrip");
         {
-            let (mut wal, records, report) = Wal::open(&dir, &config()).unwrap();
+            let (mut wal, records, report) = Wal::open(&dir, &config(), 0).unwrap();
             assert!(records.is_empty());
             assert_eq!(report.quarantined_segments, 0);
             for i in 0..10u32 {
@@ -691,7 +613,7 @@ mod tests {
             wal.append(|seq| WalRecord::Round { seq, horizon: 2, values: vec![1.0, f64::NAN] })
                 .unwrap();
         }
-        let (wal, records, report) = Wal::open(&dir, &config()).unwrap();
+        let (wal, records, report) = Wal::open(&dir, &config(), 0).unwrap();
         assert_eq!(records.len(), 11);
         assert_eq!(report.truncated_bytes, 0);
         assert_eq!(wal.last_seq(), 11);
@@ -725,14 +647,14 @@ mod tests {
             ..StoreConfig::default()
         };
         {
-            let (mut wal, _, _) = Wal::open(&dir, &cfg).unwrap();
+            let (mut wal, _, _) = Wal::open(&dir, &cfg, 0).unwrap();
             for i in 0..50 {
                 wal.append(|seq| WalRecord::Observe { seq, sensor: 0, value: i as f64 }).unwrap();
             }
         }
         let segs = fs::read_dir(&dir).unwrap().count();
         assert!(segs > 2, "expected several segments, got {segs}");
-        let (_, records, report) = Wal::open(&dir, &cfg).unwrap();
+        let (_, records, report) = Wal::open(&dir, &cfg, 0).unwrap();
         assert_eq!(records.len(), 50);
         assert_eq!(report.quarantined_segments, 0);
         let seqs: Vec<u64> = records.iter().map(|r| r.seq()).collect();
@@ -744,7 +666,7 @@ mod tests {
     fn torn_tail_truncates_to_last_whole_record() {
         let dir = tmpdir("torn");
         {
-            let (mut wal, _, _) = Wal::open(&dir, &config()).unwrap();
+            let (mut wal, _, _) = Wal::open(&dir, &config(), 0).unwrap();
             for i in 0..5 {
                 wal.append(|seq| WalRecord::Observe { seq, sensor: 0, value: i as f64 }).unwrap();
             }
@@ -754,7 +676,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 7).unwrap(); // cut into the last record
         drop(f);
-        let (mut wal, records, report) = Wal::open(&dir, &config()).unwrap();
+        let (mut wal, records, report) = Wal::open(&dir, &config(), 0).unwrap();
         assert_eq!(records.len(), 4);
         assert!(report.truncated_bytes > 0);
         assert_eq!(wal.last_seq(), 4);
@@ -777,7 +699,7 @@ mod tests {
         for cut in 0..=8u64 {
             let dir = tmpdir(&format!("hdr_cut_{cut}"));
             {
-                let (mut wal, _, _) = Wal::open(&dir, &config()).unwrap();
+                let (mut wal, _, _) = Wal::open(&dir, &config(), 0).unwrap();
                 for i in 0..RECORDS {
                     wal.append(|seq| WalRecord::Observe { seq, sensor: 0, value: i as f64 })
                         .unwrap();
@@ -792,7 +714,7 @@ mod tests {
             f.set_len(final_start + cut).unwrap();
             drop(f);
 
-            let (mut wal, records, report) = Wal::open(&dir, &config()).unwrap();
+            let (mut wal, records, report) = Wal::open(&dir, &config(), 0).unwrap();
             assert_eq!(records.len(), RECORDS as usize - 1, "cut at header byte {cut}");
             assert_eq!(wal.last_seq(), RECORDS - 1, "cut at header byte {cut}");
             assert_eq!(report.truncated_bytes, cut, "cut at header byte {cut}");
@@ -811,7 +733,7 @@ mod tests {
             ..StoreConfig::default()
         };
         {
-            let (mut wal, _, _) = Wal::open(&dir, &cfg).unwrap();
+            let (mut wal, _, _) = Wal::open(&dir, &cfg, 0).unwrap();
             for i in 0..50 {
                 wal.append(|seq| WalRecord::Observe { seq, sensor: 0, value: i as f64 }).unwrap();
             }
@@ -823,7 +745,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
-        let (mut wal, records, report) = Wal::open(&dir, &cfg).unwrap();
+        let (mut wal, records, report) = Wal::open(&dir, &cfg, 0).unwrap();
         assert!(report.quarantined_segments >= 1, "{report:?}");
         // The prefix before the corruption replays; nothing after does.
         assert!(!records.is_empty());
@@ -849,14 +771,14 @@ mod tests {
         let dir = tmpdir("groupcommit");
         let cfg = StoreConfig { flush: FlushPolicy::EveryN(8), ..StoreConfig::default() };
         {
-            let (mut wal, _, _) = Wal::open(&dir, &cfg).unwrap();
+            let (mut wal, _, _) = Wal::open(&dir, &cfg, 0).unwrap();
             for i in 0..64 {
                 wal.append(|seq| WalRecord::Observe { seq, sensor: 0, value: i as f64 }).unwrap();
             }
             assert_eq!(wal.syncs(), 8, "64 appends at every-8 = 8 group commits");
         }
         // All records still durable (they reached the OS on every append).
-        let (_, records, _) = Wal::open(&dir, &cfg).unwrap();
+        let (_, records, _) = Wal::open(&dir, &cfg, 0).unwrap();
         assert_eq!(records.len(), 64);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -869,16 +791,16 @@ mod tests {
             flush: FlushPolicy::Always,
             ..StoreConfig::default()
         };
-        let (mut wal, _, _) = Wal::open(&dir, &cfg).unwrap();
+        let (mut wal, _, _) = Wal::open(&dir, &cfg, 0).unwrap();
         for i in 0..60 {
             wal.append(|seq| WalRecord::Observe { seq, sensor: 0, value: i as f64 }).unwrap();
         }
         let before = fs::read_dir(&dir).unwrap().count();
-        let removed = wal.prune_below(40).unwrap();
+        let removed = wal.prune_below(40);
         assert!(removed > 0, "expected prunable segments out of {before}");
         // Every record after seq 40 must still replay.
         drop(wal);
-        let (_, records, _) = Wal::open(&dir, &cfg).unwrap();
+        let (_, records, _) = Wal::open(&dir, &cfg, 0).unwrap();
         assert!(records.iter().any(|r| r.seq() == 41), "seq 41 must survive pruning");
         assert_eq!(records.last().unwrap().seq(), 60);
         let _ = fs::remove_dir_all(&dir);

@@ -4,8 +4,8 @@
 //! that never stopped.
 
 use smiler_core::{
-    DurableError, DurableSystem, FaultKind, PredictorKind, SensorFault, SensorStream, ServeConfig,
-    ServeError, SmilerConfig, SmilerServer, SmilerSystem,
+    DurableError, DurableSystem, FaultKind, PredictorKind, SensorFault, ServeConfig, ServeError,
+    SmilerConfig, SmilerServer, SmilerSystem,
 };
 use smiler_gpu::Device;
 use smiler_store::{FlushPolicy, Store, StoreConfig};
@@ -244,47 +244,68 @@ fn corrupt_checkpoint_falls_back_and_stays_bitwise() {
     }
 }
 
-/// The stream front end appends to the WAL before the index advances, and
-/// the logged values match what the predictor absorbed, bitwise.
+/// Checkpoint fallback across a restart and a prune: the fleet runs,
+/// restarts, steps until a checkpoint prunes the WAL, then restarts on a
+/// corrupted newest checkpoint. The segments behind the older checkpoint
+/// must have survived the prune, so the fallback is still bitwise.
 #[test]
-fn stream_ingest_logs_before_absorbing() {
-    let dir = tmpdir("stream");
-    let (store, _) = Store::open(&dir, store_config()).expect("create");
-    let shared = smiler_store::shared(store);
-
-    let raw: Vec<f64> =
-        (0..400).map(|i| 400.0 + 150.0 * (i as f64 * std::f64::consts::TAU / 24.0).sin()).collect();
-    let mut stream = SensorStream::new(
+fn fallback_after_restart_and_prune_stays_bitwise() {
+    let dir = tmpdir("fallback_pruned");
+    let config = SmilerConfig::small_for_tests();
+    let kind = PredictorKind::Aggregation;
+    let (fleet, h, every) = (2usize, 1usize, 8u64);
+    // A 2-sensor round frames to 41 bytes: six rounds per segment.
+    let small = StoreConfig { flush: FlushPolicy::Always, segment_bytes: 256, keep_checkpoints: 2 };
+    let (mut control, _) = SmilerSystem::new(
         Arc::new(Device::default_gpu()),
-        7,
-        &raw,
-        4000,
-        10,
-        SmilerConfig::small_for_tests(),
-        PredictorKind::Aggregation,
+        histories(fleet, 320),
+        config.clone(),
+        kind,
+    );
+    let (mut durable, _) = DurableSystem::create(
+        Arc::new(Device::default_gpu()),
+        histories(fleet, 320),
+        config,
+        kind,
+        &dir,
+        small.clone(),
+        every,
     )
-    .with_store(Arc::clone(&shared));
-
-    let before = stream.predictor().history().len();
-    stream.ingest(4010, 452.5).expect("ingest");
-    stream.ingest(4040, 471.25).expect("ingest with a 2-tick gap fill");
-    let absorbed = stream.predictor().history()[before..].to_vec();
-    assert_eq!(absorbed.len(), 4);
-    assert_eq!(shared.lock().last_seq(), 4, "every absorbed sample must hit the WAL");
-
-    drop(stream);
-    drop(shared);
-    let (_, recovery) = Store::open(&dir, store_config()).expect("reopen");
-    assert_eq!(recovery.replay.len(), 4);
-    for (logged, lived) in recovery.replay.iter().zip(&absorbed) {
-        match logged {
-            smiler_store::WalRecord::Observe { sensor, value, .. } => {
-                assert_eq!(*sensor, 7);
-                assert_eq!(value.to_bits(), lived.to_bits(), "WAL and memory must agree bitwise");
+    .expect("create");
+    let mut lockstep = |durable: &mut DurableSystem, rounds: std::ops::Range<usize>| {
+        for r in rounds {
+            let values = round_values(r, fleet);
+            let a = control.step(h, &values);
+            let b = durable.step(h, &values).expect("step");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.0.to_bits(), y.0.to_bits(), "round {r}: mean drifted");
+                assert_eq!(x.1.to_bits(), y.1.to_bits(), "round {r}: var drifted");
             }
-            other => panic!("unexpected {other:?}"),
         }
-    }
+    };
+    lockstep(&mut durable, 0..20); // checkpoints at seqs 8 and 16
+    drop(durable);
+
+    let (mut durable, report) =
+        DurableSystem::open(Arc::new(Device::default_gpu()), &dir, small.clone(), every)
+            .expect("restart");
+    assert_eq!(report.checkpoint_seq, 16);
+    lockstep(&mut durable, 20..28); // checkpoint at 28 prunes below 16
+    assert!(!dir.join("wal").join("wal-00000001.seg").exists(), "the checkpoint at 28 pruned");
+    drop(durable);
+
+    let newest = dir.join("ckpt").join(format!("ckpt-{:016}.ck", 28));
+    let mut bytes = fs::read(&newest).expect("read checkpoint");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    fs::write(&newest, &bytes).expect("corrupt checkpoint");
+
+    let (mut restored, report) =
+        DurableSystem::open(Arc::new(Device::default_gpu()), &dir, small, every)
+            .expect("restore past the corrupt checkpoint");
+    assert_eq!((report.checkpoint_seq, report.quarantined_checkpoints), (16, 1));
+    lockstep(&mut restored, 28..40);
+    assert_eq!(report.replayed_rounds, 12, "seqs 17..=28 replay");
     let _ = fs::remove_dir_all(&dir);
 }
 

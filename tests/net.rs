@@ -271,8 +271,10 @@ fn hot_tenant_is_throttled_cold_tenant_is_not() {
 
 /// A load or QoS config that cannot be honoured is refused with a typed
 /// error before anything connects or binds: a rate of zero or NaN would
-/// otherwise schedule the first arrival forever out, and a bucket below
-/// one token would throttle every request.
+/// otherwise schedule the first arrival forever out, a rate so small that
+/// the run outlasts any `Duration` could not be scheduled at all, an
+/// empty fleet has no sensor to send to, and a bucket below one token
+/// would throttle every request.
 #[test]
 fn unschedulable_load_and_qos_configs_are_refused() {
     // Nothing listens here: a refusal must come before any connect.
@@ -286,9 +288,10 @@ fn unschedulable_load_and_qos_configs_are_refused() {
         NetLoadGen { connections: 0, ..base },
         NetLoadGen { requests: 0, ..base },
         NetLoadGen { requests: 1, ..base },
+        NetLoadGen { rps: 1e-30, ..base },
     ];
-    for gen in bad_loads {
-        match run_net_load(nowhere, 4, &gen) {
+    for (fleet, gen) in bad_loads.into_iter().map(|gen| (4, gen)).chain([(0, base)]) {
+        match run_net_load(nowhere, fleet, &gen) {
             Err(ClientError::InvalidLoad(_)) => {}
             other => panic!("{gen:?}: expected InvalidLoad, got {:?}", other.map(|r| r.requests)),
         }
