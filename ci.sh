@@ -124,9 +124,12 @@ if [[ "$QUICK" == "0" ]]; then
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seed 1 --smoke
 
     # Host parallelism is decided in one place: `Device::host_map` is the
-    # only code that sizes or spawns a team of compute threads.
+    # only code that sizes or spawns a team of compute threads. A scoped
+    # team (`std::thread::scope`) in the compute crates counts too; the
+    # socket frontend's per-connection scope is I/O, not compute.
     echo "==> one host scheduler"
-    if grep -rnE 'available_parallelism|crossbeam::thread' crates/*/src \
+    if { grep -rnE 'available_parallelism|crossbeam::thread' crates/*/src || true
+        grep -rnE 'thread::scope' crates/{core,index,gp,dtw,linalg,gpu}/src || true; } \
         | grep -v '^crates/gpu/src/device.rs:'; then
         echo "host compute threads belong to crates/gpu/src/device.rs (Device::host_map)" >&2
         exit 1

@@ -328,10 +328,12 @@ impl SmilerSystem {
     /// `(mean, variance)` forecasts made *before* the observations were
     /// seen.
     ///
-    /// Each sensor's predict + observe runs behind the fleet's isolation
-    /// boundary ([`isolated`]): a sensor that panics is quarantined, a
-    /// quarantined one is never touched, and both report `(NaN, ∞)` while
-    /// the rest of the round completes.
+    /// After one fleet search, the sensors' predict + observe run on the
+    /// device's host threads ([`Device::host_map`]), each behind the
+    /// fleet's isolation boundary ([`isolated`]): a sensor that panics is
+    /// quarantined, a quarantined one is never touched, and both report
+    /// `(NaN, ∞)` while the rest of the round completes. Forecasts are
+    /// bitwise the same on any host thread count.
     ///
     /// With observability on, the step runs under a `step` span, records a
     /// per-sensor latency histogram (`step.sensor_seconds`), and updates
@@ -347,11 +349,16 @@ impl SmilerSystem {
         assert!((1..=h_max).contains(&h), "horizon {h} outside the fleet's 1..={h_max}");
         let _span = smiler_obs::span("step");
         let obs_on = smiler_obs::enabled();
-        let mut predictions = Vec::with_capacity(self.sensors.len());
         self.search_stale(|_| true);
-        // Sensors are independent, so interleaving predict/observe per
-        // sensor is equivalent to predict_all followed by observe_all.
-        for (sensor, &v) in self.sensors.iter_mut().zip(observations) {
+        // Sensors are independent — each owns its index, ensemble and GP
+        // state, and a search slot is independent of the fleet it was
+        // searched in — so interleaving predict/observe per sensor is
+        // equivalent to predict_all followed by observe_all, and the
+        // sensors run on the device's host threads. A sensor's own GP
+        // columns then train on the worker that owns it (a nested
+        // `host_map` runs inline); a fleet of one keeps them parallel.
+        let items: Vec<_> = self.sensors.iter_mut().zip(observations).collect();
+        let predictions = self.device.host_map(items, |(sensor, &v)| {
             let started = if obs_on { Some(std::time::Instant::now()) } else { None };
             let served = isolated(sensor, |s| {
                 let prediction = s.predict(h);
@@ -361,8 +368,8 @@ impl SmilerSystem {
             if let (Ok(_), Some(started)) = (&served, started) {
                 smiler_obs::observe("step.sensor_seconds", "", started.elapsed().as_secs_f64());
             }
-            predictions.push(served.unwrap_or((f64::NAN, f64::INFINITY)));
-        }
+            served.unwrap_or((f64::NAN, f64::INFINITY))
+        });
         if obs_on {
             smiler_obs::gauge_set("sensors.resident", "", self.sensors.len() as f64);
             let (mut active, mut sleeping) = (0usize, 0usize);

@@ -231,6 +231,129 @@ fn wavefront(q: &[f64], c: &[f64], rho: usize, tau: f64, scratch: &mut DtwScratc
     (last, cells)
 }
 
+/// Lanes of [`dtw_early_abandon_lanes`]: the candidates one sweep verifies.
+pub const LANES: usize = smiler_simd::LANES;
+
+/// Reusable buffers for [`dtw_early_abandon_lanes`]: [`DtwScratch`]'s
+/// parity-split compressed matrix and reversed candidate, with one value
+/// per lane in every slot. Allocation-free after the first call at a given
+/// length and band width.
+#[derive(Debug, Clone, Default)]
+pub struct DtwLanesScratch {
+    even: Vec<[f64; LANES]>,
+    odd: Vec<[f64; LANES]>,
+    reversed: Vec<[f64; LANES]>,
+}
+
+impl DtwLanesScratch {
+    /// An empty scratch; grows on first use.
+    pub fn new() -> Self {
+        DtwLanesScratch::default()
+    }
+}
+
+/// [`dtw_early_abandon_counted_with`] for up to [`LANES`] candidates of one
+/// query in a single anti-diagonal sweep: lane `l` of the result is exactly
+/// what the scalar kernel returns for `cands[l]` at the same `threshold` —
+/// the same verdict, the same distance bits and the same cell count. Lanes
+/// past `cands.len()` read `(None, 0)`.
+///
+/// Every lane runs its own candidate's recurrence with the scalar kernel's
+/// per-cell arithmetic over the same cells in the same order, and `min` is
+/// exact, so the lanes never mix. A lane dies where the scalar kernel
+/// abandons (two consecutive anti-diagonals with no cell `≤ threshold` in
+/// that lane) and its count stops there; the sweep goes on while any lane
+/// lives, and the cells a dead lane still computes are neither counted nor
+/// read.
+///
+/// # Panics
+/// Panics if `cands` is empty or longer than [`LANES`], or if a candidate's
+/// length differs from the query's, or the query is empty.
+pub fn dtw_early_abandon_lanes(
+    q: &[f64],
+    cands: &[&[f64]],
+    rho: usize,
+    threshold: f64,
+    scratch: &mut DtwLanesScratch,
+) -> [(Option<f64>, u64); LANES] {
+    let lanes = cands.len();
+    assert!((1..=LANES).contains(&lanes), "between 1 and {LANES} candidates per sweep");
+    let d = q.len();
+    for c in cands {
+        check_inputs(q, c);
+    }
+    let inf = f64::INFINITY;
+    let DtwLanesScratch { even, odd, reversed } = scratch;
+    even.clear();
+    even.resize(rho + 2, [inf; LANES]);
+    odd.clear();
+    odd.resize(rho + 1, [inf; LANES]);
+    reversed.clear();
+    // Unused lanes sweep zeros; they are dead from the start.
+    reversed.extend(
+        (0..d).rev().map(|j| std::array::from_fn(|l| cands.get(l).map_or(0.0, |c: &&[f64]| c[j]))),
+    );
+    // γ(0, 0) and γ(d, d) sit at offset ρ+1, as in [`wavefront`].
+    let corner = rho.div_ceil(2);
+    let corner_in_even = rho % 2 == 1;
+    if corner_in_even {
+        even[corner] = [0.0; LANES];
+    } else {
+        odd[corner] = [0.0; LANES];
+    }
+    let armed = threshold != inf;
+    let mut alive: [bool; LANES] = std::array::from_fn(|l| l < lanes);
+    let mut cells = [0u64; LANES];
+    // Per lane, the smallest cell of the previous anti-diagonal: a lane is
+    // live on an anti-diagonal exactly when its smallest cell is ≤ the
+    // threshold (NaN cells are never the smallest, and are never ≤ it).
+    let mut prev_low = [inf; LANES];
+    for s in 2..=2 * d {
+        // The same anti-diagonal geometry as [`wavefront`], slot for slot.
+        let i_lo = s.saturating_sub(d).max(1).max(s.saturating_sub(rho).div_ceil(2));
+        let i_hi = (s - 1).min(d).min((s + rho) / 2);
+        let mut low = [inf; LANES];
+        if i_lo <= i_hi {
+            let n = i_hi - i_lo + 1;
+            let p = (s + rho + 1) % 2;
+            let k_lo = (2 * i_lo + rho + 1 - s - p) / 2;
+            let (run, other) =
+                if p == 0 { (&mut even[..], &odd[..]) } else { (&mut odd[..], &even[..]) };
+            let above = &other[k_lo + p - 1..k_lo + p - 1 + n];
+            let left = &other[k_lo + p..k_lo + p + n];
+            let qs = &q[i_lo - 1..i_hi];
+            let cs = &reversed[d + i_lo - s..d + i_hi + 1 - s];
+            for ((((g, &up), &lf), &qi), &cj) in
+                run[k_lo..k_lo + n].iter_mut().zip(above).zip(left).zip(qs).zip(cs)
+            {
+                let diag = *g;
+                let v: [f64; LANES] =
+                    std::array::from_fn(|l| cell(qi, cj[l]) + diag[l].min(lf[l]).min(up[l]));
+                low = std::array::from_fn(|l| if v[l] < low[l] { v[l] } else { low[l] });
+                *g = v;
+            }
+            for (count, _) in cells.iter_mut().zip(alive).filter(|&(_, a)| a) {
+                *count += n as u64;
+            }
+        }
+        if armed {
+            for ((a, low), prev) in alive.iter_mut().zip(low).zip(prev_low) {
+                *a &= low <= threshold || prev <= threshold;
+            }
+            if !alive.contains(&true) {
+                break;
+            }
+        }
+        prev_low = low;
+    }
+    let last = if corner_in_even { even[corner] } else { odd[corner] };
+    std::array::from_fn(|l| {
+        let dist = last[l];
+        let verdict = (l < lanes && alive[l] && dist <= threshold).then_some(dist);
+        (verdict, cells[l])
+    })
+}
+
 /// Analytic operation count of one banded DTW evaluation, used by the GPU /
 /// CPU cost models: cells in the band × (1 cell cost + 3-way min + add).
 pub fn dtw_ops_estimate(d: usize, rho: usize) -> u64 {
@@ -539,6 +662,51 @@ mod tests {
                 } else {
                     prop_assert_eq!(got.map(bits), expect.map(bits), "tau {}", tau);
                 }
+            }
+        }
+
+        #[test]
+        fn lanes_are_bitwise_the_scalar_kernel(
+            (q, cands) in (1usize..=128, 1usize..=LANES).prop_flat_map(|(n, lanes)| (
+                prop::collection::vec(-10.0f64..10.0, n),
+                prop::collection::vec(
+                    (prop::collection::vec(salted(), n), 0u8..2),
+                    lanes,
+                ),
+            )).prop_map(|(q, cands): (Vec<f64>, Vec<(Vec<f64>, u8)>)| {
+                // A lane either holds NaN/±∞/−0 or is kept finite.
+                let cands: Vec<Vec<f64>> = cands
+                    .into_iter()
+                    .map(|(c, salt)| {
+                        c.into_iter().map(|v| if salt == 1 || v.is_finite() { v } else { 0.5 }).collect()
+                    })
+                    .collect();
+                (q, cands)
+            }),
+            (band, narrow, wide) in (0u8..3, 0usize..12, 128usize..140),
+            (tau_pick, tau_value) in (0u8..3, 0.0f64..2000.0),
+        ) {
+            let rho = match band { 0 => narrow % 4, 1 => narrow, _ => wide };
+            let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
+            let exact: Vec<f64> = refs.iter().map(|c| dtw_banded(&q, c, rho)).collect();
+            let tau = match tau_pick {
+                0 => f64::INFINITY,
+                // Inclusive at a lane's own distance.
+                1 => exact[0],
+                _ => tau_value,
+            };
+            let mut lanes = DtwLanesScratch::new();
+            let got = dtw_early_abandon_lanes(&q, &refs, rho, tau, &mut lanes);
+            let mut scratch = DtwScratch::new();
+            for (l, c) in refs.iter().enumerate() {
+                let scalar = dtw_early_abandon_counted_with(&q, c, rho, tau, &mut scratch);
+                prop_assert_eq!(got[l].0.map(bits), scalar.0.map(bits), "lane {} verdict", l);
+                prop_assert_eq!(got[l].1, scalar.1, "lane {} cells", l);
+                let reference = (exact[l] <= tau).then_some(exact[l]);
+                prop_assert_eq!(got[l].0.map(bits), reference.map(bits), "lane {} vs banded", l);
+            }
+            for unused in &got[refs.len()..] {
+                prop_assert_eq!(*unused, (None, 0));
             }
         }
 

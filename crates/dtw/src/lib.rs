@@ -22,7 +22,8 @@ pub mod lb;
 
 pub use distance::{
     dtw_banded, dtw_compressed, dtw_compressed_with, dtw_early_abandon_counted,
-    dtw_early_abandon_counted_with, dtw_early_abandon_with, dtw_ops_estimate, DtwScratch,
+    dtw_early_abandon_counted_with, dtw_early_abandon_lanes, dtw_early_abandon_with,
+    dtw_ops_estimate, DtwLanesScratch, DtwScratch, LANES,
 };
 pub use lb::{
     lb_en, lb_improved, lb_improved_second_pass, lb_keogh, lb_keogh_env, lb_kim_fl,

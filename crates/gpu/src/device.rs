@@ -199,14 +199,20 @@ impl Device {
 
     /// Map `f` over `items` on host threads; results come back in item
     /// order. This is the workspace's one host parallel-for: kernel blocks
-    /// ([`Device::launch`]) and GP column training both run through it, so
-    /// [`Device::with_host_threads`] bounds them alike.
+    /// ([`Device::launch`]), the sensors of a fleet step and GP column
+    /// training all run through it, so [`Device::with_host_threads`] bounds
+    /// them alike.
     ///
     /// With at most one item or one host thread the items run inline on
     /// the calling thread — a spawn costs more than many tiny hot-path
-    /// grids. Otherwise the caller is worker zero and `min(host_threads,
-    /// n) − 1` scoped workers join it, each taking the next item off one
-    /// shared queue. A panicking item is re-raised with its own payload.
+    /// grids. So does a call made from inside an item of a parallel
+    /// `host_map`: the team that runs the outer items already holds every
+    /// host thread, so a nested call never spawns a second team (a fleet
+    /// step's sensors each train their GP columns on the worker that owns
+    /// the sensor). Otherwise the caller is worker zero and
+    /// `min(host_threads, n) − 1` scoped workers join it, each taking the
+    /// next item off one shared queue. A panicking item is re-raised with
+    /// its own payload.
     pub fn host_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -214,11 +220,12 @@ impl Device {
         F: Fn(T) -> R + Sync,
     {
         let workers = self.host_threads.min(items.len());
-        if workers <= 1 {
+        if workers <= 1 || IN_PARALLEL_ITEM.get() {
             return items.into_iter().map(f).collect();
         }
         let queue = Mutex::new(items.into_iter().enumerate());
         let drain = || {
+            let _nested = ParallelItemGuard::enter();
             let mut done = Vec::new();
             loop {
                 let Some((i, item)) = queue.lock().next() else { break };
@@ -345,6 +352,28 @@ impl Device {
     /// Total device memory capacity in bytes.
     pub fn memory_capacity(&self) -> usize {
         self.memory_capacity
+    }
+}
+
+thread_local! {
+    /// Whether this thread is running items of a parallel
+    /// [`Device::host_map`].
+    static IN_PARALLEL_ITEM: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Marks the current thread as a parallel `host_map` worker until dropped
+/// (also on unwind), restoring the previous mark.
+struct ParallelItemGuard(bool);
+
+impl ParallelItemGuard {
+    fn enter() -> Self {
+        ParallelItemGuard(IN_PARALLEL_ITEM.replace(true))
+    }
+}
+
+impl Drop for ParallelItemGuard {
+    fn drop(&mut self) {
+        IN_PARALLEL_ITEM.set(self.0);
     }
 }
 
@@ -499,6 +528,32 @@ mod tests {
         let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
         assert_eq!(values, (0..n).map(|i| i * 10).collect::<Vec<_>>());
         assert_eq!(out[0].1, n - 1, "item 0 finished last");
+    }
+
+    #[test]
+    fn a_nested_host_map_runs_inline_on_its_worker() {
+        let dev = Device::default_gpu().with_host_threads(4);
+        let outer = dev.host_map((0..4).collect(), |i: usize| {
+            let worker = std::thread::current().id();
+            let inner = dev
+                .host_map((0..6).collect(), |j: usize| (i * 10 + j, std::thread::current().id()));
+            assert!(inner.iter().all(|&(_, id)| id == worker), "item {i} spawned a nested team");
+            inner.into_iter().map(|(v, _)| v).collect::<Vec<_>>()
+        });
+        for (i, inner) in outer.iter().enumerate() {
+            assert_eq!(*inner, (0..6).map(|j| i * 10 + j).collect::<Vec<_>>());
+        }
+        // A map of one item runs inline without the mark, so the call
+        // inside it keeps its own team; and the mark is gone afterwards.
+        let solo = dev.host_map(vec![()], |()| {
+            let ids = dev.host_map((0..64).collect(), |_: usize| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::current().id()
+            });
+            ids.iter().any(|&id| id != std::thread::current().id())
+        });
+        assert!(solo[0], "a fleet of one keeps its inner parallelism");
+        assert!(!IN_PARALLEL_ITEM.get());
     }
 
     #[test]

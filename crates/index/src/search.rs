@@ -620,28 +620,34 @@ pub(crate) fn lb_threshold(tau: f64) -> f64 {
 
 /// One `(task, chunk)` block of the verification cascade: each candidate,
 /// visited in ascending group-bound order, passes through an O(1)
-/// first/last-point bound, the full `LB_Keogh` envelope bound and finally
-/// an early-abandoning DTW — every stage pruning against (and every verdict
-/// tightening) the *running* k-th-best verified distance τ of its own
-/// task's [`SharedBest`].
+/// first/last-point bound and the full `LB_Keogh` envelope bound, pruning
+/// against the *running* k-th-best verified distance τ of its own task's
+/// [`SharedBest`]; the survivors queue up and are verified
+/// [`smiler_dtw::LANES`] at a time by one early-abandoning lane-parallel
+/// DTW sweep ([`smiler_dtw::dtw_early_abandon_lanes`]) against τ as read
+/// when the sweep starts. Their verdicts tighten τ in candidate order. A
+/// short last batch runs in the same kernel with fewer lanes.
 ///
 /// Lemire's `LB_Improved` second pass is not a rung: timed over the
 /// survivors it actually sees on ROAD, MALL and NET, it cost more than the
 /// early-abandoning DTW it saved on every dataset (DESIGN §7). A candidate
 /// it would prune has DTW ≥ the bound > τ, so the DTW rung abandons it
-/// instead and τ evolves exactly as before.
+/// instead.
 ///
-/// Exactness: τ is the k-th smallest among distances verified so far for
-/// that task, which is always ≥ the k-th smallest over the whole candidate
-/// set; a true k-nearest neighbour therefore satisfies `lb ≤ dtw ≤ τ` at
-/// whatever point it is visited, survives every stage (the early-abandon
-/// keeps `dtw == τ` inclusively), and receives its exact distance. The
-/// *survivor* set beyond the kNN can vary with block interleaving, but
-/// every candidate at or below the global k-th-best distance survives in
-/// every schedule, so the k smallest distances — and the downstream
-/// k-selection, which picks by value — are identical on every thread count
-/// and schedule. (The work a block *reports*, and with it the launch's
-/// simulated time, does move with the interleaving.)
+/// Exactness: any τ a stage prunes against is the k-th smallest among
+/// distances verified *earlier* for that task — at a bound, the running
+/// one; in a sweep, the one read at its start, which no verdict of the
+/// sweep has tightened yet — and is always ≥ the k-th smallest over the
+/// whole candidate set. A true k-nearest neighbour therefore satisfies
+/// `lb ≤ dtw ≤ τ` at whatever point it is visited, survives every stage
+/// (the early-abandon keeps `dtw == τ` inclusively), and receives its
+/// exact distance: each lane of a sweep is bitwise the scalar kernel. The
+/// *survivor* set beyond the kNN can vary with batching and block
+/// interleaving, but every candidate at or below the global k-th-best
+/// distance survives in every schedule, so the k smallest distances — and
+/// the downstream k-selection, which picks by value — are identical on
+/// every thread count and schedule. (The work a block *reports*, and with
+/// it the launch's simulated time, does move with the interleaving.)
 ///
 /// Only the `EQ` direction of `LB_EN` (the candidate walked against the
 /// *query's* envelope, which is staged in shared memory) is used here. The
@@ -661,55 +667,77 @@ pub(crate) fn cascade_block(
     starts: &[usize],
     shared: &SharedBest,
 ) -> Result<(Vec<(usize, f64)>, CascadeCounts), smiler_gpu::SharedMemOverflow> {
+    use smiler_dtw::LANES;
     let d = query.len();
-    // Query, its envelope, the staged candidate and one compressed matrix
-    // live in shared memory. Each block is sequential by design: every
-    // verdict tightens the threshold for every block's later candidates.
+    // Query and its envelope, one staged candidate and one compressed
+    // matrix per lane live in shared memory. Each block is sequential by
+    // design: every verdict tightens the threshold for every block's later
+    // candidates.
     let matrix_bytes = 2 * (2 * rho + 2) * 4;
-    ctx.alloc_shared(4 * d * 4 + matrix_bytes)?;
+    ctx.alloc_shared((3 + LANES) * d * 4 + LANES * matrix_bytes)?;
     ctx.read_global(3 * d as u64); // stage query + envelope once
-    let mut scratch = smiler_dtw::DtwScratch::with_rho(rho);
+    let mut scratch = smiler_dtw::DtwLanesScratch::new();
     let mut counts = CascadeCounts::default();
     let mut out: Vec<(usize, f64)> = Vec::new();
-    for &t in starts {
-        let tau = shared.tau();
-        // The rungs leave exact ties to stage 3, whose arithmetic is the
-        // distance's own — otherwise which of two tied neighbours survives
-        // would depend on how far a sibling block had tightened τ.
-        let lb_tau = lb_threshold(tau);
-        let cand = &series[t..t + d];
-        // Stage 1: O(1) first/last-point bound.
-        ctx.read_global(2);
-        ctx.flops(4);
-        if smiler_dtw::lb_kim_fl(query, cand) > lb_tau {
-            counts.kim_pruned += 1;
-            continue;
-        }
-        // Stage 2: envelope bound — the candidate against the query's
-        // envelope. Fetches (and stages) the candidate, the only
-        // per-candidate global traffic past this point.
-        ctx.read_global(d as u64);
-        ctx.flops(3 * d as u64);
-        if smiler_dtw::lb_keogh(cand, &query_env.upper, &query_env.lower) > lb_tau {
-            counts.keogh_pruned += 1;
-            continue;
-        }
-        // Stage 3: early-abandoning DTW against τ, on the staged candidate.
-        let (dist, cells) =
-            smiler_dtw::dtw_early_abandon_counted_with(query, cand, rho, tau, &mut scratch);
-        ctx.flops(cells * 6);
-        ctx.access_shared(cells * 3);
-        match dist {
-            Some(dist) => {
-                counts.dtw_full += 1;
-                out.push((t, dist));
-                // A non-finite distance (a poisoned candidate, `+∞`
-                // within a `+∞` τ) is reported but never tightens τ —
-                // `SharedBest::insert` drops it and `kselect` drops it
-                // downstream.
-                shared.insert(dist);
+    let mut pending = starts.iter();
+    loop {
+        // Stages 1 and 2 fill one sweep's lanes.
+        let mut batch = [0usize; LANES];
+        let mut lanes = 0;
+        while lanes < LANES {
+            let Some(&t) = pending.next() else { break };
+            // The rungs leave exact ties to stage 3, whose arithmetic is
+            // the distance's own — otherwise which of two tied neighbours
+            // survives would depend on how far a sibling block had
+            // tightened τ.
+            let lb_tau = lb_threshold(shared.tau());
+            let cand = &series[t..t + d];
+            // Stage 1: O(1) first/last-point bound.
+            ctx.read_global(2);
+            ctx.flops(4);
+            if smiler_dtw::lb_kim_fl(query, cand) > lb_tau {
+                counts.kim_pruned += 1;
+                continue;
             }
-            None => counts.dtw_abandoned += 1,
+            // Stage 2: envelope bound — the candidate against the query's
+            // envelope. Fetches (and stages) the candidate, the only
+            // per-candidate global traffic past this point.
+            ctx.read_global(d as u64);
+            ctx.flops(3 * d as u64);
+            if smiler_dtw::lb_keogh(cand, &query_env.upper, &query_env.lower) > lb_tau {
+                counts.keogh_pruned += 1;
+                continue;
+            }
+            batch[lanes] = t;
+            lanes += 1;
+        }
+        if lanes == 0 {
+            break;
+        }
+        // Stage 3: one early-abandoning sweep over the staged candidates.
+        let cands: [&[f64]; LANES] = std::array::from_fn(|l| &series[batch[l]..batch[l] + d]);
+        let verdicts = smiler_dtw::dtw_early_abandon_lanes(
+            query,
+            &cands[..lanes],
+            rho,
+            shared.tau(),
+            &mut scratch,
+        );
+        for (&t, (dist, cells)) in batch[..lanes].iter().zip(verdicts) {
+            ctx.flops(cells * 6);
+            ctx.access_shared(cells * 3);
+            match dist {
+                Some(dist) => {
+                    counts.dtw_full += 1;
+                    out.push((t, dist));
+                    // A non-finite distance (a poisoned candidate, `+∞`
+                    // within a `+∞` τ) is reported but never tightens τ —
+                    // `SharedBest::insert` drops it and `kselect` drops it
+                    // downstream.
+                    shared.insert(dist);
+                }
+                None => counts.dtw_abandoned += 1,
+            }
         }
     }
     ctx.sync();
