@@ -142,11 +142,11 @@ pub fn loo_value_and_log_gradient_from_sq(
 /// LOO log likelihood alone, with caller-owned scratch — the line-search
 /// probe evaluation. Shares the Gram/Cholesky/inverse pipeline with
 /// [`loo_value_and_log_gradient_scratch`] but stops before any gradient
-/// work (the upper half of the inverse, the derivative Hadamard, the dense
-/// `B·∂K` product and the per-row lane dots), which is roughly half of a
-/// full evaluation; rejected probes never need it. Returns exactly the
-/// value component of the full evaluation — the pipeline is deterministic
-/// and shared — or `None` on a singular Gram matrix.
+/// work (the derivative Hadamard, the dense `B·∂K` product and the per-row
+/// lane dots), which is roughly half of a full evaluation; rejected probes
+/// never need it. Returns exactly the value component of the full
+/// evaluation — the pipeline is deterministic and shared — or `None` on a
+/// singular Gram matrix.
 pub fn loo_value_scratch(
     sq: &Matrix,
     y: &[f64],
@@ -157,10 +157,8 @@ pub fn loo_value_scratch(
 }
 
 /// Shared front half of every LOO evaluation: Gram, Cholesky (with jitter),
-/// the lower triangle of the inverse (its diagonal is the LOO variance),
-/// α = K⁻¹y, and the summed log likelihood. Returns the value and the
-/// problem size. The value reads nothing above the diagonal, so a rejected
-/// probe never pays for the upper half; the gradient completes it.
+/// full inverse (its diagonal is the LOO variance), α = K⁻¹y, and the
+/// summed log likelihood. Returns the value and the problem size.
 fn factor_and_value(
     sq: &Matrix,
     y: &[f64],
@@ -170,7 +168,7 @@ fn factor_and_value(
     let n = sq.rows();
     kernel::gram_into(sq, hyper, &mut s.gram);
     s.chol.refactor_with_jitter(&s.gram, 1e-10, 1e-4 * hyper.prior_variance()).ok()?;
-    s.chol.inverse_lower_into(&mut s.inv, &mut s.inv_work);
+    s.chol.inverse_into(&mut s.inv, &mut s.inv_work);
     s.alpha.clear();
     s.alpha.extend_from_slice(y);
     s.chol.solve_in_place(&mut s.alpha);
@@ -218,7 +216,6 @@ fn log_gradient_from_factored(
     s: &mut LooScratch,
     n: usize,
 ) -> [f64; 3] {
-    s.chol.complete_inverse_upper(&mut s.inv, &mut s.inv_work);
     let (inv, alpha) = (&s.inv, &s.alpha);
 
     // β = Bα feeds the two closed-form directions; q_a = (BB)_aa is a lane

@@ -211,8 +211,9 @@ impl Device {
     /// step's sensors each train their GP columns on the worker that owns
     /// the sensor). Otherwise the caller is worker zero and
     /// `min(host_threads, n) − 1` scoped workers join it, each taking the
-    /// next item off one shared queue. A panicking item is re-raised with
-    /// its own payload.
+    /// next item off one shared queue and recording its spans under the
+    /// caller's open ones ([`smiler_obs::SpanContext`]). A panicking item
+    /// is re-raised with its own payload.
     pub fn host_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -233,8 +234,18 @@ impl Device {
             }
             done
         };
+        // Spans a worker opens nest under the caller's open spans, as the
+        // caller's own do.
+        let spans = smiler_obs::span_context();
         let mut done = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|_| drain())).collect();
+            let handles: Vec<_> = (1..workers)
+                .map(|_| {
+                    scope.spawn(|_| {
+                        let _spans = spans.adopt();
+                        drain()
+                    })
+                })
+                .collect();
             let mut done = drain();
             for handle in handles {
                 match handle.join() {

@@ -626,7 +626,9 @@ pub(crate) fn lb_threshold(tau: f64) -> f64 {
 /// [`smiler_dtw::LANES`] at a time by one early-abandoning lane-parallel
 /// DTW sweep ([`smiler_dtw::dtw_early_abandon_lanes`]) against τ as read
 /// when the sweep starts. Their verdicts tighten τ in candidate order. A
-/// short last batch runs in the same kernel with fewer lanes.
+/// short last batch runs in the same kernel with fewer lanes, and so does
+/// every batch of a query too long for `LANES` staged candidates and
+/// matrices to fit the block's shared memory.
 ///
 /// Lemire's `LB_Improved` second pass is not a rung: timed over the
 /// survivors it actually sees on ROAD, MALL and NET, it cost more than the
@@ -670,11 +672,18 @@ pub(crate) fn cascade_block(
     use smiler_dtw::LANES;
     let d = query.len();
     // Query and its envelope, one staged candidate and one compressed
-    // matrix per lane live in shared memory. Each block is sequential by
-    // design: every verdict tightens the threshold for every block's later
-    // candidates.
-    let matrix_bytes = 2 * (2 * rho + 2) * 4;
-    ctx.alloc_shared((3 + LANES) * d * 4 + LANES * matrix_bytes)?;
+    // matrix per lane live in shared memory. A long query gets as many
+    // lanes as the budget holds, down to one — the footprint of a
+    // one-candidate cascade. Each block is sequential by design: every
+    // verdict tightens the threshold for every block's later candidates.
+    let lane_bytes = d * 4 + 2 * (2 * rho + 2) * 4;
+    let mut width = LANES;
+    while let Err(overflow) = ctx.alloc_shared(3 * d * 4 + width * lane_bytes) {
+        if width == 1 {
+            return Err(overflow);
+        }
+        width -= 1;
+    }
     ctx.read_global(3 * d as u64); // stage query + envelope once
     let mut scratch = smiler_dtw::DtwLanesScratch::new();
     let mut counts = CascadeCounts::default();
@@ -684,7 +693,7 @@ pub(crate) fn cascade_block(
         // Stages 1 and 2 fill one sweep's lanes.
         let mut batch = [0usize; LANES];
         let mut lanes = 0;
-        while lanes < LANES {
+        while lanes < width {
             let Some(&t) = pending.next() else { break };
             // The rungs leave exact ties to stage 3, whose arithmetic is
             // the distance's own — otherwise which of two tied neighbours
@@ -805,6 +814,32 @@ mod tests {
                     g,
                     e
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn long_queries_verify_in_fewer_lanes() {
+        // At ρ = 8 four staged candidates and matrices fit the 48 KiB block
+        // budget only up to D ≈ 1734; D = 2000 runs three lanes and D = 3000
+        // one, the one-candidate cascade's footprint.
+        let device = Device::default_gpu();
+        for d in [2000, 3000] {
+            let series = make_series(d + 200, 7);
+            let params = IndexParams { rho: 8, omega: 16, lengths: vec![d], k_max: 3 };
+            let mut index = SmilerIndex::new(series.clone(), params.clone());
+            let max_end = series.len() - 5;
+            let out = index
+                .try_search(&device, max_end)
+                .unwrap_or_else(|e| panic!("a D = {d} search must fit: {e}"));
+            for (i, &len) in params.lengths.iter().enumerate() {
+                let expect = brute_force(&series, len, params.rho, params.k_max, max_end);
+                let got: Vec<f64> = out.neighbors[i].iter().map(|n| n.distance).collect();
+                let want: Vec<f64> = expect.iter().map(|n| n.distance).collect();
+                assert_eq!(got.len(), want.len(), "D = {d}, item {i}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((g - w).abs() < 1e-9, "D = {d}, item {i}: {got:?} vs {want:?}");
+                }
             }
         }
     }

@@ -291,24 +291,7 @@ impl Cholesky {
     /// subtraction sequence of a per-column backward substitution, but the
     /// updates run along contiguous rows instead of one serial `sum -=`
     /// chain per column.
-    ///
-    /// The back substitution runs in two passes over the same rows — the
-    /// lower triangle ([`Cholesky::inverse_lower_into`]), then the strict
-    /// upper one ([`Cholesky::complete_inverse_upper`]). Every entry's
-    /// subtraction sequence is the one a single pass over whole rows gives,
-    /// so the split changes no bit.
     pub fn inverse_into(&self, out: &mut Matrix, work: &mut Vec<f64>) {
-        self.inverse_lower_into(out, work);
-        self.complete_inverse_upper(out, work);
-    }
-
-    /// The lower triangle (diagonal included) of [`Cholesky::inverse_into`],
-    /// bit for bit, at about half its cost; the strict upper triangle is
-    /// left unspecified until [`Cholesky::complete_inverse_upper`] fills it.
-    /// Row `i`'s columns `≤ i` need only columns `≤ i` of the later rows,
-    /// which are in their lower triangles too. Enough for a caller that
-    /// reads only the diagonal, as a leave-one-out value probe does.
-    pub fn inverse_lower_into(&self, out: &mut Matrix, work: &mut Vec<f64>) {
         let n = self.dim();
         out.reset_zeros(n, n);
         work.clear();
@@ -324,41 +307,14 @@ impl Cholesky {
                 out[(i, j)] = v;
             }
         }
-        self.back_substitute(out, work, false);
-    }
-
-    /// Fill the strict upper triangle of an inverse whose lower triangle
-    /// [`Cholesky::inverse_lower_into`] computed, making `out` exactly what
-    /// [`Cholesky::inverse_into`] returns. Idempotent.
-    ///
-    /// # Panics
-    /// Panics if `out` is not `dim × dim`.
-    pub fn complete_inverse_upper(&self, out: &mut Matrix, work: &mut Vec<f64>) {
-        assert_eq!((out.rows(), out.cols()), (self.dim(), self.dim()), "inverse shape");
-        work.resize(self.dim(), 0.0);
-        self.back_substitute(out, work, true);
-    }
-
-    /// One pass of `A⁻¹ = L⁻ᵀ Z`, rows bottom-up, over the columns `≤ i` of
-    /// row `i` or, with `upper`, the columns `> i`. `out` holds `Z` below
-    /// the diagonal on entry, whose upper triangle is zero — so the upper
-    /// pass starts each row from zero rather than from what `out` holds.
-    fn back_substitute(&self, out: &mut Matrix, work: &mut [f64], upper: bool) {
-        let n = self.dim();
         for i in (0..n).rev() {
-            let cols = if upper { i + 1..n } else { 0..i + 1 };
-            let acc = &mut work[cols.clone()];
-            if upper {
-                acc.fill(0.0);
-            } else {
-                acc.copy_from_slice(&out.row(i)[cols.clone()]);
-            }
+            work.copy_from_slice(out.row(i));
             for k in i + 1..n {
-                smiler_simd::axpy(-self.l[(k, i)], &out.row(k)[cols.clone()], acc);
+                smiler_simd::axpy(-self.l[(k, i)], out.row(k), work);
             }
             let pivot = self.l[(i, i)];
-            for (x, &a) in out.row_mut(i)[cols].iter_mut().zip(acc.iter()) {
-                *x = a / pivot;
+            for (x, &acc) in out.row_mut(i).iter_mut().zip(work.iter()) {
+                *x = acc / pivot;
             }
         }
     }
@@ -428,36 +384,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// The single-pass `inverse_into` the lower/upper split replaced, kept
-    /// verbatim as a bitwise oracle.
-    fn inverse_single_pass_oracle(c: &Cholesky, out: &mut Matrix, work: &mut Vec<f64>) {
-        let n = c.dim();
-        out.reset_zeros(n, n);
-        work.clear();
-        work.resize(n, 0.0);
-        for j in 0..n {
-            // Forward solve L z = e_j; z[..j] is identically zero.
-            work[j] = 1.0 / c.l[(j, j)];
-            for i in j + 1..n {
-                let row = c.l.row(i);
-                work[i] = -smiler_simd::dot(&row[j..i], &work[j..i]) / row[i];
-            }
-            for (i, &v) in work.iter().enumerate().skip(j) {
-                out[(i, j)] = v;
-            }
-        }
-        for i in (0..n).rev() {
-            work.copy_from_slice(out.row(i));
-            for k in i + 1..n {
-                smiler_simd::axpy(-c.l[(k, i)], out.row(k), work);
-            }
-            let pivot = c.l[(i, i)];
-            for (x, &acc) in out.row_mut(i).iter_mut().zip(work.iter()) {
-                *x = acc / pivot;
-            }
-        }
     }
 
     #[test]
@@ -621,41 +547,6 @@ mod tests {
             c.inverse_into(&mut out, &mut work);
             let fresh = c.inverse();
             assert_eq!(out.max_abs_diff(&fresh), Some(0.0), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn split_inverse_is_bitwise_the_single_pass() {
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        let (mut out, mut lower, mut oracle) =
-            (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        let mut work = Vec::new();
-        for n in 1..=48usize {
-            let low_rank = {
-                let b = Matrix::from_fn(n, 3, |i, j| ((i * 5 + j * 2) as f64 * 0.41).cos());
-                b.matmul(&b.transpose())
-            };
-            let factors = [
-                Cholesky::decompose(&spd(n, 300 + n as u64)).unwrap(),
-                Cholesky::decompose_with_jitter(&low_rank, 1e-10, 1.0).unwrap(),
-            ];
-            for (which, c) in factors.iter().enumerate() {
-                inverse_single_pass_oracle(c, &mut oracle, &mut work);
-                c.inverse_into(&mut out, &mut work);
-                assert_eq!(bits(&out), bits(&oracle), "n = {n}, factor {which}");
-                // The lower pass alone: its lower triangle, diagonal first.
-                c.inverse_lower_into(&mut lower, &mut work);
-                for i in 0..n {
-                    assert_eq!(lower[(i, i)].to_bits(), out[(i, i)].to_bits(), "diag {i}");
-                    for j in 0..i {
-                        assert_eq!(lower[(i, j)].to_bits(), out[(i, j)].to_bits(), "({i}, {j})");
-                    }
-                }
-                // Completing it, twice, gives the full inverse.
-                c.complete_inverse_upper(&mut lower, &mut work);
-                c.complete_inverse_upper(&mut lower, &mut work);
-                assert_eq!(bits(&lower), bits(&oracle), "completed, n = {n}, factor {which}");
-            }
         }
     }
 

@@ -56,7 +56,7 @@ pub use registry::{
     count, gauge_set, metrics_snapshot, observe, CounterRow, GaugeRow, HistogramRow,
     MetricsSnapshot,
 };
-pub use span::{span, span_snapshot, SpanGuard, SpanRow};
+pub use span::{span, span_context, span_snapshot, AdoptedSpans, SpanContext, SpanGuard, SpanRow};
 pub use window::{SloReport, SloTracker, TailQuantiles, WindowedHistogram};
 
 /// The global observability switch. Off by default.

@@ -4,8 +4,13 @@
 //! another guard is open on the same thread nest under it: the recorded
 //! path is the `/`-joined chain of open span names, so `span("search")`
 //! followed by `span("verify")` aggregates under `"search/verify"`.
-//! Aggregation is global (path → call count + total seconds); per-call
-//! timings also feed a latency histogram per root span via the registry.
+//! Aggregation is global (path → call count + total seconds).
+//!
+//! A worker thread that runs part of a span's work adopts the opening
+//! thread's stack ([`SpanContext`]), so its spans record under the same
+//! paths, and the time it spent adopted is added to every span of that
+//! stack: a span's total is the seconds threads spent inside it, which
+//! still covers the sum of its children's totals.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -74,6 +79,51 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The spans open on one thread, outermost first; see [`span_context`].
+#[derive(Debug, Clone, Default)]
+pub struct SpanContext(Vec<&'static str>);
+
+/// The spans open on the current thread, for worker threads that run part
+/// of their work to [`SpanContext::adopt`]. Empty while disabled.
+pub fn span_context() -> SpanContext {
+    SpanContext(STACK.with(|stack| stack.borrow().clone()))
+}
+
+impl SpanContext {
+    /// Make this the current thread's span stack until the guard drops:
+    /// spans opened meanwhile nest under it, and the guard's lifetime is
+    /// added to the total of every span in it (not to their counts). A
+    /// no-op for an empty context.
+    pub fn adopt(&self) -> AdoptedSpans {
+        if self.0.is_empty() {
+            return AdoptedSpans { active: None };
+        }
+        let previous =
+            STACK.with(|stack| std::mem::replace(&mut *stack.borrow_mut(), self.0.clone()));
+        AdoptedSpans { active: Some((previous, Instant::now())) }
+    }
+}
+
+/// RAII guard of an adopted [`SpanContext`].
+pub struct AdoptedSpans {
+    active: Option<(Vec<&'static str>, Instant)>,
+}
+
+impl Drop for AdoptedSpans {
+    fn drop(&mut self) {
+        let Some((previous, start)) = self.active.take() else {
+            return;
+        };
+        let seconds = start.elapsed().as_secs_f64();
+        let adopted = STACK.with(|stack| std::mem::replace(&mut *stack.borrow_mut(), previous));
+        let mut spans = SPANS.lock();
+        let spans = spans.get_or_insert_with(HashMap::new);
+        for depth in 1..=adopted.len() {
+            spans.entry(adopted[..depth].join("/")).or_default().total_seconds += seconds;
+        }
+    }
+}
+
 /// Aggregated timing of one span path.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SpanRow {
@@ -81,7 +131,8 @@ pub struct SpanRow {
     pub path: String,
     /// Number of completed spans at this path.
     pub count: u64,
-    /// Total wall seconds across those spans.
+    /// Total wall seconds across those spans, plus the time worker
+    /// threads spent on their work ([`SpanContext::adopt`]).
     pub total_seconds: f64,
     /// How many of those spans closed during a panic unwind (included in
     /// `count` and `total_seconds`).
@@ -198,5 +249,33 @@ mod tests {
         let rows = span_snapshot();
         let paths: Vec<&str> = rows.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(paths, vec!["main", "worker"]);
+    }
+
+    #[test]
+    fn adopted_context_nests_worker_spans_and_adds_their_time() {
+        let _g = lock_global();
+        {
+            let _outer = span("main");
+            let context = span_context();
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let _adopted = context.adopt();
+                        let _t = span("worker");
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    });
+                }
+            });
+            let _t = span("worker");
+        }
+        let rows = span_snapshot();
+        let paths: Vec<&str> = rows.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(paths, vec!["main", "main/worker"]);
+        assert_eq!((rows[0].count, rows[1].count), (1, 3));
+        assert!(rows[1].total_seconds >= 0.010);
+        assert!(rows[0].total_seconds >= rows[1].total_seconds - 1e-9, "{rows:?}");
+        // An empty context adopts nothing, and the stack is restored.
+        drop(SpanContext::default().adopt());
+        assert!(span_context().0.is_empty());
     }
 }

@@ -38,7 +38,6 @@
 
 use crate::codec::{self, ByteReader};
 use crate::store::{FlushPolicy, SegmentImage, StoreConfig};
-use std::cell::Cell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -154,26 +153,12 @@ struct Segment {
     base_seq: u64,
 }
 
-/// Where a tail read stopped in a segment: the seq and byte offset just
-/// past the last record it decoded there.
-#[derive(Debug, Clone, Copy)]
-struct TailCursor {
-    index: u64,
-    next_seq: u64,
-    offset: u64,
-}
-
 /// The append side of the log plus the segment ledger.
 pub struct Wal {
     dir: PathBuf,
     file: File,
     /// Every live segment in log order; the last one is open for appends.
     ledger: Vec<Segment>,
-    /// The end of the open segment as the last [`Wal::read_after`] left
-    /// it. A read resuming exactly there decodes only what came after.
-    tail_cursor: Cell<Option<TailCursor>>,
-    /// Records [`Wal::read_after`] has decoded, filtered out or not.
-    tail_decoded: Cell<u64>,
     /// Bytes in the open segment.
     current_bytes: u64,
     next_seq: u64,
@@ -261,20 +246,9 @@ fn scan_segment(path: &Path) -> std::io::Result<Option<SegmentScan>> {
 /// continue from the header's base. `None` for an unreadable header.
 fn scan_segment_bytes(bytes: &[u8]) -> Option<SegmentScan> {
     let base_seq = parse_header(bytes)?;
-    let (records, valid_bytes) = decode_records(bytes, SEGMENT_HEADER_BYTES as usize, base_seq);
-    Some(SegmentScan {
-        base_seq,
-        records,
-        valid_bytes: valid_bytes as u64,
-        file_bytes: bytes.len() as u64,
-    })
-}
-
-/// Decode whole, CRC-checked records from `bytes[pos..]` while their seqs
-/// continue from `expected_seq`: the records and the offset just past the
-/// last one.
-fn decode_records(bytes: &[u8], mut pos: usize, mut expected_seq: u64) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
+    let mut pos = SEGMENT_HEADER_BYTES as usize;
+    let mut expected_seq = base_seq;
     // All bounds arithmetic is checked: a segment truncated anywhere
     // inside the 8-byte `[len][crc]` record header must end the valid
     // prefix, never wrap (an unchecked `len - pos - 8` here underflowed —
@@ -302,7 +276,7 @@ fn decode_records(bytes: &[u8], mut pos: usize, mut expected_seq: u64) -> (Vec<W
         expected_seq += 1;
         pos += 8 + len as usize;
     }
-    (records, pos)
+    Some(SegmentScan { base_seq, records, valid_bytes: pos as u64, file_bytes: bytes.len() as u64 })
 }
 
 /// Validate a shipped segment image before installing it in a follower's
@@ -312,36 +286,6 @@ fn decode_records(bytes: &[u8], mut pos: usize, mut expected_seq: u64) -> (Vec<W
 /// is acceptable — the caller installs only the prefix.
 pub fn validate_segment_bytes(bytes: &[u8]) -> Option<(u64, Vec<WalRecord>)> {
     scan_segment_bytes(bytes).map(|scan| (scan.valid_bytes, scan.records))
-}
-
-/// Decode a whole segment, or its part past a [`TailCursor`] into it:
-/// the records, and the seq and byte offset just past the last one. Bytes
-/// that do not decode to the end are an `InvalidData` error.
-fn read_segment_from(
-    path: &Path,
-    from: Option<TailCursor>,
-) -> std::io::Result<(Vec<WalRecord>, u64, u64)> {
-    let damaged = || {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("WAL segment {} is damaged", path.display()),
-        )
-    };
-    let mut file = File::open(path)?;
-    let offset = from.map_or(0, |c| c.offset);
-    file.seek(SeekFrom::Start(offset))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let (pos, first_seq) = match from {
-        Some(c) => (0, c.next_seq),
-        None => (SEGMENT_HEADER_BYTES as usize, parse_header(&bytes).ok_or_else(damaged)?),
-    };
-    let (records, end) = decode_records(&bytes, pos, first_seq);
-    if end != bytes.len() {
-        return Err(damaged());
-    }
-    let next_seq = records.last().map_or(first_seq, |r| r.seq() + 1);
-    Ok((records, next_seq, offset + end as u64))
 }
 
 fn quarantine(path: &Path) -> std::io::Result<()> {
@@ -443,8 +387,6 @@ impl Wal {
             dir: dir.to_path_buf(),
             file,
             ledger,
-            tail_cursor: Cell::new(None),
-            tail_decoded: Cell::new(0),
             current_bytes,
             next_seq,
             segment_bytes: config.segment_bytes.max(SEGMENT_HEADER_BYTES + 64),
@@ -583,24 +525,23 @@ impl Wal {
     /// read starts at the segment holding `after_seq + 1`, or at the
     /// oldest one when pruning went past it. A segment that no longer
     /// reads whole is an `InvalidData` error, never a silently short tail.
-    ///
-    /// A read that resumes where the previous one ended — `after_seq + 1`
-    /// is the seq just past the last record it decoded, in the same
-    /// segment — decodes that segment from the byte offset it stopped at,
-    /// so a follower's ship loop, which asks for what it has not shipped
-    /// yet, pays for the new records and not for the open segment's size.
     pub(crate) fn read_after(&self, after_seq: u64) -> std::io::Result<Vec<WalRecord>> {
         let first = after_seq.saturating_add(1);
         let start = self.ledger.iter().rposition(|s| s.base_seq <= first).unwrap_or(0);
-        let resume = self.tail_cursor.get().filter(|c| c.next_seq == first);
         let mut records = Vec::new();
         for segment in &self.ledger[start..] {
             let path = segment_path(&self.dir, segment.index);
-            let from = resume.filter(|c| c.index == segment.index);
-            let (decoded, next_seq, offset) = read_segment_from(&path, from)?;
-            self.tail_decoded.set(self.tail_decoded.get() + decoded.len() as u64);
-            records.extend(decoded.into_iter().filter(|r| r.seq() > after_seq));
-            self.tail_cursor.set(Some(TailCursor { index: segment.index, next_seq, offset }));
+            match scan_segment(&path)? {
+                Some(scan) if scan.valid_bytes == scan.file_bytes => {
+                    records.extend(scan.records.into_iter().filter(|r| r.seq() > after_seq))
+                }
+                _ => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("WAL segment {} is damaged", path.display()),
+                    ))
+                }
+            }
         }
         Ok(records)
     }
@@ -656,42 +597,6 @@ mod tests {
             let expect: Vec<WalRecord> = full.iter().filter(|r| r.seq() > after).cloned().collect();
             assert_eq!(tail, expect, "after_seq {after}");
         }
-    }
-
-    #[test]
-    fn a_resumed_tail_read_decodes_only_the_new_records() {
-        let dir = tmpdir("tail_resume");
-        let config = StoreConfig { flush: FlushPolicy::EveryN(u64::MAX), ..StoreConfig::default() };
-        let (mut wal, _, _) = Wal::open(&dir, &config, 0).unwrap();
-        let observe =
-            |seq: u64| WalRecord::Observe { seq, sensor: seq as u32 % 7, value: seq as f64 };
-        for _ in 0..1000 {
-            wal.append(observe).unwrap();
-        }
-        let path = segment_path(&dir, wal.ledger[0].index);
-        let full_scan_after = |after: u64| -> Vec<WalRecord> {
-            let scan = scan_segment(&path).unwrap().unwrap();
-            scan.records.into_iter().filter(|r| r.seq() > after).collect()
-        };
-        assert_eq!(wal.read_after(0).unwrap(), full_scan_after(0));
-        assert_eq!(wal.tail_decoded.get(), 1000);
-        let mut shipped = 1000;
-        for _ in 0..100 {
-            wal.append(observe).unwrap();
-            let before = wal.tail_decoded.get();
-            let tail = wal.read_after(shipped).unwrap();
-            assert_eq!(wal.tail_decoded.get() - before, 1, "after seq {shipped}");
-            assert_eq!(tail, full_scan_after(shipped), "after seq {shipped}");
-            shipped = tail.last().unwrap().seq();
-        }
-        assert_eq!(shipped, 1100);
-        assert_eq!(wal.ledger.len(), 1, "all in one segment");
-        // A read that does not resume there decodes the segment whole.
-        let before = wal.tail_decoded.get();
-        assert_eq!(wal.read_after(1050).unwrap(), full_scan_after(1050));
-        assert_eq!(wal.tail_decoded.get() - before, 1100);
-        assert!(wal.read_after(shipped).unwrap().is_empty());
-        assert_eq!(wal.tail_decoded.get() - before, 1100);
     }
 
     #[test]

@@ -232,6 +232,55 @@ fn span_totals_cover_their_children() {
     }
 }
 
+/// Sensors stepped on host-thread workers record their spans under the
+/// `step` span, the same paths and counts as when the calling thread steps
+/// them all, and each parent's total still covers its children's.
+#[test]
+fn a_parallel_step_records_every_sensor_under_the_step_span() {
+    let _g = lock_obs();
+    let histories: Vec<Vec<f64>> = (0..4).map(|s| road_sensor(10, 20 + s)).collect();
+    let config = smiler_core::sensor::SmilerConfig { h_max: 3, ..Default::default() };
+    let mut counts = Vec::new();
+    for threads in [1, 2] {
+        let device = Arc::new(Device::default_gpu().with_host_threads(threads));
+        let (mut system, rejected) = SmilerSystem::new(
+            device,
+            histories.clone(),
+            config.clone(),
+            PredictorKind::GaussianProcess,
+        );
+        assert!(rejected.is_none());
+        smiler_obs::reset();
+        for step in 0..3 {
+            system.step(1, &[0.1 * step as f64; 4]);
+        }
+        let spans = smiler_obs::span_snapshot();
+        for parent in &spans {
+            assert!(
+                parent.path == "step" || parent.path.starts_with("step/"),
+                "{threads} threads: span {} outside the step",
+                parent.path
+            );
+            let prefix = format!("{}/", parent.path);
+            let child_sum: f64 = spans
+                .iter()
+                .filter(|s| s.path.starts_with(&prefix) && !s.path[prefix.len()..].contains('/'))
+                .map(|s| s.total_seconds)
+                .sum();
+            assert!(
+                parent.total_seconds >= child_sum * (1.0 - 1e-6) - 1e-6,
+                "{threads} threads: span {} total {}s < children sum {}s",
+                parent.path,
+                parent.total_seconds,
+                child_sum
+            );
+        }
+        counts.push(spans.into_iter().map(|s| (s.path, s.count)).collect::<Vec<_>>());
+    }
+    assert!(counts[0].iter().any(|(path, n)| path == "step/gp.predict" && *n > 0));
+    assert_eq!(counts[0], counts[1], "span paths and counts on 1 vs 2 host threads");
+}
+
 /// Every GP training run reports its rejected line-search probes under its
 /// mode, and every online (warm-started) run the gradient's max-norm at
 /// its start point.
