@@ -135,6 +135,17 @@ if [[ "$QUICK" == "0" ]]; then
         exit 1
     fi
 
+    # Schedule-free kernels: no block of the search pipeline or the DTW
+    # kernels shares mutable state with a block that may run beside it, so
+    # what a block computes and reports is a function of its inputs on any
+    # host thread count. A task's running top-k is a local of the chain
+    # that walks its cascade chunks (`Device::launch_chains`), not a lock.
+    echo "==> schedule-free kernels"
+    if grep -rnE 'Mutex|RwLock|Atomic|thread_local' crates/{index,dtw}/src; then
+        echo "crates/index and crates/dtw share no state between blocks" >&2
+        exit 1
+    fi
+
     # One health owner: a sensor's quarantine state is a field of its
     # `SensorPredictor`, so every handoff of the predictors carries it; no
     # parallel health vector, slice or (predictor, health) pair may return.

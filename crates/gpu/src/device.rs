@@ -275,7 +275,55 @@ impl Device {
             let result = kernel(&mut ctx);
             (result, ctx.cost)
         });
+        self.account(ran)
+    }
 
+    /// Launch a grid whose blocks form in-order chains: chain `c` is the
+    /// next `chains[c].0` blocks of the grid, and they run one after
+    /// another on one host thread, each handed the chain's state
+    /// `chains[c].1` as the one before it left it. Chains run in parallel
+    /// ([`Device::host_map`]), the longest first so that no long chain
+    /// starts last. Results come back in grid order, and the simulated
+    /// clock reads the costs the blocks reported in grid order, exactly as
+    /// [`Device::launch`] does.
+    ///
+    /// A block therefore sees only what the blocks before it in its own
+    /// chain did, so every result and every reported cost is the same on
+    /// any host thread count.
+    pub fn launch_chains<S, R, F>(&self, chains: Vec<(usize, S)>, kernel: F) -> LaunchReport<R>
+    where
+        S: Send,
+        R: Send,
+        F: Fn(&mut BlockCtx, &mut S) -> R + Sync,
+    {
+        let mut first = 0;
+        let mut placed: Vec<(usize, usize, S)> = chains
+            .into_iter()
+            .map(|(len, state)| {
+                first += len;
+                (first - len, len, state)
+            })
+            .collect();
+        // A stable sort: chains of equal length keep their grid order.
+        placed.sort_by_key(|&(_, len, _)| std::cmp::Reverse(len));
+        let mut runs = self.host_map(placed, |(first, len, mut state)| {
+            let ran: Vec<(R, BlockCost)> = (first..first + len)
+                .map(|id| {
+                    let mut ctx = BlockCtx::new(id, self.shared_capacity);
+                    let result = kernel(&mut ctx, &mut state);
+                    (result, ctx.cost)
+                })
+                .collect();
+            (first, ran)
+        });
+        runs.sort_by_key(|&(first, _)| first);
+        self.account(runs.into_iter().flat_map(|(_, ran)| ran).collect())
+    }
+
+    /// Charge one launch's blocks — results and reported costs, in grid
+    /// order — to the device clock.
+    fn account<R>(&self, ran: Vec<(R, BlockCost)>) -> LaunchReport<R> {
+        let blocks = ran.len();
         // Simulated time is a pure function of the reported costs in grid
         // order — identical no matter how many host threads ran the grid.
         let model = self.model.as_cost_model();
@@ -565,6 +613,53 @@ mod tests {
         });
         assert!(solo[0], "a fleet of one keeps its inner parallelism");
         assert!(!IN_PARALLEL_ITEM.get());
+    }
+
+    /// Chains run their blocks in order with the chain's own state, and
+    /// the launch reports results and costs in grid order: the same report
+    /// as a plain launch of the same blocks, on any host thread count.
+    #[test]
+    fn launch_chains_threads_state_in_order_and_reports_in_grid_order() {
+        let lens = [3usize, 0, 7, 1, 7, 2];
+        let cost = |ctx: &mut BlockCtx| ctx.flops(100 * (ctx.block_id() as u64 % 5 + 1));
+        let reference = Device::default_gpu().launch(lens.iter().sum(), |ctx| {
+            cost(ctx);
+            ctx.block_id()
+        });
+        for threads in [1, 2, 4] {
+            let dev = Device::default_gpu().with_host_threads(threads);
+            let chains: Vec<(usize, Vec<usize>)> =
+                lens.iter().map(|&len| (len, Vec::new())).collect();
+            let report = dev.launch_chains(chains, |ctx, seen: &mut Vec<usize>| {
+                cost(ctx);
+                seen.push(ctx.block_id());
+                seen.clone()
+            });
+            let mut first = 0;
+            for &len in &lens {
+                for step in 0..len {
+                    let expect: Vec<usize> = (first..=first + step).collect();
+                    assert_eq!(report.results[first + step], expect, "{threads} threads");
+                }
+                first += len;
+            }
+            assert_eq!(report.stats, reference.stats, "{threads} threads");
+            assert_eq!(dev.kernel_launches(), 1);
+            assert_eq!(dev.blocks_launched(), first as u64);
+        }
+    }
+
+    #[test]
+    fn a_chain_runs_on_one_thread() {
+        let dev = Device::default_gpu().with_host_threads(4);
+        let chains: Vec<(usize, Option<std::thread::ThreadId>)> =
+            (0..6).map(|c| (c + 1, None)).collect();
+        let report = dev.launch_chains(chains, |_, owner| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            *owner.get_or_insert_with(|| std::thread::current().id()) == std::thread::current().id()
+        });
+        assert_eq!(report.results.len(), 21);
+        assert!(report.results.iter().all(|&same| same), "a chain moved between threads");
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   structure are genuine. Its blocks, like the core's GP column
 //!   training, go through [`device::Device::host_map`], the workspace's
 //!   one host parallel-for: the caller and scoped worker threads take
-//!   items off one shared queue;
+//!   items off one shared queue. [`device::Device::launch_chains`] runs a
+//!   grid whose blocks form in-order chains, each chain on one worker, so
+//!   a block may depend on the blocks before it in its chain and still
+//!   report the same work on any host thread count;
 //! * every block self-reports its memory traffic and arithmetic through
 //!   [`device::BlockCtx`], and a calibrated [`cost`] model converts those
 //!   counts into *simulated seconds* on a TITAN-class device, which is what

@@ -8,17 +8,21 @@
 //! bounds, threshold probes, filtering, cascaded verification, selection —
 //! is **one launch whose grid spans every task of every sensor**, and
 //! [`SmilerIndex::try_search`] is [`try_fleet_search`] over a fleet of one.
-//! Tasks are independent (each has its own threshold and its own
-//! `SharedBest`), so a sensor's answer is bit-identical whatever fleet it
-//! is searched in; batching only regroups independent blocks.
+//! Tasks are independent (each has its own threshold, and its cascade
+//! chunks run in order as one chain that keeps the task's running top-k),
+//! so a sensor's answer is bit-identical whatever fleet it is searched in,
+//! and every result, count and simulated second is the same on any host
+//! thread count; batching only regroups independent blocks. The host
+//! glue between launches is per task or per sensor, never per candidate:
+//! bounds are laid out per sensor on the host team, and the filter blocks
+//! sort their own survivors.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::group;
 use crate::search::{
-    cascade_block, lb_threshold, verify_candidates, CascadeCounts, Neighbor, SearchError,
-    SearchOutput, SearchStats, SharedBest, SmilerIndex, ThresholdStrategy, VerifyJob,
-    CASCADE_CHUNK,
+    cascade_block, lb_threshold, verify_candidates, CascadeCounts, KBest, Neighbor, SearchError,
+    SearchOutput, SearchStats, SmilerIndex, ThresholdStrategy, VerifyJob, CASCADE_CHUNK,
 };
 use smiler_gpu::kselect;
 use smiler_gpu::Device;
@@ -137,7 +141,8 @@ fn search_screened(
         |(sim, sat): (f64, f64)| (device.elapsed_seconds() - sim, device.saturated_seconds() - sat);
     let start = clock();
 
-    // Phase 1: group-level lower bounds (one pass over posting lists).
+    // Phase 1: group-level lower bounds (one pass over posting lists),
+    // resolved under each sensor's bound mode.
     let bounds = {
         let _lb_span = smiler_obs::span("lb");
         let sensors: Vec<_> = indexes
@@ -147,7 +152,8 @@ fn search_screened(
                 (index.window_index(), index.params().lengths.as_slice(), max_end)
             })
             .collect();
-        group::fleet_group_bounds(device, &sensors)
+        let modes: Vec<_> = indexes.iter().map(|index| index.bound_mode()).collect();
+        group::fleet_filter_bounds(device, &sensors, &modes)
     };
     let (lb_sim, lb_sat) = since(start);
 
@@ -162,7 +168,7 @@ fn search_screened(
     let verify_start = clock();
     {
         let _verify_span = smiler_obs::span("verify");
-        cascade_verify(device, &mut tasks)?;
+        cascade_verify(device, &mut tasks)?.report();
     }
     let (verify_sim, verify_sat) = since(verify_start);
 
@@ -221,17 +227,13 @@ fn search_screened(
         .collect())
 }
 
-/// Flatten the fleet into `(sensor, item)` tasks, resolving each task's
-/// filter bounds under its sensor's [`crate::BoundMode`].
-fn plan_tasks<'a>(
-    indexes: &'a [&mut SmilerIndex],
-    bounds: Vec<group::GroupBounds>,
-) -> Vec<Task<'a>> {
+/// Flatten the fleet into `(sensor, item)` tasks, each owning its row of
+/// the filter bounds its sensor's [`crate::BoundMode`] resolved.
+fn plan_tasks<'a>(indexes: &'a [&mut SmilerIndex], bounds: Vec<Vec<Vec<f64>>>) -> Vec<Task<'a>> {
     let mut tasks = Vec::new();
-    for (sensor, (index, bounds)) in indexes.iter().zip(bounds).enumerate() {
+    for (sensor, (index, rows)) in indexes.iter().zip(bounds).enumerate() {
         let params = index.params();
         let series = index.series();
-        let rows = bounds.into_filter_bounds(index.bound_mode());
         for (item, (lbw, &d)) in rows.into_iter().zip(&params.lengths).enumerate() {
             let query = &series[series.len() - d..];
             // A longer query can be poisoned while the (screened) shorter
@@ -332,25 +334,33 @@ fn probe_thresholds(device: &Device, tasks: &mut [Task]) -> Result<(), SearchErr
 /// Phase 2b — filter by τ (plus [`lb_threshold`]'s rounding head-room): one
 /// block per task, a pure scan. Non-finite bounds fail the `<=` comparison,
 /// so candidates poisoned by a NaN in the history are dropped here,
-/// mirroring `kselect`'s non-finite filtering. Survivors are then ordered
-/// tight-bounds-first so the cascade's running k-th best distance drops as
-/// fast as possible.
+/// mirroring `kselect`'s non-finite filtering. Each block then orders its
+/// survivors tight-bounds-first, so the cascade's running k-th best
+/// distance drops as fast as possible, and builds its query's envelope for
+/// the cascade; the caller only moves the results into the tasks.
 fn filter(device: &Device, tasks: &mut [Task]) {
     let kept = device.launch(tasks.len(), |ctx| {
         let task = &tasks[ctx.block_id()];
         if !task.live {
-            return Vec::new();
+            return (Vec::new(), Envelope::default());
         }
         ctx.read_global(task.lbw.len() as u64);
         ctx.flops(task.lbw.len() as u64);
         let mut skip: Vec<usize> = task.verified.iter().map(|&(t, _)| t).collect();
         skip.sort_unstable();
         let lb_tau = lb_threshold(task.tau);
-        (0..task.lbw.len())
+        let mut order: Vec<usize> = (0..task.lbw.len())
             .filter(|&t| task.lbw[t] <= lb_tau && skip.binary_search(&t).is_err())
-            .collect::<Vec<usize>>()
+            .collect();
+        // The filter only passes finite bounds, for which `total_cmp`
+        // agrees with the partial order — and it cannot panic should a NaN
+        // ever slip through.
+        order.sort_unstable_by(|&a, &b| task.lbw[a].total_cmp(&task.lbw[b]));
+        (order, Envelope::compute(task.query, task.rho))
     });
-    for (task, mut order) in tasks.iter_mut().zip(kept.results).filter(|(task, _)| task.live) {
+    for (task, (order, query_env)) in
+        tasks.iter_mut().zip(kept.results).filter(|(task, _)| task.live)
+    {
         // `survived` is the "number" column of Table 3; the cascade's
         // further pruning is reported separately (`verify.cascade`).
         task.survived = task.verified.len() + order.len();
@@ -362,66 +372,78 @@ fn filter(device: &Device, tasks: &mut [Task]) {
             let pruned = candidates.saturating_sub(task.survived) as f64;
             smiler_obs::observe("search.pruning_ratio", &label, pruned / candidates as f64);
         }
-        // The filter only passes finite bounds, for which `total_cmp`
-        // agrees with the partial order — and it cannot panic should a NaN
-        // ever slip through.
-        order.sort_unstable_by(|&a, &b| task.lbw[a].total_cmp(&task.lbw[b]));
         task.order = order;
-        task.query_env = Envelope::compute(task.query, task.rho);
+        task.query_env = query_env;
     }
 }
 
+/// One task's walk through its cascade chunks: the running top-k the
+/// chunks tighten in turn, the next chunk's first survivor, and the one
+/// sweep workspace every chunk reuses.
+struct CascadeWalk {
+    task: usize,
+    next: usize,
+    best: KBest,
+    scratch: smiler_dtw::DtwLanesScratch,
+}
+
 /// Phase 2c — cascaded verification of every task's survivors in a single
-/// launch: block `(task, chunk)` walks one chunk of one task's candidates
-/// against that task's own [`SharedBest`] (see [`cascade_block`]) — the
-/// 2-D grid a real GPU kNN kernel launches, one grid-y per query. The
-/// chunk descriptors are a fixed function of each task's candidate count —
-/// never of worker count — so the candidate→block assignment is identical
-/// on every host. Survivors are appended to each task's `verified` in block
-/// order (blocks are reported in launch order regardless of execution
-/// schedule).
-fn cascade_verify(device: &Device, tasks: &mut [Task]) -> Result<(), SearchError> {
-    let chunks: Vec<(usize, usize)> = tasks
+/// launch: block `(task, chunk)` walks one 64-candidate chunk of one
+/// task's survivors (see [`cascade_block`]) — the 2-D grid a real GPU kNN
+/// kernel launches, one grid-y per query. The grid is a fixed function of
+/// each task's survivor count, never of worker count. A task's chunks form
+/// one chain ([`Device::launch_chains`]): they run in order on one worker,
+/// each pruning against the running top-k the chunks before it left —
+/// Lemire's sequential search against a best-so-far, once per task. So
+/// every verdict, count and reported cost is what a one-thread run of the
+/// whole grid computes, on any host thread count. Survivors are appended
+/// to each task's `verified` in block order. Returns the launch's
+/// per-stage counts.
+fn cascade_verify(device: &Device, tasks: &mut [Task]) -> Result<CascadeCounts, SearchError> {
+    let mut counts = CascadeCounts::default();
+    let walks: Vec<(usize, CascadeWalk)> = tasks
         .iter()
         .enumerate()
-        .flat_map(|(ti, task)| (0..task.order.len()).step_by(CASCADE_CHUNK).map(move |lo| (ti, lo)))
+        .filter(|(_, task)| !task.order.is_empty())
+        .map(|(ti, task)| {
+            let best = KBest::new(task.k, task.verified.iter().map(|&(_, dist)| dist));
+            let scratch = smiler_dtw::DtwLanesScratch::new();
+            let walk = CascadeWalk { task: ti, next: 0, best, scratch };
+            (task.order.len().div_ceil(CASCADE_CHUNK), walk)
+        })
         .collect();
-    if chunks.is_empty() {
-        return Ok(());
+    if walks.is_empty() {
+        return Ok(counts);
     }
-    let shared: Vec<SharedBest> = tasks
-        .iter()
-        .map(|task| SharedBest::new(task.k, task.verified.iter().map(|&(_, dist)| dist)))
-        .collect();
-    let report = device.launch(chunks.len(), |ctx| {
-        let (ti, lo) = chunks[ctx.block_id()];
-        let task = &tasks[ti];
-        let hi = (lo + CASCADE_CHUNK).min(task.order.len());
-        cascade_block(
+    let report = device.launch_chains(walks, |ctx, walk| {
+        let task = &tasks[walk.task];
+        let lo = walk.next;
+        walk.next = (lo + CASCADE_CHUNK).min(task.order.len());
+        let block = cascade_block(
             ctx,
             task.series,
             task.query,
             &task.query_env,
             task.rho,
-            &task.order[lo..hi],
-            &shared[ti],
-        )
+            &task.order[lo..walk.next],
+            &mut walk.best,
+            &mut walk.scratch,
+        );
+        (walk.task, block)
     });
-    let mut counts = CascadeCounts::default();
-    for (&(ti, _), block) in chunks.iter().zip(report.results) {
+    for (ti, block) in report.results {
         let (found, block_counts) = block?;
         tasks[ti].verified.extend(found);
         counts.merge(&block_counts);
     }
-    counts.report();
-    Ok(())
+    Ok(counts)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::search::IndexParams;
+    use crate::search::{BoundMode, IndexParams};
 
     fn make_series(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -525,6 +547,90 @@ mod tests {
         // rank probes, probe verification, filter, cascade, selection.
         assert_eq!(dev_fleet.kernel_launches(), 6);
         assert_eq!(dev_solo.kernel_launches(), 6 * 6);
+    }
+
+    /// The search path's mode-resolved filter rows are, bit for bit, the
+    /// two sums of `compute_group_bounds` folded by `into_filter_bounds`:
+    /// per sensor of a fleet, for every mode and for a fleet mixing them,
+    /// with a `max_end` short of the history and a NaN in one history.
+    #[test]
+    fn resolved_filter_rows_match_the_group_bounds_oracle() {
+        let device = Device::default_gpu();
+        let modes = [BoundMode::Eq, BoundMode::Ec, BoundMode::En];
+        for size in [1, 4] {
+            let (mut fleet, mut max_ends) = build_fleet(size, &device);
+            let mut poisoned = fleet[0].series().to_vec();
+            poisoned[60] = f64::NAN;
+            fleet[0] = SmilerIndex::build(&device, poisoned, params());
+            max_ends[size - 1] -= 37;
+            let sensors: Vec<_> = fleet
+                .iter()
+                .zip(&max_ends)
+                .map(|(index, &max_end)| {
+                    (index.window_index(), index.params().lengths.as_slice(), max_end)
+                })
+                .collect();
+            let mixed: Vec<BoundMode> = (0..size).map(|s| modes[s % 3]).collect();
+            for fleet_modes in modes.iter().map(|&mode| vec![mode; size]).chain([mixed]) {
+                let got = group::fleet_filter_bounds(&device, &sensors, &fleet_modes);
+                for (s, &(windex, lengths, max_end)) in sensors.iter().enumerate() {
+                    let want = group::compute_group_bounds(&device, windex, lengths, max_end)
+                        .into_filter_bounds(fleet_modes[s]);
+                    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                        rows.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
+                    };
+                    let what = format!("fleet of {size}, sensor {s}, {:?}", fleet_modes[s]);
+                    assert_eq!(bits(&got[s]), bits(&want), "{what}");
+                    for (row, &d) in got[s].iter().zip(lengths) {
+                        assert_eq!(row.len(), max_end + 1 - d, "{what}: candidates of d={d}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A fleet whose tasks each verify several cascade chunks reports the
+    /// same verdicts, per-stage counts and device clock on 1, 2 and 4 host
+    /// threads: a task's chunks run as one chain.
+    #[test]
+    fn cascade_verdicts_counts_and_clock_do_not_depend_on_host_threads() {
+        let run = |threads: usize| {
+            let device = Device::default_gpu().with_host_threads(threads);
+            let mut fleet: Vec<SmilerIndex> = (0..4)
+                .map(|s| {
+                    SmilerIndex::build(&device, make_series(1500 + 40 * s, s as u64), params())
+                })
+                .collect();
+            let max_ends: Vec<usize> = fleet.iter().map(|i| i.series().len() - 5).collect();
+            device.reset_clock();
+            let refs: Vec<&mut SmilerIndex> = fleet.iter_mut().collect();
+            let sensors: Vec<_> = refs
+                .iter()
+                .zip(&max_ends)
+                .map(|(index, &max_end)| {
+                    (index.window_index(), index.params().lengths.as_slice(), max_end)
+                })
+                .collect();
+            let bounds = group::fleet_filter_bounds(&device, &sensors, &[BoundMode::En; 4]);
+            let mut tasks = plan_tasks(&refs, bounds);
+            probe_thresholds(&device, &mut tasks).expect("probes fit");
+            filter(&device, &mut tasks);
+            assert!(
+                tasks.iter().filter(|task| task.order.len() > CASCADE_CHUNK).count() >= 2,
+                "setup: tasks verify several chunks"
+            );
+            let counts = cascade_verify(&device, &mut tasks).expect("cascade fits");
+            let verified: Vec<Vec<(usize, u64)>> = tasks
+                .iter()
+                .map(|task| task.verified.iter().map(|&(t, dist)| (t, dist.to_bits())).collect())
+                .collect();
+            let clock = (device.elapsed_seconds().to_bits(), device.saturated_seconds().to_bits());
+            (counts, verified, clock)
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert!(serial == run(threads), "{threads} host threads");
+        }
     }
 
     #[test]

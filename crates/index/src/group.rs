@@ -8,7 +8,9 @@
 //! bounds of the item query whose CSG has `m` windows (Theorem 4.3), for
 //! the candidate segment ending at `e = (r+1)ω + b` — so *one pass* yields
 //! the bounds of **every** item query against **every** candidate
-//! (Remark 2: the suffix-sharing reuse).
+//! (Remark 2: the suffix-sharing reuse). A block returns its sums as one
+//! dense row per item query; the host lays each sensor's rows out per
+//! candidate start.
 
 use crate::csg;
 use crate::search::BoundMode;
@@ -64,8 +66,8 @@ impl GroupBounds {
 
 /// Compute group-level bounds for item queries of the given `lengths`
 /// (ascending suffix lengths of the master query) over candidates whose end
-/// `t + d` does not exceed `max_end` — the one-sensor call of
-/// `fleet_group_bounds`.
+/// `t + d` does not exceed `max_end`: the same launch as the search
+/// pipeline's [`fleet_filter_bounds`] over one sensor, with both sums kept.
 ///
 /// # Panics
 /// Panics if `lengths` is empty, unsorted, or exceeds the master query.
@@ -79,71 +81,124 @@ pub fn compute_group_bounds(
     assert!(lengths.windows(2).all(|w| w[0] < w[1]), "lengths must be strictly ascending");
     let d_master = windex.d_master();
     assert!(*lengths.last().expect("non-empty") <= d_master, "item query longer than master query");
-    fleet_group_bounds(device, &[(windex, lengths, max_end)]).swap_remove(0)
+    let classes = launch_classes(device, &[(windex, lengths, max_end)]).swap_remove(0);
+    let omega = windex.omega();
+    GroupBounds {
+        lengths: lengths.to_vec(),
+        eq: assemble(lengths, max_end, omega, &classes, |eq, _| eq),
+        ec: assemble(lengths, max_end, omega, &classes, |_, ec| ec),
+    }
 }
 
-/// Group-level bounds for every `(window index, lengths, max_end)` sensor
-/// in ONE launch: the grid is one block per (sensor, CSG class). Each block
-/// emits `(item, t, eq, ec)` tuples; the bijection of Theorem 4.2
-/// guarantees a sensor's blocks write disjoint candidates, so the host-side
-/// scatter has no collisions.
-pub(crate) fn fleet_group_bounds(
+/// The filter bounds of every item query of every `(window index, lengths,
+/// max_end)` sensor under its [`BoundMode`] (`modes[s]`): what
+/// [`GroupBounds::into_filter_bounds`] returns for [`compute_group_bounds`],
+/// from ONE launch over the whole fleet. Each sensor's class rows are then
+/// laid out as one item of a [`Device::host_map`] over the sensors, so no
+/// pass over the fleet's candidates runs on the calling thread.
+pub(crate) fn fleet_filter_bounds(
     device: &Device,
     sensors: &[(&WindowIndex, &[usize], usize)],
-) -> Vec<GroupBounds> {
+    modes: &[BoundMode],
+) -> Vec<Vec<Vec<f64>>> {
+    let classes = launch_classes(device, sensors);
+    let items: Vec<_> = sensors.iter().zip(modes).zip(classes).collect();
+    device.host_map(items, |((&(windex, lengths, max_end), &mode), classes)| {
+        assemble(lengths, max_end, windex.omega(), &classes, |eq, ec| match mode {
+            BoundMode::Eq => eq,
+            BoundMode::Ec => ec,
+            BoundMode::En => eq.max(ec),
+        })
+    })
+}
+
+/// One CSG class's sums against one item query. The candidates a class
+/// aligns start `ω` apart, so `eq[j]` / `ec[j]` belong to the candidate
+/// starting at `first + j·ω`.
+#[derive(Debug, Default)]
+struct ClassRow {
+    first: usize,
+    eq: Vec<f64>,
+    ec: Vec<f64>,
+}
+
+/// The Algorithm-1 launch: one block per (sensor, CSG class), each
+/// returning one [`ClassRow`] per item query. Returns them per sensor, per
+/// class. The bijection of Theorem 4.2 guarantees a sensor's classes
+/// cover disjoint candidates.
+fn launch_classes(
+    device: &Device,
+    sensors: &[(&WindowIndex, &[usize], usize)],
+) -> Vec<Vec<Vec<ClassRow>>> {
+    let class_count = |windex: &WindowIndex| windex.omega().min(windex.sw_count());
     let blocks: Vec<(usize, usize)> = sensors
         .iter()
         .enumerate()
-        .flat_map(|(s, (windex, _, _))| {
-            (0..windex.omega().min(windex.sw_count())).map(move |b| (s, b))
-        })
+        .flat_map(|(s, (windex, _, _))| (0..class_count(windex)).map(move |b| (s, b)))
         .collect();
     let report = device.launch(blocks.len(), |ctx| {
         let (s, b) = blocks[ctx.block_id()];
         let (windex, lengths, max_end) = sensors[s];
         class_pass(ctx, windex, lengths, max_end, b)
     });
+    let mut rows = report.results.into_iter();
+    sensors.iter().map(|(windex, _, _)| rows.by_ref().take(class_count(windex)).collect()).collect()
+}
 
-    // Scatter into dense per-item arrays.
-    let mut out: Vec<GroupBounds> = sensors
+/// One sensor's class rows laid out as dense per-item rows of
+/// `value(ΣLBEQ, ΣLBEC)` over every candidate start `t ≤ max_end − d`. A
+/// candidate no class aligns keeps 0.0 (a vacuous but valid bound).
+fn assemble(
+    lengths: &[usize],
+    max_end: usize,
+    omega: usize,
+    classes: &[Vec<ClassRow>],
+    value: impl Fn(f64, f64) -> f64,
+) -> Vec<Vec<f64>> {
+    lengths
         .iter()
-        .map(|&(_, lengths, max_end)| {
-            let zeros = || -> Vec<Vec<f64>> {
-                lengths.iter().map(|&d| vec![0.0; (max_end + 1).saturating_sub(d)]).collect()
-            };
-            GroupBounds { lengths: lengths.to_vec(), eq: zeros(), ec: zeros() }
+        .enumerate()
+        .map(|(i, &d)| {
+            let mut row = vec![0.0; (max_end + 1).saturating_sub(d)];
+            for ClassRow { first, eq, ec } in classes.iter().map(|class| &class[i]) {
+                let slots = row[*first..].iter_mut().step_by(omega);
+                for ((slot, &eq), &ec) in slots.zip(eq).zip(ec) {
+                    *slot = value(eq, ec);
+                }
+            }
+            row
         })
-        .collect();
-    for (&(s, _), rows) in blocks.iter().zip(report.results) {
-        for (i, t, s_eq, s_ec) in rows {
-            out[s].eq[i][t] = s_eq;
-            out[s].ec[i][t] = s_ec;
-        }
-    }
-    out
+        .collect()
 }
 
 /// The Algorithm-1 pass of ONE CSG class `b`: walk every rightmost disjoint
-/// window, shift-sum the class's posting lists, and emit
-/// `(item, candidate start, ΣLBEQ, ΣLBEC)` whenever a sum completes an item
-/// query's CSG.
+/// window, shift-sum the class's posting lists, and append `ΣLBEQ` and
+/// `ΣLBEC` to an item query's row whenever a sum completes its CSG.
 fn class_pass(
     ctx: &mut smiler_gpu::BlockCtx,
     windex: &WindowIndex,
     lengths: &[usize],
     max_end: usize,
     b: usize,
-) -> Vec<(usize, usize, f64, f64)> {
+) -> Vec<ClassRow> {
     let omega = windex.omega();
     let dw_count = windex.dw_count();
     let sw_count = windex.sw_count();
     // Map CSG size m → item queries completed at that size.
     let ms: Vec<usize> = lengths.iter().map(|&d| csg::csg_len(d, b, omega)).collect();
     let m_max = ms.iter().copied().max().unwrap_or(0);
-    let mut out: Vec<(usize, usize, f64, f64)> = Vec::new();
     if m_max == 0 {
-        return out;
+        return lengths.iter().map(|_| ClassRow::default()).collect();
     }
+    // A row holds at most one sum per disjoint window.
+    let mut rows: Vec<ClassRow> = lengths
+        .iter()
+        .map(|_| ClassRow {
+            first: 0,
+            eq: Vec::with_capacity(dw_count),
+            ec: Vec::with_capacity(dw_count),
+        })
+        .collect();
     // The pass touches ~dw_count·m_max posting terms, so the inner loop is
     // kept to pure slice arithmetic: the class's posting lists are resolved
     // once up front (no ring-buffer indexing per term), and the "which item
@@ -164,6 +219,8 @@ fn class_pass(
     // Cost accounting is hoisted out of the inner loop into running totals
     // (one BlockCtx call per pass instead of two per posting-list term) —
     // the aggregate BlockCost is identical, the hot loop stays arithmetic.
+    // An item's candidate end `e` grows by ω per disjoint window, so its
+    // row fills densely from the first window that completes it in range.
     let mut terms: u64 = 0;
     for r in 0..dw_count {
         let e = csg::alignment_end(b, r, omega);
@@ -176,17 +233,23 @@ fn class_pass(
             for &(i, d) in &completes[j + 1] {
                 if e <= max_end {
                     if let Some(t) = e.checked_sub(d) {
-                        out.push((i, t, sum_eq, sum_ec));
+                        let row = &mut rows[i];
+                        if row.eq.is_empty() {
+                            row.first = t;
+                        }
+                        row.eq.push(sum_eq);
+                        row.ec.push(sum_ec);
                     }
                 }
             }
         }
         terms += steps as u64;
     }
+    let written: usize = rows.iter().map(|row| row.eq.len()).sum();
     ctx.read_global(2 * terms);
     ctx.flops(2 * terms);
-    ctx.write_global(2 * out.len() as u64);
-    out
+    ctx.write_global(2 * written as u64);
+    rows
 }
 
 #[cfg(test)]

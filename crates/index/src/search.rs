@@ -205,7 +205,7 @@ struct SearchScratch {
 
 /// Per-stage outcome counts of one cascaded verification pass, reported to
 /// the observability layer as `verify.cascade` counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CascadeCounts {
     kim_pruned: u64,
     keogh_pruned: u64,
@@ -538,25 +538,17 @@ pub(crate) fn verify_candidates(
     Ok(all)
 }
 
-/// The running k smallest verified distances, shared by every block of one
-/// cascade launch — the device-global k-cell best-list a real GPU kNN
-/// kernel keeps with `atomicMin` over sorted distance slots (here a mutex
-/// over the sorted list; inserts happen only ~k + near-miss times per
-/// launch, so contention is negligible next to a DTW evaluation).
-///
-/// Exactness is unaffected: the list holds the k smallest of a *subset* of
-/// the true distances at every instant, so its k-th entry is ≥ the global
-/// k-th best, and the cascade keeps `dist ≤ τ` inclusively — the true kNN
-/// always survive, in every schedule. Sharing the *global* top-k (rather
-/// than per-block copies) makes parallel pruning exactly as tight as the
-/// serial cascade's at each point of the visit order.
-pub(crate) struct SharedBest {
+/// The running k smallest verified distances of one task's cascade — a
+/// local of the chain that walks the task's chunks in order (see
+/// `fleet::cascade_verify`), the best-so-far of Lemire's sequential
+/// search.
+pub(crate) struct KBest {
     k: usize,
     /// Sorted ascending, at most `k` entries, all finite.
-    dists: std::sync::Mutex<Vec<f64>>,
+    dists: Vec<f64>,
 }
 
-impl SharedBest {
+impl KBest {
     /// Seed the list with the threshold probes' distances. Non-finite
     /// seeds (probes that hit poisoned history) cannot bound anything and
     /// are dropped, so τ stays a real k-th-best and the sorted invariant
@@ -565,34 +557,25 @@ impl SharedBest {
         let mut dists: Vec<f64> = seed_dists.filter(|dist| dist.is_finite()).collect();
         dists.sort_unstable_by(f64::total_cmp);
         dists.truncate(k);
-        SharedBest { k, dists: std::sync::Mutex::new(dists) }
+        KBest { k, dists }
     }
 
     /// The current pruning threshold: the running k-th-best distance, or
     /// `+∞` while fewer than k candidates have been verified.
     fn tau(&self) -> f64 {
-        // Poison recovery: a panicking sibling block is re-raised by the
-        // launch machinery; the list itself only ever holds genuinely
-        // verified distances, so it stays a valid (conservative) τ source.
-        let dists = self.dists.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if dists.len() >= self.k {
-            dists[self.k - 1]
-        } else {
-            f64::INFINITY
-        }
+        self.dists.get(self.k - 1).copied().unwrap_or(f64::INFINITY)
     }
 
     /// Offer a verified distance to the top-k. Non-finite distances
     /// (poisoned candidates) are reported downstream but never tighten τ.
-    fn insert(&self, dist: f64) {
+    fn insert(&mut self, dist: f64) {
         if !dist.is_finite() {
             return;
         }
-        let mut dists = self.dists.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let pos = dists.partition_point(|&b| b <= dist);
+        let pos = self.dists.partition_point(|&b| b <= dist);
         if pos < self.k {
-            dists.insert(pos, dist);
-            dists.truncate(self.k);
+            self.dists.insert(pos, dist);
+            self.dists.truncate(self.k);
         }
     }
 }
@@ -621,14 +604,16 @@ pub(crate) fn lb_threshold(tau: f64) -> f64 {
 /// One `(task, chunk)` block of the verification cascade: each candidate,
 /// visited in ascending group-bound order, passes through an O(1)
 /// first/last-point bound and the full `LB_Keogh` envelope bound, pruning
-/// against the *running* k-th-best verified distance τ of its own task's
-/// [`SharedBest`]; the survivors queue up and are verified
-/// [`smiler_dtw::LANES`] at a time by one early-abandoning lane-parallel
-/// DTW sweep ([`smiler_dtw::dtw_early_abandon_lanes`]) against τ as read
-/// when the sweep starts. Their verdicts tighten τ in candidate order. A
-/// short last batch runs in the same kernel with fewer lanes, and so does
-/// every batch of a query too long for `LANES` staged candidates and
-/// matrices to fit the block's shared memory.
+/// against the *running* k-th-best verified distance τ of its task
+/// ([`KBest`], which the task's earlier chunks have already tightened);
+/// the survivors queue up and are verified [`smiler_dtw::LANES`] at a time
+/// by one early-abandoning lane-parallel DTW sweep
+/// ([`smiler_dtw::dtw_early_abandon_lanes`]) against τ as read when the
+/// sweep starts. Their verdicts tighten τ in candidate order. A short last
+/// batch runs in the same kernel with fewer lanes, and so does every batch
+/// of a query too long for `LANES` staged candidates and matrices to fit
+/// the block's shared memory. `scratch` is the chain's one sweep
+/// workspace, reused by every block of the task.
 ///
 /// Lemire's `LB_Improved` second pass is not a rung: timed over the
 /// survivors it actually sees on ROAD, MALL and NET, it cost more than the
@@ -643,13 +628,11 @@ pub(crate) fn lb_threshold(tau: f64) -> f64 {
 /// whole candidate set. A true k-nearest neighbour therefore satisfies
 /// `lb ≤ dtw ≤ τ` at whatever point it is visited, survives every stage
 /// (the early-abandon keeps `dtw == τ` inclusively), and receives its
-/// exact distance: each lane of a sweep is bitwise the scalar kernel. The
-/// *survivor* set beyond the kNN can vary with batching and block
-/// interleaving, but every candidate at or below the global k-th-best
-/// distance survives in every schedule, so the k smallest distances — and
-/// the downstream k-selection, which picks by value — are identical on
-/// every thread count and schedule. (The work a block *reports*, and with
-/// it the launch's simulated time, does move with the interleaving.)
+/// exact distance: each lane of a sweep is bitwise the scalar kernel.
+/// Since a task's chunks run in order on one worker, τ at every point is a
+/// function of the task's own inputs: the survivors, the counts and the
+/// work a block reports — with them the launch's simulated time — are the
+/// same on every host thread count.
 ///
 /// Only the `EQ` direction of `LB_EN` (the candidate walked against the
 /// *query's* envelope, which is staged in shared memory) is used here. The
@@ -667,7 +650,8 @@ pub(crate) fn cascade_block(
     query_env: &Envelope,
     rho: usize,
     starts: &[usize],
-    shared: &SharedBest,
+    best: &mut KBest,
+    scratch: &mut smiler_dtw::DtwLanesScratch,
 ) -> Result<(Vec<(usize, f64)>, CascadeCounts), smiler_gpu::SharedMemOverflow> {
     use smiler_dtw::LANES;
     let d = query.len();
@@ -675,7 +659,7 @@ pub(crate) fn cascade_block(
     // matrix per lane live in shared memory. A long query gets as many
     // lanes as the budget holds, down to one — the footprint of a
     // one-candidate cascade. Each block is sequential by design: every
-    // verdict tightens the threshold for every block's later candidates.
+    // verdict tightens the threshold for the task's later candidates.
     let lane_bytes = d * 4 + 2 * (2 * rho + 2) * 4;
     let mut width = LANES;
     while let Err(overflow) = ctx.alloc_shared(3 * d * 4 + width * lane_bytes) {
@@ -685,7 +669,6 @@ pub(crate) fn cascade_block(
         width -= 1;
     }
     ctx.read_global(3 * d as u64); // stage query + envelope once
-    let mut scratch = smiler_dtw::DtwLanesScratch::new();
     let mut counts = CascadeCounts::default();
     let mut out: Vec<(usize, f64)> = Vec::new();
     let mut pending = starts.iter();
@@ -697,9 +680,8 @@ pub(crate) fn cascade_block(
             let Some(&t) = pending.next() else { break };
             // The rungs leave exact ties to stage 3, whose arithmetic is
             // the distance's own — otherwise which of two tied neighbours
-            // survives would depend on how far a sibling block had
-            // tightened τ.
-            let lb_tau = lb_threshold(shared.tau());
+            // survives would depend on the rounding of the bound.
+            let lb_tau = lb_threshold(best.tau());
             let cand = &series[t..t + d];
             // Stage 1: O(1) first/last-point bound.
             ctx.read_global(2);
@@ -725,13 +707,8 @@ pub(crate) fn cascade_block(
         }
         // Stage 3: one early-abandoning sweep over the staged candidates.
         let cands: [&[f64]; LANES] = std::array::from_fn(|l| &series[batch[l]..batch[l] + d]);
-        let verdicts = smiler_dtw::dtw_early_abandon_lanes(
-            query,
-            &cands[..lanes],
-            rho,
-            shared.tau(),
-            &mut scratch,
-        );
+        let verdicts =
+            smiler_dtw::dtw_early_abandon_lanes(query, &cands[..lanes], rho, best.tau(), scratch);
         for (&t, (dist, cells)) in batch[..lanes].iter().zip(verdicts) {
             ctx.flops(cells * 6);
             ctx.access_shared(cells * 3);
@@ -741,9 +718,9 @@ pub(crate) fn cascade_block(
                     out.push((t, dist));
                     // A non-finite distance (a poisoned candidate, `+∞`
                     // within a `+∞` τ) is reported but never tightens τ —
-                    // `SharedBest::insert` drops it and `kselect` drops it
+                    // `KBest::insert` drops it and `kselect` drops it
                     // downstream.
-                    shared.insert(dist);
+                    best.insert(dist);
                 }
                 None => counts.dtw_abandoned += 1,
             }
@@ -814,6 +791,30 @@ mod tests {
                     g,
                     e
                 );
+            }
+        }
+    }
+
+    /// The Table 3 ablation path: filtering on `ΣLBEQ` or `ΣLBEC` alone is
+    /// weaker than `LBen` but still exact under `ExactKBest`.
+    #[test]
+    fn single_direction_bound_modes_match_brute_force() {
+        let device = Device::default_gpu();
+        let series = make_series(300, 1);
+        let params = small_params();
+        let max_end = series.len() - 5;
+        for mode in [BoundMode::Eq, BoundMode::Ec] {
+            let mut index =
+                SmilerIndex::build(&device, series.clone(), params.clone()).with_bound_mode(mode);
+            let out = index.search(&device, max_end);
+            for (i, &d) in params.lengths.iter().enumerate() {
+                let expect = brute_force(&series, d, params.rho, params.k_max, max_end);
+                let got: Vec<f64> = out.neighbors[i].iter().map(|n| n.distance).collect();
+                let want: Vec<f64> = expect.iter().map(|n| n.distance).collect();
+                assert_eq!(got.len(), want.len(), "{mode:?}, item {i}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((g - w).abs() < 1e-9, "{mode:?}, item {i}: {got:?} vs {want:?}");
+                }
             }
         }
     }

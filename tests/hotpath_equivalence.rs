@@ -3,10 +3,9 @@
 //!
 //! * workspace DTW variants vs. the allocating entry points,
 //! * the shared-prefix GP factorisation vs. independent per-k fits,
-//! * one host thread vs two and four — bitwise-identical predictions and
-//!   kNN sets and the same grids over full continuous steps, for one
-//!   sensor and for a fleet whose sensors step in parallel, and simulated
-//!   clocks that reproduce bit for bit run to run on one host thread;
+//! * one host thread vs two and four — bitwise-identical predictions, kNN
+//!   sets, grids and simulated clocks over full continuous steps, for one
+//!   sensor and for a fleet whose sensors step in parallel;
 //! * a sensor that panics inside a parallel fleet step is quarantined
 //!   alone and leaves every other forecast as a fault-free step makes it.
 
@@ -140,13 +139,11 @@ fn host_threads_change_no_result_and_serial_clocks_reproduce() {
         assert_eq!(serial.preds, parallel.preds, "GP predictions diverged on {threads} threads");
         assert_eq!(serial.knn, parallel.knn, "kNN results diverged on {threads} threads");
         assert_eq!(serial.grids, parallel.grids, "launch grids diverged on {threads} threads");
+        // Simulated seconds are a pure function of the costs the blocks
+        // report, and a cascade task's chunks run in order on one worker,
+        // so the reported work — and the clock — is the serial run's.
+        assert_eq!(serial.clocks, parallel.clocks, "device clocks diverged on {threads} threads");
     }
-    // Simulated seconds are a pure function of the costs the blocks report,
-    // so a serial run reproduces them bit for bit. Across thread counts
-    // they are NOT pinned: how much a cascade block prunes depends on how
-    // far its sibling blocks have tightened the shared running τ
-    // (`smiler_index`'s `SharedBest`), so the reported DTW work — never the
-    // answer — moves with the interleaving.
     assert_eq!(serial, full_steps_bitwise(1, &series, steps), "a serial run must reproduce");
 }
 
@@ -177,8 +174,12 @@ struct FleetOutcome {
     /// Per round, the fleet search's neighbours for every sensor and
     /// query length.
     knn: Vec<Vec<KnnBits>>,
-    /// `(kernel_launches, blocks_launched)` of the fleet's device.
-    grids: (u64, u64),
+    /// `(kernel_launches, blocks_launched)` of the fleet's device and of
+    /// the bare indexes' device.
+    grids: [(u64, u64); 2],
+    /// Cumulative `(elapsed_seconds, saturated_seconds)` bits of the same
+    /// two.
+    clocks: [(u64, u64); 2],
     quarantined: Vec<usize>,
 }
 
@@ -243,10 +244,15 @@ fn fleet_steps_bitwise(host_threads: usize, panics: Option<usize>) -> FleetOutco
             index.append(v);
         }
     }
+    let grid = |device: &Device| (device.kernel_launches(), device.blocks_launched());
+    let clock = |device: &Device| {
+        (device.elapsed_seconds().to_bits(), device.saturated_seconds().to_bits())
+    };
     FleetOutcome {
         preds,
         knn,
-        grids: (device.kernel_launches(), device.blocks_launched()),
+        grids: [grid(&device), grid(&index_device)],
+        clocks: [clock(&device), clock(&index_device)],
         quarantined: system.quarantined(),
     }
 }
@@ -266,6 +272,7 @@ fn a_fleet_step_is_bitwise_the_same_on_one_two_and_four_host_threads() {
         assert_eq!(serial.preds, parallel.preds, "forecasts diverged on {threads} threads");
         assert_eq!(serial.knn, parallel.knn, "kNN sets diverged on {threads} threads");
         assert_eq!(serial.grids, parallel.grids, "launch grids diverged on {threads} threads");
+        assert_eq!(serial.clocks, parallel.clocks, "device clocks diverged on {threads} threads");
         assert!(parallel.quarantined.is_empty());
     }
 }

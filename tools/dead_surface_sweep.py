@@ -19,6 +19,7 @@ EXEMPT = re.compile(r"_scalar$|^(%s)$" % "|".join([
     "loo_moments", "loo_log_likelihood", "loo_value_and_log_gradient",
     "loo_value_and_log_gradient_from_sq", "gram_log_gradients",  # allocating LOO definitions, generic GPML gradient
     "Alignment", "alignment_of", "candidate_start",             # Lemma 4.1 / Theorem 4.2 as executable definitions
+    "into_filter_bounds",                                       # bound-mode resolution the search's filter rows are checked against
     "decompose", "solve_upper", "solve_matrix", "col", "transpose", "max_abs_diff", "delete_row_col",  # linalg checks
 ]))
 ITEM = re.compile(r"^(\s*)pub ((?:const |async |unsafe )*(?:fn|struct|enum|trait|type|const|static) )(\w+)")
